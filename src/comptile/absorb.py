@@ -74,16 +74,15 @@ class VerifyResult:
         return self.ok
 
 
-def _induced_factor(g: Graph, f: IncompatibilitySystem, pattern: Graph,
-                    vertices, budget: int):
-    """Compatible-factor decision on the induced subgraph, host-id tiling."""
-    vertices = sorted(set(vertices))
-    sub_g, old = g.induced(vertices)
-    sub_f = f.induced(vertices)
-    res = solver.find_compatible_factor(pattern, sub_g, sub_f, budget=budget)
+def _factor_on(g: Graph, f: IncompatibilitySystem, pattern: Graph,
+               vertices, budget: int):
+    """Compatible-factor decision on G[vertices], host-id tiling."""
+    if any(not 0 <= v < g.n for v in vertices):
+        raise ValidationError("vertex set leaves the graph")
+    res = solver.find_compatible_factor(pattern, g, f, budget=budget,
+                                        pool=mask_of(vertices))
     if res.status == solver.FOUND:
-        host = tuple(tuple(old[i] for i in emb.vertices) for emb in res.tiling.embeddings)
-        return solver.FOUND, host
+        return solver.FOUND, tuple(emb.vertices for emb in res.tiling.embeddings)
     return res.status, None
 
 
@@ -100,12 +99,12 @@ def verify_absorber(g: Graph, f: IncompatibilitySystem, pattern: Graph,
     if len(a_set) > h * h * t:
         return VerifyResult(False, REFUTED,
                             f"|A| = {len(a_set)} exceeds h^2*t = {h * h * t}")
-    status_a, tiling_a = _induced_factor(g, f, pattern, a_set, budget)
+    status_a, tiling_a = _factor_on(g, f, pattern, a_set, budget)
     if status_a == solver.INDETERMINATE:
         return VerifyResult(False, INDETERMINATE, "G[A] factor search hit budget")
     if status_a == solver.NONE:
         return VerifyResult(False, REFUTED, "G[A] has no compatible factor")
-    status_b, tiling_b = _induced_factor(g, f, pattern, s_set + a_set, budget)
+    status_b, tiling_b = _factor_on(g, f, pattern, s_set + a_set, budget)
     if status_b == solver.INDETERMINATE:
         return VerifyResult(False, INDETERMINATE, "G[A u S] factor search hit budget")
     if status_b == solver.NONE:
@@ -128,7 +127,7 @@ def verify_connector(g: Graph, f: IncompatibilitySystem, pattern: Graph,
                             f"|S| = {len(s_set)} exceeds h*t - 1 = {h * t - 1}")
     tilings = []
     for endpoint, label in ((u, "u"), (v, "v")):
-        status, tiling = _induced_factor(g, f, pattern, s_set + [endpoint], budget)
+        status, tiling = _factor_on(g, f, pattern, s_set + [endpoint], budget)
         if status == solver.INDETERMINATE:
             return VerifyResult(False, INDETERMINATE,
                                 f"G[S u {{{label}}}] factor search hit budget")
@@ -323,7 +322,7 @@ def assemble_absorber(g: Graph, f: IncompatibilitySystem, pattern: Graph,
         for j in range(i + 1, len(pieces)):
             if pieces[i] & pieces[j]:
                 raise ValidationError("absorber pieces are not pairwise disjoint")
-    status, _ = _induced_factor(g, f, pattern, t_copy, budget)
+    status, _ = _factor_on(g, f, pattern, t_copy, budget)
     if status != solver.FOUND:
         raise ValidationError("T does not span a compatible copy")
     t_cap = max(c.t for c in connectors)
@@ -448,7 +447,7 @@ def verify_absorbing_set(g: Graph, f: IncompatibilitySystem, pattern: Graph,
     if population <= exhaustive_cap:
         for s in sizes:
             for r_set in combinations(outside, s):
-                status, _ = _induced_factor(g, f, pattern, a_set + list(r_set), budget)
+                status, _ = _factor_on(g, f, pattern, a_set + list(r_set), budget)
                 if status == solver.INDETERMINATE:
                     return AbsorbingSetReport(INDETERMINATE, checked)
                 if status == solver.NONE:
@@ -459,7 +458,7 @@ def verify_absorbing_set(g: Graph, f: IncompatibilitySystem, pattern: Graph,
     for _ in range(samples):
         s = sizes[rng.randrange(len(sizes))]
         r_set = tuple(sorted(rng.sample(outside, s)))
-        status, _ = _induced_factor(g, f, pattern, a_set + list(r_set), budget)
+        status, _ = _factor_on(g, f, pattern, a_set + list(r_set), budget)
         if status == solver.INDETERMINATE:
             return AbsorbingSetReport(INDETERMINATE, checked)
         if status == solver.NONE:

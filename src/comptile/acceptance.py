@@ -2,8 +2,8 @@
 
 Each criterion returns a CriterionResult with a deterministic details
 dict (sorted keys, no timings), so the emitted matrix is byte-identical
-across runs and across --jobs values.  Wall-clock limits are recorded as
-booleans, not raw durations.
+across runs.  Wall-clock limits are recorded as booleans, not raw
+durations.
 
 A3 and A4 are implemented exactly as stated.  At (n=12, mu=1/6, K_3) the
 required augmentation cannot exist: mu*n = 2 forces every part's
@@ -484,11 +484,10 @@ _CRITERIA = {
 
 
 def criterion_a10(seed: int = 0, first_pass=None) -> CriterionResult:
-    """Byte-identical matrices for A1-A9 across --jobs 1 and 4.
+    """Byte-identical matrices for two full A1-A9 passes in one process.
 
-    Execution is sequential regardless of jobs, so this is a regression
-    tripwire for any nondeterminism leaking into reports (unsorted sets,
-    ambient randomness, timing in payloads).
+    A regression tripwire for any nondeterminism leaking into reports
+    (unsorted sets, ambient randomness, timing in payloads).
     """
     t0 = time.perf_counter()
     if first_pass is None:
@@ -497,18 +496,12 @@ def criterion_a10(seed: int = 0, first_pass=None) -> CriterionResult:
     b1 = matrix_json(first_pass)
     b2 = matrix_json(second)
     return CriterionResult("A10", b1 == b2,
-                           {"bytes_equal": b1 == b2, "jobs_compared": [1, 4]},
+                           {"bytes_equal": b1 == b2},
                            time.perf_counter() - t0)
 
 
-def run_battery(selectors=None, seed: int = 0, jobs: int = 1,
-                verbose: bool = False) -> list:
-    """Run the selected criteria (all by default) and return their results.
-
-    ``jobs`` is part of the determinism contract: it must not influence
-    any emitted byte, and the battery runs it at face value.
-    """
-    del jobs  # sequential by design; reports are independent of it
+def run_battery(selectors=None, seed: int = 0, verbose: bool = False) -> list:
+    """Run the selected criteria (all by default) and return their results."""
     wanted = sorted(_CRITERIA) + ["A10"] if selectors is None else selectors
     results = []
     for cid in wanted:

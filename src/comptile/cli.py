@@ -1,22 +1,20 @@
 """Command-line entry point.
 
 Subcommands: invariants, construct, solve, lattice, absorb, regcount,
-acceptance.  Shared flags: --seed, --budget, --jobs, --json.  Reports
-echo the seed and budget (reproducibility header) and are emitted as
-canonical JSON, so identical inputs give byte-identical output.
+acceptance.  Shared flags: --seed, --budget, --json.  Reports echo the
+seed and budget (reproducibility header) and are emitted as canonical
+JSON, so identical inputs give byte-identical output.
 
 Exit codes: 0 success / factor found, 1 proven absence (or acceptance
-failures), 2 budget-indeterminate, 64 usage, 65 parse, 66 IO.
-
---jobs is accepted and validated for interface compatibility; execution
-is sequential and all outputs are order-normalized, so results are
-independent of the requested worker count by construction.
+failures), 2 budget-indeterminate, 64 usage, 65 parse, 66 IO, 70
+internal error (an unexpected exception; never reported as an answer).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from pathlib import Path
 
 from . import absorb, acceptance, construct, regularity, solver
@@ -36,6 +34,7 @@ EXIT_INDETERMINATE = 2
 EXIT_USAGE = 64
 EXIT_PARSE = 65
 EXIT_IO = 66
+EXIT_SOFTWARE = 70
 
 SCHEMA_VERSION = 1
 
@@ -282,8 +281,7 @@ def _cmd_regcount(args) -> int:
 
 def _cmd_acceptance(args) -> int:
     selectors = None if not args.only else [s.strip().upper() for s in args.only.split(",")]
-    matrix = acceptance.run_battery(selectors=selectors, seed=args.seed,
-                                    jobs=args.jobs, verbose=True)
+    matrix = acceptance.run_battery(selectors=selectors, seed=args.seed, verbose=True)
     if args.out:
         Path(args.out).mkdir(parents=True, exist_ok=True)
         (Path(args.out) / "matrix.json").write_text(
@@ -299,7 +297,6 @@ def build_parser() -> _ArgumentParser:
     def shared(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--budget", type=int, default=solver.DEFAULT_BUDGET)
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--json", action="store_true",
                        help="reports are always JSON; accepted for compatibility")
 
@@ -385,8 +382,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.jobs < 1:
-            raise _UsageError("--jobs must be >= 1")
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         sys.stderr.write(canonical_json({"error": "usage", "detail": str(exc)}))
@@ -401,6 +396,12 @@ def main(argv=None) -> int:
         sys.stderr.write(canonical_json(
             {"error": type(exc).__name__, "detail": str(exc)}))
         return EXIT_USAGE
+    except Exception as exc:  # last resort: a bug must not pass for an answer
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        sys.stderr.write(canonical_json(
+            {"error": "internal", "detail": f"{type(exc).__name__}: {exc}",
+             "where": f"{Path(where.filename).name}:{where.lineno} in {where.name}"}))
+        return EXIT_SOFTWARE
 
 
 if __name__ == "__main__":

@@ -94,8 +94,8 @@ def _colorable(g: Graph, k: int) -> bool:
             return True
         v = order[i]
         forbidden = 0
-        for u in range(g.n):
-            if g.adj[v] >> u & 1 and colors[u] >= 0:
+        for u in bits(g.adj[v]):
+            if colors[u] >= 0:
                 forbidden |= 1 << colors[u]
         limit = min(k, used + 1)
         for c in range(limit):
@@ -166,16 +166,11 @@ def enumerate_coloring_profiles(g: Graph, k: int, max_vertices: int = DEFAULT_CO
 
 
 def sigma(g: Graph) -> int:
-    profs = enumerate_coloring_profiles(g, chromatic_number(g))
-    return min(p[0] for p in profs)
+    return chi_star(g).sigma
 
 
 def d_set(g: Graph) -> frozenset:
-    profs = enumerate_coloring_profiles(g, chromatic_number(g))
-    gaps = set()
-    for p in profs:
-        gaps.update(p[i + 1] - p[i] for i in range(len(p) - 1))
-    return frozenset(gaps)
+    return chi_star(g).d_set
 
 
 def gcd_ignoring_zeros(values) -> object:
@@ -192,16 +187,8 @@ def gcd_ignoring_zeros(values) -> object:
 
 def hcf_profile(g: Graph) -> tuple:
     """(hcf_chi, hcf_c, hcf_is_one) for g."""
-    chi = chromatic_number(g)
-    hcf_chi = gcd_ignoring_zeros(d_set(g))
-    hcf_c = math.gcd(*(len(c) for c in components(g)))
-    if chi > 2:
-        one = hcf_chi == 1
-    elif chi == 2:
-        one = hcf_c == 1 and hcf_chi <= 2
-    else:
-        one = False
-    return hcf_chi, hcf_c, one
+    prof = chi_star(g)
+    return prof.hcf_chi, prof.hcf_c, prof.hcf_is_one
 
 
 @lru_cache(maxsize=None)

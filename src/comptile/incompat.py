@@ -31,10 +31,6 @@ def edge_key(u: int, v: int) -> tuple:
     return (u, v) if u < v else (v, u)
 
 
-def _pair_key(e: tuple, f: tuple) -> tuple:
-    return (e, f) if e <= f else (f, e)
-
-
 @dataclass(frozen=True)
 class BoundReport:
     delta: int
@@ -46,13 +42,19 @@ class BoundReport:
 
 
 class IncompatibilitySystem:
-    """Immutable per-vertex family of incompatible incident-edge pairs."""
+    """Immutable per-vertex family of incompatible incident-edge pairs.
 
-    __slots__ = ("graph", "_pairs_at", "_partner_count")
+    ``inc[v][a]`` is the bitmask of the neighbours b of v with {va, vb} in
+    F_v; a vertex or neighbour without partners has no entry, and the rows
+    are symmetric (b is in ``inc[v][a]`` iff a is in ``inc[v][b]``).  The
+    rows are read-only.
+    """
+
+    __slots__ = ("graph", "inc")
 
     def __init__(self, graph: Graph, triples):
         """Build from (v, a, b) triples meaning {va, vb} in F_v."""
-        pairs_at = {}
+        inc = {}
         for v, a, b in triples:
             if a == b:
                 raise ValidationError(f"pair at {v} names the same edge twice")
@@ -61,19 +63,11 @@ class IncompatibilitySystem:
                     raise ValidationError(f"triple ({v},{a},{b}) outside vertex range")
                 if not graph.has_edge(v, x):
                     raise ValidationError(f"({v},{x}) is not an edge of the bound graph")
-            key = _pair_key(edge_key(v, a), edge_key(v, b))
-            pairs_at.setdefault(v, set()).add(key)
+            row = inc.setdefault(v, {})
+            row[a] = row.get(a, 0) | 1 << b
+            row[b] = row.get(b, 0) | 1 << a
         object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "_pairs_at",
-                           {v: frozenset(s) for v, s in pairs_at.items()})
-        counts = {}
-        for v, pairs in self._pairs_at.items():
-            local = {}
-            for e, f in pairs:
-                local[e] = local.get(e, 0) + 1
-                local[f] = local.get(f, 0) + 1
-            counts[v] = local
-        object.__setattr__(self, "_partner_count", counts)
+        object.__setattr__(self, "inc", inc)
 
     def __setattr__(self, *_):
         raise AttributeError("IncompatibilitySystem is immutable")
@@ -84,85 +78,62 @@ class IncompatibilitySystem:
 
     def triples(self) -> list:
         """Canonical (v, a, b) list with a < b, sorted."""
-        out = []
-        for v, pairs in self._pairs_at.items():
-            for e, f in pairs:
-                a = e[0] if e[1] == v else e[1]
-                b = f[0] if f[1] == v else f[1]
-                a, b = min(a, b), max(a, b)
-                out.append((v, a, b))
-        return sorted(out)
+        return sorted((v, a, b) for v, row in self.inc.items()
+                      for a, partners in row.items()
+                      for b in bits(partners & (-1 << (a + 1))))
 
     @property
     def total_pairs(self) -> int:
-        return sum(len(s) for s in self._pairs_at.values())
+        return sum(m.bit_count() for row in self.inc.values() for m in row.values()) // 2
 
-    def pairs_at(self, v: int) -> frozenset:
-        return self._pairs_at.get(v, frozenset())
-
-    def partner_count(self, v: int, e: tuple) -> int:
-        return self._partner_count.get(v, {}).get(e, 0)
+    def _check_edge(self, e: tuple):
+        if not (0 <= e[0] < self.graph.n and 0 <= e[1] < self.graph.n) \
+                or not self.graph.has_edge(*e):
+            raise ValidationError(f"{e} is not an edge of the bound graph")
 
     def are_compatible(self, e: tuple, f: tuple) -> bool:
         """False iff e and f share a vertex v and {e, f} lies in F_v."""
         e = edge_key(*e)
         f = edge_key(*f)
-        for edge in (e, f):
-            if not (0 <= edge[0] < self.graph.n and 0 <= edge[1] < self.graph.n) \
-                    or not self.graph.has_edge(*edge):
-                raise ValidationError(f"{edge} is not an edge of the bound graph")
+        self._check_edge(e)
+        self._check_edge(f)
         if e == f:
             return True
         shared = set(e) & set(f)
         if not shared:
             return True
         v = shared.pop()
-        return _pair_key(e, f) not in self._pairs_at.get(v, frozenset())
+        a = e[0] + e[1] - v
+        b = f[0] + f[1] - v
+        return not self.inc.get(v, {}).get(a, 0) >> b & 1
 
     def is_compatible_subgraph(self, edges) -> tuple:
         """(ok, witness): witness is the first incompatible pair, else None.
 
         Only pairs sharing a vertex are inspected; disjoint pairs are
-        compatible by definition.
+        compatible by definition.  Vertices are scanned in ascending order,
+        and at each vertex its edges in ascending order of the other end.
         """
-        edges = sorted(edge_key(*e) for e in set(map(tuple, edges)))
-        at = {}
-        for e in edges:
-            if not self.graph.has_edge(*e):
-                raise ValidationError(f"{e} is not an edge of the bound graph")
-            at.setdefault(e[0], []).append(e)
-            at.setdefault(e[1], []).append(e)
-        for v in sorted(at):
-            pairs = self._pairs_at.get(v)
-            if not pairs:
+        near = {}  # v -> mask of the subgraph's neighbours of v
+        for e in sorted({edge_key(*e) for e in edges}):
+            self._check_edge(e)
+            near[e[0]] = near.get(e[0], 0) | 1 << e[1]
+            near[e[1]] = near.get(e[1], 0) | 1 << e[0]
+        for v in sorted(near):
+            row = self.inc.get(v)
+            if not row:
                 continue
-            local = at[v]
-            for i in range(len(local)):
-                for j in range(i + 1, len(local)):
-                    if _pair_key(local[i], local[j]) in pairs:
-                        return False, (local[i], local[j])
+            for a in bits(near[v]):
+                hit = row.get(a, 0) & near[v] & (-1 << (a + 1))
+                if hit:
+                    return False, (edge_key(v, a), edge_key(v, next(bits(hit))))
         return True, None
 
     def bound_report(self) -> BoundReport:
-        per_vertex = {v: max(counts.values(), default=0)
-                      for v, counts in self._partner_count.items()}
+        per_vertex = {v: max(m.bit_count() for m in row.values())
+                      for v, row in self.inc.items()}
         delta = max(per_vertex.values(), default=0)
         return BoundReport(delta, per_vertex)
-
-    def induced(self, vertices) -> "IncompatibilitySystem":
-        """Restriction to the induced subgraph on ``vertices`` (relabeled).
-
-        Must be paired with graph.induced(vertices): new ids follow the
-        same sorted order.
-        """
-        old = sorted(set(vertices))
-        pos = {v: i for i, v in enumerate(old)}
-        sub_graph, _ = self.graph.induced(old)
-        triples = []
-        for v, a, b in self.triples():
-            if v in pos and a in pos and b in pos:
-                triples.append((pos[v], pos[a], pos[b]))
-        return IncompatibilitySystem(sub_graph, triples)
 
     def with_added(self, triples) -> "IncompatibilitySystem":
         return IncompatibilitySystem(self.graph, self.triples() + list(triples))
@@ -177,24 +148,16 @@ def count_bad_pairs_at(f: IncompatibilitySystem, v: int) -> int:
     is what blocks {v, v1, v2} from being a compatible triangle through
     an incompatibility involving v's edges.
     """
-    g = f.graph
-    nbrs = g.neighbors(v)
-    count = 0
-    for i in range(len(nbrs)):
-        v1 = nbrs[i]
-        e1 = edge_key(v, v1)
-        for j in range(i + 1, len(nbrs)):
-            v2 = nbrs[j]
-            e2 = edge_key(v, v2)
-            if _pair_key(e1, e2) in f.pairs_at(v):
-                count += 1
-                continue
-            if g.has_edge(v1, v2):
-                cross = edge_key(v1, v2)
-                if (_pair_key(e1, cross) in f.pairs_at(v1)
-                        or _pair_key(e2, cross) in f.pairs_at(v2)):
-                    count += 1
-    return count
+    near = f.graph.adj[v]
+    bad = dict(f.inc.get(v, {}))  # v1 -> v2 with {v1, v2} bad; kept symmetric
+    for v1 in bits(near):
+        row = f.inc.get(v1)
+        cross = row.get(v, 0) & near if row else 0  # event (2) at v1
+        if cross:
+            bad[v1] = bad.get(v1, 0) | cross
+            for v2 in bits(cross):
+                bad[v2] = bad.get(v2, 0) | 1 << v1
+    return sum(m.bit_count() for m in bad.values()) // 2
 
 
 def random_bounded_system(g: Graph, mu, seed: int) -> IncompatibilitySystem:
@@ -215,30 +178,20 @@ def random_bounded_system(g: Graph, mu, seed: int) -> IncompatibilitySystem:
     rng = random.Random(seed)
     triples = []
     if q > 0:
-        count = {}  # (v, edge) -> partners so far
         for v in range(n):
-            edges_at = [edge_key(v, u) for u in bits(g.adj[v])]
-            present = set()
-            for e in edges_at:
-                cands = [f2 for f2 in edges_at if f2 != e]
+            nbrs = list(bits(g.adj[v]))
+            row = {}  # a -> partners of va at v so far
+            for a in nbrs:
+                cands = [b for b in nbrs if b != a]
                 rng.shuffle(cands)
-                added = 0
-                for f2 in cands:
-                    if added >= q or count.get((v, e), 0) >= q:
+                for b in cands:
+                    if row.get(a, 0).bit_count() >= q:
                         break
-                    if count.get((v, f2), 0) >= q:
+                    if row.get(b, 0).bit_count() >= q or row.get(a, 0) >> b & 1:
                         continue
-                    key = _pair_key(e, f2)
-                    if key in present:
-                        continue
-                    present.add(key)
-                    count[(v, e)] = count.get((v, e), 0) + 1
-                    count[(v, f2)] = count.get((v, f2), 0) + 1
-                    added += 1
-            for e, f2 in present:
-                a = e[0] if e[1] == v else e[1]
-                b = f2[0] if f2[1] == v else f2[1]
-                triples.append((v, a, b))
+                    row[a] = row.get(a, 0) | 1 << b
+                    row[b] = row.get(b, 0) | 1 << a
+            triples.extend((v, a, b) for a, m in row.items() for b in bits(m) if a < b)
     return IncompatibilitySystem(g, triples)
 
 

@@ -19,6 +19,7 @@ cross-copy check is needed or performed.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -44,9 +45,7 @@ class Embedding:
 
     @classmethod
     def from_phi(cls, pattern: Graph, phi) -> "Embedding":
-        phi = tuple(phi)
-        edges = sorted(edge_key(phi[u], phi[v]) for u, v in pattern.edges())
-        return cls(phi, tuple(sorted(phi)), tuple(edges))
+        return _Plan(pattern, list(range(pattern.n))).copy(phi)
 
     @property
     def key(self) -> tuple:
@@ -137,42 +136,114 @@ def _is_complete(h: Graph) -> bool:
     return h.m == h.n * (h.n - 1) // 2
 
 
-class _CompatChecker:
-    """Incremental compatibility bookkeeping for a growing image subgraph."""
+class _Plan:
+    """A pattern placed one vertex per step in ``order``.
 
-    __slots__ = ("f", "edges_at")
+    ``preds[i]`` lists the earlier steps whose pattern vertices are
+    adjacent to step i's; every pattern edge appears once as (i, p) in
+    ``edges``, so copies are built without re-reading the pattern.
+    """
 
-    def __init__(self, f: IncompatibilitySystem):
-        self.f = f
-        self.edges_at = {}  # host vertex -> list of image edges incident
+    def __init__(self, pattern: Graph, order: list):
+        pos = [0] * pattern.n
+        for i, v in enumerate(order):
+            pos[v] = i
+        self.pos = pos
+        self.preds = [[pos[u] for u in pattern.neighbors(v) if pos[u] < i]
+                      for i, v in enumerate(order)]
+        self.edges = [(i, p) for i, ps in enumerate(self.preds) for p in ps]
 
-    def ok_to_add(self, new_edges) -> bool:
-        """Are the new edges compatible with each other and the image so far?
+    def copy(self, img) -> Embedding:
+        """The copy whose step i sits on host vertex img[i]."""
+        phi = tuple(img[i] for i in self.pos)
+        edges = sorted(edge_key(img[i], img[p]) for i, p in self.edges)
+        return Embedding(phi, tuple(sorted(phi)), tuple(edges))
 
-        All new edges share their new endpoint, so pairs among them are
-        checked at that vertex; pairs against existing image edges are
-        checked at every shared endpoint.
-        """
-        f = self.f
-        for i, e in enumerate(new_edges):
-            for g2 in new_edges[i + 1:]:
-                if not f.are_compatible(e, g2):
-                    return False
-            for v in e:
-                for old in self.edges_at.get(v, ()):
-                    if not f.are_compatible(e, old):
-                        return False
-        return True
 
-    def add(self, new_edges):
-        for e in new_edges:
-            for v in e:
-                self.edges_at.setdefault(v, []).append(e)
+class _Work:
+    """Expansions spent against a budget; ``spend`` raises BudgetExceeded past it."""
 
-    def remove(self, new_edges):
-        for e in new_edges:
-            for v in e:
-                self.edges_at[v].pop()
+    __slots__ = ("spent", "budget")
+
+    def __init__(self, budget, spent: int = 0):
+        self.budget = budget
+        self.spent = spent
+
+    def spend(self):
+        self.spent += 1
+        if self.spent > self.budget:
+            raise BudgetExceeded()
+
+
+def _embed(g: Graph, f: IncompatibilitySystem, plan: _Plan, allowed: list,
+           ascending: list, work: _Work, rank: list = None):
+    """Yield the host image of every compatible placement of ``plan``.
+
+    Step i puts its pattern vertex on an unused host vertex of
+    ``allowed[i]`` adjacent to the images of ``plan.preds[i]`` and, when
+    ``ascending[i]``, above the previous step's image.  Candidates are
+    tried by ascending id, or by ascending ``rank[v]``; each one tried
+    spends one unit of ``work`` before its compatibility test.  The
+    yielded list is reused; copy it before resuming.
+
+    A candidate c is refused when a new edge c-x is incompatible at x
+    with an image edge x-y (c in inc[x][y]), or two new edges c-x, c-y
+    are incompatible at c (y in inc[c][x]).  Two edges can only clash at
+    a shared vertex, so this covers every new pair.
+    """
+    k = len(plan.preds)
+    adj, inc, preds = g.adj, f.inc, plan.preds
+    img = [0] * k
+    near = [0] * k       # image neighbours of img[i]
+    new_near = [0] * k   # images of preds[i]: step i's neighbours once placed
+    blocked = [0] * k    # candidates refused by an image edge at a predecessor
+    todo = [None] * k    # untried candidates per step
+
+    def open_step(i: int, used: int):
+        cands = allowed[i] & ~used
+        nn = block = 0
+        for p in preds[i]:
+            x = img[p]
+            cands &= adj[x]
+            nn |= 1 << x
+            row = inc.get(x)
+            if row and near[p]:
+                for y in bits(near[p]):
+                    block |= row.get(y, 0)
+        if ascending[i]:
+            cands &= -1 << (img[i - 1] + 1)
+        new_near[i], blocked[i] = nn, block
+        todo[i] = bits(cands) if rank is None else \
+            iter(sorted(bits(cands), key=rank.__getitem__))
+
+    i = used = 0
+    open_step(0, 0)
+    while i >= 0:
+        c = next(todo[i], None)
+        if c is None:
+            i -= 1
+            if i >= 0:
+                used &= ~(1 << img[i])
+                for p in preds[i]:
+                    near[p] &= ~(1 << img[i])
+            continue
+        work.spend()
+        if blocked[i] >> c & 1:
+            continue
+        nn = new_near[i]
+        row = inc.get(c)
+        if row and nn & (nn - 1) and any(row.get(x, 0) & nn for x in bits(nn)):
+            continue
+        img[i] = c
+        if i + 1 == k:
+            yield img
+            continue
+        used |= 1 << c
+        near[i] = nn
+        for p in preds[i]:
+            near[p] |= 1 << c
+        i += 1
+        open_step(i, used)
 
 
 def enumerate_compatible_copies(pattern: Graph, g: Graph,
@@ -192,61 +263,27 @@ def enumerate_compatible_copies(pattern: Graph, g: Graph,
         raise ValidationError("incompatibility system is bound to a different graph")
     if pattern.n == 0:
         raise ValidationError("empty pattern")
-    if pool is None:
-        pool = (1 << g.n) - 1
-
-    order = _pattern_order(pattern)
-    pos_in_order = {v: i for i, v in enumerate(order)}
-    preds = []  # for each step, pattern neighbors already placed
-    for i, pv in enumerate(order):
-        preds.append([u for u in pattern.neighbors(pv) if pos_in_order[u] < i])
-
-    clique_mode = _is_complete(pattern)
-    phi = {}
-    checker = _CompatChecker(f)
+    pool = _full_pool(g, pool)
+    plan = _Plan(pattern, _pattern_order(pattern))
+    # complete patterns: ascending images kill the automorphisms
+    clique = _is_complete(pattern)
+    ascending = [clique and i > 0 for i in range(pattern.n)]
+    work = _Work(budget)
     seen = set()
     out = []
-    expansions = 0
     truncated = False
-
-    def rec(i: int, used: int):
-        nonlocal expansions, truncated
-        if truncated:
-            return
-        if i == pattern.n:
-            full_phi = tuple(phi[v] for v in range(pattern.n))
-            emb = Embedding.from_phi(pattern, full_phi)
-            if clique_mode:
+    try:
+        for img in _embed(g, f, plan, [pool] * pattern.n, ascending, work):
+            emb = plan.copy(img)
+            if clique:
                 out.append(emb)
             elif emb.key not in seen:
                 seen.add(emb.key)
                 out.append(emb)
-            return
-        pv = order[i]
-        cands = pool & ~used
-        for u in preds[i]:
-            cands &= g.adj[phi[u]]
-        if clique_mode and i > 0:
-            # complete patterns: ascending images kill the automorphisms
-            prev = phi[order[i - 1]]
-            cands &= ~((1 << (prev + 1)) - 1)
-        for c in bits(cands):
-            expansions += 1
-            if expansions > budget:
-                truncated = True
-                return
-            new_edges = [edge_key(c, phi[u]) for u in preds[i]]
-            if new_edges and not checker.ok_to_add(new_edges):
-                continue
-            phi[pv] = c
-            checker.add(new_edges)
-            rec(i + 1, used | 1 << c)
-            checker.remove(new_edges)
-            del phi[pv]
-
-    rec(0, 0)
+    except BudgetExceeded:
+        truncated = True
     out.sort(key=lambda e: e.key)
-    return CopyEnumeration(out, truncated, expansions)
+    return CopyEnumeration(out, truncated, work.spent)
 
 
 def enumerate_transversal_copies(spec: MultipartiteSpec, g: Graph,
@@ -275,58 +312,21 @@ def enumerate_transversal_copies(spec: MultipartiteSpec, g: Graph,
         if len(p) < h_i:
             return CopyEnumeration([], False, 0)
 
+    # pattern vertices are numbered part by part; place them in that order
     pattern, _ = complete_multipartite(spec)
-    checker = _CompatChecker(f)
-    chosen = []          # list per part of chosen host vertices
+    plan = _Plan(pattern, list(range(pattern.n)))
+    allowed = [m for m, h_i in zip(masks, spec.sizes) for _ in range(h_i)]
+    ascending = [j > 0 for h_i in spec.sizes for j in range(h_i)]
+    work = _Work(budget)
     out = []
-    expansions = 0
     truncated = False
-    other_mask = [0] * spec.r  # union of earlier parts' masks
-
-    def place(part_idx: int, slot: int, min_v: int, cross_mask: int):
-        """Pick vertex #slot of part part_idx, ids ascending within the part."""
-        nonlocal expansions, truncated
-        if truncated:
-            return
-        if slot == spec.sizes[part_idx]:
-            next_part(part_idx + 1)
-            return
-        for v in parts[part_idx]:
-            if v < min_v:
-                continue
-            if truncated:
-                return
-            # must be host-adjacent to every vertex chosen in other parts
-            if cross_mask & ~g.adj[v]:
-                continue
-            expansions += 1
-            if expansions > budget:
-                truncated = True
-                return
-            new_edges = [edge_key(v, u) for i2 in range(part_idx) for u in chosen[i2]]
-            if new_edges and not checker.ok_to_add(new_edges):
-                continue
-            chosen[part_idx].append(v)
-            checker.add(new_edges)
-            place(part_idx, slot + 1, v + 1, cross_mask)
-            checker.remove(new_edges)
-            chosen[part_idx].pop()
-
-    def next_part(part_idx: int):
-        if part_idx == spec.r:
-            phi = [v for grp in chosen for v in grp]
-            out.append(Embedding.from_phi(pattern, phi))
-            return
-        chosen.append([])
-        cross = 0
-        for grp in chosen[:-1]:
-            cross |= mask_of(grp)
-        place(part_idx, 0, 0, cross)
-        chosen.pop()
-
-    next_part(0)
+    try:
+        for img in _embed(g, f, plan, allowed, ascending, work):
+            out.append(plan.copy(img))
+    except BudgetExceeded:
+        truncated = True
     out.sort(key=lambda e: e.key)
-    return CopyEnumeration(out, truncated, expansions)
+    return CopyEnumeration(out, truncated, work.spent)
 
 
 def verify_embedding(g: Graph, f: IncompatibilitySystem, pattern: Graph,
@@ -357,124 +357,111 @@ def verify_tiling(g: Graph, f: IncompatibilitySystem, pattern: Graph,
     return True
 
 
+def _full_pool(g: Graph, pool) -> int:
+    """``pool`` as a vertex mask; all of g when None."""
+    full = (1 << g.n) - 1
+    if pool is None:
+        return full
+    if pool & ~full:
+        raise ValidationError("pool names vertices outside the graph")
+    return pool
+
+
+def _rows_by_vertex(rows: list, pool: int) -> tuple:
+    """Row masks, and for each pool vertex the indices of the rows through it."""
+    row_masks = [e.mask for e in rows]
+    by_vertex = {v: [] for v in bits(pool)}
+    for idx, mask in enumerate(row_masks):
+        for v in bits(mask):
+            by_vertex[v].append(idx)
+    return row_masks, by_vertex
+
+
+def _exact_cover(full: int, row_masks: list, by_vertex: dict, work: _Work):
+    """Row indices tiling ``full`` exactly, or None when none exists.
+
+    Depth-first with an explicit stack; each node branches on its
+    uncovered vertex with the fewest admissible rows (the lowest such
+    vertex on ties), and each branch taken spends one unit of ``work``.
+    """
+    spent, budget = work.spent, work.budget
+    chosen = []
+    stack = []    # (covered, untried rows) per open node
+    covered = 0   # the node to open
+    while True:
+        best = None
+        for v in bits(full & ~covered):
+            opts = [r for r in by_vertex[v] if not row_masks[r] & covered]
+            if best is None or len(opts) < len(best):
+                best = opts
+                if not opts:
+                    break
+        stack.append((covered, iter(best)))
+        while True:  # the next branch of the deepest open node
+            covered, untried = stack[-1]
+            r = next(untried, None)
+            if r is not None:
+                break
+            stack.pop()
+            if not stack:
+                work.spent = spent
+                return None
+            chosen.pop()
+        spent += 1
+        if spent > budget:
+            work.spent = spent
+            raise BudgetExceeded()
+        chosen.append(r)
+        covered |= row_masks[r]
+        if covered == full:
+            work.spent = spent
+            return chosen
+
+
 def find_compatible_factor(pattern: Graph, g: Graph,
                            f: IncompatibilitySystem = None,
-                           budget: int = DEFAULT_BUDGET) -> FactorResult:
+                           budget: int = DEFAULT_BUDGET,
+                           pool: int = None) -> FactorResult:
     """Exact compatible-factor decision via exact-cover search.
 
-    NONE carries reason "divisibility" (|G| not divisible by |H|) or
-    "exhausted" (complete search).  INDETERMINATE only ever means the
-    budget ran out, either during copy enumeration or during the cover
-    search.
+    ``pool`` (a vertex bitmask, all of g by default) asks for a factor of
+    the induced subgraph g[pool] under f restricted to it; the tiling
+    keeps host vertex ids.  NONE carries reason "divisibility" (|pool|
+    not divisible by |H|) or "exhausted" (complete search).
+    INDETERMINATE only ever means the budget ran out, either during copy
+    enumeration or during the cover search.
     """
     if f is None:
         f = IncompatibilitySystem.empty(g)
     if pattern.n == 0:
         raise ValidationError("empty pattern")
-    if g.n % pattern.n != 0:
+    full = _full_pool(g, pool)
+    if full.bit_count() % pattern.n != 0:
         return FactorResult(NONE, reason="divisibility")
-    if g.n == 0:
+    if full == 0:
         return FactorResult(FOUND, tiling=Tiling(()))
 
-    enum = enumerate_compatible_copies(pattern, g, f, budget=budget)
+    enum = enumerate_compatible_copies(pattern, g, f, budget=budget, pool=full)
     rows = enum.copies
-    row_masks = [e.mask for e in rows]
-    by_vertex = [[] for _ in range(g.n)]
-    for idx, mask in enumerate(row_masks):
-        for v in bits(mask):
-            by_vertex[v].append(idx)
-
-    full = (1 << g.n) - 1
-    expansions = enum.expansions
-    chosen = []
-
-    def search(covered: int):
-        nonlocal expansions
-        if covered == full:
-            return True
-        best_v, best_opts = -1, None
-        for v in bits(full & ~covered):
-            opts = [r for r in by_vertex[v] if not row_masks[r] & covered]
-            if best_opts is None or len(opts) < len(best_opts):
-                best_v, best_opts = v, opts
-                if not opts:
-                    return False
-        for r in best_opts:
-            expansions += 1
-            if expansions > budget:
-                raise BudgetExceeded()
-            chosen.append(r)
-            if search(covered | row_masks[r]):
-                return True
-            chosen.pop()
-        return False
-
+    row_masks, by_vertex = _rows_by_vertex(rows, full)
+    work = _Work(budget, enum.expansions)
     try:
-        found = search(0)
+        chosen = _exact_cover(full, row_masks, by_vertex, work)
     except BudgetExceeded:
         return FactorResult(INDETERMINATE, reason="budget",
-                            expansions=expansions, copies_considered=len(rows))
-    if found:
+                            expansions=work.spent, copies_considered=len(rows))
+    if chosen is not None:
         tiling = Tiling(tuple(rows[r] for r in chosen))
-        if not verify_tiling(g, f, pattern, tiling, require_cover=True):
+        if not verify_tiling(g, f, pattern, tiling) or tiling.covered() != full:
             raise AssertionError("internal: factor failed re-verification")
         return FactorResult(FOUND, tiling=tiling,
-                            expansions=expansions, copies_considered=len(rows))
+                            expansions=work.spent, copies_considered=len(rows))
     if enum.truncated:
         # absence over a truncated row set proves nothing
         return FactorResult(INDETERMINATE, reason="budget",
-                            expansions=expansions, copies_considered=len(rows))
+                            expansions=work.spent, copies_considered=len(rows))
     return FactorResult(NONE, reason="exhausted",
-                        expansions=expansions, copies_considered=len(rows))
-
-
-def _first_copy_through(pattern: Graph, g: Graph, f: IncompatibilitySystem,
-                        anchor: int, pool: int, priority: list) -> Embedding:
-    """First compatible copy containing ``anchor`` inside ``pool``, or None.
-
-    Host candidates are tried in ``priority`` order (a permutation of the
-    vertices); the anchor is tried at every pattern position since the
-    pattern's orbit structure is unknown.
-    """
-    order = _pattern_order(pattern)
-    pos_in_order = {v: i for i, v in enumerate(order)}
-    preds = [[u for u in pattern.neighbors(pv) if pos_in_order[u] < i]
-             for i, pv in enumerate(order)]
-    rank = {v: i for i, v in enumerate(priority)}
-    checker = _CompatChecker(f)
-    phi = {}
-
-    def rec(i: int, used: int, anchor_at: int):
-        if i == pattern.n:
-            return Embedding.from_phi(pattern, tuple(phi[v] for v in range(pattern.n)))
-        pv = order[i]
-        cands_mask = pool & ~used
-        for u in preds[i]:
-            cands_mask &= g.adj[phi[u]]
-        if i == anchor_at:
-            cands = [anchor] if cands_mask >> anchor & 1 else []
-        else:
-            cands = sorted(bits(cands_mask), key=lambda v: rank.get(v, v))
-        for c in cands:
-            if i != anchor_at and c == anchor:
-                continue
-            new_edges = [edge_key(c, phi[u]) for u in preds[i]]
-            if new_edges and not checker.ok_to_add(new_edges):
-                continue
-            phi[pv] = c
-            checker.add(new_edges)
-            hit = rec(i + 1, used | 1 << c, anchor_at)
-            checker.remove(new_edges)
-            del phi[pv]
-            if hit is not None:
-                return hit
-        return None
-
-    for anchor_step in range(pattern.n):
-        hit = rec(0, 0, anchor_step)
-        if hit is not None:
-            return hit
-    return None
+                        expansions=work.spent, copies_considered=len(rows))
 
 
 def greedy_almost_tiling(pattern: Graph, g: Graph,
@@ -483,24 +470,40 @@ def greedy_almost_tiling(pattern: Graph, g: Graph,
     """Maximal-by-inclusion tiling: repeatedly take the first compatible
     copy found through the next anchor in a seed-shuffled vertex order.
 
-    An anchor with no copy inside the current uncovered set can never be
-    covered later (the uncovered set only shrinks), so it is marked dead;
-    when every vertex is covered or dead the tiling is maximal.
+    Host candidates are tried in that order too, and the anchor is tried
+    at every pattern position since the pattern's orbit structure is
+    unknown.  An anchor with no copy inside the current uncovered set can
+    never be covered later (the uncovered set only shrinks), so it is
+    marked dead; when every vertex is covered or dead the tiling is
+    maximal.
     """
     if f is None:
         f = IncompatibilitySystem.empty(g)
     rng = random.Random(seed)
     priority = list(range(g.n))
     rng.shuffle(priority)
+    rank = [0] * g.n
+    for i, v in enumerate(priority):
+        rank[v] = i
+    plan = _Plan(pattern, _pattern_order(pattern))
+    ascending = [False] * pattern.n
+    work = _Work(math.inf)
     pool = (1 << g.n) - 1
     embs = []
     for anchor in priority:
         if not pool >> anchor & 1:
             continue
-        emb = _first_copy_through(pattern, g, f, anchor, pool, priority)
-        if emb is None:
+        img = None
+        for step in range(pattern.n):
+            allowed = [pool & ~(1 << anchor)] * pattern.n
+            allowed[step] = 1 << anchor
+            img = next(_embed(g, f, plan, allowed, ascending, work, rank), None)
+            if img is not None:
+                break
+        if img is None:
             pool &= ~(1 << anchor)  # dead: no copy through it can appear later
             continue
+        emb = plan.copy(img)
         embs.append(emb)
         pool &= ~emb.mask
     return Tiling(tuple(embs))
@@ -514,50 +517,56 @@ def max_compatible_tiling(pattern: Graph, g: Graph,
     Branches on the smallest undecided vertex: either some copy covers it
     or it stays uncovered.  The bound current + floor(free/h) prunes; the
     optimality flag is True only when the search completed in budget.
+    The search keeps an explicit stack, one node per decided vertex.
     """
     if f is None:
         f = IncompatibilitySystem.empty(g)
     enum = enumerate_compatible_copies(pattern, g, f, budget=budget)
     rows = enum.copies
-    row_masks = [e.mask for e in rows]
-    by_vertex = [[] for _ in range(g.n)]
-    for idx, mask in enumerate(row_masks):
-        for v in bits(mask):
-            by_vertex[v].append(idx)
-    h = pattern.n
-    best = []
-    expansions = enum.expansions
+    row_masks, by_vertex = _rows_by_vertex(rows, (1 << g.n) - 1)
+    n, h = g.n, pattern.n
+    spent = enum.expansions
     complete = not enum.truncated
-    chosen = []
-
-    def search(v: int, covered: int, skipped: int):
-        nonlocal best, expansions, complete
-        while v < g.n and (covered | skipped) >> v & 1:
+    best, best_len = None, 0
+    # An open node is (v, covered, skipped, copies so far, their rows as a
+    # (row, parent chain) chain, untried rows through v).  Its last branch,
+    # "v stays uncovered", replaces the node instead of stacking on it.
+    stack = []
+    v, covered, skipped, count, chain = 0, 0, 0, 0, None  # the node to open
+    while True:
+        taken = covered | skipped
+        if count + (n - taken.bit_count()) // h > best_len:
+            while v < n and taken >> v & 1:
+                v += 1
+            if v == n:
+                best, best_len = chain, count
+            else:
+                stack.append((v, covered, skipped, count, chain, iter(by_vertex[v])))
+        if not stack:
+            break
+        v, covered, skipped, count, chain, untried = stack[-1]
+        taken = covered | skipped
+        for r in untried:
+            if not row_masks[r] & taken:
+                break
+        else:
+            stack.pop()
+            skipped |= 1 << v
             v += 1
-        free = g.n - covered.bit_count() - skipped.bit_count()
-        if len(chosen) + free // h <= len(best):
-            return
-        if v == g.n:
-            if len(chosen) > len(best):
-                best = list(chosen)
-            return
-        for r in by_vertex[v]:
-            if row_masks[r] & (covered | skipped):
-                continue
-            expansions += 1
-            if expansions > budget:
-                complete = False
-                return
-            chosen.append(r)
-            search(v + 1, covered | row_masks[r], skipped)
-            chosen.pop()
-            if not complete:
-                return
-        search(v + 1, covered, skipped | 1 << v)
-
-    search(0, 0, 0)
-    tiling = Tiling(tuple(rows[r] for r in best))
-    return MaxTilingResult(tiling, complete, expansions)
+            continue
+        spent += 1
+        if spent > budget:
+            complete = False
+            break
+        covered |= row_masks[r]
+        count += 1
+        chain = (r, chain)
+        v += 1
+    picked = []
+    while best is not None:
+        r, best = best
+        picked.append(rows[r])
+    return MaxTilingResult(Tiling(tuple(reversed(picked))), complete, spent)
 
 
 def good_pair(g: Graph, f: IncompatibilitySystem, v: int, emb: Embedding) -> bool:
@@ -591,12 +600,3 @@ def good_pair(g: Graph, f: IncompatibilitySystem, v: int, emb: Embedding) -> boo
             if not f.are_compatible(ve, old):
                 return False
     return True
-
-
-def count_compatible_copies(pattern: Graph, g: Graph,
-                            f: IncompatibilitySystem = None,
-                            budget: int = DEFAULT_BUDGET) -> int:
-    enum = enumerate_compatible_copies(pattern, g, f, budget=budget)
-    if enum.truncated:
-        raise BudgetExceeded("copy enumeration truncated; count would be a lie")
-    return len(enum.copies)

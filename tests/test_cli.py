@@ -59,6 +59,20 @@ def test_solve_exit_codes(files, capsys):
     assert code == 2
 
 
+def test_unexpected_exception_is_internal_error(files, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli.solver, "find_compatible_factor", broken)
+    code, out, err = run_cli(["solve", "--pattern", files["k2"],
+                              "--graph", files["c4"]], capsys)
+    assert code == 70 and out == ""
+    assert "Traceback" not in err and err.count("\n") == 1
+    report = json.loads(err)
+    assert report["error"] == "internal" and report["detail"] == "RuntimeError: boom"
+    assert report["where"].startswith("test_cli.py:")
+
+
 def test_solve_modes(files, capsys):
     code, out, _ = run_cli(["solve", "--pattern", files["k3"], "--graph",
                             files["k6"], "--mode", "count"], capsys)
@@ -134,9 +148,6 @@ def test_error_exit_codes(files, capsys, tmp_path):
     code, _, err = run_cli(["invariants", str(bad)], capsys)
     assert code == 65 and json.loads(err)["error"] == "parse"
     code, _, err = run_cli(["solve", "--pattern", files["k2"]], capsys)
-    assert code == 64
-    code, _, err = run_cli(["solve", "--pattern", files["k2"],
-                            "--graph", files["c4"], "--jobs", "0"], capsys)
     assert code == 64
     # domain-invalid construction: structured error, usage-style exit
     code, _, err = run_cli(["construct", "--pattern", files["k111"], "--n", "12",

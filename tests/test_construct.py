@@ -112,18 +112,17 @@ def test_full_instance_certificates(inst24):
 def test_full_instance_system_matches_quoted_rule(inst24):
     g, part, f = inst24.graph, inst24.partition, inst24.system
     base = inst24.base.graph
+    expected = set()
     for v in range(g.n):
         vb = part.block_of(v)
-        expected = set()
         for pj, block in enumerate(part.blocks):
             if pj == vb:
                 continue
             for u in block:
                 for w in block:
                     if u < w and g.has_edge(u, w) and not base.has_edge(u, w):
-                        expected.add(((min(v, u), max(v, u)), (min(v, w), max(v, w))))
-        got = {tuple(sorted(p)) for p in f.pairs_at(v)}
-        assert got == {tuple(sorted(p)) for p in expected}
+                        expected.add((v, u, w))
+    assert set(f.triples()) == expected
 
 
 def test_round_trip_identity(inst24):

@@ -120,6 +120,24 @@ def test_count_bad_pairs_examples():
     assert count_bad_pairs_at(f3, 3) == 0
 
 
+def test_count_bad_pairs_matches_brute_force():
+    rng = random.Random(5)
+    for _ in range(80):
+        g = random_graph(rng.randint(2, 11), rng.uniform(0.3, 1.0), rng.getrandbits(30))
+        f = random_system(g, rng.randint(0, 40), rng.getrandbits(30))
+        pairs = set(f.triples())
+
+        def bad(v, a, b):  # {va, vb} in F_v, by the triple list
+            return (v, min(a, b), max(a, b)) in pairs
+
+        for v in range(g.n):
+            nbrs = [u for u in range(g.n) if g.has_edge(v, u)]
+            expected = sum(1 for i, v1 in enumerate(nbrs) for v2 in nbrs[i + 1:]
+                           if bad(v, v1, v2)
+                           or (g.has_edge(v1, v2) and (bad(v1, v, v2) or bad(v2, v, v1))))
+            assert count_bad_pairs_at(f, v) == expected
+
+
 def test_file_roundtrip_and_json():
     g = complete_graph(5)
     f = random_system(g, 6, 4)

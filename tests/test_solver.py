@@ -11,6 +11,8 @@ from comptile.solver import (FOUND, INDETERMINATE, NONE, Embedding,
                              find_compatible_factor, good_pair, greedy_almost_tiling,
                              max_compatible_tiling, verify_tiling)
 
+from comptile.util import mask_of
+
 from .helpers import random_graph, random_system
 
 
@@ -63,6 +65,45 @@ def test_factor_agrees_with_oracle_under_systems():
         assert (res.status == FOUND) == oracles.raw_factor_exists(pattern, host, f)
         if res.status == FOUND:
             assert verify_tiling(host, f, pattern, res.tiling, require_cover=True)
+
+
+def test_pool_factor_agrees_with_oracle_on_induced_subgraph():
+    rng = random.Random(29)
+    for _ in range(60):
+        nh = rng.randint(1, 3)
+        pattern = random_graph(nh, 0.9, rng.getrandbits(30))
+        host = random_graph(rng.randint(2, 10), rng.uniform(0.4, 0.95), rng.getrandbits(30))
+        f = random_system(host, rng.randint(0, 12), rng.getrandbits(30))
+        s = sorted(v for v in range(host.n) if rng.random() < 0.6)
+        # reference: relabel g[S] and the triples inside it by hand
+        sub, old = host.induced(s)
+        pos = {v: i for i, v in enumerate(old)}
+        sub_f = IncompatibilitySystem(sub, [(pos[v], pos[a], pos[b])
+                                            for v, a, b in set(f.triples())
+                                            if {v, a, b} <= pos.keys()])
+        res = find_compatible_factor(pattern, host, f, pool=mask_of(s))
+        assert res.status in (FOUND, NONE)
+        assert (res.status == FOUND) == oracles.raw_factor_exists(pattern, sub, sub_f)
+        if res.status == FOUND:
+            assert sorted(v for e in res.tiling.embeddings for v in e.vertices) == s
+            assert verify_tiling(host, f, pattern, res.tiling)
+
+
+def test_factor_search_runs_without_recursion_on_deep_instances():
+    # a K_2 tiling of a 2100-vertex perfect matching places 1050 copies
+    n = 2100
+    k2 = complete_graph(2)
+    matching = Graph.from_edges(n, [(2 * i, 2 * i + 1) for i in range(n // 2)])
+    res = find_compatible_factor(k2, matching)
+    assert res.status == FOUND and len(res.tiling) == n // 2
+
+
+def test_max_tiling_runs_without_recursion_on_deep_instances():
+    n = 2100
+    k2 = complete_graph(2)
+    matching = Graph.from_edges(n, [(2 * i, 2 * i + 1) for i in range(n // 2)])
+    res = max_compatible_tiling(k2, matching)
+    assert res.optimal and len(res.tiling) == n // 2
 
 
 def test_p3_factor_of_c6_under_centered_system():
