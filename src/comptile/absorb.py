@@ -17,7 +17,7 @@ exponentially many sets; verdicts therefore carry their strength
 explicitly: PROVEN only when the space was exhausted (or a disjointness
 certificate applies), SUPPORTED(k/k) when sampled, REFUTED with a
 witness, INDETERMINATE when a budget ran out.  Sampling never upgrades
-itself to proof.
+itself to proof, and it takes at least one sample.
 
 Every Absorber/Connector returned by an assembly operation has already
 re-passed its own verifier; a verification failure inside an assembly is
@@ -86,6 +86,26 @@ def _factor_on(g: Graph, f: IncompatibilitySystem, pattern: Graph,
     return res.status, None
 
 
+def _factor_gate(g: Graph, f: IncompatibilitySystem, pattern: Graph,
+                 named_sets, budget: int) -> VerifyResult:
+    """PROVEN when every G[vertices] of ``named_sets`` has a compatible factor.
+
+    ``named_sets`` lists (name, vertices); the first set without a factor
+    (REFUTED) or whose search hit the budget (INDETERMINATE) is named in
+    the reason.
+    """
+    tilings = []
+    for name, vertices in named_sets:
+        status, tiling = _factor_on(g, f, pattern, vertices, budget)
+        if status == solver.INDETERMINATE:
+            return VerifyResult(False, INDETERMINATE,
+                                f"G[{name}] factor search hit budget")
+        if status == solver.NONE:
+            return VerifyResult(False, REFUTED, f"G[{name}] has no compatible factor")
+        tilings.append(tiling)
+    return VerifyResult(True, PROVEN, tilings=tuple(tilings))
+
+
 def verify_absorber(g: Graph, f: IncompatibilitySystem, pattern: Graph,
                     s_set, a_set, t: int,
                     budget: int = solver.DEFAULT_BUDGET) -> VerifyResult:
@@ -99,17 +119,8 @@ def verify_absorber(g: Graph, f: IncompatibilitySystem, pattern: Graph,
     if len(a_set) > h * h * t:
         return VerifyResult(False, REFUTED,
                             f"|A| = {len(a_set)} exceeds h^2*t = {h * h * t}")
-    status_a, tiling_a = _factor_on(g, f, pattern, a_set, budget)
-    if status_a == solver.INDETERMINATE:
-        return VerifyResult(False, INDETERMINATE, "G[A] factor search hit budget")
-    if status_a == solver.NONE:
-        return VerifyResult(False, REFUTED, "G[A] has no compatible factor")
-    status_b, tiling_b = _factor_on(g, f, pattern, s_set + a_set, budget)
-    if status_b == solver.INDETERMINATE:
-        return VerifyResult(False, INDETERMINATE, "G[A u S] factor search hit budget")
-    if status_b == solver.NONE:
-        return VerifyResult(False, REFUTED, "G[A u S] has no compatible factor")
-    return VerifyResult(True, PROVEN, tilings=(tiling_a, tiling_b))
+    return _factor_gate(g, f, pattern, (("A", a_set), ("A u S", s_set + a_set)),
+                        budget)
 
 
 def verify_connector(g: Graph, f: IncompatibilitySystem, pattern: Graph,
@@ -125,17 +136,20 @@ def verify_connector(g: Graph, f: IncompatibilitySystem, pattern: Graph,
     if len(s_set) > h * t - 1:
         return VerifyResult(False, REFUTED,
                             f"|S| = {len(s_set)} exceeds h*t - 1 = {h * t - 1}")
-    tilings = []
-    for endpoint, label in ((u, "u"), (v, "v")):
-        status, tiling = _factor_on(g, f, pattern, s_set + [endpoint], budget)
-        if status == solver.INDETERMINATE:
-            return VerifyResult(False, INDETERMINATE,
-                                f"G[S u {{{label}}}] factor search hit budget")
-        if status == solver.NONE:
-            return VerifyResult(False, REFUTED,
-                                f"G[S u {{{label}}}] has no compatible factor")
-        tilings.append(tiling)
-    return VerifyResult(True, PROVEN, tilings=tuple(tilings))
+    return _factor_gate(g, f, pattern,
+                        (("S u {u}", s_set + [u]), ("S u {v}", s_set + [v])), budget)
+
+
+def _reverified(check: VerifyResult, during: str, what: str):
+    """Raise unless an assembled piece re-passed its verifier.
+
+    A budget cut is the caller's to fix (ValidationError); a refutation
+    means the gluing argument failed (ConsistencyError).
+    """
+    if check.status == INDETERMINATE:
+        raise ValidationError(f"verification budget exhausted while {during}")
+    if not check.ok:
+        raise ConsistencyError(f"{what} failed verification: {check.reason}")
 
 
 @dataclass
@@ -154,7 +168,9 @@ def find_connector(g: Graph, f: IncompatibilitySystem, pattern: Graph,
     exactly the unions of j vertex-disjoint compatible copies through u
     minus u itself (any valid S tiles S u {u} that way), found in
     deterministic order; each candidate is accepted once G[S u {v}]
-    factors as well.
+    factors as well.  The copies are enumerated once: the first copy of
+    a union is one through u, each later one a copy disjoint from the
+    union so far, both in canonical order.
     """
     h = pattern.n
     if u == v:
@@ -163,57 +179,69 @@ def find_connector(g: Graph, f: IncompatibilitySystem, pattern: Graph,
     if w_mask >> u & 1 or w_mask >> v & 1:
         raise ValidationError("W must avoid the endpoints")
     pool = ((1 << g.n) - 1) & ~w_mask & ~(1 << v)
-    expansions = 0
-    truncated = False
+    enum = solver.enumerate_compatible_copies(pattern, g, f, budget=budget, pool=pool)
+    expansions = enum.expansions
+    if enum.truncated:
+        return ConnectorSearch(solver.INDETERMINATE, None, expansions)
+    masks = [emb.mask for emb in enum.copies]
+    through_u = [msk for msk in masks if msk >> u & 1]
 
     for j in range(1, t + 1):
         seen = set()
-        found = None
-
-        def pack(copies_left: int, used: int, first: bool):
-            """Disjoint compatible copies; the first must contain u."""
-            nonlocal expansions, truncated, found
-            if found is not None or truncated:
-                return
-            if copies_left == 0:
-                s_set = tuple(sorted(bits(used & ~(1 << u))))
-                if s_set in seen:
-                    return
-                seen.add(s_set)
-                check = verify_connector(g, f, pattern, s_set, u, v, t,
-                                         budget=budget - expansions
-                                         if budget > expansions else 0)
-                expansions += h  # count candidate checks against the budget
-                if check.status == INDETERMINATE:
-                    truncated = True
-                    return
-                if check.ok:
-                    found = Connector(u, v, s_set, t)
-                return
-            sub_pool = pool & ~used
-            if first:
-                enum = solver.enumerate_compatible_copies(
-                    pattern, g, f, budget=budget - expansions, pool=sub_pool | 1 << u)
-                cands = [e for e in enum.copies if e.mask >> u & 1]
-            else:
-                enum = solver.enumerate_compatible_copies(
-                    pattern, g, f, budget=budget - expansions, pool=sub_pool)
-                cands = enum.copies
-            expansions += enum.expansions
-            if enum.truncated:
-                truncated = True
-                return
-            for emb in cands:
-                pack(copies_left - 1, used | emb.mask, False)
-                if found is not None or truncated:
-                    return
-
-        pack(j, 0, True)
-        if found is not None:
-            return ConnectorSearch(solver.FOUND, found, expansions)
-        if truncated:
-            return ConnectorSearch(solver.INDETERMINATE, None, expansions)
+        # explicit stack: todo[d] holds the untried candidates for copy d,
+        # unions[d] the union of copies 0..d-1
+        todo, unions = [iter(through_u)], [0]
+        while todo:
+            msk = next(todo[-1], None)
+            if msk is None:
+                todo.pop()
+                unions.pop()
+                continue
+            if msk & unions[-1]:
+                continue
+            used = unions[-1] | msk
+            if len(todo) < j:
+                todo.append(iter(masks))
+                unions.append(used)
+                continue
+            s_set = tuple(sorted(bits(used & ~(1 << u))))
+            if s_set in seen:
+                continue
+            seen.add(s_set)
+            check = verify_connector(g, f, pattern, s_set, u, v, t,
+                                     budget=budget - expansions
+                                     if budget > expansions else 0)
+            expansions += h  # count candidate checks against the budget
+            if check.status == INDETERMINATE:
+                return ConnectorSearch(solver.INDETERMINATE, None, expansions)
+            if check.ok:
+                return ConnectorSearch(solver.FOUND, Connector(u, v, s_set, t), expansions)
     return ConnectorSearch(solver.NONE, None, expansions)
+
+
+def _for_every(exhaustive: bool, every, draw, samples: int, holds) -> tuple:
+    """Quantify 'holds(W) for every W': (verdict, checked, witness).
+
+    Exhaustive runs over the iterable ``every`` and can PROVE; otherwise
+    ``samples`` calls of ``draw`` can at best SUPPORT.  ``holds`` answers
+    True, False (W is the REFUTED witness) or None (undecided: the whole
+    verdict is INDETERMINATE).  ``checked`` counts the W that held.
+    """
+    if exhaustive:
+        ws = every
+    elif samples < 1:
+        raise ValidationError(f"sampling needs samples >= 1, got {samples}")
+    else:
+        ws = (draw() for _ in range(samples))
+    checked = 0
+    for w_set in ws:
+        answer = holds(w_set)
+        if answer is None:
+            return INDETERMINATE, checked, None
+        if not answer:
+            return REFUTED, checked, tuple(w_set)
+        checked += 1
+    return (PROVEN if exhaustive else SUPPORTED), checked, None
 
 
 @dataclass
@@ -240,25 +268,17 @@ def reachability_estimate(g: Graph, f: IncompatibilitySystem, pattern: Graph,
     if m > len(others):
         raise ValidationError(f"m = {m} exceeds the {len(others)} non-endpoint vertices")
     population = math.comb(len(others), m)
-    if population <= exhaustive_cap:
-        checked = 0
-        for w_set in combinations(others, m):
-            res = find_connector(g, f, pattern, u, v, w_set, t, budget)
-            if res.status == solver.INDETERMINATE:
-                return ReachReport(INDETERMINATE, checked, population)
-            if res.status == solver.NONE:
-                return ReachReport(REFUTED, checked, population, tuple(w_set))
-            checked += 1
-        return ReachReport(PROVEN, checked, population)
+    exhaustive = population <= exhaustive_cap
     rng = random.Random(seed)
-    for k in range(samples):
-        w_set = tuple(sorted(rng.sample(others, m)))
-        res = find_connector(g, f, pattern, u, v, w_set, t, budget)
-        if res.status == solver.INDETERMINATE:
-            return ReachReport(INDETERMINATE, k)
-        if res.status == solver.NONE:
-            return ReachReport(REFUTED, k, None, w_set)
-    return ReachReport(SUPPORTED, samples)
+
+    def has_connector(w_set):
+        status = find_connector(g, f, pattern, u, v, w_set, t, budget).status
+        return None if status == solver.INDETERMINATE else status == solver.FOUND
+
+    verdict, checked, witness = _for_every(
+        exhaustive, combinations(others, m),
+        lambda: tuple(sorted(rng.sample(others, m))), samples, has_connector)
+    return ReachReport(verdict, checked, population if exhaustive else None, witness)
 
 
 def concatenate_connectors(g: Graph, f: IncompatibilitySystem, pattern: Graph,
@@ -287,11 +307,8 @@ def concatenate_connectors(g: Graph, f: IncompatibilitySystem, pattern: Graph,
     if len(s_set) > h * t_new - 1:
         raise ValidationError(
             f"size law violated: |S| = {len(s_set)} > h*(t1+t2)-1 = {h * t_new - 1}")
-    check = verify_connector(g, f, pattern, s_set, u, v, t_new, budget=budget)
-    if check.status == INDETERMINATE:
-        raise ValidationError("verification budget exhausted while chaining")
-    if not check.ok:
-        raise ConsistencyError(f"chained connector failed verification: {check.reason}")
+    _reverified(verify_connector(g, f, pattern, s_set, u, v, t_new, budget=budget),
+                "chaining", "chained connector")
     return Connector(u, v, s_set, t_new)
 
 
@@ -330,11 +347,8 @@ def assemble_absorber(g: Graph, f: IncompatibilitySystem, pattern: Graph,
     if len(a_set) > h * h * t_cap:
         raise ValidationError(
             f"size law violated: |A| = {len(a_set)} > h^2*t = {h * h * t_cap}")
-    check = verify_absorber(g, f, pattern, s_set, a_set, t_cap, budget=budget)
-    if check.status == INDETERMINATE:
-        raise ValidationError("verification budget exhausted while assembling")
-    if not check.ok:
-        raise ConsistencyError(f"assembled absorber failed verification: {check.reason}")
+    _reverified(verify_absorber(g, f, pattern, s_set, a_set, t_cap, budget=budget),
+                "assembling", "assembled absorber")
     return Absorber(tuple(sorted(s_set)), a_set, t_cap)
 
 
@@ -378,6 +392,7 @@ def robust_vectors(g: Graph, f: IncompatibilitySystem, pattern: Graph,
         by_vector.setdefault(index_vector(emb.vertices, p), []).append(emb.mask)
 
     rng = random.Random(seed)
+    population = math.comb(g.n, w)
     reports = {}
     for vec in sorted(by_vector):
         masks = by_vector[vec]
@@ -392,30 +407,18 @@ def robust_vectors(g: Graph, f: IncompatibilitySystem, pattern: Graph,
         if taken > w:
             reports[vec] = VectorReport(vec, True, PROVEN, disjoint_copies=taken)
             continue
-        population = math.comb(g.n, w)
-        if population <= exhaustive_cap:
-            killer = None
-            for w_set in combinations(range(g.n), w):
-                w_mask = mask_of(w_set)
-                if all(msk & w_mask for msk in masks):
-                    killer = w_set
-                    break
-            if killer is None:
-                reports[vec] = VectorReport(vec, True, PROVEN)
-            else:
-                reports[vec] = VectorReport(vec, False, PROVEN, witness=tuple(killer))
+
+        def survives(w_set):
+            w_mask = mask_of(w_set)
+            return not all(msk & w_mask for msk in masks)
+
+        verdict, _, killer = _for_every(
+            population <= exhaustive_cap, combinations(range(g.n), w),
+            lambda: tuple(sorted(rng.sample(range(g.n), w))), samples, survives)
+        if killer is None:
+            reports[vec] = VectorReport(vec, True, verdict)
         else:
-            killer = None
-            for _ in range(samples):
-                w_set = tuple(sorted(rng.sample(range(g.n), w)))
-                w_mask = mask_of(w_set)
-                if all(msk & w_mask for msk in masks):
-                    killer = w_set
-                    break
-            if killer is None:
-                reports[vec] = VectorReport(vec, True, SUPPORTED)
-            else:
-                reports[vec] = VectorReport(vec, False, PROVEN, witness=killer)
+            reports[vec] = VectorReport(vec, False, PROVEN, witness=killer)
     return RobustReport(w, reports, enum.truncated)
 
 
@@ -443,34 +446,26 @@ def verify_absorbing_set(g: Graph, f: IncompatibilitySystem, pattern: Graph,
     r_cap = frac_floor(xi * g.n)
     sizes = [s for s in range(0, r_cap + 1) if (len(a_set) + s) % h == 0]
     population = sum(math.comb(len(outside), s) for s in sizes)
-    checked = 0
-    if population <= exhaustive_cap:
-        for s in sizes:
-            for r_set in combinations(outside, s):
-                status, _ = _factor_on(g, f, pattern, a_set + list(r_set), budget)
-                if status == solver.INDETERMINATE:
-                    return AbsorbingSetReport(INDETERMINATE, checked)
-                if status == solver.NONE:
-                    return AbsorbingSetReport(REFUTED, checked, tuple(r_set))
-                checked += 1
-        return AbsorbingSetReport(PROVEN, checked)
     rng = random.Random(seed)
-    for _ in range(samples):
+
+    def draw():
         s = sizes[rng.randrange(len(sizes))]
-        r_set = tuple(sorted(rng.sample(outside, s)))
+        return tuple(sorted(rng.sample(outside, s)))
+
+    def absorbed(r_set):
         status, _ = _factor_on(g, f, pattern, a_set + list(r_set), budget)
-        if status == solver.INDETERMINATE:
-            return AbsorbingSetReport(INDETERMINATE, checked)
-        if status == solver.NONE:
-            return AbsorbingSetReport(REFUTED, checked, r_set)
-        checked += 1
-    return AbsorbingSetReport(SUPPORTED, checked)
+        return None if status == solver.INDETERMINATE else status == solver.FOUND
+
+    verdict, checked, witness = _for_every(
+        population <= exhaustive_cap,
+        (r_set for s in sizes for r_set in combinations(outside, s)),
+        draw, samples, absorbed)
+    return AbsorbingSetReport(verdict, checked, witness)
 
 
 def merge_via_transferral(g: Graph, f: IncompatibilitySystem, pattern: Graph,
                           p: VertexPartition, x: int, y: int,
                           fam_p: dict, fam_q: dict, t: int,
-                          finder=None,
                           budget: int = solver.DEFAULT_BUDGET) -> Connector:
     """Connector for x, y built from copy families realizing a transferral.
 
@@ -480,9 +475,9 @@ def merge_via_transferral(g: Graph, f: IncompatibilitySystem, pattern: Graph,
     copy vertices pair up block-by-block: x_1 from fam_p in block i, y_1
     from fam_q in block j, the rest within common blocks.  Respecting
     that pairing, connectors S_0 (x, x_1), S_1 (y, y_1) and S_l (x_l,
-    y_l) are acquired through ``finder`` (defaults to find_connector with
-    the already-used vertex set as the forbidden W), and their union with
-    the family vertices is the connector, with t' = t + C + t*h*C.
+    y_l) are found by find_connector with the already-used vertex set as
+    the forbidden W, and their union with the family vertices is the
+    connector, with t' = t + C + t*h*C.
 
     Diagnostics name the failing piece; a verification failure after all
     pieces were found is a ConsistencyError.
@@ -498,20 +493,18 @@ def merge_via_transferral(g: Graph, f: IncompatibilitySystem, pattern: Graph,
             f"families are unbalanced: {c_mass_p} vs {c_mass_q} copies")
     c_mass = c_mass_p
 
-    if finder is None:
-        def finder(a, b, forbidden, cap):
-            res = find_connector(g, f, pattern, a, b,
-                                 w_set=sorted(forbidden - {a, b}), t=cap, budget=budget)
-            return res.connector if res.status == solver.FOUND else None
+    def connect(a, b, forbidden):
+        res = find_connector(g, f, pattern, a, b, w_set=sorted(forbidden), t=t,
+                             budget=budget)
+        return res.connector if res.status == solver.FOUND else None
 
     if c_mass == 0:
         # no transferral mass: the merge degenerates to a direct connector
-        conn = finder(x, y, set(), t)
+        conn = connect(x, y, set())
         if conn is None:
             raise ValidationError(f"no direct connector found for ({x}, {y})")
-        check = verify_connector(g, f, pattern, conn.s, x, y, t, budget=budget)
-        if not check.ok:
-            raise ConsistencyError(f"direct connector failed verification: {check.reason}")
+        _reverified(verify_connector(g, f, pattern, conn.s, x, y, t, budget=budget),
+                    "merging", "direct connector")
         return Connector(x, y, tuple(sorted(conn.s)), t)
 
     used = {x, y}
@@ -559,7 +552,7 @@ def merge_via_transferral(g: Graph, f: IncompatibilitySystem, pattern: Graph,
     endpoint_pairs = [(x, pairs[0][0]), (y, pairs[0][1])] + pairs[1:]
     for a, b in endpoint_pairs:
         forbidden = set(used) - {a, b}
-        conn = finder(a, b, forbidden, t)
+        conn = connect(a, b, forbidden)
         if conn is None:
             raise ValidationError(f"no connector found for ({a}, {b}) avoiding the build")
         if set(conn.s) & forbidden or set(conn.s) & {a, b}:
@@ -572,9 +565,6 @@ def merge_via_transferral(g: Graph, f: IncompatibilitySystem, pattern: Graph,
     if len(s_hat) > h * t_new - 1:
         raise ValidationError(
             f"size law violated: |S| = {len(s_hat)} > h*t' - 1 = {h * t_new - 1}")
-    check = verify_connector(g, f, pattern, s_hat, x, y, t_new, budget=budget)
-    if check.status == INDETERMINATE:
-        raise ValidationError("verification budget exhausted while merging")
-    if not check.ok:
-        raise ConsistencyError(f"merged connector failed verification: {check.reason}")
+    _reverified(verify_connector(g, f, pattern, s_hat, x, y, t_new, budget=budget),
+                "merging", "merged connector")
     return Connector(x, y, tuple(s_hat), t_new)

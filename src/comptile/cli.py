@@ -38,6 +38,13 @@ EXIT_SOFTWARE = 70
 
 SCHEMA_VERSION = 1
 
+# solver statuses and absorb verdicts; "indeterminate" is spelt the same in both
+_EXIT_BY_STATUS = {
+    solver.FOUND: EXIT_OK, absorb.PROVEN: EXIT_OK, absorb.SUPPORTED: EXIT_OK,
+    solver.NONE: EXIT_NONE, absorb.REFUTED: EXIT_NONE,
+    solver.INDETERMINATE: EXIT_INDETERMINATE,
+}
+
 
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
@@ -126,8 +133,7 @@ def _cmd_solve(args) -> int:
         if res.tiling is not None:
             payload["tiling"] = [list(e.vertices) for e in res.tiling.embeddings]
         _emit(args, payload)
-        return {solver.FOUND: EXIT_OK, solver.NONE: EXIT_NONE,
-                solver.INDETERMINATE: EXIT_INDETERMINATE}[res.status]
+        return _EXIT_BY_STATUS[res.status]
     if args.mode == "count":
         enum = solver.enumerate_compatible_copies(pattern, g, f, budget=args.budget)
         _emit(args, {"mode": "count", "count": len(enum.copies),
@@ -213,14 +219,11 @@ def _cmd_absorb(args) -> int:
             _emit(args, {"verify": args.kind, "verdict": rep.verdict,
                          "checked": rep.checked,
                          "witness": None if rep.witness is None else list(rep.witness)})
-            return EXIT_OK if rep.verdict in (absorb.PROVEN, absorb.SUPPORTED) \
-                else (EXIT_INDETERMINATE if rep.verdict == absorb.INDETERMINATE else EXIT_NONE)
+            return _EXIT_BY_STATUS[rep.verdict]
         _emit(args, {"verify": args.kind, "ok": res.ok, "status": res.status,
                      "reason": res.reason,
                      "tilings": [[list(copy) for copy in t] for t in res.tilings]})
-        if res.status == absorb.INDETERMINATE:
-            return EXIT_INDETERMINATE
-        return EXIT_OK if res.ok else EXIT_NONE
+        return _EXIT_BY_STATUS[res.status]
     res = absorb.find_connector(g, f, pattern, args.u, args.v,
                                 _parse_ints(args.w or ""), args.t, budget=args.budget)
     payload = {"find": "connector", "status": res.status,
@@ -229,8 +232,7 @@ def _cmd_absorb(args) -> int:
         payload["s"] = list(res.connector.s)
         payload["t"] = res.connector.t
     _emit(args, payload)
-    return {solver.FOUND: EXIT_OK, solver.NONE: EXIT_NONE,
-            solver.INDETERMINATE: EXIT_INDETERMINATE}[res.status]
+    return _EXIT_BY_STATUS[res.status]
 
 
 def _cmd_regcount(args) -> int:

@@ -16,7 +16,8 @@ exact rational arithmetic.  The invariants of a pattern graph H:
     chi*      chi_cr if hcf=1 else chi
 
 A proper chi-coloring necessarily uses all chi colors (otherwise chi would
-be smaller), so the profile enumeration applies no surjectivity filter.
+be smaller); at any other k the profile enumeration keeps only the
+colorings that use all k colors.
 
 Enumeration prunes color permutations by only introducing a new color when
 all smaller color indices already appear (canonical set partitions); class
@@ -39,6 +40,10 @@ from .util import bits, format_fraction
 INFINITY = float("inf")
 
 DEFAULT_COLORING_CAP = 12
+
+# chi_star is meant for small patterns, which are few; the bound keeps a
+# long-lived process that profiles many graphs from holding all of them
+CHI_STAR_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -82,32 +87,46 @@ def _greedy_clique(g: Graph) -> int:
     return best
 
 
-def _colorable(g: Graph, k: int) -> bool:
-    """Does a proper k-coloring exist?  Canonical-color backtracking."""
-    if g.n == 0:
-        return True
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    colors = [-1] * g.n
+def _colorings(g: Graph, k: int):
+    """Yield the class sizes of every proper coloring of g using all k colors.
 
-    def rec(i: int, used: int) -> bool:
-        if i == g.n:
-            return True
-        v = order[i]
-        forbidden = 0
-        for u in bits(g.adj[v]):
-            if colors[u] >= 0:
-                forbidden |= 1 << colors[u]
-        limit = min(k, used + 1)
-        for c in range(limit):
-            if forbidden >> c & 1:
-                continue
-            colors[v] = c
-            if rec(i + 1, max(used, c + 1)):
-                return True
-            colors[v] = -1
-        return False
-
-    return rec(0, 0)
+    Canonical-color backtracking over an explicit stack: a vertex may open
+    color c only when colors 0..c-1 are open, so each partition into k
+    color classes is met once.  Vertices go by descending degree, and a
+    branch stops once the vertices left cannot open the missing colors.
+    """
+    n = g.n
+    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    earlier = [[pos[u] for u in bits(g.adj[v]) if pos[u] < i]
+               for i, v in enumerate(order)]
+    colors = [0] * n          # colors[i]: color of order[i]
+    opened = [0] * (n + 1)    # opened[i]: colors used by order[:i]
+    todo = [None] * n         # untried colors per step
+    i = 0
+    while i >= 0:
+        if i == n:
+            if opened[n] == k:
+                yield [colors.count(c) for c in range(k)]
+            i -= 1
+            continue
+        if todo[i] is None:
+            forbidden = 0
+            for j in earlier[i]:
+                forbidden |= 1 << colors[j]
+            # the vertices left must still be able to open the missing colors
+            top = min(k, opened[i] + 1) if opened[i] + n - i >= k else 0
+            todo[i] = iter([c for c in range(top) if not forbidden >> c & 1])
+        c = next(todo[i], None)
+        if c is None:
+            todo[i] = None
+            i -= 1
+            continue
+        colors[i] = c
+        opened[i + 1] = max(opened[i], c + 1)
+        i += 1
 
 
 def chromatic_number(g: Graph) -> int:
@@ -117,7 +136,7 @@ def chromatic_number(g: Graph) -> int:
         return 1
     lo = max(2, _greedy_clique(g))
     for k in range(lo, g.n + 1):
-        if _colorable(g, k):
+        if next(_colorings(g, k), None) is not None:
             return k
     return g.n  # unreachable; K_n colorable with n colors
 
@@ -135,34 +154,7 @@ def enumerate_coloring_profiles(g: Graph, k: int, max_vertices: int = DEFAULT_CO
             f"(graph has {g.n}); pass force=True to override")
     if k < 1:
         raise ValidationError("need k >= 1")
-    profiles = set()
-    sizes = [0] * k
-    colors = [-1] * g.n
-
-    def rec(v: int, used: int):
-        if v == g.n:
-            if used == k:
-                profiles.add(tuple(sorted(sizes[:k])))
-            return
-        forbidden = 0
-        for u in bits(g.adj[v] & ((1 << v) - 1)):
-            forbidden |= 1 << colors[u]
-        # pruning: remaining vertices must still be able to open the
-        # missing color classes
-        if used + (g.n - v) < k:
-            return
-        limit = min(k, used + 1)
-        for c in range(limit):
-            if forbidden >> c & 1:
-                continue
-            colors[v] = c
-            sizes[c] += 1
-            rec(v + 1, max(used, c + 1))
-            sizes[c] -= 1
-            colors[v] = -1
-
-    rec(0, 0)
-    return frozenset(profiles)
+    return frozenset(tuple(sorted(sizes)) for sizes in _colorings(g, k))
 
 
 def sigma(g: Graph) -> int:
@@ -191,7 +183,7 @@ def hcf_profile(g: Graph) -> tuple:
     return prof.hcf_chi, prof.hcf_c, prof.hcf_is_one
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CHI_STAR_CACHE_SIZE)
 def chi_star(g: Graph) -> ChromaticProfile:
     """Fully populated chromatic profile of g, all rationals exact."""
     chi = chromatic_number(g)

@@ -67,13 +67,6 @@ def _subset_sums(degs: list) -> np.ndarray:
     return table
 
 
-def _popcounts(k: int) -> np.ndarray:
-    table = np.zeros(1, dtype=np.int64)
-    for _ in range(k):
-        table = np.concatenate([table, table + 1])
-    return table
-
-
 def is_eps_regular_exhaustive(g: Graph, x_side, y_side, eps,
                               d_min=None) -> RegularityReport:
     """Exhaustive regularity test with a witness sub-pair on failure.
@@ -100,7 +93,7 @@ def is_eps_regular_exhaustive(g: Graph, x_side, y_side, eps,
             return RegularityReport(False, d_xy, eps, d_min,
                                     reason=f"density {d_xy} below d = {d_min}")
     nx, ny = len(xs), len(ys)
-    pop_y = _popcounts(ny)
+    pop_y = _subset_sums([1] * ny)
     # integer thresholds: |B| >= eps*|Y|  <=>  |B| * eps.den >= eps.num * |Y|
     b_ok = pop_y * eps.denominator >= eps.numerator * ny
     p0, q0 = d_xy.numerator, d_xy.denominator

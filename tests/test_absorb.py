@@ -7,8 +7,10 @@ from comptile.absorb import (Connector, assemble_absorber, concatenate_connector
                              verify_absorber, verify_absorbing_set, verify_connector)
 from comptile.errors import ValidationError
 from comptile.graphs import Graph, VertexPartition, complete_graph
-from comptile.incompat import IncompatibilitySystem
+from comptile.incompat import IncompatibilitySystem, random_bounded_system
 from comptile.solver import Embedding
+
+from .helpers import random_graph
 
 K2 = complete_graph(2)
 K3 = complete_graph(3)
@@ -76,6 +78,10 @@ def test_find_connector_respects_t_ladder():
     assert res.status == solver.FOUND and res.connector.s == (1, 2, 3)
     check = verify_connector(g, empty(g), K2, res.connector.s, 0, 4, 2)
     assert check.ok
+    # the copies are enumerated once per search, not once per packing node
+    assert res.expansions == 11
+    res = find_connector(g, empty(g), K2, 0, 4, (), 2, budget=20)
+    assert res.status == solver.FOUND and res.connector.s == (1, 2, 3)
 
 
 def test_reachability_ladder():
@@ -187,3 +193,48 @@ def test_absorbing_set_verifier():
     g = Graph.from_edges(4, [(0, 1)])
     rep = verify_absorbing_set(g, empty(g), K2, [0, 1], "1/2")
     assert rep.verdict == absorb.REFUTED and rep.witness == (2, 3)
+
+
+THIRDS = VertexPartition(12, ((0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11)))
+
+
+def test_sampled_verdicts_are_pinned():
+    # exhaustive_cap=10 forces the sampled regime; the values pin the
+    # seeded draw order (one generator shared across robust vectors)
+    g = random_graph(12, .45, 0)
+    rep = robust_vectors(g, random_bounded_system(g, "1/6", 0), K2, THIRDS, "1/3",
+                         samples=12, seed=7, exhaustive_cap=10)
+    assert rep.w_size == 4 and len(rep.vectors) == 6
+    assert rep.robust_vectors() == [(1, 0, 1)]
+    assert rep.vectors[(1, 0, 1)].verdict == absorb.SUPPORTED
+    assert rep.vectors[(0, 0, 2)].witness == (1, 5, 8, 11)
+    assert rep.vectors[(2, 0, 0)].witness == (3, 5, 6, 10)
+    assert rep.vectors[(2, 0, 0)].verdict == absorb.PROVEN
+    h = random_graph(12, .5, 3)
+    fh = random_bounded_system(h, "1/6", 5)
+    res = verify_absorbing_set(h, fh, K2, [0, 1], "1/3", samples=20, seed=2,
+                               exhaustive_cap=10)
+    assert (res.verdict, res.checked, res.witness) == (absorb.REFUTED, 4, (5, 11))
+    res = reachability_estimate(h, fh, K2, 0, 1, 4, 1, samples=20, seed=7,
+                                exhaustive_cap=10)
+    assert (res.verdict, res.checked, res.total, res.witness) == \
+        (absorb.REFUTED, 8, None, (3, 4, 6, 8))
+
+
+@pytest.mark.parametrize("quantifier", ["reachability", "absorbing_set", "robust"])
+@pytest.mark.parametrize("samples", [0, -3])
+def test_sampling_needs_a_sample(quantifier, samples):
+    # zero draws cannot support a "for every" claim
+    big = complete_graph(12)
+    f = empty(big)
+    with pytest.raises(ValidationError, match="samples"):
+        if quantifier == "reachability":
+            reachability_estimate(big, f, K2, 0, 1, 4, 1, samples=samples,
+                                  exhaustive_cap=10)
+        elif quantifier == "absorbing_set":
+            verify_absorbing_set(big, f, K2, [0, 1], "1/3", samples=samples,
+                                 exhaustive_cap=10)
+        else:
+            sparse = Graph.from_edges(12, [(0, 4)])
+            robust_vectors(sparse, empty(sparse), K2, THIRDS, "1/3",
+                           samples=samples, exhaustive_cap=10)

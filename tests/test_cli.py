@@ -114,6 +114,35 @@ def test_absorb_cli(files, capsys):
                             "--graph", files["k6"], "--pattern", files["k2"],
                             "--a", "0,1", "--xi", "1/3"], capsys)
     assert code == 0 and json.loads(out)["verdict"] == "proven"
+    # refuted: S = {1, 2} is too large a connector interior for K_2 at t = 1
+    code, out, _ = run_cli(["absorb", "verify", "--kind", "connector",
+                            "--graph", files["k6"], "--pattern", files["k2"],
+                            "--s", "1,2", "--u", "0", "--v", "3"], capsys)
+    assert code == 1 and json.loads(out)["status"] == "refuted"
+    code, out, _ = run_cli(["absorb", "find", "--graph", files["k6"],
+                            "--pattern", files["k2"], "--u", "0", "--v", "3",
+                            "--budget", "0"], capsys)
+    assert code == 2 and json.loads(out)["status"] == "indeterminate"
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_absorbing_set_sampling_without_samples_is_usage_error(files, capsys, samples):
+    k30 = files["tmp"] / "k30.graph"
+    k30.write_text(format_graph(complete_graph(30)), encoding="ascii")
+    code, out, err = run_cli(["absorb", "verify", "--kind", "absorbing-set",
+                              "--graph", str(k30), "--pattern", files["k2"],
+                              "--a", "0,1", "--xi", "1/2", "--samples", samples], capsys)
+    assert code == 64 and out == ""
+    assert "samples" in json.loads(err)["detail"]
+
+
+def test_invariants_on_a_long_cycle_stop_at_the_size_cap(files, capsys):
+    # chi needs no recursion; the profile enumeration then hits its cap
+    c2100 = files["tmp"] / "c2100.graph"
+    c2100.write_text(format_graph(cycle_graph(2100)), encoding="ascii")
+    code, out, err = run_cli(["invariants", str(c2100)], capsys)
+    assert code == 64 and out == ""
+    assert json.loads(err)["error"] == "SizeCapError"
 
 
 def test_regcount_cli(files, capsys):

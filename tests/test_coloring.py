@@ -78,6 +78,22 @@ def test_profiles_match_raw_oracle_on_random_graphs():
         assert prof.chi_cr == raw["chi_cr"] and prof.chi_star == raw["chi_star"]
 
 
+def test_profiles_match_raw_oracle_around_chi():
+    # k != chi: only colorings using all k colors count
+    rng = random.Random(9)
+    for _ in range(20):
+        n = rng.randint(2, 7)
+        g = random_graph(n, rng.uniform(0.2, 0.8), rng.getrandbits(30))
+        chi = chromatic_number(g)
+        for k in range(max(1, chi - 1), chi + 2):
+            assert enumerate_coloring_profiles(g, k) == oracles.raw_coloring_profiles(g, k)
+
+
+def test_chromatic_number_runs_without_recursion_on_long_cycles():
+    assert chromatic_number(cycle_graph(2100)) == 2
+    assert chromatic_number(cycle_graph(2101)) == 3
+
+
 def test_rational_bound_chi_minus_one_lt_cr_le_chi(corpus):
     for g in corpus.values():
         prof = chi_star(g)
