@@ -56,7 +56,10 @@ class _UsageError(Exception):
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="ascii")
+    try:
+        return Path(path).read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not ASCII text (byte {exc.start})") from exc
 
 
 def _load_graph(path: str) -> Graph:
@@ -80,11 +83,15 @@ def _emit(args, payload: dict):
     sys.stdout.write(_report(args, payload))
 
 
-def _parse_ints(text: str) -> list:
-    text = text.strip()
-    if not text:
-        return []
-    return [int(tok) for tok in text.replace(",", " ").split()]
+def _parse_ints(text: str, flag: str) -> list:
+    """Comma- or space-separated integers of a command-line flag."""
+    ints = []
+    for tok in text.replace(",", " ").split():
+        try:
+            ints.append(int(tok))
+        except ValueError:
+            raise _UsageError(f"--{flag}: not an integer: {tok!r}") from None
+    return ints
 
 
 def _cmd_invariants(args) -> int:
@@ -191,7 +198,7 @@ def _cmd_lattice(args) -> int:
         return EXIT_OK
     if args.target is None:
         raise _UsageError("lattice needs --target or --transferral")
-    target = tuple(_parse_ints(args.target))
+    target = tuple(_parse_ints(args.target, "target"))
     member, coeffs = lat.membership(target)
     _emit(args, {"member": member,
                  "coefficients": None if coeffs is None else list(coeffs),
@@ -205,14 +212,14 @@ def _cmd_absorb(args) -> int:
     f = _load_system(args.incompat, g)
     if args.action == "verify":
         if args.kind == "absorber":
-            res = absorb.verify_absorber(g, f, pattern, _parse_ints(args.s),
-                                         _parse_ints(args.a), args.t,
+            res = absorb.verify_absorber(g, f, pattern, _parse_ints(args.s, "s"),
+                                         _parse_ints(args.a, "a"), args.t,
                                          budget=args.budget)
         elif args.kind == "connector":
-            res = absorb.verify_connector(g, f, pattern, _parse_ints(args.s),
+            res = absorb.verify_connector(g, f, pattern, _parse_ints(args.s, "s"),
                                           args.u, args.v, args.t, budget=args.budget)
         else:
-            rep = absorb.verify_absorbing_set(g, f, pattern, _parse_ints(args.a),
+            rep = absorb.verify_absorbing_set(g, f, pattern, _parse_ints(args.a, "a"),
                                               parse_fraction(args.xi),
                                               samples=args.samples, seed=args.seed,
                                               budget=args.budget)
@@ -225,7 +232,7 @@ def _cmd_absorb(args) -> int:
                      "tilings": [[list(copy) for copy in t] for t in res.tilings]})
         return _EXIT_BY_STATUS[res.status]
     res = absorb.find_connector(g, f, pattern, args.u, args.v,
-                                _parse_ints(args.w or ""), args.t, budget=args.budget)
+                                _parse_ints(args.w, "w"), args.t, budget=args.budget)
     payload = {"find": "connector", "status": res.status,
                "expansions": res.expansions}
     if res.connector is not None:
@@ -238,12 +245,12 @@ def _cmd_absorb(args) -> int:
 def _cmd_regcount(args) -> int:
     g = _load_graph(args.graph)
     if args.action == "density":
-        d = regularity.density(g, _parse_ints(args.x), _parse_ints(args.y))
+        d = regularity.density(g, _parse_ints(args.x, "x"), _parse_ints(args.y, "y"))
         _emit(args, {"density": format_fraction(d)})
         return EXIT_OK
     if args.action == "regular":
         rep = regularity.is_eps_regular_exhaustive(
-            g, _parse_ints(args.x), _parse_ints(args.y), parse_fraction(args.eps),
+            g, _parse_ints(args.x, "x"), _parse_ints(args.y, "y"), parse_fraction(args.eps),
             d_min=None if args.d is None else parse_fraction(args.d))
         _emit(args, {"regular": rep.to_json_dict()})
         return EXIT_OK if rep.regular else EXIT_NONE
@@ -256,14 +263,14 @@ def _cmd_regcount(args) -> int:
     if args.action == "count":
         blocks = _parse_vertex_sets(_read(args.parts))
         f = _load_system(args.incompat, g)
-        spec = MultipartiteSpec(tuple(_parse_ints(args.sizes)))
+        spec = MultipartiteSpec(tuple(_parse_ints(args.sizes, "sizes")))
         rep = regularity.counting_experiment(g, f, blocks[:spec.r],
                                              spec, budget=args.budget)
         _emit(args, {"count": rep.to_json_dict()})
         return EXIT_OK
     # sweep: c_observed across mu values, CSV on stdout or to --csv
     blocks = _parse_vertex_sets(_read(args.parts))
-    spec = MultipartiteSpec(tuple(_parse_ints(args.sizes)))
+    spec = MultipartiteSpec(tuple(_parse_ints(args.sizes, "sizes")))
     rows = ["mu,total,compatible,c_observed"]
     for mu_text in args.mus.split(","):
         mu = parse_fraction(mu_text)

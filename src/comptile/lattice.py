@@ -7,6 +7,14 @@ membership answer comes with integer coefficients over the ORIGINAL
 generators (membership certificates are re-multiplied before being
 returned).
 
+The transform is stored as one sparse row per generator, a
+``{generator index: coefficient}`` dict that starts as ``{i: 1}``, so a row
+operation costs the size of the row it subtracts instead of the number m
+of generators.  The lattices of the construction have one generator per
+compatible copy, thousands of them in a handful of dimensions: at m = 2730
+a dense m x m transform holds 7.45M entries and every row operation walks
+all m of its columns, while no sparse row there holds more than 3 entries.
+
 A transferral is a difference u_i - u_j of unit vectors lying in the
 lattice; the scan over ordered pairs is deterministic and the degenerate
 pair i == j is rejected.
@@ -33,17 +41,28 @@ def index_vector(s, p: VertexPartition) -> tuple:
     return tuple(counts)
 
 
+def _sub_row(target: dict, q: int, source: dict) -> None:
+    """target -= q * source on sparse rows, dropping entries that reach 0."""
+    for s, a in source.items():
+        v = target.get(s, 0) - q * a
+        if v:
+            target[s] = v
+        else:
+            del target[s]
+
+
 def _hnf_with_transform(rows: list, dim: int) -> tuple:
     """Row HNF of the matrix with the given rows.
 
     Returns (hnf_rows, transform, pivots) with transform @ rows == hnf_rows
     over the integers and pivots a list of (row_index, column) pairs for
     the non-zero rows.  Pivots are positive; entries above a pivot are
-    reduced into [0, pivot).
+    reduced into [0, pivot).  transform[r] is row r as a sparse
+    {generator index: non-zero coefficient} dict.
     """
     m = len(rows)
     h = [list(r) for r in rows]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    u = [{i: 1} for i in range(m)]
     row = 0
     pivots = []
     for col in range(dim):
@@ -62,8 +81,7 @@ def _hnf_with_transform(rows: list, dim: int) -> tuple:
                     q = h[r][col] // h[row][col]
                     for c in range(dim):
                         h[r][c] -= q * h[row][c]
-                    for c in range(m):
-                        u[r][c] -= q * u[row][c]
+                    _sub_row(u[r], q, u[row])
                     if h[r][col]:
                         done = False
             if done:
@@ -71,14 +89,13 @@ def _hnf_with_transform(rows: list, dim: int) -> tuple:
         if row < m and h[row][col] != 0:
             if h[row][col] < 0:
                 h[row] = [-x for x in h[row]]
-                u[row] = [-x for x in u[row]]
+                u[row] = {s: -a for s, a in u[row].items()}
             for r in range(row):
                 q = h[r][col] // h[row][col]
                 if q:
                     for c in range(dim):
                         h[r][c] -= q * h[row][c]
-                    for c in range(m):
-                        u[r][c] -= q * u[row][c]
+                    _sub_row(u[r], q, u[row])
             pivots.append((row, col))
             row += 1
             if row == m:
@@ -95,8 +112,13 @@ class GeneratedLattice:
             if not gens:
                 raise ValidationError("dimension required for an empty generator list")
             dim = len(gens[0])
-        if any(len(g) != dim for g in gens):
-            raise ValidationError("generators have mixed dimensions")
+        if dim < 0:
+            raise ValidationError(f"lattice dimension must be >= 0, got {dim}")
+        for i, g in enumerate(gens):
+            if len(g) != dim:
+                raise ValidationError(
+                    f"generators have mixed dimensions: generator {i} has width "
+                    f"{len(g)}, expected {dim}")
         self.generators = gens
         self.dim = dim
         self._hnf, self._transform, self._pivots = _hnf_with_transform(gens, dim)
@@ -111,7 +133,7 @@ class GeneratedLattice:
         if len(x) != self.dim:
             raise ValidationError(f"vector has dimension {len(x)}, lattice has {self.dim}")
         residual = list(x)
-        hnf_coeffs = [0] * len(self.generators)
+        coeffs = [0] * len(self.generators)
         for row, col in self._pivots:
             piv = self._hnf[row][col]
             if residual[col] % piv != 0:
@@ -120,14 +142,10 @@ class GeneratedLattice:
             if q:
                 for c in range(self.dim):
                     residual[c] -= q * self._hnf[row][c]
-            hnf_coeffs[row] = q
+                for s, a in self._transform[row].items():
+                    coeffs[s] += q * a
         if any(residual):
             return False, None
-        coeffs = [0] * len(self.generators)
-        for r, q in enumerate(hnf_coeffs):
-            if q:
-                for s in range(len(self.generators)):
-                    coeffs[s] += q * self._transform[r][s]
         # certificate check: the returned coefficients must reproduce x
         rebuilt = [0] * self.dim
         for a, gen in zip(coeffs, self.generators):

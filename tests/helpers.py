@@ -1,4 +1,4 @@
-"""Shared test helpers: seeded random graphs and systems."""
+"""Shared test helpers: seeded random graphs and systems, integer combinations."""
 
 import random
 
@@ -23,3 +23,8 @@ def random_system(g: Graph, pairs: int, seed: int) -> IncompatibilitySystem:
                 cand.append((v, nbrs[i], nbrs[j]))
     rng.shuffle(cand)
     return IncompatibilitySystem(g, cand[:pairs])
+
+
+def combination(coeffs, gens, dim: int) -> list:
+    """sum_i coeffs[i] * gens[i] as a list of `dim` integers."""
+    return [sum(a * g[c] for a, g in zip(coeffs, gens)) for c in range(dim)]

@@ -4,11 +4,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import comptile
 from comptile import cli
 from comptile.graphs import complete_graph, complete_multipartite, cycle_graph, format_graph
 from comptile.graphs import MultipartiteSpec
+
+from .helpers import combination
 
 
 @pytest.fixture()
@@ -95,6 +99,99 @@ def test_lattice_cli(files, capsys):
     code, out, _ = run_cli(["lattice", "--generators", files["gens"],
                             "--transferral"], capsys)
     assert json.loads(out)["transferral"]["i"] == 0
+    for dim, detail in (("-2", "lattice dimension must be >= 0, got -2"),
+                        ("3", "generators have mixed dimensions: generator 0 has width 2, "
+                              "expected 3")):
+        code, out, err = run_cli(["lattice", "--generators", files["gens"],
+                                  "--dim", dim, "--target", "1"], capsys)
+        assert code == 64 and out == "" and json.loads(err)["detail"] == detail
+
+
+def _written_vectors(text):
+    vecs = []
+    for ln in text.splitlines():
+        ln = ln.strip()
+        if ln and not ln.startswith("#"):
+            vecs.append(tuple(int(tok) for tok in ln.replace(",", " ").split()))
+    return vecs
+
+
+@st.composite
+def _lattice_argv(draw, path):
+    """Generator-file text and `lattice` flags: one shared width, some noise."""
+    width = draw(st.integers(0, 3))
+    vec = st.lists(st.integers(-9, 9), min_size=width, max_size=width)
+    sep = st.sampled_from([",", ", ", " ", "\t"])
+    gens = draw(st.lists(vec, max_size=6))
+    lines = [draw(sep).join(map(str, g)) for g in gens]
+    junk = st.text(alphabet="0123456789+-, \tabz#\u00e9", max_size=10)
+    noise = st.one_of(st.sampled_from(["", "   ", "# comment", "#1,2"]), junk,
+                      st.lists(st.integers(-99, 99), max_size=4).map(
+                          lambda v: ",".join(map(str, v))))        # another width
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(noise))
+    argv = ["lattice", "--generators", str(path)]
+    if draw(st.booleans()):
+        argv.append("--transferral")
+    coeffs = st.lists(st.integers(-2, 2), min_size=len(gens), max_size=len(gens))
+    # combinations of the generators are members whenever the file is accepted
+    members = coeffs.map(lambda a: ",".join(map(str, combination(a, gens, width))))
+    target = draw(st.one_of(st.none(), members, members, vec.map(
+        lambda v: ",".join(map(str, v))), junk))
+    if target is not None:
+        argv.append(f"--target={target}")
+    dim = draw(st.one_of(st.none(), st.none(), st.integers(-2, 4)))
+    if dim is not None:
+        argv += ["--dim", str(dim)]
+    return "\n".join(lines), argv
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_lattice_cli_fuzz(tmp_path, capsys, data):
+    path = tmp_path / "fuzz_gens.txt"
+    text, argv = data.draw(_lattice_argv(path))
+    path.write_bytes(text.encode("utf-8"))
+    code, out, err = run_cli(argv, capsys)
+    assert code in {0, 1, 2, 64, 65, 66}, err
+    assert "Traceback" not in err
+    if code != 0:
+        assert out == "" and "error" in json.loads(err)
+        return
+    gens = _written_vectors(text)
+    body = json.loads(out)
+    if "transferral" in body:
+        hit = body["transferral"]
+        if hit is not None:
+            k = len(gens[0])
+            diff = [(c == hit["i"]) - (c == hit["j"]) for c in range(k)]
+            assert combination(hit["coefficients"], gens, k) == diff
+    elif body["member"]:
+        assert combination(body["coefficients"], gens, len(body["target"])) == body["target"]
+
+
+@pytest.mark.parametrize("argv, flag, token", [
+    (["lattice", "--generators", "{gens}", "--target", "1,a"], "target", "a"),
+    (["absorb", "verify", "--kind", "absorber", "--graph", "{k6}", "--pattern", "{k2}",
+      "--s", "0,x1", "--a", "2,3"], "s", "x1"),
+    (["absorb", "verify", "--kind", "absorbing-set", "--graph", "{k6}", "--pattern", "{k2}",
+      "--a", "0;1", "--xi", "1/3"], "a", "0;1"),
+    (["absorb", "find", "--graph", "{k6}", "--pattern", "{k2}", "--u", "0", "--v", "3",
+      "--w", "2.5"], "w", "2.5"),
+    (["regcount", "density", "--graph", "{c4}", "--x", "0 two", "--y", "1,3"], "x", "two"),
+    (["regcount", "density", "--graph", "{c4}", "--x", "0,2", "--y", "1e3"], "y", "1e3"),
+    (["regcount", "count", "--graph", "{k6}", "--parts", "{parts}", "--sizes", "1,1,one"],
+     "sizes", "one"),
+], ids=["lattice-target", "absorber-s", "absorbing-set-a", "find-w", "density-x",
+        "density-y", "count-sizes"])
+def test_malformed_integer_flags_are_usage_errors(files, capsys, argv, flag, token):
+    parts = files["tmp"] / "parts.txt"
+    parts.write_text("0 1\n2 3\n4 5\n", encoding="ascii")
+    code, out, err = run_cli([a.format(parts=parts, **files) for a in argv], capsys)
+    assert code == 64 and out == ""
+    report = json.loads(err)
+    assert report == {"error": "usage", "detail": f"--{flag}: not an integer: {token!r}"}
 
 
 def test_absorb_cli(files, capsys):
@@ -176,6 +273,9 @@ def test_error_exit_codes(files, capsys, tmp_path):
     bad.write_text("not a graph\n", encoding="ascii")
     code, _, err = run_cli(["invariants", str(bad)], capsys)
     assert code == 65 and json.loads(err)["error"] == "parse"
+    bad.write_bytes("2 1\n0 1 \u00e9\n".encode("utf-8"))
+    code, _, err = run_cli(["invariants", str(bad)], capsys)
+    assert code == 65 and "not ASCII" in json.loads(err)["detail"]
     code, _, err = run_cli(["solve", "--pattern", files["k2"]], capsys)
     assert code == 64
     # domain-invalid construction: structured error, usage-style exit

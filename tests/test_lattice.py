@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -6,9 +7,11 @@ from hypothesis import strategies as st
 
 from comptile.errors import ConsistencyError, ValidationError
 from comptile.graphs import VertexPartition
-from comptile.lattice import (GeneratedLattice, find_transferral, index_vector,
-                              split_pos_neg, unit_vector)
+from comptile.lattice import (GeneratedLattice, _hnf_with_transform, find_transferral,
+                              index_vector, split_pos_neg, unit_vector)
 from comptile.oracles import bounded_combination_membership
+
+from .helpers import combination
 
 
 def test_index_vector_examples():
@@ -48,10 +51,60 @@ def test_membership_empty_and_degenerate():
     assert not lat.membership((1, 0, 0))[0]
     with pytest.raises(ValidationError):
         GeneratedLattice([], dim=None)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="generator 1 has width 3, expected 2"):
         GeneratedLattice([(1, 2), (1, 2, 3)])
+    with pytest.raises(ValidationError, match="generator 0 has width 2, expected 3"):
+        GeneratedLattice([(1, 2)], dim=3)
+    with pytest.raises(ValidationError, match="dimension must be >= 0"):
+        GeneratedLattice([], dim=-2)
     with pytest.raises(ValidationError):
         GeneratedLattice([(1, 2)]).membership((1, 2, 3))
+
+
+def test_certificates_are_pinned():
+    # recorded with the dense m x m transform; the sparse rows must give the same
+    lat = GeneratedLattice([(0, -1, 2), (1, 2, -1), (-2, 0, -3), (-1, 0, -1), (2, 3, 0),
+                            (2, 3, 1)], 3)
+    assert lat.membership((4, 5, 1)) == (True, (4, 6, 0, 0, 0, -1))
+    lat = GeneratedLattice([(-1, -2, -1), (-2, -3, 1), (3, -2, -3), (1, 2, 3), (-1, 2, 0),
+                            (3, 3, -3)], 3)
+    assert lat.membership((16, 3, -12)) == (True, (809, -265, 0, 354, 59, 0))
+    robust = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 1, 1), (1, 2, 0), (2, 1, 0)]
+    assert find_transferral(GeneratedLattice(robust)) == (0, 1, (-1, 0, 1, 0, 0, 0))
+
+
+def test_sparse_transform_rows_reproduce_the_hnf():
+    rng = random.Random(10)
+    for _ in range(300):
+        dim = rng.randint(1, 5)
+        gens = [tuple(rng.randint(-4, 4) for _ in range(dim))
+                for _ in range(rng.randint(0, 12))]
+        hnf, transform, pivots = _hnf_with_transform(gens, dim)
+        assert len(transform) == len(gens)
+        for r, row in enumerate(transform):
+            assert all(row.values())                 # no stored zeros
+            dense = [row.get(s, 0) for s in range(len(gens))]
+            assert combination(dense, gens, dim) == hnf[r]
+        for row, col in pivots:
+            assert hnf[row][col] > 0
+            assert all(0 <= hnf[r][col] < hnf[row][col] for r in range(row))
+
+
+def test_many_generators_need_no_dense_transform():
+    # one transform row per generator: a dense m x m transform would take
+    # tens of MB here (75 MB at m = 3000), the sparse rows about 1 MB
+    rng = random.Random(3)
+    gens = [tuple(rng.randint(0, 3) for _ in range(3)) for _ in range(2000)]
+    target = (7, -5, 11)
+    tracemalloc.start()
+    try:
+        lat = GeneratedLattice(gens, 3)
+        member, coeffs = lat.membership(target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+    assert member and combination(coeffs, gens, 3) == list(target)
 
 
 def test_membership_invariant_under_generator_shuffling():
