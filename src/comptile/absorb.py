@@ -173,6 +173,10 @@ def find_connector(g: Graph, f: IncompatibilitySystem, pattern: Graph,
     union so far, both in canonical order.
     """
     h = pattern.n
+    if any(not 0 <= x < g.n for x in (u, v, *w_set)):
+        raise ValidationError("connector endpoints and W must lie in the graph")
+    if t < 1:
+        raise ValidationError(f"connector size parameter t must be >= 1, got {t}")
     if u == v:
         raise ValidationError("endpoints must differ")
     w_mask = mask_of(w_set)

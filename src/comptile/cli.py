@@ -255,6 +255,8 @@ def _cmd_regcount(args) -> int:
         _emit(args, {"regular": rep.to_json_dict()})
         return EXIT_OK if rep.regular else EXIT_NONE
     if args.action == "reduced":
+        if args.d is None:
+            raise _UsageError("regcount reduced needs --d")
         part = parse_partition(_read(args.parts), g.n)
         red = regularity.reduced_graph(g, [list(b) for b in part.blocks],
                                        parse_fraction(args.eps), parse_fraction(args.d))

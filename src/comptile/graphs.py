@@ -157,6 +157,8 @@ class VertexPartition:
         for b in blocks:
             if not b:
                 raise ValidationError("empty block")
+            if b[0] < 0 or b[-1] >= self.n:
+                raise ValidationError("block names a vertex outside 0..n-1")
             bm = mask_of(b)
             if bm & seen:
                 raise ValidationError("blocks are not disjoint")

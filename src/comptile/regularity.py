@@ -26,9 +26,17 @@ from .util import bits, format_fraction, mask_of
 SIDE_CAP = 14
 
 
+def _sides(g: Graph, x_side, y_side) -> tuple:
+    """X and Y as sorted vertex lists, each vertex checked to lie in g."""
+    xs, ys = sorted(set(x_side)), sorted(set(y_side))
+    if any(not 0 <= v < g.n for v in xs + ys):
+        raise ValidationError("pair sides name vertices outside the graph")
+    return xs, ys
+
+
 def density(g: Graph, x_side, y_side) -> Fraction:
     """e(X, Y) / (|X| |Y|), exact."""
-    xs, ys = sorted(set(x_side)), sorted(set(y_side))
+    xs, ys = _sides(g, x_side, y_side)
     if not xs or not ys:
         raise ValidationError("density needs two non-empty sides")
     if set(xs) & set(ys):
@@ -75,7 +83,7 @@ def is_eps_regular_exhaustive(g: Graph, x_side, y_side, eps,
     thresholds; with d_min given, also requires d(X, Y) >= d_min.  The
     witness is the first failing pair in ascending subset-mask order.
     """
-    xs, ys = sorted(set(x_side)), sorted(set(y_side))
+    xs, ys = _sides(g, x_side, y_side)
     eps = Fraction(eps)
     if not 0 < eps:
         raise ValidationError("eps must be positive")

@@ -6,6 +6,12 @@ counting arguments treat them.  Enumeration is backtracking over an
 adjacency-pruned, compatibility-pruned search tree; the factor decision
 is exact-cover search (rows = compatible copies, columns = vertices)
 branching on the uncovered vertex with the fewest admissible copies.
+Both exact searches read one row index: per vertex, the bitmask of the
+rows through it.  The cover search keeps the admissible-row counts
+incrementally (Knuth's Algorithm X, in bitmask form): a bitmask of live
+rows per node, per-count buckets of vertices, and a trail of changed
+counts for backtracking, so a node costs work in the rows and vertices
+its choice touches rather than in the whole instance.
 
 Results are tri-state where search can be cut off: FOUND / NONE /
 INDETERMINATE.  NONE always means the search space was exhausted; budget
@@ -303,6 +309,8 @@ def enumerate_transversal_copies(spec: MultipartiteSpec, g: Graph,
     if parts is None or len(parts) != spec.r:
         raise ValidationError("need one vertex set per pattern part")
     parts = [sorted(set(p)) for p in parts]
+    if any(p and (p[0] < 0 or p[-1] >= g.n) for p in parts):
+        raise ValidationError("parts name vertices outside the graph")
     masks = [mask_of(p) for p in parts]
     for i in range(len(masks)):
         for j in range(i + 1, len(masks)):
@@ -367,55 +375,113 @@ def _full_pool(g: Graph, pool) -> int:
     return pool
 
 
-def _rows_by_vertex(rows: list, pool: int) -> tuple:
-    """Row masks, and for each pool vertex the indices of the rows through it."""
+def _row_index(rows: list, n: int) -> tuple:
+    """Row masks, and per vertex the rows through it and the vertices they reach.
+
+    ``rows_at[v]`` is the bitmask of the indices of the rows through v;
+    ``reach[v]`` is the union of those rows' vertex masks.
+    """
     row_masks = [e.mask for e in rows]
-    by_vertex = {v: [] for v in bits(pool)}
-    for idx, mask in enumerate(row_masks):
-        for v in bits(mask):
-            by_vertex[v].append(idx)
-    return row_masks, by_vertex
+    rows_at = [0] * n
+    reach = [0] * n
+    for i, (e, mask) in enumerate(zip(rows, row_masks)):
+        bit = 1 << i
+        for v in e.vertices:
+            rows_at[v] |= bit
+            reach[v] |= mask
+    return row_masks, rows_at, reach
 
 
-def _exact_cover(full: int, row_masks: list, by_vertex: dict, work: _Work):
-    """Row indices tiling ``full`` exactly, or None when none exists.
+def _exact_cover(full: int, rows: list, n: int, work: _Work):
+    """Indices of ``rows`` tiling the non-empty vertex mask ``full``
+    exactly, or None when none exists; ``n`` bounds the vertex ids.
 
     Depth-first with an explicit stack; each node branches on its
     uncovered vertex with the fewest admissible rows (the lowest such
-    vertex on ties), and each branch taken spends one unit of ``work``.
+    vertex on ties), trying those rows by ascending index, and each branch
+    taken spends one unit of ``work``.
+
+    Each open node keeps ``alive``, the bitmask of the rows disjoint from
+    everything covered so far.  Each uncovered vertex v keeps its
+    admissible count ``count[v] = popcount(rows_at[v] & alive)`` and sits
+    in ``buckets[count[v]]``, so the branch vertex is the lowest uncovered
+    bit of the first bucket that has one.  Selecting row r does ``alive
+    &= ~(rows_at[u] | ...)`` over r's vertices u and recounts only the
+    uncovered vertices in their ``reach``, the only ones a killed row
+    passes through.  Each changed count goes on a flat trail of (vertex,
+    old count), which backtracking pops back to the node's mark.  A
+    covered vertex keeps its last count and bucket untouched until
+    backtracking uncovers it, which is why bucket reads mask by
+    ``uncovered``.  A recount that reaches 0 ends the branch at once: the
+    child would have no branches.
     """
+    row_masks, rows_at, reach = _row_index(rows, n)
     spent, budget = work.spent, work.budget
+    count = [0] * n
+    buckets = []      # buckets[c]: uncovered vertices with c admissible rows
+    for v in bits(full):
+        c = rows_at[v].bit_count()
+        count[v] = c
+        if c >= len(buckets):
+            buckets.extend([0] * (c + 1 - len(buckets)))
+        buckets[c] |= 1 << v
+    trail = []
     chosen = []
-    stack = []    # (covered, untried rows) per open node
-    covered = 0   # the node to open
+    stack = []        # (alive, uncovered, trail mark, untried rows) per open node
+    alive = (1 << len(row_masks)) - 1
+    uncovered = full  # the node to open
     while True:
-        best = None
-        for v in bits(full & ~covered):
-            opts = [r for r in by_vertex[v] if not row_masks[r] & covered]
-            if best is None or len(opts) < len(best):
-                best = opts
-                if not opts:
-                    break
-        stack.append((covered, iter(best)))
-        while True:  # the next branch of the deepest open node
-            covered, untried = stack[-1]
-            r = next(untried, None)
-            if r is not None:
+        for b in buckets:
+            b &= uncovered
+            if b:
                 break
-            stack.pop()
-            if not stack:
+        v = (b & -b).bit_length() - 1
+        stack.append((alive, uncovered, len(trail), bits(rows_at[v] & alive)))
+        while True:  # the next branch of the deepest open node
+            alive, uncovered, mark, untried = stack[-1]
+            while len(trail) > mark:
+                w, old = trail.pop()
+                bit = 1 << w
+                buckets[count[w]] ^= bit
+                buckets[old] |= bit
+                count[w] = old
+            r = next(untried, None)
+            if r is None:
+                stack.pop()
+                if not stack:
+                    work.spent = spent
+                    return None
+                chosen.pop()
+                continue
+            spent += 1
+            if spent > budget:
                 work.spent = spent
-                return None
-            chosen.pop()
-        spent += 1
-        if spent > budget:
-            work.spent = spent
-            raise BudgetExceeded()
-        chosen.append(r)
-        covered |= row_masks[r]
-        if covered == full:
-            work.spent = spent
-            return chosen
+                raise BudgetExceeded()
+            chosen.append(r)
+            mask = row_masks[r]
+            uncovered ^= mask
+            if not uncovered:
+                work.spent = spent
+                return chosen
+            kill = touched = 0
+            for u in rows[r].vertices:
+                kill |= rows_at[u]
+                touched |= reach[u]
+            alive &= ~kill
+            for w in bits(touched & uncovered):
+                c = (rows_at[w] & alive).bit_count()
+                if not c:
+                    break
+                old = count[w]
+                if c != old:
+                    bit = 1 << w
+                    buckets[old] ^= bit
+                    buckets[c] |= bit
+                    trail.append((w, old))
+                    count[w] = c
+            else:
+                break  # every uncovered vertex keeps a row: open the child
+            chosen.pop()  # w has no admissible row left: a node without branches
 
 
 def find_compatible_factor(pattern: Graph, g: Graph,
@@ -443,10 +509,9 @@ def find_compatible_factor(pattern: Graph, g: Graph,
 
     enum = enumerate_compatible_copies(pattern, g, f, budget=budget, pool=full)
     rows = enum.copies
-    row_masks, by_vertex = _rows_by_vertex(rows, full)
     work = _Work(budget, enum.expansions)
     try:
-        chosen = _exact_cover(full, row_masks, by_vertex, work)
+        chosen = _exact_cover(full, rows, g.n, work)
     except BudgetExceeded:
         return FactorResult(INDETERMINATE, reason="budget",
                             expansions=work.spent, copies_considered=len(rows))
@@ -523,16 +588,17 @@ def max_compatible_tiling(pattern: Graph, g: Graph,
         f = IncompatibilitySystem.empty(g)
     enum = enumerate_compatible_copies(pattern, g, f, budget=budget)
     rows = enum.copies
-    row_masks, by_vertex = _rows_by_vertex(rows, (1 << g.n) - 1)
+    row_masks, rows_at, _ = _row_index(rows, g.n)
     n, h = g.n, pattern.n
     spent = enum.expansions
     complete = not enum.truncated
     best, best_len = None, 0
     # An open node is (v, covered, skipped, copies so far, their rows as a
-    # (row, parent chain) chain, untried rows through v).  Its last branch,
-    # "v stays uncovered", replaces the node instead of stacking on it.
+    # (row, parent chain) chain, the rows through a covered or skipped
+    # vertex, untried rows through v).  Its last branch, "v stays
+    # uncovered", replaces the node instead of stacking on it.
     stack = []
-    v, covered, skipped, count, chain = 0, 0, 0, 0, None  # the node to open
+    v, covered, skipped, count, chain, dead = 0, 0, 0, 0, None, 0  # the node to open
     while True:
         taken = covered | skipped
         if count + (n - taken.bit_count()) // h > best_len:
@@ -540,18 +606,21 @@ def max_compatible_tiling(pattern: Graph, g: Graph,
                 v += 1
             if v == n:
                 best, best_len = chain, count
-            else:
-                stack.append((v, covered, skipped, count, chain, iter(by_vertex[v])))
+            elif rows_at[v] & ~dead:
+                stack.append((v, covered, skipped, count, chain, dead,
+                              bits(rows_at[v] & ~dead)))
+            else:  # no row can cover v: only its last branch is left
+                skipped |= 1 << v
+                v += 1
+                continue
         if not stack:
             break
-        v, covered, skipped, count, chain, untried = stack[-1]
-        taken = covered | skipped
-        for r in untried:
-            if not row_masks[r] & taken:
-                break
-        else:
+        v, covered, skipped, count, chain, dead, untried = stack[-1]
+        r = next(untried, None)
+        if r is None:
             stack.pop()
             skipped |= 1 << v
+            dead |= rows_at[v]
             v += 1
             continue
         spent += 1
@@ -559,6 +628,8 @@ def max_compatible_tiling(pattern: Graph, g: Graph,
             complete = False
             break
         covered |= row_masks[r]
+        for u in rows[r].vertices:
+            dead |= rows_at[u]
         count += 1
         chain = (r, chain)
         v += 1

@@ -69,6 +69,17 @@ def test_find_connector_smallest_interior():
     assert res.status == solver.INDETERMINATE
 
 
+@pytest.mark.parametrize("u, v, w_set, t", [
+    (99, 1, (), 1), (0, 6, (), 1), (-1, 1, (), 1), (0, 1, (-1,), 1), (0, 1, (6,), 1),
+    (0, 1, (), 0), (0, 1, (), -1),
+], ids=["u-high", "v-high", "u-negative", "w-negative", "w-high", "t-zero", "t-negative"])
+def test_find_connector_rejects_input_outside_the_graph(u, v, w_set, t):
+    # none would claim a proven absence, so bad input must not reach the search
+    k6 = complete_graph(6)
+    with pytest.raises(ValidationError):
+        find_connector(k6, empty(k6), K2, u, v, w_set, t)
+
+
 def test_find_connector_respects_t_ladder():
     # path 0-1-2-3-4: no size-1 interior joins 0 and 4, but {1,2,3} does at t=2
     g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])

@@ -1,6 +1,8 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -9,10 +11,13 @@ from hypothesis import strategies as st
 
 import comptile
 from comptile import cli
-from comptile.graphs import complete_graph, complete_multipartite, cycle_graph, format_graph
-from comptile.graphs import MultipartiteSpec
+from comptile.absorb import verify_connector
+from comptile.graphs import Graph, complete_graph, complete_multipartite, cycle_graph
+from comptile.graphs import MultipartiteSpec, format_graph
+from comptile.incompat import format_system
+from comptile.util import format_fraction
 
-from .helpers import combination
+from .helpers import combination, random_system
 
 
 @pytest.fixture()
@@ -169,6 +174,90 @@ def test_lattice_cli_fuzz(tmp_path, capsys, data):
             assert combination(hit["coefficients"], gens, k) == diff
     elif body["member"]:
         assert combination(body["coefficients"], gens, len(body["target"])) == body["target"]
+
+
+@st.composite
+def _instance(draw, tmp_path):
+    """A host of 1-6 vertices with a system, a pattern of 1-3 vertices, written
+    to files; returns the three objects and their paths."""
+    n = draw(st.integers(1, 6))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = Graph.from_edges(n, draw(st.lists(st.sampled_from(pairs), unique=True))
+                         if pairs else [])
+    f = random_system(g, draw(st.integers(0, 4)), draw(st.integers(0, 99)))
+    pattern = draw(st.sampled_from([complete_graph(1), complete_graph(2), complete_graph(3),
+                                    Graph.from_edges(3, [(0, 1), (1, 2)])]))
+    paths = []
+    for name, text in (("host.graph", format_graph(g)), ("pattern.graph", format_graph(pattern)),
+                       ("host.incompat", format_system(f))):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(text, encoding="ascii")
+    return g, f, pattern, [str(p) for p in paths]
+
+
+def _csv(ints) -> str:
+    return ",".join(map(str, ints))
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_absorb_find_cli_fuzz(tmp_path, capsys, data):
+    g, f, pattern, (graph, pat, inc) = data.draw(_instance(tmp_path))
+    vertex = st.integers(-2, g.n + 1)
+    u, v, t = data.draw(vertex), data.draw(vertex), data.draw(st.integers(-1, 3))
+    w = data.draw(st.lists(vertex, max_size=3))
+    budget = data.draw(st.sampled_from([0, 5, 50, 100_000]))
+    code, out, err = run_cli(["absorb", "find", "--graph", graph, "--pattern", pat,
+                              "--incompat", inc, f"--u={u}", f"--v={v}", f"--t={t}",
+                              f"--w={_csv(w)}", f"--budget={budget}"], capsys)
+    assert code in {0, 1, 2, 64, 65, 66}, err
+    assert "Traceback" not in err
+    if not (all(0 <= x < g.n for x in [u, v, *w]) and t >= 1):
+        assert code == 64   # exit 1 would claim a proven absence
+    if code >= 64:
+        assert out == "" and "error" in json.loads(err)
+        return
+    body = json.loads(out)
+    if code == 0:
+        assert not set(body["s"]) & set(w)
+        assert verify_connector(g, f, pattern, body["s"], u, v, t).ok
+    elif code == 1:
+        free = [x for x in range(g.n) if x not in (u, v, *w)]
+        assert not any(verify_connector(g, f, pattern, s, u, v, t).ok
+                       for k in range(pattern.n * t) for s in combinations(free, k))
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_regcount_cli_fuzz(tmp_path, capsys, data):
+    g, _, _, (graph, _, inc) = data.draw(_instance(tmp_path))
+    side = st.lists(st.integers(-2, g.n + 1), max_size=4)
+    x, y = data.draw(side), data.draw(side)
+    parts = tmp_path / "parts.txt"
+    parts.write_text("".join(" ".join(map(str, b)) + "\n"
+                             for b in data.draw(st.lists(side, max_size=3))), encoding="ascii")
+    action = data.draw(st.sampled_from(["density", "regular", "reduced", "count", "sweep"]))
+    argv = ["regcount", action, "--graph", graph, f"--x={_csv(x)}", f"--y={_csv(y)}",
+            f"--eps={data.draw(st.sampled_from(['1/4', '1/2', '1', '0', '-1/3', 'x']))}",
+            "--parts", str(parts), "--incompat", inc, "--mus=1/10,1/4",
+            f"--sizes={_csv(data.draw(st.lists(st.integers(-1, 2), max_size=3)))}",
+            f"--budget={data.draw(st.sampled_from([0, 50, 100_000]))}"]
+    d = data.draw(st.sampled_from([None, "0", "1/2", "2"]))
+    if d is not None:
+        argv.append(f"--d={d}")
+    code, out, err = run_cli(argv, capsys)
+    assert code in {0, 1, 2, 64, 65, 66}, err
+    assert "Traceback" not in err
+    if action in ("density", "regular") and not all(0 <= v < g.n for v in x + y):
+        assert code in {64, 65}     # 65 when --eps fails to parse first
+    if code >= 64:
+        assert out == "" and "error" in json.loads(err)
+    elif action == "density":
+        xs, ys = set(x), set(y)
+        edges = sum(g.has_edge(a, b) for a in xs for b in ys)
+        assert json.loads(out)["density"] == format_fraction(Fraction(edges, len(xs) * len(ys)))
 
 
 @pytest.mark.parametrize("argv, flag, token", [

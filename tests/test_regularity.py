@@ -30,6 +30,16 @@ def test_density_examples():
         density(c4, [0, 1], [1, 2])
 
 
+@pytest.mark.parametrize("x, y", [([0], [5]), ([0], [-1]), ([7], [1]), ([0], [1, 2])],
+                         ids=["y-high", "y-negative", "x-high", "y-partly-outside"])
+def test_pair_sides_must_lie_in_the_graph(x, y):
+    g = Graph.from_edges(2, [(0, 1)])
+    with pytest.raises(ValidationError):
+        density(g, x, y)
+    with pytest.raises(ValidationError):
+        is_eps_regular_exhaustive(g, x, y, Fraction(1, 4))
+
+
 def test_density_symmetric():
     rng = random.Random(12)
     for _ in range(30):

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from comptile import oracles
 from comptile.graphs import (Graph, MultipartiteSpec, complete_graph,
                              complete_multipartite, cycle_graph, empty_graph,
@@ -67,6 +69,15 @@ def test_factor_agrees_with_oracle_under_systems():
             assert verify_tiling(host, f, pattern, res.tiling, require_cover=True)
 
 
+def _induced_by_hand(host, f, s):
+    """g[S] and the triples inside it, relabelled without the library's help."""
+    sub, old = host.induced(s)
+    pos = {v: i for i, v in enumerate(old)}
+    return sub, IncompatibilitySystem(sub, [(pos[v], pos[a], pos[b])
+                                            for v, a, b in set(f.triples())
+                                            if {v, a, b} <= pos.keys()])
+
+
 def test_pool_factor_agrees_with_oracle_on_induced_subgraph():
     rng = random.Random(29)
     for _ in range(60):
@@ -75,18 +86,57 @@ def test_pool_factor_agrees_with_oracle_on_induced_subgraph():
         host = random_graph(rng.randint(2, 10), rng.uniform(0.4, 0.95), rng.getrandbits(30))
         f = random_system(host, rng.randint(0, 12), rng.getrandbits(30))
         s = sorted(v for v in range(host.n) if rng.random() < 0.6)
-        # reference: relabel g[S] and the triples inside it by hand
-        sub, old = host.induced(s)
-        pos = {v: i for i, v in enumerate(old)}
-        sub_f = IncompatibilitySystem(sub, [(pos[v], pos[a], pos[b])
-                                            for v, a, b in set(f.triples())
-                                            if {v, a, b} <= pos.keys()])
+        sub, sub_f = _induced_by_hand(host, f, s)
         res = find_compatible_factor(pattern, host, f, pool=mask_of(s))
         assert res.status in (FOUND, NONE)
         assert (res.status == FOUND) == oracles.raw_factor_exists(pattern, sub, sub_f)
         if res.status == FOUND:
             assert sorted(v for e in res.tiling.embeddings for v in e.vertices) == s
             assert verify_tiling(host, f, pattern, res.tiling)
+
+
+def test_cover_agrees_with_oracle_under_pools_and_budgets():
+    # a budget either cuts the search off or changes nothing: same status,
+    # reason, expansions and tiling as the unbounded search
+    rng = random.Random(37)
+    for _ in range(120):
+        nh = rng.randint(1, 3)
+        pattern = random_graph(nh, 0.9, rng.getrandbits(30))
+        host = random_graph(nh * rng.randint(1, 12 // nh), rng.uniform(0.4, 1.0),
+                            rng.getrandbits(30))
+        f = random_system(host, rng.randint(0, 12), rng.getrandbits(30))
+        s = list(range(host.n))
+        if rng.random() < 0.5:
+            s = [v for v in s if rng.random() < 0.7]
+        sub, sub_f = _induced_by_hand(host, f, s)
+        res = find_compatible_factor(pattern, host, f, pool=mask_of(s))
+        assert (res.status == FOUND) == oracles.raw_factor_exists(pattern, sub, sub_f)
+        budget = rng.randint(0, 2 * res.expansions)
+        cut = find_compatible_factor(pattern, host, f, budget=budget, pool=mask_of(s))
+        if res.expansions <= budget or res.reason == "divisibility":
+            assert (cut.status, cut.reason, cut.expansions, cut.tiling) == \
+                (res.status, res.reason, res.expansions, res.tiling)
+        else:
+            assert (cut.status, cut.reason) == (INDETERMINATE, "budget")
+            assert cut.expansions > budget
+
+
+def _ko_base(n):
+    big, small = n // 3 + 1, -(-n // 3) - 1
+    return complete_multipartite(MultipartiteSpec((big, small, n - big - small)))[0]
+
+
+@pytest.mark.parametrize("pattern, host, budget, status, expansions", [
+    (complete_graph(3), _ko_base(15), None, NONE, 4_789),
+    (complete_graph(3), _ko_base(21), 50_000, INDETERMINATE, 50_001),
+    (complete_graph(2), cycle_graph(800), None, FOUND, 2_000),
+], ids=["ko-base-15", "ko-base-21-capped", "cycle-800"])
+def test_cover_search_effort_is_pinned(pattern, host, budget, status, expansions):
+    # the branching rule (fewest admissible rows, then lowest vertex, rows
+    # by ascending index) fixes every expansion count
+    kwargs = {} if budget is None else {"budget": budget}
+    res = find_compatible_factor(pattern, host, **kwargs)
+    assert (res.status, res.expansions) == (status, expansions)
 
 
 def test_factor_search_runs_without_recursion_on_deep_instances():
@@ -96,6 +146,7 @@ def test_factor_search_runs_without_recursion_on_deep_instances():
     matching = Graph.from_edges(n, [(2 * i, 2 * i + 1) for i in range(n // 2)])
     res = find_compatible_factor(k2, matching)
     assert res.status == FOUND and len(res.tiling) == n // 2
+    assert res.expansions == 4_200
 
 
 def test_max_tiling_runs_without_recursion_on_deep_instances():
