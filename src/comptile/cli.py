@@ -17,7 +17,7 @@ import sys
 import traceback
 from pathlib import Path
 
-from . import absorb, acceptance, construct, regularity, solver
+from . import absorb, construct, solver
 from .coloring import chi_star
 from .construct import detect_multipartite
 from .errors import ComptileError, FormatError
@@ -243,6 +243,8 @@ def _cmd_absorb(args) -> int:
 
 
 def _cmd_regcount(args) -> int:
+    from . import regularity   # numpy stays off the other subcommands' import path
+
     g = _load_graph(args.graph)
     if args.action == "density":
         d = regularity.density(g, _parse_ints(args.x, "x"), _parse_ints(args.y, "y"))
@@ -291,6 +293,8 @@ def _cmd_regcount(args) -> int:
 
 
 def _cmd_acceptance(args) -> int:
+    from . import acceptance   # reaches numpy through the oracles
+
     selectors = None if not args.only else [s.strip().upper() for s in args.only.split(",")]
     matrix = acceptance.run_battery(selectors=selectors, seed=args.seed, verbose=True)
     if args.out:

@@ -181,3 +181,29 @@ def raw_transversal_count(spec_sizes, g: Graph, f: IncompatibilitySystem,
 
     rec(0, [])
     return count
+
+
+def raw_is_eps_regular(g: Graph, xs, ys, eps, d_min=None):
+    """(regular, first witness) straight from the definition: every A and B
+    above the eps size thresholds, in ascending subset-mask order over the
+    sorted sides, compared with Fraction densities.  A pair below d_min is
+    (False, None).
+    """
+    xs, ys = sorted(set(xs)), sorted(set(ys))
+    eps = Fraction(eps)
+
+    def dens(a, b):
+        return Fraction(sum(g.has_edge(u, v) for u in a for v in b), len(a) * len(b))
+
+    d = dens(xs, ys)
+    if d_min is not None and d < Fraction(d_min):
+        return False, None
+    for a_mask in range(1, 1 << len(xs)):
+        a = [xs[i] for i in range(len(xs)) if a_mask >> i & 1]
+        if len(a) < eps * len(xs):
+            continue
+        for b_mask in range(1, 1 << len(ys)):
+            b = [ys[i] for i in range(len(ys)) if b_mask >> i & 1]
+            if len(b) >= eps * len(ys) and abs(dens(a, b) - d) >= eps:
+                return False, (tuple(a), tuple(b))
+    return True, None

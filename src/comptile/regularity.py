@@ -2,12 +2,21 @@
 
 Regularity of a pair (X, Y) quantifies over ALL sub-pairs (A, B) with
 |A| >= eps|X|, |B| >= eps|Y|, so it can only be certified exhaustively;
-nothing here ever labels a pair "regular" from a sample.  Sides are
-hard-capped at 14 vertices (2^14 subsets each); within the cap the scan
-runs as a subset-sum table per A-subset, vectorized over all B-subsets.
+nothing here ever labels a pair "regular" from a sample.  Deciding it is
+co-NP-complete (Alon, Duke, Lefmann, Rodl and Yuster, "The algorithmic
+aspects of the regularity lemma", 1994), so the scan visits every A, and
+sides are hard-capped at 14 vertices (2^14 subsets each).
 
-All threshold comparisons are exact rational cross-multiplications; no
-floats touch a decision.
+The scan need not visit every B.  For fixed A and |B| = b,
+e(A, B) = sum of deg_A(y) over y in B, so over all B of size b it runs
+exactly from the sum of the b smallest degrees into A to the sum of the
+b largest, both attained.  The deviation |e / (|A| b) - d(X, Y)| is
+convex in e, so some B of size b fails iff one of those two extremes
+fails.  The scan therefore sorts one degree row per A, vectorized over
+blocks of A-subsets, and compares both extremes for every admissible b.
+
+All threshold comparisons are exact rational cross-multiplications in
+int64; no floats touch a decision.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import solver
-from .errors import SizeCapError, ValidationError
+from .errors import ConsistencyError, SizeCapError, ValidationError
 from .graphs import Graph, MultipartiteSpec
 from .incompat import IncompatibilitySystem
 from .util import bits, format_fraction, mask_of
@@ -67,12 +76,26 @@ class RegularityReport:
         return out
 
 
-def _subset_sums(degs: list) -> np.ndarray:
-    """sums[mask] = sum of degs[i] over set bits of mask, via doubling."""
-    table = np.zeros(1, dtype=np.int64)
-    for dd in degs:
-        table = np.concatenate([table, table + dd])
+# the low bits of an A-mask index the rows of one vectorized block
+_BLOCK_BITS = 10
+
+
+def _subset_sums(items) -> np.ndarray:
+    """sums[mask] = sum of items[i] over set bits of mask, via doubling.
+
+    Items are numbers or equal-length rows (then sums has one row per mask).
+    """
+    items = np.asarray(items, dtype=np.int64)
+    table = np.zeros((1,) + items.shape[1:], dtype=np.int64)
+    for item in items:
+        table = np.concatenate([table, table + item])
     return table
+
+
+def _deviates(e, ab, d: Fraction, eps: Fraction) -> np.ndarray:
+    """|e / ab - d| >= eps elementwise, by exact integer cross-multiplication."""
+    return (np.abs(e * d.denominator - d.numerator * ab) * eps.denominator
+            >= eps.numerator * ab * d.denominator)
 
 
 def is_eps_regular_exhaustive(g: Graph, x_side, y_side, eps,
@@ -82,6 +105,13 @@ def is_eps_regular_exhaustive(g: Graph, x_side, y_side, eps,
     Checks |d(A, B) - d(X, Y)| < eps for every A, B above the eps size
     thresholds; with d_min given, also requires d(X, Y) >= d_min.  The
     witness is the first failing pair in ascending subset-mask order.
+
+    Per block of 2^10 A-masks the degree rows deg_A(y) are the sum of a
+    low-bit table and one high-bit row; sorted and summed cumulatively
+    they give, for every admissible b, the least and greatest e(A, B)
+    over |B| = b, and a B of size b fails iff one of the two does (see
+    the module docstring).  Only the first failing A has its 2^|Y|
+    B-subsets enumerated, to find the first failing B-mask.
     """
     xs, ys = _sides(g, x_side, y_side)
     eps = Fraction(eps)
@@ -100,32 +130,42 @@ def is_eps_regular_exhaustive(g: Graph, x_side, y_side, eps,
         if d_xy < d_min:
             return RegularityReport(False, d_xy, eps, d_min,
                                     reason=f"density {d_xy} below d = {d_min}")
+    passed = RegularityReport(True, d_xy, eps, d_min, reason="exhaustive scan passed")
     nx, ny = len(xs), len(ys)
-    pop_y = _subset_sums([1] * ny)
-    # integer thresholds: |B| >= eps*|Y|  <=>  |B| * eps.den >= eps.num * |Y|
-    b_ok = pop_y * eps.denominator >= eps.numerator * ny
-    p0, q0 = d_xy.numerator, d_xy.denominator
-    pe, qe = eps.numerator, eps.denominator
-    b_sizes = pop_y
-    for a_mask in range(1, 1 << nx):
-        a_size = a_mask.bit_count()
-        if a_size * eps.denominator < eps.numerator * nx:
-            continue
-        a_host = mask_of(xs[i] for i in bits(a_mask))
-        degs = [(g.adj[y] & a_host).bit_count() for y in ys]
-        e_ab = _subset_sums(degs)
-        # |e/(a*b) - p0/q0| < pe/qe  <=>  |e*q0 - p0*a*b| * qe < pe * a*b * q0
-        lhs = np.abs(e_ab * q0 - p0 * a_size * b_sizes) * qe
-        rhs = pe * a_size * b_sizes * q0
-        bad = b_ok & (lhs >= rhs)
-        bad[0] = False
+    # least admissible sizes: |A| >= eps|X|  <=>  |A| >= ceil(eps.num * |X| / eps.den)
+    a_min = max(1, -(-eps.numerator * nx // eps.denominator))
+    b_min = max(1, -(-eps.numerator * ny // eps.denominator))
+    if a_min > nx or b_min > ny:
+        return passed      # eps > 1: nothing to check, and eps.num may not fit int64
+    b = np.arange(b_min, ny + 1)
+    adj = np.array([[g.adj[x] >> y & 1 for y in ys] for x in xs], dtype=np.int64)
+    lo_bits = min(nx, _BLOCK_BITS)
+    lo_deg, hi_deg = _subset_sums(adj[:lo_bits]), _subset_sums(adj[lo_bits:])
+    lo_size, hi_size = _subset_sums([1] * lo_bits), _subset_sums([1] * (nx - lo_bits))
+    zero = np.zeros((len(lo_deg), 1), dtype=np.int64)
+    for hi in range(len(hi_deg)):
+        a = lo_size + hi_size[hi]
+        # least[:, k] = sum of the k smallest degrees into A, for k = 0..|Y|
+        least = np.cumsum(np.hstack([zero, np.sort(lo_deg + hi_deg[hi], axis=1)]), axis=1)
+        ab = a[:, None] * b
+        bad = (_deviates(least[:, b], ab, d_xy, eps)
+               | _deviates(least[:, -1:] - least[:, ny - b], ab, d_xy, eps))
+        bad = bad.any(axis=1) & (a >= a_min)
         if bad.any():
-            b_mask = int(np.nonzero(bad)[0][0])
-            wit_a = tuple(xs[i] for i in bits(a_mask))
-            wit_b = tuple(ys[i] for i in bits(b_mask))
-            return RegularityReport(False, d_xy, eps, d_min, (wit_a, wit_b),
-                                    reason="sub-pair density deviates by >= eps")
-    return RegularityReport(True, d_xy, eps, d_min, reason="exhaustive scan passed")
+            a_mask = hi << lo_bits | int(np.argmax(bad))
+            break
+    else:
+        return passed
+    a_host = mask_of(xs[i] for i in bits(a_mask))
+    e_ab = _subset_sums([(g.adj[y] & a_host).bit_count() for y in ys])
+    b_size = _subset_sums([1] * ny)
+    bad = (b_size >= b_min) & _deviates(e_ab, a_mask.bit_count() * b_size, d_xy, eps)
+    if not bad.any():
+        raise ConsistencyError("degree-sum scan flagged an A with no failing B")
+    b_mask = int(np.argmax(bad))
+    witness = (tuple(xs[i] for i in bits(a_mask)), tuple(ys[i] for i in bits(b_mask)))
+    return RegularityReport(False, d_xy, eps, d_min, witness,
+                            reason="sub-pair density deviates by >= eps")
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from comptile.absorb import verify_connector
 from comptile.graphs import Graph, complete_graph, complete_multipartite, cycle_graph
 from comptile.graphs import MultipartiteSpec, format_graph
 from comptile.incompat import format_system
+from comptile.oracles import raw_is_eps_regular
 from comptile.util import format_fraction
 
 from .helpers import combination, random_system
@@ -239,8 +240,10 @@ def test_regcount_cli_fuzz(tmp_path, capsys, data):
     parts.write_text("".join(" ".join(map(str, b)) + "\n"
                              for b in data.draw(st.lists(side, max_size=3))), encoding="ascii")
     action = data.draw(st.sampled_from(["density", "regular", "reduced", "count", "sweep"]))
+    eps = data.draw(st.sampled_from(["1/4", "1/2", "1", "0", "-1/3", "x", "3/2",
+                                     "100000000000000000000", "1/1000000", "1/1000001"]))
     argv = ["regcount", action, "--graph", graph, f"--x={_csv(x)}", f"--y={_csv(y)}",
-            f"--eps={data.draw(st.sampled_from(['1/4', '1/2', '1', '0', '-1/3', 'x']))}",
+            f"--eps={eps}",
             "--parts", str(parts), "--incompat", inc, "--mus=1/10,1/4",
             f"--sizes={_csv(data.draw(st.lists(st.integers(-1, 2), max_size=3)))}",
             f"--budget={data.draw(st.sampled_from([0, 50, 100_000]))}"]
@@ -252,12 +255,31 @@ def test_regcount_cli_fuzz(tmp_path, capsys, data):
     assert "Traceback" not in err
     if action in ("density", "regular") and not all(0 <= v < g.n for v in x + y):
         assert code in {64, 65}     # 65 when --eps fails to parse first
+    if action == "regular" and eps == "1/1000001":
+        assert code == 64           # eps denominator above the int64-exactness cap
     if code >= 64:
         assert out == "" and "error" in json.loads(err)
     elif action == "density":
         xs, ys = set(x), set(y)
         edges = sum(g.has_edge(a, b) for a in xs for b in ys)
         assert json.loads(out)["density"] == format_fraction(Fraction(edges, len(xs) * len(ys)))
+    elif action == "regular":
+        regular, witness = raw_is_eps_regular(g, x, y, Fraction(eps),
+                                              None if d is None else Fraction(d))
+        rep = json.loads(out)["regular"]
+        assert (code, rep["regular"]) == (0 if regular else 1, regular)
+        assert rep.get("witness") == (None if witness is None else list(map(list, witness)))
+
+
+def test_cli_import_leaves_numpy_out():
+    # only regcount and acceptance need numpy; they import it when they run
+    src_dir = Path(comptile.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, comptile.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(src_dir)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("argv, flag, token", [

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from comptile.errors import SizeCapError, ValidationError
 from comptile.graphs import Graph, MultipartiteSpec, complete_multipartite, cycle_graph
 from comptile.incompat import IncompatibilitySystem, random_bounded_system
+from comptile.oracles import raw_is_eps_regular
 from comptile.regularity import (check_degree_fact, check_partition_shape,
                                  check_slicing, counting_experiment, density,
                                  is_eps_regular_exhaustive, reduced_graph)
@@ -77,6 +79,62 @@ def test_regular_cap():
     with pytest.raises(SizeCapError):
         is_eps_regular_exhaustive(g, list(range(15)), list(range(15, 30)),
                                   Fraction(1, 4))
+
+
+def test_scan_agrees_with_oracle():
+    rng = random.Random(16)
+    for _ in range(300):
+        nx, ny = rng.randint(1, 6), rng.randint(1, 6)
+        n = nx + ny + rng.randint(0, 2)
+        verts = rng.sample(range(n), nx + ny)
+        xs, ys = verts[:nx], verts[nx:]
+        g = random_graph(n, rng.random(), rng.getrandbits(30))
+        eps = rng.choice([Fraction(1, 10**6), Fraction(1), Fraction(3, 2),
+                          Fraction(rng.randint(1, 9), 10)])
+        d_xy = density(g, xs, ys)
+        for d_min in (None, d_xy, d_xy + Fraction(1, 100)):   # the gate passes, then fails
+            rep = is_eps_regular_exhaustive(g, xs, ys, eps, d_min=d_min)
+            assert (rep.regular, rep.witness) == raw_is_eps_regular(g, xs, ys, eps, d_min)
+
+
+@pytest.mark.parametrize("eps", [Fraction(10**20), Fraction(3, 2)], ids=["1e20", "3/2"])
+def test_eps_above_one_admits_no_sub_pair(eps):
+    # no A or B reaches eps times its side, so the scan has nothing to check;
+    # eps.numerator must never enter the int64 arithmetic
+    g = random_graph(28, 0.5, 6)
+    rep = is_eps_regular_exhaustive(g, range(14), range(14, 28), eps)
+    assert rep.regular and rep.reason == "exhaustive scan passed" and rep.eps == eps
+    rep = is_eps_regular_exhaustive(g, range(14), range(14, 28), eps, d_min=Fraction(1))
+    assert not rep.regular and "below" in rep.reason
+
+
+@pytest.mark.parametrize("side, seed, eps, dens, witness", [
+    (12, 6, Fraction(2, 5), Fraction(11, 24), ((2, 4, 7, 10, 11), (13, 14, 19, 21, 22))),
+    (13, 9, Fraction(3, 8), Fraction(90, 169), ((1, 3, 9, 11, 12), (14, 18, 20, 24, 25))),
+    (14, 6, Fraction(2, 5), Fraction(97, 196),
+     ((0, 6, 10, 11, 12, 13), (19, 21, 23, 24, 26, 27))),
+])
+def test_scan_witness_is_pinned(side, seed, eps, dens, witness):
+    # values recorded by enumerating every B for every A; each witness A lies
+    # past the first block of 2^10 A-masks
+    g = random_graph(2 * side, 0.5, seed)
+    rep = is_eps_regular_exhaustive(g, range(side), range(side, 2 * side), eps)
+    assert (rep.regular, rep.density, rep.witness) == (False, dens, witness)
+    assert abs(density(g, *witness) - dens) >= eps
+
+
+def test_full_scan_memory_stays_small():
+    # the 2^14 A-masks are scanned in blocks: all of them at once would
+    # hold about 16 MB of degree rows
+    g = random_graph(28, 0.5, 14)
+    tracemalloc.start()
+    try:
+        rep = is_eps_regular_exhaustive(g, range(14), range(14, 28), Fraction(1, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.regular                  # no early exit: every A-mask was visited
+    assert peak < 4 * 2**20, peak
 
 
 def test_regularity_antitone_in_eps():
