@@ -14,7 +14,7 @@ from .graphs import (Graph, MultipartiteSpec, VertexPartition, complete_graph,
                      complete_multipartite, components, cycle_graph, disjoint_union,
                      empty_graph, path_graph)
 from .incompat import IncompatibilitySystem, random_bounded_system
-from .lattice import GeneratedLattice, find_transferral, index_vector, split_pos_neg
+from .lattice import GeneratedLattice, find_transferral, index_vector
 from .solver import (Embedding, Tiling, enumerate_compatible_copies,
                      enumerate_transversal_copies, find_compatible_factor,
                      greedy_almost_tiling, max_compatible_tiling)
@@ -30,6 +30,6 @@ __all__ = [
     "enumerate_compatible_copies", "enumerate_transversal_copies",
     "find_compatible_factor", "find_transferral", "greedy_almost_tiling",
     "index_vector", "komlos_base", "kuhn_osthus_base", "max_compatible_tiling",
-    "path_graph", "random_bounded_system", "split_pos_neg",
+    "path_graph", "random_bounded_system",
     "verify_index_vector_claim",
 ]

@@ -69,21 +69,26 @@ class VerifyResult:
     status: str                 # proven / refuted / indeterminate
     reason: str = ""
     tilings: tuple = ()         # witness tilings in host ids when ok
+    expansions: int = 0         # spent by the factor searches
 
     def __bool__(self):
         return self.ok
 
 
+def _check_inputs(g: Graph, pattern: Graph, vertices):
+    """Usage errors rejected before any verdict: an empty pattern, or a
+    vertex outside the graph (it would make a verdict vacuous or wrong)."""
+    if pattern.n == 0:
+        raise ValidationError("empty pattern")
+    if any(not 0 <= x < g.n for x in vertices):
+        raise ValidationError("vertices must lie in the graph")
+
+
 def _factor_on(g: Graph, f: IncompatibilitySystem, pattern: Graph,
-               vertices, budget: int):
+               vertices, budget: int) -> solver.FactorResult:
     """Compatible-factor decision on G[vertices], host-id tiling."""
-    if any(not 0 <= v < g.n for v in vertices):
-        raise ValidationError("vertex set leaves the graph")
-    res = solver.find_compatible_factor(pattern, g, f, budget=budget,
-                                        pool=mask_of(vertices))
-    if res.status == solver.FOUND:
-        return solver.FOUND, tuple(emb.vertices for emb in res.tiling.embeddings)
-    return res.status, None
+    return solver.find_compatible_factor(pattern, g, f, budget=budget,
+                                         pool=mask_of(vertices))
 
 
 def _factor_gate(g: Graph, f: IncompatibilitySystem, pattern: Graph,
@@ -92,18 +97,22 @@ def _factor_gate(g: Graph, f: IncompatibilitySystem, pattern: Graph,
 
     ``named_sets`` lists (name, vertices); the first set without a factor
     (REFUTED) or whose search hit the budget (INDETERMINATE) is named in
-    the reason.
+    the reason.  The searches share ``budget``, so a gate that ends
+    PROVEN or REFUTED spent at most ``budget`` expansions.
     """
     tilings = []
+    spent = 0
     for name, vertices in named_sets:
-        status, tiling = _factor_on(g, f, pattern, vertices, budget)
-        if status == solver.INDETERMINATE:
+        res = _factor_on(g, f, pattern, vertices, budget - spent)
+        spent += res.expansions
+        if res.status == solver.INDETERMINATE:
             return VerifyResult(False, INDETERMINATE,
-                                f"G[{name}] factor search hit budget")
-        if status == solver.NONE:
-            return VerifyResult(False, REFUTED, f"G[{name}] has no compatible factor")
-        tilings.append(tiling)
-    return VerifyResult(True, PROVEN, tilings=tuple(tilings))
+                                f"G[{name}] factor search hit budget", expansions=spent)
+        if res.status == solver.NONE:
+            return VerifyResult(False, REFUTED, f"G[{name}] has no compatible factor",
+                                expansions=spent)
+        tilings.append(tuple(emb.vertices for emb in res.tiling.embeddings))
+    return VerifyResult(True, PROVEN, tilings=tuple(tilings), expansions=spent)
 
 
 def verify_absorber(g: Graph, f: IncompatibilitySystem, pattern: Graph,
@@ -111,6 +120,7 @@ def verify_absorber(g: Graph, f: IncompatibilitySystem, pattern: Graph,
                     budget: int = solver.DEFAULT_BUDGET) -> VerifyResult:
     """Size bound |A| <= h^2*t plus the two factor conditions, solver-checked."""
     s_set, a_set = sorted(set(s_set)), sorted(set(a_set))
+    _check_inputs(g, pattern, s_set + a_set)
     h = pattern.n
     if set(s_set) & set(a_set):
         return VerifyResult(False, REFUTED, "A intersects S")
@@ -128,6 +138,7 @@ def verify_connector(g: Graph, f: IncompatibilitySystem, pattern: Graph,
                      budget: int = solver.DEFAULT_BUDGET) -> VerifyResult:
     """Size bound |S| <= h*t - 1 plus factors of G[S u {u}] and G[S u {v}]."""
     s_set = sorted(set(s_set))
+    _check_inputs(g, pattern, s_set + [u, v])
     h = pattern.n
     if u in s_set or v in s_set:
         return VerifyResult(False, REFUTED, "S must avoid its endpoints")
@@ -171,10 +182,12 @@ def find_connector(g: Graph, f: IncompatibilitySystem, pattern: Graph,
     factors as well.  The copies are enumerated once: the first copy of
     a union is one through u, each later one a copy disjoint from the
     union so far, both in canonical order.
+
+    ``expansions`` counts the enumeration plus every candidate's factor
+    searches, which share what the enumeration left of ``budget``; a
+    search that ends FOUND or NONE spent at most ``budget``.
     """
-    h = pattern.n
-    if any(not 0 <= x < g.n for x in (u, v, *w_set)):
-        raise ValidationError("connector endpoints and W must lie in the graph")
+    _check_inputs(g, pattern, (u, v, *w_set))
     if t < 1:
         raise ValidationError(f"connector size parameter t must be >= 1, got {t}")
     if u == v:
@@ -213,9 +226,8 @@ def find_connector(g: Graph, f: IncompatibilitySystem, pattern: Graph,
                 continue
             seen.add(s_set)
             check = verify_connector(g, f, pattern, s_set, u, v, t,
-                                     budget=budget - expansions
-                                     if budget > expansions else 0)
-            expansions += h  # count candidate checks against the budget
+                                     budget=budget - expansions)
+            expansions += check.expansions
             if check.status == INDETERMINATE:
                 return ConnectorSearch(solver.INDETERMINATE, None, expansions)
             if check.ok:
@@ -328,6 +340,7 @@ def assemble_absorber(g: Graph, f: IncompatibilitySystem, pattern: Graph,
     """
     h = pattern.n
     s_set, t_copy = tuple(s_set), tuple(t_copy)
+    _check_inputs(g, pattern, s_set + t_copy)
     if len(s_set) != h or len(t_copy) != h:
         raise ValidationError(f"need |S| = |T| = h = {h}")
     if len(connectors) != h:
@@ -343,8 +356,7 @@ def assemble_absorber(g: Graph, f: IncompatibilitySystem, pattern: Graph,
         for j in range(i + 1, len(pieces)):
             if pieces[i] & pieces[j]:
                 raise ValidationError("absorber pieces are not pairwise disjoint")
-    status, _ = _factor_on(g, f, pattern, t_copy, budget)
-    if status != solver.FOUND:
+    if _factor_on(g, f, pattern, t_copy, budget).status != solver.FOUND:
         raise ValidationError("T does not span a compatible copy")
     t_cap = max(c.t for c in connectors)
     a_set = tuple(sorted(set(t_copy) | {x for c in connectors for x in c.s}))
@@ -444,10 +456,13 @@ def verify_absorbing_set(g: Graph, f: IncompatibilitySystem, pattern: Graph,
     admissible R when the count fits the cap, else sampled per size.
     """
     a_set = sorted(set(a_set))
+    _check_inputs(g, pattern, a_set)
     xi = Fraction(xi)
+    if xi < 0:
+        raise ValidationError(f"xi must be >= 0, got {xi}")
     h = pattern.n
     outside = [v for v in range(g.n) if v not in set(a_set)]
-    r_cap = frac_floor(xi * g.n)
+    r_cap = min(frac_floor(xi * g.n), len(outside))   # R lies outside A
     sizes = [s for s in range(0, r_cap + 1) if (len(a_set) + s) % h == 0]
     population = sum(math.comb(len(outside), s) for s in sizes)
     rng = random.Random(seed)
@@ -457,7 +472,7 @@ def verify_absorbing_set(g: Graph, f: IncompatibilitySystem, pattern: Graph,
         return tuple(sorted(rng.sample(outside, s)))
 
     def absorbed(r_set):
-        status, _ = _factor_on(g, f, pattern, a_set + list(r_set), budget)
+        status = _factor_on(g, f, pattern, a_set + list(r_set), budget).status
         return None if status == solver.INDETERMINATE else status == solver.FOUND
 
     verdict, checked, witness = _for_every(

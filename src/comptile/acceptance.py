@@ -16,11 +16,14 @@ green at n=24 in the unit tests.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
 import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from pathlib import Path
 
 from . import absorb, construct, oracles, solver
 from .coloring import chi_star
@@ -484,17 +487,29 @@ _CRITERIA = {
 
 
 def criterion_a10(seed: int = 0, first_pass=None) -> CriterionResult:
-    """Byte-identical matrices for two full A1-A9 passes in one process.
+    """Byte-identical A1-A9 matrices from this process and from a child
+    interpreter under another hash seed, on the same source tree.
 
     A regression tripwire for any nondeterminism leaking into reports
-    (unsorted sets, ambient randomness, timing in payloads).
+    (set or dict order that follows string hashes, ambient randomness,
+    timing in payloads).
     """
     t0 = time.perf_counter()
     if first_pass is None:
         first_pass = [_CRITERIA[c](seed) for c in sorted(_CRITERIA)]
-    second = [_CRITERIA[c](seed) for c in sorted(_CRITERIA)]
+    # a hash seed other than this interpreter's, which is random unless
+    # PYTHONHASHSEED fixes it
+    own = os.environ.get("PYTHONHASHSEED", "random")
+    hash_seed = str((int(own) + 1) % 2 ** 32) if own.isdigit() else "1"
+    path = [str(Path(__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=os.pathsep.join(filter(None, path)))
+    child = subprocess.run(
+        [sys.executable, "-m", "comptile.cli", "acceptance", "--seed", str(seed),
+         "--only", ",".join(sorted(_CRITERIA))],
+        capture_output=True, text=True, env=env)
     b1 = matrix_json(first_pass)
-    b2 = matrix_json(second)
+    b2 = child.stdout
     return CriterionResult("A10", b1 == b2,
                            {"bytes_equal": b1 == b2},
                            time.perf_counter() - t0)

@@ -157,14 +157,6 @@ def enumerate_coloring_profiles(g: Graph, k: int, max_vertices: int = DEFAULT_CO
     return frozenset(tuple(sorted(sizes)) for sizes in _colorings(g, k))
 
 
-def sigma(g: Graph) -> int:
-    return chi_star(g).sigma
-
-
-def d_set(g: Graph) -> frozenset:
-    return chi_star(g).d_set
-
-
 def gcd_ignoring_zeros(values) -> object:
     """gcd of the non-zero values; INFINITY when every value is zero.
 
@@ -175,12 +167,6 @@ def gcd_ignoring_zeros(values) -> object:
     if not nz:
         return INFINITY
     return math.gcd(*nz)
-
-
-def hcf_profile(g: Graph) -> tuple:
-    """(hcf_chi, hcf_c, hcf_is_one) for g."""
-    prof = chi_star(g)
-    return prof.hcf_chi, prof.hcf_c, prof.hcf_is_one
 
 
 @lru_cache(maxsize=CHI_STAR_CACHE_SIZE)

@@ -380,19 +380,6 @@ def verify_index_vector_claim(inst: ExtremalInstance,
     return ClaimReport("true", len(enum.copies))
 
 
-def strip_augmentation(inst: ExtremalInstance) -> Graph:
-    """Remove the in-part augmentation; must reproduce the base exactly."""
-    base_rows = []
-    blocks = inst.partition
-    for v in range(inst.graph.n):
-        row = inst.graph.adj[v]
-        same_block = 0
-        for u in blocks.blocks[blocks.block_of(v)]:
-            same_block |= 1 << u
-        base_rows.append(row & ~same_block)
-    return Graph(inst.graph.n, base_rows)
-
-
 def detect_multipartite(g: Graph) -> MultipartiteSpec:
     """Recognize a complete multipartite graph; returns its part sizes
     (parts ordered by minimum vertex) or raises ValidationError.

@@ -247,17 +247,6 @@ def components(g: Graph) -> list:
     return out
 
 
-def common_neighborhood(g: Graph, vs) -> list:
-    """Vertices adjacent to every vertex of ``vs`` (vs must be non-empty)."""
-    vs = list(vs)
-    if not vs:
-        raise ValidationError("common_neighborhood needs a non-empty vertex set")
-    inter = (1 << g.n) - 1
-    for v in vs:
-        inter &= g.adj[v]
-    return list(bits(inter))
-
-
 # ---------------------------------------------------------------------------
 # text formats
 

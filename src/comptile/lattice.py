@@ -22,8 +22,6 @@ pair i == j is rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ConsistencyError, ValidationError
 from .graphs import VertexPartition
 
@@ -183,24 +181,3 @@ def find_transferral(lattice: GeneratedLattice) -> tuple:
                 return i, j, coeffs
     return None
 
-
-@dataclass(frozen=True)
-class PosNegSplit:
-    p: tuple
-    q: tuple
-    c: int  # common coefficient mass when balanced, else sum(p)
-
-
-def split_pos_neg(coeffs, expect_balanced: bool = False) -> PosNegSplit:
-    """p = max(a, 0), q = max(-a, 0) componentwise; p - q == a.
-
-    For coefficients coming from a transferral equation over h-vectors the
-    two masses agree (sum p == sum q =: C); pass expect_balanced=True to
-    enforce that.
-    """
-    a = [int(x) for x in coeffs]
-    p = tuple(max(x, 0) for x in a)
-    q = tuple(max(-x, 0) for x in a)
-    if expect_balanced and sum(p) != sum(q):
-        raise ConsistencyError(f"unbalanced split: sum p = {sum(p)}, sum q = {sum(q)}")
-    return PosNegSplit(p, q, sum(p))

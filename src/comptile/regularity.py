@@ -201,81 +201,6 @@ def reduced_graph(g: Graph, blocks, eps, d) -> ReducedGraph:
 
 
 @dataclass(frozen=True)
-class SlicingReport:
-    applicable: bool
-    holds: object = None          # bool when applicable
-    eps_prime: object = None
-    d_original: object = None
-    d_slice: object = None
-    detail: str = ""
-
-
-def check_slicing(g: Graph, x_side, y_side, x_sub, y_sub, eps, eta) -> SlicingReport:
-    """Instance check of the slicing behavior of regular pairs.
-
-    Premises: (X, Y) is eps-regular, eta > eps, X' and Y' are within-side
-    subsets of relative size >= eta.  Conclusion checked: (X', Y') is
-    eps'-regular with eps' = max(eps/eta, 2*eps), and |d' - d| < eps.
-    A failed premise yields NOT-APPLICABLE rather than a verdict.
-    """
-    eps, eta = Fraction(eps), Fraction(eta)
-    xs, ys = sorted(set(x_side)), sorted(set(y_side))
-    xsub, ysub = sorted(set(x_sub)), sorted(set(y_sub))
-    if not set(xsub) <= set(xs) or not set(ysub) <= set(ys):
-        raise ValidationError("slices must be subsets of their sides")
-    if eta <= eps:
-        return SlicingReport(False, detail=f"premise eta > eps fails ({eta} <= {eps})")
-    if len(xsub) * eta.denominator < eta.numerator * len(xs) \
-            or len(ysub) * eta.denominator < eta.numerator * len(ys):
-        return SlicingReport(False, detail="premise |X'| >= eta|X| fails")
-    base = is_eps_regular_exhaustive(g, xs, ys, eps)
-    if not base.regular:
-        return SlicingReport(False, detail="premise: (X, Y) is not eps-regular")
-    eps_prime = max(eps / eta, 2 * eps)
-    d0 = base.density
-    d1 = density(g, xsub, ysub)
-    if eps_prime >= 1:
-        slice_ok = True  # every pair is vacuously eps'-regular for eps' >= 1
-    else:
-        slice_ok = is_eps_regular_exhaustive(g, xsub, ysub, eps_prime).regular
-    dens_ok = abs(d1 - d0) < eps
-    return SlicingReport(True, slice_ok and dens_ok, eps_prime, d0, d1,
-                         detail="" if slice_ok and dens_ok else
-                         ("slice not eps'-regular" if not slice_ok else
-                          "slice density drifted by >= eps"))
-
-
-@dataclass(frozen=True)
-class DegreeFactReport:
-    applicable: bool
-    holds: object = None
-    violators: object = None
-    allowed: object = None        # eps * |X| as a Fraction
-    detail: str = ""
-
-
-def check_degree_fact(g: Graph, x_side, y_side, b_sub, eps, d) -> DegreeFactReport:
-    """All but eps|X| vertices of X have degree >= (d - eps)|B| into B,
-    provided (X, Y) is (eps, d)-regular and |B| >= eps|Y|.
-    """
-    eps, d = Fraction(eps), Fraction(d)
-    xs, ys = sorted(set(x_side)), sorted(set(y_side))
-    bs = sorted(set(b_sub))
-    if not set(bs) <= set(ys):
-        raise ValidationError("B must be a subset of Y")
-    if len(bs) * eps.denominator < eps.numerator * len(ys):
-        return DegreeFactReport(False, detail="premise |B| >= eps|Y| fails")
-    base = is_eps_regular_exhaustive(g, xs, ys, eps, d_min=d)
-    if not base.regular:
-        return DegreeFactReport(False, detail="premise: pair is not (eps, d)-regular")
-    b_mask = mask_of(bs)
-    need = (d - eps) * len(bs)
-    violators = sum(1 for v in xs if (g.adj[v] & b_mask).bit_count() < need)
-    allowed = eps * len(xs)
-    return DegreeFactReport(True, Fraction(violators) <= allowed, violators, allowed)
-
-
-@dataclass(frozen=True)
 class CountingReport:
     total: int
     compatible: int
@@ -307,31 +232,3 @@ def counting_experiment(g: Graph, f: IncompatibilitySystem,
     return CountingReport(len(free.copies), len(cons.copies),
                           Fraction(len(cons.copies), product), product)
 
-
-@dataclass(frozen=True)
-class ShapeReport:
-    ok: bool
-    problems: tuple
-
-
-def check_partition_shape(n: int, exceptional_size: int, cluster_sizes, eps) -> ShapeReport:
-    """Shape validator for a regularity-style partition: |V_0| <= eps*n and
-    all clusters equal-sized with |V_i| <= ceil(eps*n).
-
-    Validation only; nothing in this package generates such partitions.
-    """
-    eps = Fraction(eps)
-    sizes = list(cluster_sizes)
-    problems = []
-    if exceptional_size * eps.denominator > eps.numerator * n:
-        problems.append(f"|V_0| = {exceptional_size} exceeds eps*n = {eps * n}")
-    if sizes and len(set(sizes)) != 1:
-        problems.append(f"cluster sizes differ: {sorted(set(sizes))}")
-    ceil_eps_n = -((-eps.numerator * n) // eps.denominator)
-    for i, s in enumerate(sizes):
-        if s > ceil_eps_n:
-            problems.append(f"cluster {i} size {s} exceeds ceil(eps*n) = {ceil_eps_n}")
-            break
-    if exceptional_size + sum(sizes) != n:
-        problems.append("sizes do not add up to n")
-    return ShapeReport(not problems, tuple(problems))

@@ -542,6 +542,8 @@ def greedy_almost_tiling(pattern: Graph, g: Graph,
     marked dead; when every vertex is covered or dead the tiling is
     maximal.
     """
+    if pattern.n == 0:
+        raise ValidationError("empty pattern")
     if f is None:
         f = IncompatibilitySystem.empty(g)
     rng = random.Random(seed)
@@ -639,35 +641,3 @@ def max_compatible_tiling(pattern: Graph, g: Graph,
         picked.append(rows[r])
     return MaxTilingResult(Tiling(tuple(reversed(picked))), complete, spent)
 
-
-def good_pair(g: Graph, f: IncompatibilitySystem, v: int, emb: Embedding) -> bool:
-    """Can ``v`` extend the copy: adjacent to the whole image, its edges
-    mutually compatible at v, and each new edge compatible with every
-    image edge at the shared endpoint.
-
-    The last clause goes beyond the bare good-pair definition; it is the
-    closure needed for the extension to yield a compatible larger copy.
-    """
-    if v in emb.vertices:
-        raise ValidationError("v must lie outside the image")
-    ok, _ = f.is_compatible_subgraph(emb.edges)
-    if not ok:
-        return False
-    for u in emb.vertices:
-        if not g.has_edge(v, u):
-            return False
-    new_edges = [edge_key(v, u) for u in emb.vertices]
-    for i, e in enumerate(new_edges):
-        for e2 in new_edges[i + 1:]:
-            if not f.are_compatible(e, e2):
-                return False
-    at = {}
-    for e in emb.edges:
-        at.setdefault(e[0], []).append(e)
-        at.setdefault(e[1], []).append(e)
-    for u in emb.vertices:
-        ve = edge_key(v, u)
-        for old in at.get(u, ()):
-            if not f.are_compatible(ve, old):
-                return False
-    return True

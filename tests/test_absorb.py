@@ -89,10 +89,36 @@ def test_find_connector_respects_t_ladder():
     assert res.status == solver.FOUND and res.connector.s == (1, 2, 3)
     check = verify_connector(g, empty(g), K2, res.connector.s, 0, 4, 2)
     assert check.ok
-    # the copies are enumerated once per search, not once per packing node
-    assert res.expansions == 11
-    res = find_connector(g, empty(g), K2, 0, 4, (), 2, budget=20)
+    # 7 for the one enumeration plus 24 for the candidates' factor searches
+    assert res.expansions == 31
+    res = find_connector(g, empty(g), K2, 0, 4, (), 2, budget=31)
     assert res.status == solver.FOUND and res.connector.s == (1, 2, 3)
+    res = find_connector(g, empty(g), K2, 0, 4, (), 2, budget=30)
+    assert res.status == solver.INDETERMINATE
+
+
+@pytest.mark.parametrize("budget", [300, solver.DEFAULT_BUDGET])
+@pytest.mark.parametrize("u, v", [(0, 1), (3, 7)])
+def test_find_connector_charges_its_factor_searches(monkeypatch, u, v, budget):
+    g = random_graph(14, .6, 18)
+    f = random_bounded_system(g, "1/4", 18)
+    pool = ((1 << g.n) - 1) & ~(1 << v)
+    enumeration = solver.enumerate_compatible_copies(K3, g, f, budget=budget, pool=pool)
+    spent = []
+    real = solver.find_compatible_factor
+
+    def recorded(*args, **kwargs):
+        res = real(*args, **kwargs)
+        spent.append(res.expansions)
+        return res
+
+    monkeypatch.setattr(solver, "find_compatible_factor", recorded)
+    res = find_connector(g, f, K3, u, v, (), 2, budget=budget)
+    assert res.expansions == enumeration.expansions + sum(spent)
+    # the factor searches spend over 1,500 here, so 300 cannot decide either pair
+    assert (res.status == solver.INDETERMINATE) == (budget == 300)
+    if res.status != solver.INDETERMINATE:
+        assert res.expansions <= budget
 
 
 def test_reachability_ladder():
@@ -195,12 +221,42 @@ def test_robust_vectors_ladder():
     assert rep.vectors[(2, 0)].robust is False
 
 
+@pytest.mark.parametrize("kind, s_set, a_set, u, v", [
+    ("absorbing-set", (), (0, 99), 0, 1),
+    ("absorbing-set", (), (-1, 0), 0, 1),
+    ("absorber", (0, 1, 99, 100), (3, 4, 5), 0, 1),
+    ("absorber", (0, 1, 2), (-3, 4, 5), 0, 1),
+    ("connector", (99,), (), 50, 50),
+    ("connector", (2,), (), 0, -1),
+], ids=["absorbing-set-high", "absorbing-set-negative", "absorber-s-high",
+        "absorber-a-negative", "connector-s-and-ends-high", "connector-v-negative"])
+def test_verifiers_reject_vertices_outside_the_graph(kind, s_set, a_set, u, v):
+    # a verdict here would be vacuous (proven) or claim a proven absence (refuted)
+    k6 = complete_graph(6)
+    with pytest.raises(ValidationError, match="lie in the graph"):
+        if kind == "absorbing-set":
+            verify_absorbing_set(k6, empty(k6), K3, a_set, 0)
+        elif kind == "absorber":
+            verify_absorber(k6, empty(k6), K3, s_set, a_set, 1)
+        else:
+            verify_connector(k6, empty(k6), K3, s_set, u, v, 1)
+
+
+def test_absorbing_set_residuals_never_outgrow_the_outside():
+    # xi*n = 60 exceeds the 28 vertices outside A; sampled sizes stop at 28
+    k30 = complete_graph(30)
+    rep = verify_absorbing_set(k30, empty(k30), K2, [0, 1], 2, samples=3)
+    assert (rep.verdict, rep.checked) == (absorb.SUPPORTED, 3)
+
+
 def test_absorbing_set_verifier():
     # K_6 with A = {0,1}: any residual pair completes to an edge... only if
     # the residual pair is an edge to the right partner; exhaustive over R
     k6 = complete_graph(6)
     rep = verify_absorbing_set(k6, empty(k6), K2, [0, 1], "1/3")
     assert rep.verdict == absorb.PROVEN
+    with pytest.raises(ValidationError, match="xi"):     # no R would be checked
+        verify_absorbing_set(k6, empty(k6), K2, [0, 1], "-1/2")
     g = Graph.from_edges(4, [(0, 1)])
     rep = verify_absorbing_set(g, empty(g), K2, [0, 1], "1/2")
     assert rep.verdict == absorb.REFUTED and rep.witness == (2, 3)

@@ -2,21 +2,23 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import comptile
 from comptile import cli
 from comptile.absorb import verify_connector
+from comptile.errors import ValidationError
 from comptile.graphs import Graph, complete_graph, complete_multipartite, cycle_graph
-from comptile.graphs import MultipartiteSpec, format_graph
-from comptile.incompat import format_system
-from comptile.oracles import raw_is_eps_regular
-from comptile.util import format_fraction
+from comptile.graphs import MultipartiteSpec, empty_graph, format_graph
+from comptile.incompat import IncompatibilitySystem, format_system
+from comptile.oracles import raw_compatible_copies, raw_factor_exists, raw_is_eps_regular
+from comptile.solver import Embedding, Tiling, verify_embedding, verify_tiling
+from comptile.util import format_fraction, mask_of
 
 from .helpers import combination, random_system
 
@@ -26,6 +28,7 @@ def files(tmp_path):
     paths = {}
     for name, g in (("k2", complete_graph(2)), ("k3", complete_graph(3)),
                     ("c4", cycle_graph(4)), ("k6", complete_graph(6)),
+                    ("empty", empty_graph(0)),
                     ("k111", complete_multipartite(MultipartiteSpec((1, 1, 1)))[0])):
         p = tmp_path / f"{name}.graph"
         p.write_text(format_graph(g), encoding="ascii")
@@ -178,16 +181,22 @@ def test_lattice_cli_fuzz(tmp_path, capsys, data):
 
 
 @st.composite
+def _graphs(draw, low, high):
+    """A graph of low..high vertices with an arbitrary edge set."""
+    n = draw(st.integers(low, high))
+    pairs = list(combinations(range(n), 2))
+    return Graph.from_edges(n, draw(st.lists(st.sampled_from(pairs), unique=True))
+                            if pairs else [])
+
+
+@st.composite
 def _instance(draw, tmp_path):
-    """A host of 1-6 vertices with a system, a pattern of 1-3 vertices, written
+    """A host of 1-6 vertices with a system, a pattern of 0-3 vertices, written
     to files; returns the three objects and their paths."""
-    n = draw(st.integers(1, 6))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    g = Graph.from_edges(n, draw(st.lists(st.sampled_from(pairs), unique=True))
-                         if pairs else [])
+    g = draw(_graphs(1, 6))
     f = random_system(g, draw(st.integers(0, 4)), draw(st.integers(0, 99)))
     pattern = draw(st.sampled_from([complete_graph(1), complete_graph(2), complete_graph(3),
-                                    Graph.from_edges(3, [(0, 1), (1, 2)])]))
+                                    Graph.from_edges(3, [(0, 1), (1, 2)]), empty_graph(0)]))
     paths = []
     for name, text in (("host.graph", format_graph(g)), ("pattern.graph", format_graph(pattern)),
                        ("host.incompat", format_system(f))):
@@ -198,6 +207,103 @@ def _instance(draw, tmp_path):
 
 def _csv(ints) -> str:
     return ",".join(map(str, ints))
+
+
+def _tiling_of(g, f, pattern, copies) -> Tiling:
+    """Reported copies (vertex lists) as a Tiling, each placed by some
+    bijection from the pattern that verify_embedding accepts."""
+    embs = []
+    for verts in copies:
+        assert len(verts) == pattern.n, verts
+        placed = (Embedding.from_phi(pattern, phi) for phi in permutations(verts))
+        emb = next((e for e in placed if verify_embedding(g, f, pattern, e)), None)
+        assert emb is not None, f"no compatible copy of the pattern on {verts}"
+        embs.append(emb)
+    return Tiling(tuple(embs))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(g=_graphs(0, 9), pattern=_graphs(0, 4),
+       system=st.tuples(st.integers(0, 4), st.integers(0, 99)),
+       # one line in four that may name a non-edge or a vertex outside g
+       extra=st.one_of(st.none(), st.none(), st.none(),
+                       st.tuples(*[st.integers(-1, 10)] * 3)),
+       mode=st.sampled_from(["factor", "max", "greedy", "count"]),
+       budget=st.sampled_from([0, 1, 50, None]))
+@example(g=complete_graph(6), pattern=empty_graph(0), system=(0, 0), extra=None,
+         mode="greedy", budget=None)
+def test_solve_cli_fuzz(tmp_path, capsys, g, pattern, system, extra, mode, budget):
+    triples = random_system(g, *system).triples() + ([extra] if extra else [])
+    paths = {}
+    for name, text in (("host", format_graph(g)), ("pattern", format_graph(pattern)),
+                       ("incompat", "".join(f"{v} {a} {b}\n" for v, a, b in triples))):
+        paths[name] = tmp_path / f"solve.{name}"
+        paths[name].write_text(text, encoding="ascii")
+    argv = ["solve", "--mode", mode, "--graph", str(paths["host"]),
+            "--pattern", str(paths["pattern"]), "--incompat", str(paths["incompat"])]
+    if budget is not None:
+        argv.append(f"--budget={budget}")
+    code, out, err = run_cli(argv, capsys)
+    assert code in {0, 1, 2, 64, 65, 66}, err
+    assert "Traceback" not in err
+    try:
+        f = IncompatibilitySystem(g, triples)
+    except ValidationError:
+        f = None
+    if f is None:
+        assert code == 65           # the system file is read before any search
+    elif pattern.n == 0:
+        assert code == 64
+    if code >= 64:
+        assert out == "" and "error" in json.loads(err)
+        return
+    body = json.loads(out)
+    if mode == "count":
+        if not body["truncated"]:
+            assert body["count"] == len(raw_compatible_copies(pattern, g, f))
+    elif mode == "factor":
+        if body["status"] == "found":
+            tiling = _tiling_of(g, f, pattern, body["tiling"])
+            assert verify_tiling(g, f, pattern, tiling, require_cover=True)
+        if code != 2:
+            assert (code == 0) == raw_factor_exists(pattern, g, f)
+    else:
+        tiling = _tiling_of(g, f, pattern, body["tiling"])
+        assert verify_tiling(g, f, pattern, tiling) and len(tiling) == body["copies"]
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_absorb_verify_cli_fuzz(tmp_path, capsys, data):
+    g, f, pattern, (graph, pat, inc) = data.draw(_instance(tmp_path))
+    vertex = st.integers(-2, g.n + 1)
+    s, a = data.draw(st.lists(vertex, max_size=4)), data.draw(st.lists(vertex, max_size=4))
+    u, v, t = data.draw(vertex), data.draw(vertex), data.draw(st.integers(-1, 2))
+    kind = data.draw(st.sampled_from(["absorber", "connector", "absorbing-set"]))
+    xi = data.draw(st.sampled_from(["0", "1/3", "1", "3", "-1/2"]))
+    budget = data.draw(st.sampled_from([0, 5, 50, 100_000]))
+    code, out, err = run_cli(["absorb", "verify", "--kind", kind, "--graph", graph,
+                              "--pattern", pat, "--incompat", inc, f"--s={_csv(s)}",
+                              f"--a={_csv(a)}", f"--u={u}", f"--v={v}", f"--t={t}",
+                              f"--xi={xi}", f"--budget={budget}"], capsys)
+    assert code in {0, 1, 2, 64, 65, 66}, err
+    assert "Traceback" not in err
+    named = {"absorber": s + a, "connector": s + [u, v], "absorbing-set": a}[kind]
+    if (pattern.n == 0 or not all(0 <= x < g.n for x in named)
+            or (kind == "absorbing-set" and xi.startswith("-"))):
+        assert code == 64   # a verdict would be vacuous or claim a proven absence
+    if code >= 64:
+        assert out == "" and "error" in json.loads(err)
+        return
+    body = json.loads(out)
+    if kind != "absorbing-set" and body["ok"]:
+        covers = ([set(a), set(a) | set(s)] if kind == "absorber"
+                  else [set(s) | {u}, set(s) | {v}])
+        for copies, cover in zip(body["tilings"], covers, strict=True):
+            tiling = _tiling_of(g, f, pattern, copies)
+            assert verify_tiling(g, f, pattern, tiling) and tiling.covered() == mask_of(cover)
 
 
 @settings(max_examples=100, deadline=None,
@@ -303,6 +409,18 @@ def test_malformed_integer_flags_are_usage_errors(files, capsys, argv, flag, tok
     assert code == 64 and out == ""
     report = json.loads(err)
     assert report == {"error": "usage", "detail": f"--{flag}: not an integer: {token!r}"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--mode", "greedy", "--graph", "{k6}"],
+    ["absorb", "verify", "--kind", "absorbing-set", "--graph", "{k6}", "--a", "0,1",
+     "--xi", "1/3"],
+], ids=["solve-greedy", "absorb-verify-absorbing-set"])
+def test_empty_pattern_is_a_usage_error(files, capsys, argv):
+    code, out, err = run_cli([a.format(**files) for a in argv]
+                             + ["--pattern", files["empty"]], capsys)
+    assert code == 64 and out == ""
+    assert json.loads(err) == {"error": "ValidationError", "detail": "empty pattern"}
 
 
 def test_absorb_cli(files, capsys):

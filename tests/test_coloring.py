@@ -5,7 +5,7 @@ import pytest
 
 from comptile import oracles, solver
 from comptile.coloring import (INFINITY, bottle_graph, chi_star, chromatic_number,
-                               d_set, enumerate_coloring_profiles, hcf_profile, sigma)
+                               enumerate_coloring_profiles)
 from comptile.errors import SizeCapError
 from comptile.graphs import (MultipartiteSpec, complete_graph, complete_multipartite,
                              cycle_graph, disjoint_union, path_graph)
@@ -28,19 +28,24 @@ def test_profile_examples():
 
 
 def test_sigma_and_d_set_examples():
-    assert sigma(complete_graph(3)) == 1
-    assert sigma(cycle_graph(4)) == 2
+    assert chi_star(complete_graph(3)).sigma == 1
+    assert chi_star(cycle_graph(4)).sigma == 2
     k112 = complete_multipartite(MultipartiteSpec((1, 1, 2)))[0]
-    assert sigma(k112) == 1
-    assert d_set(complete_graph(3)) == {0}
-    assert d_set(path_graph(3)) == {1}
-    assert d_set(k112) == {0, 1}
+    assert chi_star(k112).sigma == 1
+    assert chi_star(complete_graph(3)).d_set == {0}
+    assert chi_star(path_graph(3)).d_set == {1}
+    assert chi_star(k112).d_set == {0, 1}
+
+
+def _hcf(g):
+    prof = chi_star(g)
+    return prof.hcf_chi, prof.hcf_c, prof.hcf_is_one
 
 
 def test_hcf_examples():
-    assert hcf_profile(complete_graph(3)) == (INFINITY, 3, False)
-    assert hcf_profile(path_graph(3)) == (1, 3, False)
-    hc, cc, one = hcf_profile(disjoint_union(complete_graph(2), path_graph(3)))
+    assert _hcf(complete_graph(3)) == (INFINITY, 3, False)
+    assert _hcf(path_graph(3)) == (1, 3, False)
+    hc, cc, one = _hcf(disjoint_union(complete_graph(2), path_graph(3)))
     assert cc == 1 and one == (hc <= 2)
 
 
@@ -131,7 +136,7 @@ def test_multipartite_d_set_is_part_size_gap_set():
         g, _ = complete_multipartite(MultipartiteSpec(tuple(sizes)))
         ordered = sorted(sizes)
         want = {ordered[i + 1] - ordered[i] for i in range(len(ordered) - 1)}
-        assert d_set(g) == frozenset(want)
+        assert chi_star(g).d_set == frozenset(want)
 
 
 def test_coloring_cap():

@@ -1,15 +1,12 @@
-import random
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from comptile.errors import FormatError, ValidationError
 from comptile.graphs import (MAX_VERTICES, Graph, MultipartiteSpec, VertexPartition,
-                             common_neighborhood, complete_graph, complete_multipartite,
-                             components, cycle_graph, disjoint_union, empty_graph,
-                             format_graph, format_partition, parse_graph,
-                             parse_partition, path_graph)
+                             complete_graph, complete_multipartite, components,
+                             disjoint_union, empty_graph, format_graph, format_partition,
+                             parse_graph, parse_partition, path_graph)
 
 from .helpers import random_graph
 
@@ -55,28 +52,6 @@ def test_components_examples():
     g2 = disjoint_union(complete_graph(2), complete_graph(3))
     assert [len(c) for c in components(g2)] == [2, 3]
     assert components(empty_graph(4)) == [[0], [1], [2], [3]]
-
-
-def test_common_neighborhood_examples():
-    assert common_neighborhood(complete_graph(4), [0, 1]) == [2, 3]
-    assert common_neighborhood(cycle_graph(5), [0, 2]) == [1]
-    g = random_graph(9, 0.5, 3)
-    for v in range(g.n):
-        assert common_neighborhood(g, [v]) == g.neighbors(v)
-    with pytest.raises(ValidationError):
-        common_neighborhood(g, [])
-
-
-def test_common_neighborhood_lower_bound_property():
-    # |intersection of N(v_i)| >= sum |N(v_i)| - (k-1) n, 1000 random samples
-    rng = random.Random(42)
-    for _ in range(1000):
-        n = rng.randint(2, 30)
-        g = random_graph(n, rng.uniform(0.1, 0.95), rng.getrandbits(30))
-        k = rng.randint(1, min(4, n))
-        vs = rng.sample(range(n), k)
-        inter = len(common_neighborhood(g, vs))
-        assert inter >= sum(g.degree(v) for v in vs) - (k - 1) * n
 
 
 @given(st.integers(0, 2**30), st.integers(2, 12))

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from comptile.errors import ConsistencyError, ValidationError
+from comptile.errors import ValidationError
 from comptile.graphs import VertexPartition
 from comptile.lattice import (GeneratedLattice, _hnf_with_transform, find_transferral,
-                              index_vector, split_pos_neg, unit_vector)
+                              index_vector, unit_vector)
 from comptile.oracles import bounded_combination_membership
 
 from .helpers import combination
@@ -189,15 +189,3 @@ def test_transferral_scan_matches_per_pair_membership():
             rebuilt = tuple(sum(a * g[c] for a, g in zip(coeffs, gens))
                             for c in range(dim))
             assert rebuilt == diff
-
-
-def test_split_pos_neg():
-    s = split_pos_neg((1, -1))
-    assert s.p == (1, 0) and s.q == (0, 1) and s.c == 1
-    s = split_pos_neg((0, 0, 0))
-    assert s.p == s.q == (0, 0, 0) and s.c == 0
-    s = split_pos_neg((2, -1, -1), expect_balanced=True)
-    assert s.p == (2, 0, 0) and s.q == (0, 1, 1) and s.c == 2
-    with pytest.raises(ConsistencyError):
-        split_pos_neg((2, -1), expect_balanced=True)
-    assert split_pos_neg((2, -1)).p == (2, 0)

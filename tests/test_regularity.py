@@ -8,9 +8,8 @@ from comptile.errors import SizeCapError, ValidationError
 from comptile.graphs import Graph, MultipartiteSpec, complete_multipartite, cycle_graph
 from comptile.incompat import IncompatibilitySystem, random_bounded_system
 from comptile.oracles import raw_is_eps_regular
-from comptile.regularity import (check_degree_fact, check_partition_shape,
-                                 check_slicing, counting_experiment, density,
-                                 is_eps_regular_exhaustive, reduced_graph)
+from comptile.regularity import (counting_experiment, density, is_eps_regular_exhaustive,
+                                 reduced_graph)
 
 from .helpers import random_graph, random_system
 
@@ -172,44 +171,6 @@ def test_reduced_graph_c5_blowup():
     assert set(red.edges) >= {tuple(sorted(e)) for e in c5.edges()}
 
 
-def test_slicing_identity_and_gates():
-    g, part = complete_multipartite(MultipartiteSpec((6, 6)))
-    x, y = list(part.blocks[0]), list(part.blocks[1])
-    rep = check_slicing(g, x, y, x, y, Fraction(1, 4), Fraction(1, 2))
-    assert rep.applicable and rep.holds and rep.d_slice == rep.d_original
-    rep = check_slicing(g, x, y, x[:3], y[:3], Fraction(1, 4), Fraction(1, 2))
-    assert rep.applicable and rep.holds
-    # premise failure: pair not regular -> not applicable
-    m = bipartite_between(6, 6, [(i, i) for i in range(6)])
-    rep = check_slicing(m, list(range(6)), list(range(6, 12)),
-                        list(range(3)), list(range(6, 9)),
-                        Fraction(1, 4), Fraction(1, 2))
-    assert not rep.applicable
-    # eta <= eps is a premise failure too
-    rep = check_slicing(g, x, y, x, y, Fraction(1, 2), Fraction(1, 4))
-    assert not rep.applicable
-
-
-def test_degree_fact():
-    g, part = complete_multipartite(MultipartiteSpec((5, 5)))
-    x, y = list(part.blocks[0]), list(part.blocks[1])
-    rep = check_degree_fact(g, x, y, y, Fraction(1, 5), Fraction(1, 2))
-    assert rep.applicable and rep.holds and rep.violators == 0
-    rep = check_degree_fact(g, x, y, y[:1], Fraction(1, 5), Fraction(1, 2))
-    assert rep.applicable                         # |B| = 1 >= eps|Y| = 1
-    rep = check_degree_fact(g, x, y, [], Fraction(1, 5), Fraction(1, 2))
-    assert not rep.applicable
-    rng = random.Random(14)
-    for _ in range(25):
-        g = random_graph(12, rng.uniform(0.5, 0.95), rng.getrandbits(30))
-        xs, ys = list(range(6)), list(range(6, 12))
-        eps = Fraction(1, 3)
-        b = ys[:rng.randint(2, 6)]
-        rep = check_degree_fact(g, xs, ys, b, eps, Fraction(1, 4))
-        if rep.applicable:
-            assert rep.holds                      # the fact, checked instance-wise
-
-
 def test_counting_experiment():
     g, part = complete_multipartite(MultipartiteSpec((4, 4, 4)))
     blocks = [list(b) for b in part.blocks]
@@ -243,11 +204,3 @@ def test_counting_experiment_random_tripartite():
     rep = counting_experiment(g, f, blocks, MultipartiteSpec((1, 1, 1)))
     assert rep.c_observed > 0
 
-
-def test_partition_shape_validator():
-    ok = check_partition_shape(20, 2, [6, 6, 6], Fraction(3, 10))
-    assert ok.ok
-    bad = check_partition_shape(20, 8, [4, 4, 4], Fraction(1, 10))
-    assert not bad.ok and any("V_0" in p for p in bad.problems)
-    bad = check_partition_shape(20, 2, [6, 6, 5], Fraction(3, 10))
-    assert not bad.ok

@@ -8,9 +8,9 @@ from comptile.graphs import (Graph, MultipartiteSpec, complete_graph,
                              complete_multipartite, cycle_graph, empty_graph,
                              path_graph)
 from comptile.incompat import IncompatibilitySystem, random_bounded_system
-from comptile.solver import (FOUND, INDETERMINATE, NONE, Embedding,
+from comptile.solver import (FOUND, INDETERMINATE, NONE,
                              enumerate_compatible_copies, enumerate_transversal_copies,
-                             find_compatible_factor, good_pair, greedy_almost_tiling,
+                             find_compatible_factor, greedy_almost_tiling,
                              max_compatible_tiling, verify_tiling)
 
 from comptile.util import mask_of
@@ -256,20 +256,6 @@ def test_max_tiling_never_below_greedy():
         greedy = greedy_almost_tiling(k3, g, f, seed=0)
         best = max_compatible_tiling(k3, g, f)
         assert best.optimal and len(best.tiling) >= len(greedy)
-
-
-def test_good_pair_semantics():
-    k3 = complete_graph(3)
-    k5 = complete_graph(5)
-    emb = Embedding.from_phi(k3, (0, 1, 2))
-    f0 = IncompatibilitySystem.empty(k5)
-    assert good_pair(k5, f0, 3, emb)
-    f1 = IncompatibilitySystem(k5, [(3, 0, 1)])       # {3-0, 3-1} clash at 3
-    assert not good_pair(k5, f1, 3, emb)
-    f2 = IncompatibilitySystem(k5, [(0, 3, 1)])       # new edge 3-0 vs copy edge 0-1 at 0
-    assert not good_pair(k5, f2, 3, emb)
-    host = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (3, 0), (3, 1)])  # 3-2 missing
-    assert not good_pair(host, IncompatibilitySystem.empty(host), 3, emb)
 
 
 def test_triangle_deficit_bound_on_complete_hosts():
