@@ -27,6 +27,7 @@ glue into factor tilings of the whole by construction.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -170,6 +171,15 @@ class ConnectorSearch:
     expansions: int = 0
 
 
+def _check_connector_inputs(g: Graph, pattern: Graph, u: int, v: int, t: int, w_set=()):
+    """Usage errors of a connector search, rejected before it starts."""
+    _check_inputs(g, pattern, (u, v, *w_set))
+    if t < 1:
+        raise ValidationError(f"connector size parameter t must be >= 1, got {t}")
+    if u == v:
+        raise ValidationError("endpoints must differ")
+
+
 def find_connector(g: Graph, f: IncompatibilitySystem, pattern: Graph,
                    u: int, v: int, w_set=(), t: int = 1,
                    budget: int = solver.DEFAULT_BUDGET) -> ConnectorSearch:
@@ -187,22 +197,25 @@ def find_connector(g: Graph, f: IncompatibilitySystem, pattern: Graph,
     searches, which share what the enumeration left of ``budget``; a
     search that ends FOUND or NONE spent at most ``budget``.
     """
-    _check_inputs(g, pattern, (u, v, *w_set))
-    if t < 1:
-        raise ValidationError(f"connector size parameter t must be >= 1, got {t}")
-    if u == v:
-        raise ValidationError("endpoints must differ")
+    _check_connector_inputs(g, pattern, u, v, t, w_set)
     w_mask = mask_of(w_set)
     if w_mask >> u & 1 or w_mask >> v & 1:
         raise ValidationError("W must avoid the endpoints")
     pool = ((1 << g.n) - 1) & ~w_mask & ~(1 << v)
     enum = solver.enumerate_compatible_copies(pattern, g, f, budget=budget, pool=pool)
-    expansions = enum.expansions
     if enum.truncated:
-        return ConnectorSearch(solver.INDETERMINATE, None, expansions)
-    masks = [emb.mask for emb in enum.copies]
-    through_u = [msk for msk in masks if msk >> u & 1]
+        return ConnectorSearch(solver.INDETERMINATE, None, enum.expansions)
+    return _search_connector(g, f, pattern, u, v, t, [emb.mask for emb in enum.copies],
+                             enum.expansions, budget)
 
+
+def _search_connector(g: Graph, f: IncompatibilitySystem, pattern: Graph,
+                      u: int, v: int, t: int, masks: list, spent: int,
+                      budget: int) -> ConnectorSearch:
+    """``find_connector``'s candidate loop over the copy masks ``masks``
+    (canonical order, none containing v), after ``spent`` expansions."""
+    expansions = spent
+    through_u = [msk for msk in masks if msk >> u & 1]
     for j in range(1, t + 1):
         seen = set()
         # explicit stack: todo[d] holds the untried candidates for copy d,
@@ -279,7 +292,23 @@ def reachability_estimate(g: Graph, f: IncompatibilitySystem, pattern: Graph,
     `samples` seeded draws give SUPPORTED(k/k) at best.  A REFUTED verdict
     requires the inner connector search to have exhausted its space, so
     the witness is genuine; inner budget blowups surface as INDETERMINATE.
+
+    The host is enumerated once per call: the copies of G - v - W are
+    exactly the copies of G - v that miss W, so each W runs
+    ``find_connector``'s candidate loop over that filter of one
+    enumeration of G - v, in the same canonical order, and gets the same
+    answer as its own search would.  Each W is charged the whole shared
+    enumeration before its factor searches.  That is never less than its
+    own enumeration would cost, so a W that ends FOUND or NONE still
+    spent at most ``budget``; a truncated shared enumeration gives
+    INDETERMINATE with nothing checked.  This is more conservative than
+    a ``find_connector`` per W only at budgets that cover some W's own
+    enumeration plus its factor searches but not the host's enumeration
+    plus the same searches.
     """
+    _check_connector_inputs(g, pattern, u, v, t)
+    if m < 0:
+        raise ValidationError(f"m must be >= 0, got {m}")
     others = [x for x in range(g.n) if x not in (u, v)]
     if m > len(others):
         raise ValidationError(f"m = {m} exceeds the {len(others)} non-endpoint vertices")
@@ -287,8 +316,21 @@ def reachability_estimate(g: Graph, f: IncompatibilitySystem, pattern: Graph,
     exhaustive = population <= exhaustive_cap
     rng = random.Random(seed)
 
+    @functools.cache
+    def host_copies():
+        # made at the first W, so _for_every rejects bad samples before any search
+        enum = solver.enumerate_compatible_copies(pattern, g, f, budget=budget,
+                                                  pool=((1 << g.n) - 1) & ~(1 << v))
+        return enum, [emb.mask for emb in enum.copies]
+
     def has_connector(w_set):
-        status = find_connector(g, f, pattern, u, v, w_set, t, budget).status
+        enum, masks = host_copies()
+        if enum.truncated:
+            return None
+        w_mask = mask_of(w_set)
+        status = _search_connector(g, f, pattern, u, v, t,
+                                   [msk for msk in masks if not msk & w_mask],
+                                   enum.expansions, budget).status
         return None if status == solver.INDETERMINATE else status == solver.FOUND
 
     verdict, checked, witness = _for_every(
@@ -401,6 +443,8 @@ def robust_vectors(g: Graph, f: IncompatibilitySystem, pattern: Graph,
     covers all smaller W too (supersets only make deletion harder).
     """
     beta = Fraction(beta)
+    if not 0 <= beta <= 1:   # |W| > n would leave no W to check: a vacuous proof
+        raise ValidationError(f"beta must lie in [0, 1], got {beta}")
     w = frac_floor(beta * g.n)
     enum = solver.enumerate_compatible_copies(pattern, g, f, budget=budget)
     by_vector = {}

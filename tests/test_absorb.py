@@ -1,3 +1,8 @@
+import math
+import random
+from collections import Counter
+from itertools import combinations
+
 import pytest
 
 from comptile import absorb, solver
@@ -11,6 +16,8 @@ from comptile.incompat import IncompatibilitySystem, random_bounded_system
 from comptile.solver import Embedding
 
 from .helpers import random_graph
+
+DEFAULT_CAP = absorb.DEFAULT_EXHAUSTIVE_CAP
 
 K2 = complete_graph(2)
 K3 = complete_graph(3)
@@ -134,6 +141,78 @@ def test_reachability_ladder():
     assert rep.verdict == absorb.SUPPORTED and rep.checked == 5
 
 
+@pytest.mark.parametrize("pattern, u, v, m, t", [
+    (Graph(0, ()), 0, 1, 1, 1), (K2, 99, 1, 1, 1), (K2, 0, 6, 1, 1), (K2, -1, 1, 1, 1),
+    (K2, 2, 2, 1, 1), (K2, 0, 1, 1, 0), (K2, 0, 1, 1, -1), (K2, 0, 1, -1, 1),
+], ids=["empty-pattern", "u-high", "v-high", "u-negative", "u-equals-v", "t-zero",
+        "t-negative", "m-negative"])
+def test_reachability_rejects_bad_input_before_any_search(monkeypatch, pattern, u, v, m, t):
+    # a verdict here would be vacuous or claim a proven absence
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched before checking the input")
+
+    monkeypatch.setattr(solver, "enumerate_compatible_copies", no_search)
+    k6 = complete_graph(6)
+    with pytest.raises(ValidationError):
+        reachability_estimate(k6, empty(k6), pattern, u, v, m, t)
+
+
+def _reach_by_find_connector(g, f, pattern, u, v, m, t, samples, seed, exhaustive_cap):
+    """Reference: one full find_connector per W, the W in the quantifier's order."""
+    others = [x for x in range(g.n) if x not in (u, v)]
+    population = math.comb(len(others), m)
+    exhaustive = population <= exhaustive_cap
+    rng = random.Random(seed)
+    ws = (combinations(others, m) if exhaustive else
+          (tuple(sorted(rng.sample(others, m))) for _ in range(samples)))
+    total = population if exhaustive else None
+    checked = 0
+    for w_set in ws:
+        status = find_connector(g, f, pattern, u, v, w_set, t).status
+        if status == solver.INDETERMINATE:
+            return absorb.ReachReport(absorb.INDETERMINATE, checked, total)
+        if status == solver.NONE:
+            return absorb.ReachReport(absorb.REFUTED, checked, total, tuple(w_set))
+        checked += 1
+    return absorb.ReachReport(absorb.PROVEN if exhaustive else absorb.SUPPORTED,
+                              checked, total)
+
+
+def test_reachability_matches_a_find_connector_per_w():
+    rng = random.Random(9)
+    verdicts = Counter()
+    for i in range(70):
+        n = rng.randint(5, 11)
+        g = random_graph(n, rng.choice([.5, .7, .9]), rng.randrange(1 << 20))
+        f = random_bounded_system(g, rng.choice(["0", "1/8", "1/4"]), rng.randrange(1 << 20))
+        pattern, t = rng.choice([K2, K3]), rng.choice([1, 2])
+        m, cap = rng.randint(0, min(3, n - 2)), rng.choice([DEFAULT_CAP, 3])
+        u, v = rng.sample(range(n), 2)
+        args = (g, f, pattern, u, v, m, t)
+        rep = reachability_estimate(*args, samples=5, seed=i, exhaustive_cap=cap)
+        assert rep == _reach_by_find_connector(*args, 5, i, cap), (i, rep)
+        verdicts[rep.verdict] += 1
+    # both regimes, and REFUTED witnesses, are exercised
+    assert min(verdicts[v] for v in (absorb.PROVEN, absorb.SUPPORTED, absorb.REFUTED)) >= 5
+
+
+def test_reachability_budget_covers_the_shared_enumeration():
+    k8 = complete_graph(8)
+    f = empty(k8)
+    host = solver.enumerate_compatible_copies(K2, k8, f, pool=((1 << 8) - 1) & ~(1 << 1))
+    budget = host.expansions - 1
+    rep = reachability_estimate(k8, f, K2, 0, 1, 2, 1, budget=budget)
+    assert (rep.verdict, rep.checked, rep.witness) == (absorb.INDETERMINATE, 0, None)
+    # every W's own search decides at that budget: the regime where sharing is stricter
+    assert all(find_connector(k8, f, K2, 0, 1, w_set, 1, budget=budget).status == solver.FOUND
+               for w_set in combinations(range(2, 8), 2))
+    # each W pays for the shared enumeration before its factor searches
+    rep = reachability_estimate(k8, f, K2, 0, 1, 2, 1, budget=host.expansions + 1)
+    assert (rep.verdict, rep.checked) == (absorb.INDETERMINATE, 0)
+    rep = reachability_estimate(k8, f, K2, 0, 1, 2, 1, budget=host.expansions + 10)
+    assert (rep.verdict, rep.checked) == (absorb.PROVEN, 15)
+
+
 def test_concatenation_and_size_law():
     g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     c1 = Connector(0, 2, (1,), 1)
@@ -219,6 +298,15 @@ def test_robust_vectors_ladder():
     assert rep.vectors[(1, 1)].robust is False
     assert rep.vectors[(1, 1)].witness is not None
     assert rep.vectors[(2, 0)].robust is False
+
+
+@pytest.mark.parametrize("beta", [2, "-1/3"])
+def test_robust_vectors_reject_beta_outside_the_unit_interval(beta):
+    # beta=2 asks for |W| = 12 > n and used to prove every vector robust vacuously
+    k6 = complete_graph(6)
+    p = VertexPartition(6, ((0, 1), (2, 3), (4, 5)))
+    with pytest.raises(ValidationError, match="beta"):
+        robust_vectors(k6, empty(k6), K2, p, beta)
 
 
 @pytest.mark.parametrize("kind, s_set, a_set, u, v", [

@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -14,9 +15,11 @@ from comptile import cli
 from comptile.absorb import verify_connector
 from comptile.errors import ValidationError
 from comptile.graphs import Graph, complete_graph, complete_multipartite, cycle_graph
-from comptile.graphs import MultipartiteSpec, empty_graph, format_graph
-from comptile.incompat import IncompatibilitySystem, format_system
-from comptile.oracles import raw_compatible_copies, raw_factor_exists, raw_is_eps_regular
+from comptile.graphs import (MultipartiteSpec, empty_graph, format_graph, parse_graph,
+                             parse_partition)
+from comptile.incompat import IncompatibilitySystem, format_system, parse_system_any
+from comptile.oracles import (raw_chromatic_number, raw_compatible_copies, raw_factor_exists,
+                              raw_is_eps_regular)
 from comptile.solver import Embedding, Tiling, verify_embedding, verify_tiling
 from comptile.util import format_fraction, mask_of
 
@@ -375,6 +378,99 @@ def test_regcount_cli_fuzz(tmp_path, capsys, data):
         rep = json.loads(out)["regular"]
         assert (code, rep["regular"]) == (0 if regular else 1, regular)
         assert rep.get("witness") == (None if witness is None else list(map(list, witness)))
+
+
+def _is_complete_multipartite(g) -> bool:
+    """Non-adjacency is an equivalence relation: the complement is a union of cliques."""
+    apart = [[u != v and not g.has_edge(u, v) for v in range(g.n)] for u in range(g.n)]
+    return g.n > 0 and all(apart[u][w] for u, v, w in permutations(range(g.n), 3)
+                           if apart[u][v] and apart[v][w])
+
+
+# every complete multipartite pattern of 1-4 vertices, by part sizes
+_MULTIPARTITE_SIZES = [(1,), (2,), (3,), (4,), (1, 1), (1, 2), (1, 3), (2, 2),
+                       (1, 1, 1), (1, 1, 2), (1, 1, 1, 1)]
+# (part sizes, n, mu) that the komlos base builds; nearly all other draws are refused
+_BUILDABLE = [((1, 1), 18, "1/6"), ((2, 2), 24, "1/4"), ((1, 1, 1), 27, "1/5"),
+              ((1, 1, 2), 28, "1/6"), ((1, 1, 1, 1), 28, "1/7")]
+
+
+@st.composite
+def _construct_case(draw):
+    """(pattern, n, mu) for `construct`; one draw in three is a buildable case."""
+    if draw(st.integers(0, 2)) == 0:
+        sizes, n, mu = draw(st.sampled_from(_BUILDABLE))
+        return complete_multipartite(MultipartiteSpec(sizes))[0], n, mu
+    pattern = draw(st.one_of(st.sampled_from(_MULTIPARTITE_SIZES).map(
+        lambda sizes: complete_multipartite(MultipartiteSpec(sizes))[0]), _graphs(0, 4)))
+    mu = draw(st.sampled_from(["0", "-1/6", "1/3", "1/2", "1", "1/6", "1/8", "1/24"]))
+    return pattern, draw(st.integers(-3, 30)), mu
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(case=_construct_case(), base=st.sampled_from(["komlos", "ko"]),
+       budget=st.sampled_from([-1, 0, 50, 8000]))
+def test_construct_cli_fuzz(tmp_path, capsys, case, base, budget):
+    pattern, n, mu = case
+    pat = tmp_path / "construct.pattern"
+    pat.write_text(format_graph(pattern), encoding="ascii")
+    out_dir = tmp_path / "inst"
+    shutil.rmtree(out_dir, ignore_errors=True)
+    code, out, err = run_cli(["construct", "--pattern", str(pat), f"--n={n}", f"--mu={mu}",
+                              "--base", base, "--out", str(out_dir),
+                              f"--budget={budget}"], capsys)
+    assert code in {0, 1, 2, 64, 65, 66}, err
+    assert "Traceback" not in err
+    if not _is_complete_multipartite(pattern) or Fraction(mu) <= 0 or n <= 0:
+        assert code == 64
+    if code >= 64:
+        assert out == "" and "error" in json.loads(err)
+        return
+    assert code == 0
+    # the written instance parses back and its certificates hold
+    assert (out_dir / "certificates.json").read_text(encoding="ascii") == out
+    assert json.loads(out)["construct"]["certificates"]["all_hold"]
+    g = parse_graph((out_dir / "graph.txt").read_text(encoding="ascii"))
+    part = parse_partition((out_dir / "partition.txt").read_text(encoding="ascii"), g.n)
+    f = parse_system_any((out_dir / "incompat.txt").read_text(encoding="ascii"), g)
+    assert g.n == n and n % pattern.n == 0
+    assert part.n == n and f.bound_report().delta <= Fraction(mu) * n
+
+
+def _raw_chi_is_cheap(g, chi: int) -> bool:
+    # raw_chromatic_number tries all k^n assignments for k = 1..chi
+    return sum(k ** g.n for k in range(1, chi + 1)) <= 100_000
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(g=_graphs(0, 9), mangle=st.sampled_from([None, None, None, "count", "vertex"]))
+def test_invariants_cli_fuzz(tmp_path, capsys, g, mangle):
+    text = format_graph(g)
+    if mangle == "count":       # the header promises one edge more than the file has
+        text = f"{g.n} {g.m + 1}" + text[text.index("\n"):]
+    elif mangle == "vertex":    # an edge line leaves the graph
+        text = f"{g.n} {g.m + 1}" + text[text.index("\n"):] + f"0 {g.n}\n"
+    path = tmp_path / "invariants.graph"
+    path.write_text(text, encoding="ascii")
+    code, out, err = run_cli(["invariants", str(path)], capsys)
+    assert code in {0, 1, 2, 64, 65, 66}, err
+    assert "Traceback" not in err
+    if mangle:
+        assert code == 65
+    elif g.n == 0:
+        assert code == 64       # chi of the empty graph is undefined
+    if code >= 64:
+        assert out == "" and "error" in json.loads(err)
+        return
+    assert code == 0
+    body = json.loads(out)
+    assert (body["n"], body["m"]) == (g.n, g.m)
+    chi = body["invariants"]["chi"]
+    assert 1 <= chi <= g.n
+    if _raw_chi_is_cheap(g, chi):
+        assert chi == raw_chromatic_number(g)
 
 
 def test_cli_import_leaves_numpy_out():
