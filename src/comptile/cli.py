@@ -23,10 +23,10 @@ from .construct import detect_multipartite
 from .errors import ComptileError, FormatError
 from .graphs import (Graph, MultipartiteSpec, format_graph, format_partition,
                      parse_graph, parse_partition)
-from .incompat import (IncompatibilitySystem, format_system, parse_system_any,
+from .incompat import (IncompatibilitySystem, format_system, parse_system,
                        random_bounded_system, system_to_json)
 from .lattice import GeneratedLattice, find_transferral
-from .util import canonical_json, format_fraction, parse_fraction
+from .util import canonical_json, format_fraction, int_rows, parse_fraction
 
 EXIT_OK = 0
 EXIT_NONE = 1
@@ -69,7 +69,7 @@ def _load_graph(path: str) -> Graph:
 def _load_system(path, graph: Graph) -> IncompatibilitySystem:
     if path is None:
         return IncompatibilitySystem.empty(graph)
-    return parse_system_any(_read(path), graph)
+    return parse_system(_read(path), graph)
 
 
 def _report(args, payload: dict) -> str:
@@ -160,33 +160,8 @@ def _cmd_solve(args) -> int:
     return EXIT_OK if res.optimal else EXIT_INDETERMINATE
 
 
-def _parse_vertex_sets(text: str) -> list:
-    """Loose block list for regcount parts: one set per line, no cover demand."""
-    blocks = []
-    for ln in (raw.strip() for raw in text.splitlines()):
-        if not ln or ln.startswith("#"):
-            continue
-        try:
-            blocks.append([int(tok) for tok in ln.split()])
-        except ValueError as exc:
-            raise FormatError(f"bad vertex-set line {ln!r}") from exc
-    return blocks
-
-
-def _parse_vectors(text: str) -> list:
-    vecs = []
-    for ln in (raw.strip() for raw in text.splitlines()):
-        if not ln or ln.startswith("#"):
-            continue
-        try:
-            vecs.append(tuple(int(tok) for tok in ln.replace(",", " ").split()))
-        except ValueError as exc:
-            raise FormatError(f"bad vector line {ln!r}") from exc
-    return vecs
-
-
 def _cmd_lattice(args) -> int:
-    vecs = _parse_vectors(_read(args.generators))
+    vecs = int_rows(_read(args.generators), "vector", sep=",")
     if not vecs and args.dim is None:
         raise FormatError("empty generator file needs --dim")
     lat = GeneratedLattice(vecs, dim=args.dim)
@@ -265,7 +240,7 @@ def _cmd_regcount(args) -> int:
         _emit(args, {"reduced": {"k": red.k, "edges": [list(e) for e in red.edges]}})
         return EXIT_OK
     if args.action == "count":
-        blocks = _parse_vertex_sets(_read(args.parts))
+        blocks = int_rows(_read(args.parts), "vertex-set")
         f = _load_system(args.incompat, g)
         spec = MultipartiteSpec(tuple(_parse_ints(args.sizes, "sizes")))
         rep = regularity.counting_experiment(g, f, blocks[:spec.r],
@@ -273,7 +248,7 @@ def _cmd_regcount(args) -> int:
         _emit(args, {"count": rep.to_json_dict()})
         return EXIT_OK
     # sweep: c_observed across mu values, CSV on stdout or to --csv
-    blocks = _parse_vertex_sets(_read(args.parts))
+    blocks = int_rows(_read(args.parts), "vertex-set")
     spec = MultipartiteSpec(tuple(_parse_ints(args.sizes, "sizes")))
     rows = ["mu,total,compatible,c_observed"]
     for mu_text in args.mus.split(","):

@@ -39,7 +39,7 @@ from .util import bits, format_fraction
 
 INFINITY = float("inf")
 
-DEFAULT_COLORING_CAP = 12
+COLORING_CAP = 12
 
 # chi_star is meant for small patterns, which are few; the bound keeps a
 # long-lived process that profiles many graphs from holding all of them
@@ -141,16 +141,15 @@ def chromatic_number(g: Graph) -> int:
     return g.n  # unreachable; K_n colorable with n colors
 
 
-def enumerate_coloring_profiles(g: Graph, k: int, max_vertices: int = DEFAULT_COLORING_CAP,
-                                force: bool = False) -> frozenset:
+def enumerate_coloring_profiles(g: Graph, k: int, force: bool = False) -> frozenset:
     """Distinct sorted class-size multisets over proper k-colorings of g.
 
     Returns the empty set when k < chi(g) (no proper k-coloring exists);
     at k = chi(g) the result is never empty.
     """
-    if g.n > max_vertices and not force:
+    if g.n > COLORING_CAP and not force:
         raise SizeCapError(
-            f"coloring enumeration capped at {max_vertices} vertices "
+            f"coloring enumeration capped at {COLORING_CAP} vertices "
             f"(graph has {g.n}); pass force=True to override")
     if k < 1:
         raise ValidationError("need k >= 1")

@@ -312,8 +312,9 @@ def augment_and_incompat(spec: ConstructionSpec,
     graph = Graph(n, rows)
 
     part_windows = []
+    part_masks = base.partition.block_masks()
     for pi, block in enumerate(base.partition.blocks):
-        degs = [sum(1 for u, v in internal_edges[pi] if w in (u, v)) for w in block]
+        degs = [(graph.adj[w] & part_masks[pi]).bit_count() for w in block]
         lo, hi = min(degs), max(degs)
         if hi > max_bound:
             raise ValidationError(

@@ -6,7 +6,7 @@ bitmask per vertex, so the set algebra the enumeration kernels live on
 per word.  Graphs and partitions are immutable after construction and
 safe to share between concurrent readers; every function here is pure.
 
-Text formats (ASCII, LF-terminated):
+Text formats (ASCII, LF-terminated; blank and '#' lines are skipped):
 
     graph:      first line "n m", then m lines "u v" with 0 <= u < v < n
     partition:  one line per block, space-separated vertex ids
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FormatError, ValidationError
-from .util import bits, mask_of
+from .util import bits, int_rows, mask_of
 
 # Desk-scale contract: refuse graphs beyond this order at construction.
 MAX_VERTICES = 1 << 16
@@ -258,30 +258,15 @@ def format_graph(g: Graph) -> str:
 
 
 def parse_graph(text: str) -> Graph:
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln and not ln.startswith("#")]
-    if not lines:
+    rows = int_rows(text, "graph", 2)
+    if not rows:
         raise FormatError("empty graph file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise FormatError(f"expected header 'n m', got {lines[0]!r}")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise FormatError(f"non-integer header {lines[0]!r}") from exc
-    if len(lines) - 1 != m:
-        raise FormatError(f"header promises {m} edges, file has {len(lines) - 1}")
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise FormatError(f"bad edge line {ln!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise FormatError(f"non-integer edge line {ln!r}") from exc
-        if not (0 <= u < v < n):
-            raise FormatError(f"edge line {ln!r} violates 0 <= u < v < n")
-        edges.append((u, v))
+    (n, m), edges = rows[0], rows[1:]
+    if len(edges) != m:
+        raise FormatError(f"header promises {m} edges, file has {len(edges)}")
+    for u, v in edges:
+        if not 0 <= u < v < n:
+            raise FormatError(f"edge line '{u} {v}' violates 0 <= u < v < n")
     if len(set(edges)) != len(edges):
         raise FormatError("duplicate edge lines")
     return Graph.from_edges(n, edges)
@@ -292,15 +277,7 @@ def format_partition(p: VertexPartition) -> str:
 
 
 def parse_partition(text: str, n: int) -> VertexPartition:
-    blocks = []
-    for ln in (raw.strip() for raw in text.splitlines()):
-        if not ln or ln.startswith("#"):
-            continue
-        try:
-            blocks.append(tuple(int(tok) for tok in ln.split()))
-        except ValueError as exc:
-            raise FormatError(f"bad partition line {ln!r}") from exc
     try:
-        return VertexPartition(n, tuple(blocks))
+        return VertexPartition(n, int_rows(text, "partition"))
     except ValidationError as exc:
         raise FormatError(str(exc)) from exc

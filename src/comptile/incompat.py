@@ -11,7 +11,8 @@ The Delta-bound of a system is the maximum, over vertices v and edges e
 at v, of the number of other edges at v declared incompatible with e.
 
 File format: one line per pair, "v a b" meaning {va, vb} in F_v, ids
-0-based, '#' starts a comment.  JSON mirror: {"pairs": [[v, a, b], ...]}.
+0-based; blank and '#' lines are skipped.  JSON mirror: {"pairs": [[v, a, b],
+...]}; ``parse_system`` reads both.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fractions import Fraction
 
 from .errors import FormatError, ValidationError
 from .graphs import Graph
-from .util import bits
+from .util import bits, int_rows
 
 
 def edge_key(u: int, v: int) -> tuple:
@@ -34,11 +35,6 @@ def edge_key(u: int, v: int) -> tuple:
 @dataclass(frozen=True)
 class BoundReport:
     delta: int
-    per_vertex: dict  # v -> max partner count over edges at v
-
-    def to_json_dict(self) -> dict:
-        return {"delta": self.delta,
-                "per_vertex": {str(v): c for v, c in sorted(self.per_vertex.items())}}
 
 
 class IncompatibilitySystem:
@@ -130,10 +126,8 @@ class IncompatibilitySystem:
         return True, None
 
     def bound_report(self) -> BoundReport:
-        per_vertex = {v: max(m.bit_count() for m in row.values())
-                      for v, row in self.inc.items()}
-        delta = max(per_vertex.values(), default=0)
-        return BoundReport(delta, per_vertex)
+        return BoundReport(max((m.bit_count() for row in self.inc.values()
+                                for m in row.values()), default=0))
 
     def with_added(self, triples) -> "IncompatibilitySystem":
         return IncompatibilitySystem(self.graph, self.triples() + list(triples))
@@ -205,17 +199,25 @@ def format_system(f: IncompatibilitySystem) -> str:
 
 
 def parse_system(text: str, graph: Graph) -> IncompatibilitySystem:
-    triples = []
-    for ln in (raw.strip() for raw in text.splitlines()):
-        if not ln or ln.startswith("#"):
-            continue
-        parts = ln.split()
-        if len(parts) != 3:
-            raise FormatError(f"bad incompatibility line {ln!r}")
+    """Read the line format, or the JSON mirror when the first non-blank
+    character is '{'."""
+    if text.lstrip().startswith("{"):
         try:
-            triples.append(tuple(int(x) for x in parts))
-        except ValueError as exc:
-            raise FormatError(f"non-integer incompatibility line {ln!r}") from exc
+            pairs = json.loads(text)["pairs"]
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"bad incompatibility JSON: {exc}") from exc
+        except KeyError:
+            raise FormatError("incompatibility JSON must be an object with a 'pairs' key") from None
+        triples, row = [], pairs  # row: what to quote if pairs is not iterable
+        try:
+            for row in pairs:
+                triples.append(tuple(map(int, row)))
+                if len(triples[-1]) != 3:
+                    raise ValueError
+        except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: int(inf)
+            raise FormatError(f"bad incompatibility JSON pair {row!r}") from exc
+    else:
+        triples = int_rows(text, "incompatibility", 3)
     try:
         return IncompatibilitySystem(graph, triples)
     except ValidationError as exc:
@@ -224,30 +226,3 @@ def parse_system(text: str, graph: Graph) -> IncompatibilitySystem:
 
 def system_to_json(f: IncompatibilitySystem) -> dict:
     return {"pairs": [list(t) for t in f.triples()]}
-
-
-def system_from_json(obj, graph: Graph) -> IncompatibilitySystem:
-    if not isinstance(obj, dict) or "pairs" not in obj:
-        raise FormatError("incompatibility JSON must be an object with a 'pairs' key")
-    try:
-        triples = [tuple(int(x) for x in row) for row in obj["pairs"]]
-    except (TypeError, ValueError) as exc:
-        raise FormatError("incompatibility JSON pairs must be integer triples") from exc
-    if any(len(t) != 3 for t in triples):
-        raise FormatError("incompatibility JSON pairs must be integer triples")
-    try:
-        return IncompatibilitySystem(graph, triples)
-    except ValidationError as exc:
-        raise FormatError(str(exc)) from exc
-
-
-def parse_system_any(text: str, graph: Graph) -> IncompatibilitySystem:
-    """Accept either the line format or the JSON mirror."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"bad incompatibility JSON: {exc}") from exc
-        return system_from_json(obj, graph)
-    return parse_system(text, graph)

@@ -154,9 +154,6 @@ class GeneratedLattice:
             raise ConsistencyError("membership certificate failed to reproduce the target")
         return True, tuple(coeffs)
 
-    def __contains__(self, x) -> bool:
-        return self.membership(x)[0]
-
 
 def unit_vector(i: int, k: int) -> tuple:
     if not 0 <= i < k:

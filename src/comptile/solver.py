@@ -90,12 +90,6 @@ class CopyEnumeration:
     truncated: bool
     expansions: int
 
-    def __iter__(self):
-        return iter(self.copies)
-
-    def __len__(self):
-        return len(self.copies)
-
 
 @dataclass
 class FactorResult:
@@ -252,6 +246,17 @@ def _embed(g: Graph, f: IncompatibilitySystem, plan: _Plan, allowed: list,
         open_step(i, used)
 
 
+def _system_on(g: Graph, f: IncompatibilitySystem, pattern: Graph) -> IncompatibilitySystem:
+    """``f``, or the empty system on g when None, for a non-empty ``pattern``."""
+    if f is None:
+        f = IncompatibilitySystem.empty(g)
+    elif f.graph is not g and f.graph != g:
+        raise ValidationError("incompatibility system is bound to a different graph")
+    if pattern.n == 0:
+        raise ValidationError("empty pattern")
+    return f
+
+
 def enumerate_compatible_copies(pattern: Graph, g: Graph,
                                 f: IncompatibilitySystem = None,
                                 budget: int = DEFAULT_BUDGET,
@@ -263,12 +268,7 @@ def enumerate_compatible_copies(pattern: Graph, g: Graph,
     blown budget yields truncated=True; the copies found so far are still
     valid.
     """
-    if f is None:
-        f = IncompatibilitySystem.empty(g)
-    if f.graph is not g and f.graph != g:
-        raise ValidationError("incompatibility system is bound to a different graph")
-    if pattern.n == 0:
-        raise ValidationError("empty pattern")
+    f = _system_on(g, f, pattern)
     pool = _full_pool(g, pool)
     plan = _Plan(pattern, _pattern_order(pattern))
     # complete patterns: ascending images kill the automorphisms
@@ -304,8 +304,8 @@ def enumerate_transversal_copies(spec: MultipartiteSpec, g: Graph,
     would leave another class with nowhere adjacent to sit), so choosing
     an ascending h_i-subset per part enumerates every copy exactly once.
     """
-    if f is None:
-        f = IncompatibilitySystem.empty(g)
+    pattern, _ = complete_multipartite(spec)
+    f = _system_on(g, f, pattern)
     if parts is None or len(parts) != spec.r:
         raise ValidationError("need one vertex set per pattern part")
     parts = [sorted(set(p)) for p in parts]
@@ -321,7 +321,6 @@ def enumerate_transversal_copies(spec: MultipartiteSpec, g: Graph,
             return CopyEnumeration([], False, 0)
 
     # pattern vertices are numbered part by part; place them in that order
-    pattern, _ = complete_multipartite(spec)
     plan = _Plan(pattern, list(range(pattern.n)))
     allowed = [m for m, h_i in zip(masks, spec.sizes) for _ in range(h_i)]
     ascending = [j > 0 for h_i in spec.sizes for j in range(h_i)]
@@ -497,10 +496,7 @@ def find_compatible_factor(pattern: Graph, g: Graph,
     INDETERMINATE only ever means the budget ran out, either during copy
     enumeration or during the cover search.
     """
-    if f is None:
-        f = IncompatibilitySystem.empty(g)
-    if pattern.n == 0:
-        raise ValidationError("empty pattern")
+    f = _system_on(g, f, pattern)
     full = _full_pool(g, pool)
     if full.bit_count() % pattern.n != 0:
         return FactorResult(NONE, reason="divisibility")
@@ -542,10 +538,7 @@ def greedy_almost_tiling(pattern: Graph, g: Graph,
     marked dead; when every vertex is covered or dead the tiling is
     maximal.
     """
-    if pattern.n == 0:
-        raise ValidationError("empty pattern")
-    if f is None:
-        f = IncompatibilitySystem.empty(g)
+    f = _system_on(g, f, pattern)
     rng = random.Random(seed)
     priority = list(range(g.n))
     rng.shuffle(priority)
@@ -586,8 +579,7 @@ def max_compatible_tiling(pattern: Graph, g: Graph,
     optimality flag is True only when the search completed in budget.
     The search keeps an explicit stack, one node per decided vertex.
     """
-    if f is None:
-        f = IncompatibilitySystem.empty(g)
+    f = _system_on(g, f, pattern)
     enum = enumerate_compatible_copies(pattern, g, f, budget=budget)
     rows = enum.copies
     row_masks, rows_at, _ = _row_index(rows, g.n)

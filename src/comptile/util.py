@@ -1,4 +1,5 @@
-"""Small shared helpers: bitmask iteration, exact rationals, canonical JSON."""
+"""Small shared helpers: bitmask iteration, exact rationals, integer text
+rows, canonical JSON."""
 
 from __future__ import annotations
 
@@ -36,6 +37,28 @@ def parse_fraction(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"not a rational number: {text!r}") from exc
+
+
+def int_rows(text: str, what: str, width: int = None, sep: str = None) -> list:
+    """One tuple of ints per line of ``text``; blank and '#' lines are skipped.
+
+    Tokens are separated by whitespace, and by ``sep`` too when given.  A
+    non-integer token, or a row whose length is not ``width`` when one is
+    given, raises FormatError quoting the line.
+    """
+    rows = []
+    for ln in text.splitlines():
+        ln = ln.strip()
+        if not ln or ln[0] == "#":
+            continue
+        try:
+            row = tuple(map(int, (ln.replace(sep, " ") if sep else ln).split()))
+            if width is not None and len(row) != width:
+                raise ValueError
+        except ValueError:
+            raise FormatError(f"bad {what} line {ln!r}") from None
+        rows.append(row)
+    return rows
 
 
 def format_fraction(x: Fraction) -> str:

@@ -17,7 +17,7 @@ from comptile.errors import ValidationError
 from comptile.graphs import Graph, complete_graph, complete_multipartite, cycle_graph
 from comptile.graphs import (MultipartiteSpec, empty_graph, format_graph, parse_graph,
                              parse_partition)
-from comptile.incompat import IncompatibilitySystem, format_system, parse_system_any
+from comptile.incompat import IncompatibilitySystem, format_system, parse_system
 from comptile.oracles import (raw_chromatic_number, raw_compatible_copies, raw_factor_exists,
                               raw_is_eps_regular)
 from comptile.solver import Embedding, Tiling, verify_embedding, verify_tiling
@@ -433,7 +433,7 @@ def test_construct_cli_fuzz(tmp_path, capsys, case, base, budget):
     assert json.loads(out)["construct"]["certificates"]["all_hold"]
     g = parse_graph((out_dir / "graph.txt").read_text(encoding="ascii"))
     part = parse_partition((out_dir / "partition.txt").read_text(encoding="ascii"), g.n)
-    f = parse_system_any((out_dir / "incompat.txt").read_text(encoding="ascii"), g)
+    f = parse_system((out_dir / "incompat.txt").read_text(encoding="ascii"), g)
     assert g.n == n and n % pattern.n == 0
     assert part.n == n and f.bound_report().delta <= Fraction(mu) * n
 
@@ -591,6 +591,50 @@ def test_regcount_cli(files, capsys):
     assert lines[0] == "mu,total,compatible,c_observed" and len(lines) == 3
 
 
+# (argv with FILE for the input, the file, the file with blank and comment
+# lines, the file with a non-integer token, how the error quotes that token)
+_LINE_GRAMMAR_CASES = {
+    "graph": (["invariants", "FILE"], "3 3\n0 1\n0 2\n1 2\n",
+              "# K3\n3 3\n\n0 1\n  # edges\n0 2\n1 2\n\n", "3 3\n0 1\n0 x\n1 2\n",
+              "'0 x'"),
+    "partition": (["regcount", "reduced", "--graph", "k6", "--parts", "FILE", "--d", "1/2"],
+                  "0 1\n2 3\n4 5\n", "#parts\n0 1\n\n2 3\n\t\n4 5\n",
+                  "0 1\n2 3x\n4 5\n", "'2 3x'"),
+    "system": (["solve", "--pattern", "k3", "--graph", "k6", "--incompat", "FILE",
+                "--mode", "count"], "0 1 2\n3 4 5\n", "\n# F_0\n0 1 2\n # F_3\n3 4 5\n",
+               "0 1 2\n3 4 -\n", "'3 4 -'"),
+    # JSON has no comment lines; blank lines are JSON whitespace
+    "system-json": (["solve", "--pattern", "k3", "--graph", "k6", "--incompat", "FILE",
+                     "--mode", "count"], '{"pairs": [[0, 1, 2], [3, 4, 5]]}',
+                    '\n{"pairs": [[0, 1, 2],\n\n[3, 4, 5]]}\n\n',
+                    '{"pairs": [[0, 1, 2], [3, 4, "x"]]}', "[3, 4, 'x']"),
+    "vertex-sets": (["regcount", "count", "--graph", "k6", "--parts", "FILE", "--sizes", "1,1"],
+                    "0 1\n2 3\n", "0 1\n# second part\n\n2 3\n", "0 1\n2 3.0\n",
+                    "'2 3.0'"),
+    "generators": (["lattice", "--generators", "FILE", "--target", "1,-1"], "1,2\n2,1\n",
+                   "1,2\n\n#1,1\n2,1\n", "1,2\n2,one\n", "'2,one'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LINE_GRAMMAR_CASES))
+def test_line_grammar_is_shared_by_every_input(files, capsys, case):
+    argv, plain, noisy, bad, quoted = _LINE_GRAMMAR_CASES[case]
+    path = files["tmp"] / f"{case}.txt"
+    argv = [str(path) if a == "FILE" else files.get(a, a) for a in argv]
+    outs = []
+    for text in (plain, noisy):
+        path.write_text(text, encoding="ascii")
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0, err
+        outs.append(out)
+    assert outs[0] == outs[1]
+    path.write_text(bad, encoding="ascii")
+    code, out, err = run_cli(argv, capsys)
+    report = json.loads(err)
+    assert code == 65 and out == "" and report["error"] == "parse"
+    assert quoted in report["detail"]
+
+
 def test_error_exit_codes(files, capsys, tmp_path):
     code, _, err = run_cli(["invariants", str(tmp_path / "missing.graph")], capsys)
     assert code == 66 and json.loads(err)["error"] == "io"
@@ -622,10 +666,10 @@ def test_construct_cli_writes_artifacts(files, capsys, tmp_path):
     assert cert["construct"]["certificates"]["all_hold"]
     # the emitted files reload into a consistent instance
     from comptile.graphs import parse_graph, parse_partition
-    from comptile.incompat import parse_system_any
+    from comptile.incompat import parse_system
     g = parse_graph((out_dir / "graph.txt").read_text())
     part = parse_partition((out_dir / "partition.txt").read_text(), g.n)
-    f = parse_system_any((out_dir / "incompat.txt").read_text(), g)
+    f = parse_system((out_dir / "incompat.txt").read_text(), g)
     assert part.k == 3 and f.bound_report().delta == 4
 
 

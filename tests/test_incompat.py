@@ -6,7 +6,7 @@ import pytest
 from comptile.errors import FormatError, ValidationError
 from comptile.graphs import Graph, complete_graph, cycle_graph
 from comptile.incompat import (IncompatibilitySystem, count_bad_pairs_at, format_system,
-                               parse_system_any, random_bounded_system, system_to_json)
+                               parse_system, random_bounded_system, system_to_json)
 
 from .helpers import random_graph, random_system
 
@@ -142,19 +142,25 @@ def test_file_roundtrip_and_json():
     g = complete_graph(5)
     f = random_system(g, 6, 4)
     text = format_system(f)
-    again = parse_system_any(text, g)
+    again = parse_system(text, g)
     assert again.triples() == f.triples()
     blob = system_to_json(f)
     import json
-    again2 = parse_system_any(json.dumps(blob), g)
+    again2 = parse_system(json.dumps(blob), g)
     assert again2.triples() == f.triples()
     with pytest.raises(FormatError):
-        parse_system_any("0 1\n", g)
+        parse_system("0 1\n", g)
     with pytest.raises(FormatError):
-        parse_system_any('{"pairs": [[0, 1]]}', g)
+        parse_system('{"pairs": [[0, 1]]}', g)
 
 
 def test_comment_lines_ignored():
     g = complete_graph(3)
-    f = parse_system_any("# header\n0 1 2\n", g)
+    f = parse_system("# header\n0 1 2\n", g)
     assert f.triples() == [(0, 1, 2)]
+
+
+def test_json_pair_that_overflows_int_is_a_format_error():
+    # JSON reads 1e999 as float infinity, which int() refuses with OverflowError
+    with pytest.raises(FormatError, match=r"JSON pair \[inf, 1, 2\]"):
+        parse_system('{"pairs": [[1e999, 1, 2]]}', complete_graph(3))

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from comptile import oracles
+from comptile.errors import ValidationError
 from comptile.graphs import (Graph, MultipartiteSpec, complete_graph,
                              complete_multipartite, cycle_graph, empty_graph,
                              path_graph)
@@ -234,6 +235,22 @@ def test_greedy_tiling_maximal_and_seeded():
     # empty host: nothing covered
     t0 = greedy_almost_tiling(k2, empty_graph(6), None, seed=0)
     assert len(t0) == 0 and len(t0.uncovered(empty_graph(6))) == 6
+
+
+def test_entry_points_reject_a_system_bound_to_another_graph():
+    k3, k4 = complete_graph(3), complete_graph(4)
+    k6 = complete_graph(6)
+    full = IncompatibilitySystem(k6, [(v, a, b) for v in range(6) for a in range(6)
+                                      for b in range(a + 1, 6) if v not in (a, b)])
+    calls = [lambda: greedy_almost_tiling(k3, k4, full),
+             lambda: enumerate_transversal_copies(MultipartiteSpec((1, 1, 1)), k4, full,
+                                                  [[0], [1], [2, 3]]),
+             lambda: enumerate_compatible_copies(k3, k4, full),
+             lambda: find_compatible_factor(k3, k4, full),
+             lambda: max_compatible_tiling(k3, k4, full)]
+    for call in calls:
+        with pytest.raises(ValidationError, match="bound to a different graph"):
+            call()
 
 
 def test_max_tiling_examples():
