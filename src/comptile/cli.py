@@ -231,6 +231,8 @@ def _cmd_regcount(args) -> int:
             d_min=None if args.d is None else parse_fraction(args.d))
         _emit(args, {"regular": rep.to_json_dict()})
         return EXIT_OK if rep.regular else EXIT_NONE
+    if args.parts is None:
+        raise _UsageError(f"regcount {args.action} needs --parts")
     if args.action == "reduced":
         if args.d is None:
             raise _UsageError("regcount reduced needs --d")

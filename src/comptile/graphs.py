@@ -23,14 +23,19 @@ from .util import bits, int_rows, mask_of
 MAX_VERTICES = 1 << 16
 
 
+def _check_order(n: int):
+    """Refuse a vertex count beyond the cap before anything is sized by it."""
+    if n < 0 or n > MAX_VERTICES:
+        raise ValidationError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
+
+
 class Graph:
     """Immutable undirected simple graph on vertices 0..n-1."""
 
     __slots__ = ("n", "adj", "_m")
 
     def __init__(self, n: int, adj):
-        if n < 0 or n > MAX_VERTICES:
-            raise ValidationError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
+        _check_order(n)
         adj = tuple(adj)
         if len(adj) != n:
             raise ValidationError(f"expected {n} adjacency rows, got {len(adj)}")
@@ -55,6 +60,7 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
+        _check_order(n)
         rows = [0] * n
         for u, v in edges:
             if u == v:
@@ -189,6 +195,7 @@ def complete_multipartite(spec: MultipartiteSpec) -> tuple:
     consecutive ranges in the given order).
     """
     n = spec.total
+    _check_order(n)
     blocks = []
     start = 0
     for s in spec.sizes:
@@ -210,6 +217,7 @@ def complete_graph(k: int) -> Graph:
 
 
 def empty_graph(n: int) -> Graph:
+    _check_order(n)
     return Graph(n, (0,) * n)
 
 
@@ -262,6 +270,8 @@ def parse_graph(text: str) -> Graph:
     if not rows:
         raise FormatError("empty graph file")
     (n, m), edges = rows[0], rows[1:]
+    if not 0 <= n <= MAX_VERTICES:
+        raise FormatError(f"header names {n} vertices, outside [0, {MAX_VERTICES}]")
     if len(edges) != m:
         raise FormatError(f"header promises {m} edges, file has {len(edges)}")
     for u, v in edges:

@@ -132,6 +132,26 @@ def raw_factor_exists(pattern: Graph, g: Graph,
     return rec(0, 0)
 
 
+def raw_max_tiling(pattern: Graph, g: Graph,
+                   f: IncompatibilitySystem = None) -> int:
+    """Most vertex-disjoint compatible copies, by visiting every set of
+    pairwise disjoint vertex sets of raw copies.  Meant for hosts of at
+    most about 10 vertices.
+    """
+    sets = sorted({verts for verts, _ in raw_compatible_copies(pattern, g, f)})
+    best = 0
+
+    def rec(start: int, used: frozenset, size: int):
+        nonlocal best
+        best = max(best, size)
+        for i in range(start, len(sets)):
+            if used.isdisjoint(sets[i]):
+                rec(i + 1, used.union(sets[i]), size + 1)
+
+    rec(0, frozenset(), 0)
+    return best
+
+
 def bounded_combination_membership(generators, target, bound: int = 4):
     """Is target a sum of generators with every |coefficient| <= bound?
 

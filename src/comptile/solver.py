@@ -3,7 +3,9 @@
 Copies are counted as subgraphs: two embeddings with the same image
 vertex set and the same image edge set are one copy, matching how the
 counting arguments treat them.  Enumeration is backtracking over an
-adjacency-pruned, compatibility-pruned search tree; the factor decision
+adjacency-pruned, compatibility-pruned search tree that finds each copy
+once: symmetry-breaking conditions (Grochow-Kellis, RECOMB 2007) admit
+exactly one of the |Aut(H)| embeddings of every copy.  The factor decision
 is exact-cover search (rows = compatible copies, columns = vertices)
 branching on the uncovered vertex with the fewest admissible copies.
 Both exact searches read one row index: per vertex, the bitmask of the
@@ -28,6 +30,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import BudgetExceeded, ValidationError
 from .graphs import Graph, MultipartiteSpec, complete_multipartite
@@ -39,6 +42,10 @@ NONE = "none"
 INDETERMINATE = "indeterminate"
 
 DEFAULT_BUDGET = 5_000_000
+
+# search plans are cached per pattern: patterns are few and small, and
+# deriving a plan's symmetry conditions costs more than a tiny search
+PLAN_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -132,10 +139,6 @@ def _pattern_order(h: Graph) -> list:
     return order
 
 
-def _is_complete(h: Graph) -> bool:
-    return h.m == h.n * (h.n - 1) // 2
-
-
 class _Plan:
     """A pattern placed one vertex per step in ``order``.
 
@@ -176,12 +179,12 @@ class _Work:
 
 
 def _embed(g: Graph, f: IncompatibilitySystem, plan: _Plan, allowed: list,
-           ascending: list, work: _Work, rank: list = None):
+           below: list, work: _Work, rank: list = None):
     """Yield the host image of every compatible placement of ``plan``.
 
     Step i puts its pattern vertex on an unused host vertex of
-    ``allowed[i]`` adjacent to the images of ``plan.preds[i]`` and, when
-    ``ascending[i]``, above the previous step's image.  Candidates are
+    ``allowed[i]`` adjacent to the images of ``plan.preds[i]`` and above
+    the images of the earlier steps ``below[i]``.  Candidates are
     tried by ascending id, or by ascending ``rank[v]``; each one tried
     spends one unit of ``work`` before its compatibility test.  The
     yielded list is reused; copy it before resuming.
@@ -210,8 +213,8 @@ def _embed(g: Graph, f: IncompatibilitySystem, plan: _Plan, allowed: list,
             if row and near[p]:
                 for y in bits(near[p]):
                     block |= row.get(y, 0)
-        if ascending[i]:
-            cands &= -1 << (img[i - 1] + 1)
+        for j in below[i]:
+            cands &= -1 << (img[j] + 1)
         new_near[i], blocked[i] = nn, block
         todo[i] = bits(cands) if rank is None else \
             iter(sorted(bits(cands), key=rank.__getitem__))
@@ -246,6 +249,72 @@ def _embed(g: Graph, f: IncompatibilitySystem, plan: _Plan, allowed: list,
         open_step(i, used)
 
 
+def _symmetry_conditions(pattern: Graph, plan: _Plan, order: list,
+                         classes: list) -> list:
+    """Per step, the earlier steps whose images must lie below its image.
+
+    The automorphisms counted are those that map every pattern vertex u
+    into ``classes[u]`` (a vertex mask).  Walking the steps in plan order,
+    step i's vertex v gets the condition img(v) < img(w) for every other w
+    in its orbit under the automorphisms that fix the vertices of steps
+    0..i-1.  Each such w belongs to a later step, since the earlier ones
+    are fixed, and a vertex whose orbit is trivial adds no condition: this
+    is Grochow and Kellis's rule with vertices fixed in plan order.  Of
+    the automorphic images phi o sigma of one embedding, exactly one meets
+    every condition (their stabiliser-chain argument), so each copy is
+    found once.
+
+    "w is in v's orbit" is one search for an automorphism, an embedding of
+    the pattern into itself with steps 0..i-1 pinned and v sent to w, so
+    the group is never enumerated.  Only the transitive reduction of the
+    conditions is kept: a clique's rule is one ascending chain.
+    """
+    k = pattern.n
+    f = IncompatibilitySystem.empty(pattern)
+    unconditioned = [()] * k
+    work = _Work(math.inf)
+    lower = [0] * k    # lower[b]: bitmask of the steps a with img(a) < img(b)
+    fixed = 0
+    for i, v in enumerate(order):
+        pinned = [1 << u for u in order[:i]]
+        rest = [classes[u] for u in order[i + 1:]]
+        fixed |= 1 << v
+        for w in bits(classes[v] & ~fixed):
+            allowed = pinned + [1 << w] + rest
+            sigma = next(_embed(pattern, f, plan, allowed, unconditioned, work), None)
+            if sigma is not None:
+                lower[plan.pos[w]] |= 1 << i
+    reach = [0] * k    # every step transitively below b
+    below = []
+    for b in range(k):
+        implied = 0
+        for a in bits(lower[b]):
+            reach[b] |= 1 << a | reach[a]
+            implied |= reach[a]
+        below.append(tuple(bits(lower[b] & ~implied)))
+    return tuple(below)
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _search_plan(pattern: Graph, sizes: tuple = None) -> tuple:
+    """(plan, below) for enumerating ``pattern``, each copy once.
+
+    Without ``sizes`` the plan follows ``_pattern_order`` and every
+    automorphism counts.  With ``sizes``, ``pattern`` is K(sizes) numbered
+    part by part; it is placed in that order, and only the automorphisms
+    that keep every part in place count.
+    """
+    full = (1 << pattern.n) - 1
+    if sizes is None:
+        order, classes = _pattern_order(pattern), [full] * pattern.n
+    else:
+        order, classes = list(range(pattern.n)), []
+        for h_i in sizes:
+            classes += [((1 << h_i) - 1) << len(classes)] * h_i
+    plan = _Plan(pattern, order)
+    return plan, _symmetry_conditions(pattern, plan, order, classes)
+
+
 def _system_on(g: Graph, f: IncompatibilitySystem, pattern: Graph) -> IncompatibilitySystem:
     """``f``, or the empty system on g when None, for a non-empty ``pattern``."""
     if f is None:
@@ -263,6 +332,7 @@ def enumerate_compatible_copies(pattern: Graph, g: Graph,
                                 pool: int = None) -> CopyEnumeration:
     """Every compatible copy of ``pattern`` in ``g``, one per image subgraph.
 
+    The search finds each copy once (see ``_symmetry_conditions``).
     ``pool`` restricts image vertices to a bitmask.  Copies come back in
     canonical order (sorted image vertices, then sorted image edges).  A
     blown budget yields truncated=True; the copies found so far are still
@@ -270,22 +340,13 @@ def enumerate_compatible_copies(pattern: Graph, g: Graph,
     """
     f = _system_on(g, f, pattern)
     pool = _full_pool(g, pool)
-    plan = _Plan(pattern, _pattern_order(pattern))
-    # complete patterns: ascending images kill the automorphisms
-    clique = _is_complete(pattern)
-    ascending = [clique and i > 0 for i in range(pattern.n)]
+    plan, below = _search_plan(pattern)
     work = _Work(budget)
-    seen = set()
     out = []
     truncated = False
     try:
-        for img in _embed(g, f, plan, [pool] * pattern.n, ascending, work):
-            emb = plan.copy(img)
-            if clique:
-                out.append(emb)
-            elif emb.key not in seen:
-                seen.add(emb.key)
-                out.append(emb)
+        for img in _embed(g, f, plan, [pool] * pattern.n, below, work):
+            out.append(plan.copy(img))
     except BudgetExceeded:
         truncated = True
     out.sort(key=lambda e: e.key)
@@ -301,8 +362,9 @@ def enumerate_transversal_copies(spec: MultipartiteSpec, g: Graph,
 
     Only cross-part edges exist in the restriction, which forces the
     pattern classes to align with the parts (a class split over two parts
-    would leave another class with nowhere adjacent to sit), so choosing
-    an ascending h_i-subset per part enumerates every copy exactly once.
+    would leave another class with nowhere adjacent to sit).  The symmetry
+    rule over the automorphisms that keep each class in its part then
+    makes every part's images ascend, so each copy is found once.
     """
     pattern, _ = complete_multipartite(spec)
     f = _system_on(g, f, pattern)
@@ -320,15 +382,13 @@ def enumerate_transversal_copies(spec: MultipartiteSpec, g: Graph,
         if len(p) < h_i:
             return CopyEnumeration([], False, 0)
 
-    # pattern vertices are numbered part by part; place them in that order
-    plan = _Plan(pattern, list(range(pattern.n)))
+    plan, below = _search_plan(pattern, spec.sizes)
     allowed = [m for m, h_i in zip(masks, spec.sizes) for _ in range(h_i)]
-    ascending = [j > 0 for h_i in spec.sizes for j in range(h_i)]
     work = _Work(budget)
     out = []
     truncated = False
     try:
-        for img in _embed(g, f, plan, allowed, ascending, work):
+        for img in _embed(g, f, plan, allowed, below, work):
             out.append(plan.copy(img))
     except BudgetExceeded:
         truncated = True
@@ -545,8 +605,8 @@ def greedy_almost_tiling(pattern: Graph, g: Graph,
     rank = [0] * g.n
     for i, v in enumerate(priority):
         rank[v] = i
-    plan = _Plan(pattern, _pattern_order(pattern))
-    ascending = [False] * pattern.n
+    plan, _ = _search_plan(pattern)
+    unconditioned = [()] * pattern.n
     work = _Work(math.inf)
     pool = (1 << g.n) - 1
     embs = []
@@ -557,7 +617,7 @@ def greedy_almost_tiling(pattern: Graph, g: Graph,
         for step in range(pattern.n):
             allowed = [pool & ~(1 << anchor)] * pattern.n
             allowed[step] = 1 << anchor
-            img = next(_embed(g, f, plan, allowed, ascending, work, rank), None)
+            img = next(_embed(g, f, plan, allowed, unconditioned, work, rank), None)
             if img is not None:
                 break
         if img is None:

@@ -1,4 +1,5 @@
 import json
+import resource
 import shutil
 import subprocess
 import sys
@@ -352,16 +353,20 @@ def test_regcount_cli_fuzz(tmp_path, capsys, data):
     eps = data.draw(st.sampled_from(["1/4", "1/2", "1", "0", "-1/3", "x", "3/2",
                                      "100000000000000000000", "1/1000000", "1/1000001"]))
     argv = ["regcount", action, "--graph", graph, f"--x={_csv(x)}", f"--y={_csv(y)}",
-            f"--eps={eps}",
-            "--parts", str(parts), "--incompat", inc, "--mus=1/10,1/4",
+            f"--eps={eps}", "--incompat", inc, "--mus=1/10,1/4",
             f"--sizes={_csv(data.draw(st.lists(st.integers(-1, 2), max_size=3)))}",
             f"--budget={data.draw(st.sampled_from([0, 50, 100_000]))}"]
+    with_parts = data.draw(st.booleans())
+    if with_parts:
+        argv += ["--parts", str(parts)]
     d = data.draw(st.sampled_from([None, "0", "1/2", "2"]))
     if d is not None:
         argv.append(f"--d={d}")
     code, out, err = run_cli(argv, capsys)
     assert code in {0, 1, 2, 64, 65, 66}, err
     assert "Traceback" not in err
+    if action in ("reduced", "count", "sweep") and not with_parts:
+        assert code == 64
     if action in ("density", "regular") and not all(0 <= v < g.n for v in x + y):
         assert code in {64, 65}     # 65 when --eps fails to parse first
     if action == "regular" and eps == "1/1000001":
@@ -589,6 +594,46 @@ def test_regcount_cli(files, capsys):
     assert code == 0
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "mu,total,compatible,c_observed" and len(lines) == 3
+
+
+@pytest.mark.parametrize("action", ["reduced", "count", "sweep"])
+def test_regcount_without_parts_is_a_usage_error(files, capsys, action):
+    code, out, err = run_cli(["regcount", action, "--graph", files["k6"],
+                              "--sizes", "1,1", "--d", "1/2"], capsys)
+    assert code == 64 and out == ""
+    assert json.loads(err) == {"error": "usage", "detail": f"regcount {action} needs --parts"}
+
+
+# A child's address-space cap: room for the interpreter and numpy with one
+# BLAS thread, far below what the oversized inputs below would allocate.
+_CHILD_ADDRESS_SPACE = 512 << 20
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (_CHILD_ADDRESS_SPACE, _CHILD_ADDRESS_SPACE))
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["invariants", "{huge}"], 65),
+    (["solve", "--pattern", "{k2}", "--graph", "{huge}"], 65),
+    (["regcount", "count", "--graph", "{k2}", "--parts", "{parts}",
+      "--sizes", "100000000,1"], 64),
+], ids=["graph-header", "solve-host-header", "pattern-sizes"])
+def test_oversized_inputs_are_refused_before_allocating(files, argv, code):
+    # the cap applies to the child only; an allocation sized by the input
+    # would end in MemoryError (exit 70) under it
+    tmp = files["tmp"]
+    (tmp / "huge.graph").write_text("1000000000 0\n", encoding="ascii")
+    (tmp / "parts.txt").write_text("0\n1\n", encoding="ascii")
+    paths = dict(files, huge=str(tmp / "huge.graph"), parts=str(tmp / "parts.txt"))
+    src_dir = Path(comptile.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "comptile.cli", *(a.format(**paths) for a in argv)],
+        capture_output=True, text=True, timeout=120, preexec_fn=_cap_address_space,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(src_dir),
+             "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout == "" and "outside [0, 65536]" in json.loads(proc.stderr)["detail"]
 
 
 # (argv with FILE for the input, the file, the file with blank and comment

@@ -25,6 +25,20 @@ def test_size_cap_enforced():
         Graph(MAX_VERTICES + 1, (0,) * (MAX_VERTICES + 1))
 
 
+def test_size_cap_is_checked_before_the_constructors_allocate():
+    for build in (lambda: Graph.from_edges(MAX_VERTICES + 1, []),
+                  lambda: complete_multipartite(MultipartiteSpec((MAX_VERTICES, 1))),
+                  lambda: empty_graph(MAX_VERTICES + 1)):
+        with pytest.raises(ValidationError, match="vertex count"):
+            build()
+    # an oversized header is a fault in the file
+    with pytest.raises(FormatError, match="header names"):
+        parse_graph(f"{MAX_VERTICES + 1} 0\n")
+    with pytest.raises(FormatError, match="header names"):
+        parse_graph("-1 0\n")
+    assert parse_graph(f"{MAX_VERTICES} 0\n").n == MAX_VERTICES
+
+
 @pytest.mark.parametrize("sizes,n,m", [
     ((1, 1, 1), 3, 3),     # triangle
     ((2, 2), 4, 4),        # C_4 = K_{2,2}

@@ -1,14 +1,16 @@
+import math
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 from comptile import oracles
 from comptile.errors import ValidationError
 from comptile.graphs import (Graph, MultipartiteSpec, complete_graph,
-                             complete_multipartite, cycle_graph, empty_graph,
-                             path_graph)
-from comptile.incompat import IncompatibilitySystem, random_bounded_system
+                             complete_multipartite, cycle_graph, disjoint_union,
+                             empty_graph, path_graph)
+from comptile.incompat import IncompatibilitySystem, edge_key, random_bounded_system
 from comptile.solver import (FOUND, INDETERMINATE, NONE,
                              enumerate_compatible_copies, enumerate_transversal_copies,
                              find_compatible_factor, greedy_almost_tiling,
@@ -42,6 +44,65 @@ def test_enumeration_matches_raw_oracle():
         assert not enum.truncated
         fast = {(e.vertices, e.edges) for e in enum.copies}
         assert fast == oracles.raw_compatible_copies(pattern, host, f)
+
+
+def _keys(enum) -> list:
+    return [(e.vertices, e.edges) for e in enum.copies]
+
+
+# patterns with large automorphism groups for their size
+_SYMMETRIC_PATTERNS = {
+    "E1": empty_graph(1), "E2": empty_graph(2), "E3": empty_graph(3), "E4": empty_graph(4),
+    "K13": complete_multipartite(MultipartiteSpec((1, 3)))[0], "P4": path_graph(4),
+    "C5": cycle_graph(5), "K23": complete_multipartite(MultipartiteSpec((2, 3)))[0],
+    "2K2": disjoint_union(complete_graph(2), complete_graph(2)),
+    "P3+2K1": disjoint_union(path_graph(3), empty_graph(2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SYMMETRIC_PATTERNS))
+def test_symmetric_patterns_yield_each_oracle_copy_once(name):
+    # a set comparison alone would hide a copy found twice
+    pattern = _SYMMETRIC_PATTERNS[name]
+    rng = random.Random(sorted(_SYMMETRIC_PATTERNS).index(name))
+    for _ in range(12):
+        host = random_graph(rng.randint(pattern.n, 7), rng.uniform(0.3, 1.0),
+                            rng.getrandbits(30))
+        f = random_system(host, rng.randint(0, 8), rng.getrandbits(30))
+        s = [v for v in range(host.n) if rng.random() < 0.8 or rng.random() < 0.5]
+        enum = enumerate_compatible_copies(pattern, host, f, pool=mask_of(s))
+        keys = _keys(enum)
+        assert not enum.truncated
+        assert len(keys) == len(set(keys)) and keys == sorted(keys)
+        assert set(keys) == {key for key in oracles.raw_compatible_copies(pattern, host, f)
+                             if set(key[0]) <= set(s)}
+
+
+def test_copies_in_a_complete_host_are_maps_up_to_automorphism():
+    # K_n holds n!/((n-h)! |Aut(H)|) copies of an h-vertex H
+    host = complete_graph(8)
+    for pattern in _SYMMETRIC_PATTERNS.values():
+        edges = set(pattern.edges())
+        aut = sum(all(edge_key(s[u], s[v]) in edges for u, v in edges)
+                  for s in permutations(range(pattern.n)))
+        copies = enumerate_compatible_copies(pattern, host).copies
+        assert len(copies) * aut == math.perm(host.n, pattern.n)
+
+
+@pytest.mark.parametrize("pattern, n, mu, copies, expansions", [
+    (complete_graph(3), 12, None, 220, 298),
+    (complete_graph(4), 10, Fraction(1, 10), 47, 322),
+    (complete_graph(5), 9, None, 126, 381),
+    (complete_graph(3), 30, Fraction(1, 20), 3_662, 4_525),
+    (cycle_graph(4), 8, None, 210, 302),
+], ids=["K3-K12", "K4-K10", "K5-K9", "K3-K30", "C4-K8"])
+def test_enumeration_effort_is_pinned(pattern, n, mu, copies, expansions):
+    # a clique's symmetry rule is one ascending chain over the plan; C_4
+    # took 2,080 expansions when duplicates were found and discarded
+    host = complete_graph(n)
+    f = None if mu is None else random_bounded_system(host, mu, 7)
+    enum = enumerate_compatible_copies(pattern, host, f)
+    assert (len(enum.copies), enum.expansions) == (copies, expansions)
 
 
 def test_factor_examples():
@@ -216,6 +277,42 @@ def test_transversal_counts_match_oracle():
         for emb in fast.copies:
             counts = [len(set(emb.vertices) & set(p)) for p in parts]
             assert tuple(counts) == sizes
+
+
+def test_transversal_copies_are_found_once_and_match_oracle():
+    rng = random.Random(47)
+    parts = [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]]
+    for _ in range(20):
+        g = random_graph(12, 0.85, rng.getrandbits(30))
+        f = random_system(g, rng.randint(0, 10), rng.getrandbits(30))
+        sizes = tuple(rng.randint(1, 3) for _ in range(3))
+        keys = _keys(enumerate_transversal_copies(MultipartiteSpec(sizes), g, f, parts))
+        assert len(keys) == len(set(keys)) and keys == sorted(keys)
+        assert len(keys) == oracles.raw_transversal_count(sizes, g, f, parts)
+
+
+def test_transversal_effort_is_pinned():
+    # the class-preserving symmetry rule is one ascending chain per part
+    g, part = complete_multipartite(MultipartiteSpec((4, 4, 4)))
+    blocks = [list(b) for b in part.blocks]
+    sized = [MultipartiteSpec(sizes) for sizes in ((1, 1, 1), (1, 2, 2), (2, 3, 1))]
+    got = [(len(e.copies), e.expansions)
+           for f in (None, random_bounded_system(g, Fraction(1, 12), 6))
+           for e in (enumerate_transversal_copies(spec, g, f, blocks) for spec in sized)]
+    assert got == [(64, 84), (144, 284), (96, 190), (41, 84), (3, 157), (0, 87)]
+
+
+def test_max_tiling_matches_raw_oracle():
+    rng = random.Random(53)
+    patterns = [complete_graph(2), path_graph(3), complete_graph(3), cycle_graph(4),
+                empty_graph(2)]
+    for _ in range(40):
+        host = random_graph(rng.randint(1, 9), rng.uniform(0.3, 0.9), rng.getrandbits(30))
+        f = random_system(host, rng.randint(0, 10), rng.getrandbits(30))
+        pattern = rng.choice(patterns)
+        res = max_compatible_tiling(pattern, host, f)
+        assert res.optimal and verify_tiling(host, f, pattern, res.tiling)
+        assert len(res.tiling) == oracles.raw_max_tiling(pattern, host, f)
 
 
 def test_greedy_tiling_maximal_and_seeded():
