@@ -270,8 +270,10 @@ def parse_graph(text: str) -> Graph:
     if not rows:
         raise FormatError("empty graph file")
     (n, m), edges = rows[0], rows[1:]
-    if not 0 <= n <= MAX_VERTICES:
-        raise FormatError(f"header names {n} vertices, outside [0, {MAX_VERTICES}]")
+    try:
+        _check_order(n)
+    except ValidationError as exc:
+        raise FormatError(str(exc)) from exc
     if len(edges) != m:
         raise FormatError(f"header promises {m} edges, file has {len(edges)}")
     for u, v in edges:

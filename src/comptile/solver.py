@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import BudgetExceeded, ValidationError
 from .graphs import Graph, MultipartiteSpec, complete_multipartite
@@ -121,21 +120,22 @@ def _pattern_order(h: Graph) -> list:
     sets stay small (each new vertex is adjacency-constrained by at least
     one already-placed neighbor whenever the component permits).
     """
-    order = []
+    order = []    # doubles as the BFS queue: order[head:] is still to visit
     placed = 0
-    while len(order) < h.n:
-        remaining = [v for v in range(h.n) if not placed >> v & 1]
-        root = max(remaining, key=lambda v: (h.degree(v), -v))
-        queue = [root]
+    for root in sorted(range(h.n), key=lambda v: (-h.degree(v), v)):
+        if placed >> root & 1:
+            continue
         placed |= 1 << root
-        while queue:
-            v = queue.pop(0)
-            order.append(v)
+        order.append(root)
+        head = len(order) - 1
+        while head < len(order):
+            v = order[head]
+            head += 1
             nxt = [u for u in h.neighbors(v) if not placed >> u & 1]
             nxt.sort(key=lambda u: (-h.degree(u), u))
             for u in nxt:
                 placed |= 1 << u
-                queue.append(u)
+                order.append(u)
     return order
 
 
@@ -250,40 +250,49 @@ def _embed(g: Graph, f: IncompatibilitySystem, plan: _Plan, allowed: list,
 
 
 def _symmetry_conditions(pattern: Graph, plan: _Plan, order: list,
-                         classes: list) -> list:
+                         classes: list, work: _Work) -> tuple:
     """Per step, the earlier steps whose images must lie below its image.
 
     The automorphisms counted are those that map every pattern vertex u
-    into ``classes[u]`` (a vertex mask).  Walking the steps in plan order,
-    step i's vertex v gets the condition img(v) < img(w) for every other w
-    in its orbit under the automorphisms that fix the vertices of steps
-    0..i-1.  Each such w belongs to a later step, since the earlier ones
-    are fixed, and a vertex whose orbit is trivial adds no condition: this
-    is Grochow and Kellis's rule with vertices fixed in plan order.  Of
-    the automorphic images phi o sigma of one embedding, exactly one meets
-    every condition (their stabiliser-chain argument), so each copy is
-    found once.
+    into ``classes[u]`` (a vertex mask; the classes partition the pattern).
+    Walking the steps in plan order, step i's vertex v gets the condition
+    img(v) < img(w) for every other w in its orbit under the automorphisms
+    that fix the vertices of steps 0..i-1.  Each such w belongs to a later
+    step, since the earlier ones are fixed, and a vertex whose orbit is
+    trivial adds no condition: this is Grochow and Kellis's rule with
+    vertices fixed in plan order.  Of the automorphic images phi o sigma of
+    one embedding, exactly one meets every condition (their
+    stabiliser-chain argument), so each copy is found once.
 
-    "w is in v's orbit" is one search for an automorphism, an embedding of
-    the pattern into itself with steps 0..i-1 pinned and v sent to w, so
-    the group is never enumerated.  Only the transitive reduction of the
-    conditions is kept: a clique's rule is one ascending chain.
+    "w is in v's orbit" is settled first by two cheap tests: w needs v's
+    degree and v's neighbours among the fixed vertices, and a w with v's
+    neighbours (apart from v and w) is reached by swapping the two.  What
+    is left is one search for an automorphism, an embedding of the pattern
+    into itself with steps 0..i-1 pinned and v sent to w, so the group is
+    never enumerated.  Each w tested spends one unit of ``work``, as does
+    each candidate of those searches.  Only the transitive reduction of
+    the conditions is kept: a clique's rule is one ascending chain.
     """
     k = pattern.n
+    adj = pattern.adj
     f = IncompatibilitySystem.empty(pattern)
     unconditioned = [()] * k
-    work = _Work(math.inf)
+    allowed = [classes[u] for u in order]
     lower = [0] * k    # lower[b]: bitmask of the steps a with img(a) < img(b)
     fixed = 0
     for i, v in enumerate(order):
-        pinned = [1 << u for u in order[:i]]
-        rest = [classes[u] for u in order[i + 1:]]
+        near, deg = adj[v] & fixed, adj[v].bit_count()
+        for w in bits(classes[v] & ~fixed & ~(1 << v)):
+            work.spend()
+            if adj[w] & fixed != near or adj[w].bit_count() != deg:
+                continue
+            if adj[v] & ~(1 << w) != adj[w] & ~(1 << v):
+                allowed[i] = 1 << w
+                if next(_embed(pattern, f, plan, allowed, unconditioned, work), None) is None:
+                    continue
+            lower[plan.pos[w]] |= 1 << i
+        allowed[i] = 1 << v
         fixed |= 1 << v
-        for w in bits(classes[v] & ~fixed):
-            allowed = pinned + [1 << w] + rest
-            sigma = next(_embed(pattern, f, plan, allowed, unconditioned, work), None)
-            if sigma is not None:
-                lower[plan.pos[w]] |= 1 << i
     reach = [0] * k    # every step transitively below b
     below = []
     for b in range(k):
@@ -295,24 +304,42 @@ def _symmetry_conditions(pattern: Graph, plan: _Plan, order: list,
     return tuple(below)
 
 
-@lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _search_plan(pattern: Graph, sizes: tuple = None) -> tuple:
-    """(plan, below) for enumerating ``pattern``, each copy once.
+# (pattern, sizes) -> (plan, below, the work deriving below cost), oldest first
+_plans = {}
+
+
+def _search_plan(pattern: Graph, budget, sizes: tuple = None):
+    """(plan, below) for enumerating ``pattern``, each copy once, or None
+    when deriving ``below`` costs more than ``budget``.
 
     Without ``sizes`` the plan follows ``_pattern_order`` and every
     automorphism counts.  With ``sizes``, ``pattern`` is K(sizes) numbered
     part by part; it is placed in that order, and only the automorphisms
-    that keep every part in place count.
+    that keep every part in place count.  Plans are cached with their
+    cost, so the answer for a given budget does not depend on which calls
+    came before; a derivation the budget cuts short is not cached.
     """
-    full = (1 << pattern.n) - 1
-    if sizes is None:
-        order, classes = _pattern_order(pattern), [full] * pattern.n
-    else:
-        order, classes = list(range(pattern.n)), []
-        for h_i in sizes:
-            classes += [((1 << h_i) - 1) << len(classes)] * h_i
-    plan = _Plan(pattern, order)
-    return plan, _symmetry_conditions(pattern, plan, order, classes)
+    key = (pattern, sizes)
+    entry = _plans.get(key)
+    if entry is None:
+        full = (1 << pattern.n) - 1
+        if sizes is None:
+            order, classes = _pattern_order(pattern), [full] * pattern.n
+        else:
+            order, classes = list(range(pattern.n)), []
+            for h_i in sizes:
+                classes += [((1 << h_i) - 1) << len(classes)] * h_i
+        plan = _Plan(pattern, order)
+        work = _Work(budget)
+        try:
+            below = _symmetry_conditions(pattern, plan, order, classes, work)
+        except BudgetExceeded:
+            return None
+        if len(_plans) >= PLAN_CACHE_SIZE:
+            del _plans[next(iter(_plans))]
+        entry = _plans[key] = (plan, below, work.spent)
+    plan, below, cost = entry
+    return None if cost > budget else (plan, below)
 
 
 def _system_on(g: Graph, f: IncompatibilitySystem, pattern: Graph) -> IncompatibilitySystem:
@@ -336,11 +363,19 @@ def enumerate_compatible_copies(pattern: Graph, g: Graph,
     ``pool`` restricts image vertices to a bitmask.  Copies come back in
     canonical order (sorted image vertices, then sorted image edges).  A
     blown budget yields truncated=True; the copies found so far are still
-    valid.
+    valid.  The budget also bounds deriving the pattern's symmetry
+    conditions, which is not counted in ``expansions``: when that alone
+    costs more than ``budget`` no search starts, and the result is
+    truncated with budget + 1 expansions, as any search cut by its budget.
     """
     f = _system_on(g, f, pattern)
     pool = _full_pool(g, pool)
-    plan, below = _search_plan(pattern)
+    if pattern.n > pool.bit_count():
+        return CopyEnumeration([], False, 0)
+    found = _search_plan(pattern, budget)
+    if found is None:
+        return CopyEnumeration([], True, budget + 1)
+    plan, below = found
     work = _Work(budget)
     out = []
     truncated = False
@@ -364,7 +399,8 @@ def enumerate_transversal_copies(spec: MultipartiteSpec, g: Graph,
     pattern classes to align with the parts (a class split over two parts
     would leave another class with nowhere adjacent to sit).  The symmetry
     rule over the automorphisms that keep each class in its part then
-    makes every part's images ascend, so each copy is found once.
+    makes every part's images ascend, so each copy is found once.  The
+    budget bounds deriving that rule as in ``enumerate_compatible_copies``.
     """
     pattern, _ = complete_multipartite(spec)
     f = _system_on(g, f, pattern)
@@ -382,7 +418,10 @@ def enumerate_transversal_copies(spec: MultipartiteSpec, g: Graph,
         if len(p) < h_i:
             return CopyEnumeration([], False, 0)
 
-    plan, below = _search_plan(pattern, spec.sizes)
+    found = _search_plan(pattern, budget, spec.sizes)
+    if found is None:
+        return CopyEnumeration([], True, budget + 1)
+    plan, below = found
     allowed = [m for m, h_i in zip(masks, spec.sizes) for _ in range(h_i)]
     work = _Work(budget)
     out = []
@@ -605,7 +644,7 @@ def greedy_almost_tiling(pattern: Graph, g: Graph,
     rank = [0] * g.n
     for i, v in enumerate(priority):
         rank[v] = i
-    plan, _ = _search_plan(pattern)
+    plan = _Plan(pattern, _pattern_order(pattern))
     unconditioned = [()] * pattern.n
     work = _Work(math.inf)
     pool = (1 << g.n) - 1

@@ -636,6 +636,32 @@ def test_oversized_inputs_are_refused_before_allocating(files, argv, code):
     assert proc.stdout == "" and "outside [0, 65536]" in json.loads(proc.stderr)["detail"]
 
 
+@pytest.mark.parametrize("pattern, host, mode, code, fields", [
+    ("c4000", "k3", "count", 0, {"count": 0, "truncated": False, "expansions": 0}),
+    ("c4000", "e6000", "count", 2, {"count": 0, "truncated": True, "expansions": 101}),
+    ("e6000", "e6000", "count", 2, {"count": 0, "truncated": True, "expansions": 101}),
+    ("c4000", "e6000", "max", 2, {"copies": 0, "optimal": False}),
+])
+def test_budget_bounds_the_work_on_a_large_pattern(files, pattern, host, mode, code, fields):
+    # deriving the symmetry rule of these patterns takes tens of millions
+    # of steps (C_4000's orbit searches, E_6000's 18M vertex pairs) and a
+    # run that bounds it by --budget 100 takes about 0.1 s
+    tmp = files["tmp"]
+    graphs = {"c4000": cycle_graph(4000), "e6000": empty_graph(6000)}
+    for name in graphs:
+        (tmp / f"{name}.graph").write_text(format_graph(graphs[name]), encoding="ascii")
+    paths = dict(files, **{name: str(tmp / f"{name}.graph") for name in graphs})
+    src_dir = Path(comptile.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "comptile.cli", "solve", "--pattern", paths[pattern],
+         "--graph", paths[host], "--mode", mode, "--budget", "100"],
+        capture_output=True, text=True, timeout=10,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(src_dir)})
+    assert proc.returncode == code, proc.stderr
+    out = json.loads(proc.stdout)
+    assert {key: out[key] for key in fields} == fields
+
+
 # (argv with FILE for the input, the file, the file with blank and comment
 # lines, the file with a non-integer token, how the error quotes that token)
 _LINE_GRAMMAR_CASES = {

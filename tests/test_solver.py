@@ -5,7 +5,7 @@ from itertools import permutations
 
 import pytest
 
-from comptile import oracles
+from comptile import oracles, solver
 from comptile.errors import ValidationError
 from comptile.graphs import (Graph, MultipartiteSpec, complete_graph,
                              complete_multipartite, cycle_graph, disjoint_union,
@@ -103,6 +103,25 @@ def test_enumeration_effort_is_pinned(pattern, n, mu, copies, expansions):
     f = None if mu is None else random_bounded_system(host, mu, 7)
     enum = enumerate_compatible_copies(pattern, host, f)
     assert (len(enum.copies), enum.expansions) == (copies, expansions)
+
+
+def test_budget_bounds_the_symmetry_rule_whatever_the_cache_holds():
+    # C_6's rule costs 51 units to derive: they count against the budget
+    # but not in expansions, and a cached rule keeps its cost
+    pattern, host = cycle_graph(6), complete_graph(8)
+    spec = MultipartiteSpec((2, 3))
+    parts = [[0, 1, 2], [3, 4, 5, 6]]
+    for cold in (True, False):
+        if cold:
+            solver._plans.clear()
+        cut = enumerate_compatible_copies(pattern, host, budget=50)
+        assert (cut.copies, cut.truncated, cut.expansions) == ([], True, 51)
+        full = enumerate_compatible_copies(pattern, host, budget=2_654)
+        assert (len(full.copies), full.truncated) == (1_680, False)
+        cut = enumerate_transversal_copies(spec, host, None, parts, budget=3)
+        assert (cut.copies, cut.truncated, cut.expansions) == ([], True, 4)
+        full = enumerate_transversal_copies(spec, host, None, parts, budget=1_000)
+        assert (len(full.copies), full.truncated) == (12, False)
 
 
 def test_factor_examples():
