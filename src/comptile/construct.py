@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from . import solver
 from .coloring import chi_star
-from .errors import ValidationError
+from .errors import SizeCapError, ValidationError
 from .graphs import (Graph, MultipartiteSpec, VertexPartition, complete_multipartite,
                      components)
 from .incompat import IncompatibilitySystem
@@ -65,6 +65,10 @@ class BaseInstance:
 # own bounded budget and reports UNVERIFIED when that runs out.
 DEFAULT_FACTOR_PROBE_BUDGET = 200_000
 
+# The induced system holds Theta(mu n^3) triples; past this many, building
+# it takes seconds and hundreds of MB, so construct refuses before the base.
+TRIPLE_CAP = 1_000_000
+
 
 def _sizes_to_instance(pattern: Graph, sizes, window_low, window_high,
                        budget: int) -> BaseInstance:
@@ -97,6 +101,11 @@ def komlos_base(pattern: Graph, n: int,
     ``sizes`` (same order, largest first) to pick another member of the
     admissible family.
     """
+    return _sizes_to_instance(pattern, *_komlos_sizes(pattern, n, sizes), budget)
+
+
+def _komlos_sizes(pattern: Graph, n: int, sizes=None) -> tuple:
+    """(part sizes, window low, window high) of ``komlos_base``."""
     prof = chi_star(pattern)
     r = prof.chi
     if r < 2:
@@ -122,8 +131,7 @@ def komlos_base(pattern: Graph, n: int,
             raise ValidationError(
                 f"override sizes must keep the largest part at {big} "
                 f"(the target degree deficit)")
-    window_low = (cr + 1 - r) / r * n
-    return _sizes_to_instance(pattern, sizes, window_low, big, budget)
+    return sizes, (cr + 1 - r) / r * n, big
 
 
 def kuhn_osthus_base(pattern: Graph, n: int,
@@ -133,6 +141,18 @@ def kuhn_osthus_base(pattern: Graph, n: int,
 
     Preconditions: chi(H) = r >= 3, hcf(H) != 1, n divisible by |H|.
     """
+    sizes, lo, hi = _ko_sizes(pattern, n)
+    inst = _sizes_to_instance(pattern, sizes, lo, hi, budget)
+    r = len(sizes)
+    want = frac_ceil(Fraction((r - 1) * n, r)) - 1
+    if inst.min_degree != want:
+        raise ValidationError(
+            f"degree check failed: delta = {inst.min_degree}, formula gives {want}")
+    return inst
+
+
+def _ko_sizes(pattern: Graph, n: int) -> tuple:
+    """(part sizes, window low, window high) of ``kuhn_osthus_base``."""
     prof = chi_star(pattern)
     r = prof.chi
     if r < 3:
@@ -150,12 +170,7 @@ def kuhn_osthus_base(pattern: Graph, n: int,
     for s in sizes[2:]:
         if not lo <= s <= hi:
             raise ValidationError(f"balanced tail size {s} escaped [{lo}, {hi}]")
-    inst = _sizes_to_instance(pattern, sizes, Fraction(lo), hi, budget)
-    want = frac_ceil(Fraction((r - 1) * n, r)) - 1
-    if inst.min_degree != want:
-        raise ValidationError(
-            f"degree check failed: delta = {inst.min_degree}, formula gives {want}")
-    return inst
+    return sizes, Fraction(lo), hi
 
 
 @dataclass(frozen=True)
@@ -280,18 +295,24 @@ def augment_and_incompat(spec: ConstructionSpec,
 
     Raises ValidationError with a part-naming diagnostic when the
     requested mu cannot be realized (part too small, or the circulant's
-    degree cap mu*n is violated on an odd part).
+    degree cap mu*n is violated on an odd part), and SizeCapError, before
+    anything is built, when the induced system would hold more than
+    ``TRIPLE_CAP`` triples.
     """
     pattern = spec.pattern()
     prof = chi_star(pattern)
     n, mu = spec.n, spec.mu
-    probe = min(budget, DEFAULT_FACTOR_PROBE_BUDGET)
-    if spec.base == KOMLOS:
-        base = komlos_base(pattern, n, budget=probe)
-    else:
-        base = kuhn_osthus_base(pattern, n, budget=probe)
-
     d = frac_ceil(mu * n / 2) + 1
+    sizes_of, build_base = ((_komlos_sizes, komlos_base) if spec.base == KOMLOS
+                            else (_ko_sizes, kuhn_osthus_base))
+    # part j's circulant has ceil(s_j/2)*d edges, each incompatible at
+    # every vertex outside the part
+    triples = sum(-(-s // 2) * d * (n - s) for s in sizes_of(pattern, n)[0])
+    if triples > TRIPLE_CAP:
+        raise SizeCapError(f"the induced system would hold {triples} triples; "
+                           f"construct is capped at {TRIPLE_CAP}")
+    base = build_base(pattern, n, budget=min(budget, DEFAULT_FACTOR_PROBE_BUDGET))
+
     min_bound = mu * n / 2 + 1
     max_bound = mu * n
     q_bound = frac_floor(mu * n)

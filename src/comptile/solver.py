@@ -5,15 +5,16 @@ vertex set and the same image edge set are one copy, matching how the
 counting arguments treat them.  Enumeration is backtracking over an
 adjacency-pruned, compatibility-pruned search tree that finds each copy
 once: symmetry-breaking conditions (Grochow-Kellis, RECOMB 2007) admit
-exactly one of the |Aut(H)| embeddings of every copy.  The factor decision
-is exact-cover search (rows = compatible copies, columns = vertices)
-branching on the uncovered vertex with the fewest admissible copies.
-Both exact searches read one row index: per vertex, the bitmask of the
-rows through it.  The cover search keeps the admissible-row counts
-incrementally (Knuth's Algorithm X, in bitmask form): a bitmask of live
-rows per node, per-count buckets of vertices, and a trail of changed
-counts for backtracking, so a node costs work in the rows and vertices
-its choice touches rather than in the whole instance.
+exactly one of the |Aut(H)| embeddings of every copy.  One packing search
+(rows = compatible copies, columns = vertices) answers both exact
+questions: the factor decision asks it to leave no vertex uncovered, the
+maximum tiling lets it leave any number and keeps the largest packing
+found.  It branches on the uncovered vertex with the fewest admissible
+copies and keeps those counts incrementally (Knuth's Algorithm X, in
+bitmask form): a bitmask of live rows per node, per-count buckets of
+vertices, and a trail of changed counts for backtracking, so a node costs
+work in the rows and vertices its choice touches rather than in the whole
+instance.
 
 Results are tri-state where search can be cut off: FOUND / NONE /
 INDETERMINATE.  NONE always means the search space was exhausted; budget
@@ -473,103 +474,126 @@ def _full_pool(g: Graph, pool) -> int:
     return pool
 
 
-def _row_index(rows: list, n: int) -> tuple:
-    """Row masks, and per vertex the rows through it and the vertices they reach.
+def _pack(full: int, rows: list, n: int, work: _Work, h: int, slack: int) -> tuple:
+    """(indices of disjoint ``rows`` inside the vertex mask ``full`` that
+    leave the fewest of its vertices uncovered, exhausted).  The packing
+    is None unless one leaves at most ``slack`` vertices uncovered; with
+    slack 0 this is exact cover.  ``n`` bounds the vertex ids and every
+    row has ``h`` vertices; ``slack`` is at least |full| or differs from
+    it by a multiple of h.  ``exhausted`` is False when ``work``'s budget
+    cut the search short, and the packing is then the best found so far.
 
-    ``rows_at[v]`` is the bitmask of the indices of the rows through v;
-    ``reach[v]`` is the union of those rows' vertex masks.
+    Depth-first with an explicit stack; each node branches on its
+    uncovered vertex v with the fewest admissible rows (the lowest such
+    vertex on ties), trying those rows by ascending index and then, while
+    slack remains, the skip branch "v stays uncovered"; each branch taken
+    spends one unit of ``work``.  A vertex whose last admissible row dies
+    is a forced skip: it stays uncovered without a branch.  ``skipped``
+    counts both kinds, and each uses one unit of slack.  Each packing
+    found becomes the incumbent, and slack shrinks to h below what it
+    leaves uncovered, so only larger packings are sought from then on;
+    the root's empty packing is the first incumbent when |full| fits in
+    the slack.  The search ends when no slack is left, so an exact cover
+    returns as soon as it is found.  Rows cover multiples of h, so a
+    node leaves at least skipped + popcount(uncovered) % h vertices
+    uncovered, and the parity cut drops it when that exceeds the slack.
+    Slack and popcount(uncovered) + skipped differ from |full| by
+    multiples of h, so that cut is simply skipped > slack.
+
+    Each open node keeps ``alive``, the bitmask of the rows disjoint from
+    everything covered or skipped so far.  Each uncovered vertex v keeps
+    its admissible count ``count[v] = popcount(rows_at[v] & alive)`` and
+    sits in ``buckets[count[v]]``, so the branch vertex is the lowest
+    uncovered bit of the first bucket that has one.  A branch does
+    ``alive &= ~(rows_at[u] | ...)`` over the vertices u it takes and
+    recounts only the uncovered vertices in their ``reach``, the only
+    ones a killed row passes through.  Each changed count goes on a flat
+    trail of (vertex, old count), which backtracking pops back to the
+    node's mark.  A covered or skipped vertex keeps its last count and
+    bucket untouched until backtracking uncovers it, which is why bucket
+    reads mask by ``uncovered``.
     """
     row_masks = [e.mask for e in rows]
-    rows_at = [0] * n
-    reach = [0] * n
+    rows_at = [0] * n   # rows_at[v]: bitmask of the indices of the rows through v
+    reach = [0] * n     # reach[v]: union of those rows' vertex masks
     for i, (e, mask) in enumerate(zip(rows, row_masks)):
         bit = 1 << i
         for v in e.vertices:
             rows_at[v] |= bit
             reach[v] |= mask
-    return row_masks, rows_at, reach
-
-
-def _exact_cover(full: int, rows: list, n: int, work: _Work):
-    """Indices of ``rows`` tiling the non-empty vertex mask ``full``
-    exactly, or None when none exists; ``n`` bounds the vertex ids.
-
-    Depth-first with an explicit stack; each node branches on its
-    uncovered vertex with the fewest admissible rows (the lowest such
-    vertex on ties), trying those rows by ascending index, and each branch
-    taken spends one unit of ``work``.
-
-    Each open node keeps ``alive``, the bitmask of the rows disjoint from
-    everything covered so far.  Each uncovered vertex v keeps its
-    admissible count ``count[v] = popcount(rows_at[v] & alive)`` and sits
-    in ``buckets[count[v]]``, so the branch vertex is the lowest uncovered
-    bit of the first bucket that has one.  Selecting row r does ``alive
-    &= ~(rows_at[u] | ...)`` over r's vertices u and recounts only the
-    uncovered vertices in their ``reach``, the only ones a killed row
-    passes through.  Each changed count goes on a flat trail of (vertex,
-    old count), which backtracking pops back to the node's mark.  A
-    covered vertex keeps its last count and bucket untouched until
-    backtracking uncovers it, which is why bucket reads mask by
-    ``uncovered``.  A recount that reaches 0 ends the branch at once: the
-    child would have no branches.
-    """
-    row_masks, rows_at, reach = _row_index(rows, n)
     spent, budget = work.spent, work.budget
+    size = full.bit_count()
+    best = None
+    if size <= slack:
+        best, slack = [], size - h
     count = [0] * n
     buckets = []      # buckets[c]: uncovered vertices with c admissible rows
+    uncovered, skipped = full, 0  # the node to open
     for v in bits(full):
         c = rows_at[v].bit_count()
+        if not c:
+            uncovered ^= 1 << v
+            skipped += 1
+            continue
         count[v] = c
         if c >= len(buckets):
             buckets.extend([0] * (c + 1 - len(buckets)))
         buckets[c] |= 1 << v
+    if not uncovered or skipped > slack:
+        return best, True
     trail = []
-    chosen = []
-    stack = []        # (alive, uncovered, trail mark, untried rows) per open node
+    chosen = []       # rows taken on the path, None for a skip branch
+    stack = []        # (alive, uncovered, skipped, trail mark, v or -1, untried rows)
     alive = (1 << len(row_masks)) - 1
-    uncovered = full  # the node to open
     while True:
         for b in buckets:
             b &= uncovered
             if b:
                 break
         v = (b & -b).bit_length() - 1
-        stack.append((alive, uncovered, len(trail), bits(rows_at[v] & alive)))
+        stack.append((alive, uncovered, skipped, len(trail), v, bits(rows_at[v] & alive)))
         while True:  # the next branch of the deepest open node
-            alive, uncovered, mark, untried = stack[-1]
+            alive, uncovered, skipped, mark, v, untried = stack[-1]
             while len(trail) > mark:
                 w, old = trail.pop()
                 bit = 1 << w
                 buckets[count[w]] ^= bit
                 buckets[old] |= bit
                 count[w] = old
-            r = next(untried, None)
+            # a node that an incumbent found below it has cut takes no more branches
+            r = next(untried, None) if skipped <= slack else None
             if r is None:
-                stack.pop()
-                if not stack:
-                    work.spent = spent
-                    return None
-                chosen.pop()
-                continue
+                if v < 0 or skipped >= slack:
+                    stack.pop()
+                    if not stack:
+                        work.spent = spent
+                        return best, True
+                    chosen.pop()
+                    continue
+                stack[-1] = (alive, uncovered, skipped, mark, -1, untried)
+                skipped += 1  # the skip branch
+                uncovered ^= 1 << v
+                kill, touched = rows_at[v], reach[v]
+            else:
+                uncovered ^= row_masks[r]
+                kill = touched = 0
+                for u in rows[r].vertices:
+                    kill |= rows_at[u]
+                    touched |= reach[u]
             spent += 1
             if spent > budget:
                 work.spent = spent
-                raise BudgetExceeded()
+                return best, False
             chosen.append(r)
-            mask = row_masks[r]
-            uncovered ^= mask
-            if not uncovered:
-                work.spent = spent
-                return chosen
-            kill = touched = 0
-            for u in rows[r].vertices:
-                kill |= rows_at[u]
-                touched |= reach[u]
             alive &= ~kill
             for w in bits(touched & uncovered):
                 c = (rows_at[w] & alive).bit_count()
-                if not c:
-                    break
+                if not c:  # a forced skip
+                    skipped += 1
+                    if skipped > slack:
+                        break
+                    uncovered ^= 1 << w
+                    continue
                 old = count[w]
                 if c != old:
                     bit = 1 << w
@@ -578,8 +602,15 @@ def _exact_cover(full: int, rows: list, n: int, work: _Work):
                     trail.append((w, old))
                     count[w] = c
             else:
-                break  # every uncovered vertex keeps a row: open the child
-            chosen.pop()  # w has no admissible row left: a node without branches
+                if uncovered:
+                    break  # open the child
+            if not uncovered:  # a packing leaving ``skipped`` vertices uncovered
+                best = [r for r in chosen if r is not None]
+                slack = skipped - h
+                if slack < 0:
+                    work.spent = spent
+                    return best, True
+            chosen.pop()
 
 
 def find_compatible_factor(pattern: Graph, g: Graph,
@@ -605,18 +636,14 @@ def find_compatible_factor(pattern: Graph, g: Graph,
     enum = enumerate_compatible_copies(pattern, g, f, budget=budget, pool=full)
     rows = enum.copies
     work = _Work(budget, enum.expansions)
-    try:
-        chosen = _exact_cover(full, rows, g.n, work)
-    except BudgetExceeded:
-        return FactorResult(INDETERMINATE, reason="budget",
-                            expansions=work.spent, copies_considered=len(rows))
+    chosen, exhausted = _pack(full, rows, g.n, work, pattern.n, 0)
     if chosen is not None:
         tiling = Tiling(tuple(rows[r] for r in chosen))
         if not verify_tiling(g, f, pattern, tiling) or tiling.covered() != full:
             raise AssertionError("internal: factor failed re-verification")
         return FactorResult(FOUND, tiling=tiling,
                             expansions=work.spent, copies_considered=len(rows))
-    if enum.truncated:
+    if not exhausted or enum.truncated:
         # absence over a truncated row set proves nothing
         return FactorResult(INDETERMINATE, reason="budget",
                             expansions=work.spent, copies_considered=len(rows))
@@ -671,64 +698,17 @@ def greedy_almost_tiling(pattern: Graph, g: Graph,
 def max_compatible_tiling(pattern: Graph, g: Graph,
                           f: IncompatibilitySystem = None,
                           budget: int = DEFAULT_BUDGET) -> MaxTilingResult:
-    """Maximum-cardinality compatible tiling by branch and bound.
+    """Maximum-cardinality compatible tiling: the packing search of the
+    factor decision, allowed to leave any number of vertices uncovered.
 
-    Branches on the smallest undecided vertex: either some copy covers it
-    or it stays uncovered.  The bound current + floor(free/h) prunes; the
-    optimality flag is True only when the search completed in budget.
-    The search keeps an explicit stack, one node per decided vertex.
+    The optimality flag is True only when enumeration and search both
+    completed in budget; a budget cut returns the largest tiling found
+    so far.
     """
     f = _system_on(g, f, pattern)
     enum = enumerate_compatible_copies(pattern, g, f, budget=budget)
     rows = enum.copies
-    row_masks, rows_at, _ = _row_index(rows, g.n)
-    n, h = g.n, pattern.n
-    spent = enum.expansions
-    complete = not enum.truncated
-    best, best_len = None, 0
-    # An open node is (v, covered, skipped, copies so far, their rows as a
-    # (row, parent chain) chain, the rows through a covered or skipped
-    # vertex, untried rows through v).  Its last branch, "v stays
-    # uncovered", replaces the node instead of stacking on it.
-    stack = []
-    v, covered, skipped, count, chain, dead = 0, 0, 0, 0, None, 0  # the node to open
-    while True:
-        taken = covered | skipped
-        if count + (n - taken.bit_count()) // h > best_len:
-            while v < n and taken >> v & 1:
-                v += 1
-            if v == n:
-                best, best_len = chain, count
-            elif rows_at[v] & ~dead:
-                stack.append((v, covered, skipped, count, chain, dead,
-                              bits(rows_at[v] & ~dead)))
-            else:  # no row can cover v: only its last branch is left
-                skipped |= 1 << v
-                v += 1
-                continue
-        if not stack:
-            break
-        v, covered, skipped, count, chain, dead, untried = stack[-1]
-        r = next(untried, None)
-        if r is None:
-            stack.pop()
-            skipped |= 1 << v
-            dead |= rows_at[v]
-            v += 1
-            continue
-        spent += 1
-        if spent > budget:
-            complete = False
-            break
-        covered |= row_masks[r]
-        for u in rows[r].vertices:
-            dead |= rows_at[u]
-        count += 1
-        chain = (r, chain)
-        v += 1
-    picked = []
-    while best is not None:
-        r, best = best
-        picked.append(rows[r])
-    return MaxTilingResult(Tiling(tuple(reversed(picked))), complete, spent)
-
+    work = _Work(budget, enum.expansions)
+    chosen, exhausted = _pack((1 << g.n) - 1, rows, g.n, work, pattern.n, g.n)
+    return MaxTilingResult(Tiling(tuple(rows[r] for r in chosen)),
+                           exhausted and not enum.truncated, work.spent)

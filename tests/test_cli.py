@@ -613,19 +613,23 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (_CHILD_ADDRESS_SPACE, _CHILD_ADDRESS_SPACE))
 
 
-@pytest.mark.parametrize("argv, code", [
-    (["invariants", "{huge}"], 65),
-    (["solve", "--pattern", "{k2}", "--graph", "{huge}"], 65),
+@pytest.mark.parametrize("argv, code, detail", [
+    (["invariants", "{huge}"], 65, "outside [0, 65536]"),
+    (["solve", "--pattern", "{k2}", "--graph", "{huge}"], 65, "outside [0, 65536]"),
     (["regcount", "count", "--graph", "{k2}", "--parts", "{parts}",
-      "--sizes", "100000000,1"], 64),
-], ids=["graph-header", "solve-host-header", "pattern-sizes"])
-def test_oversized_inputs_are_refused_before_allocating(files, argv, code):
+      "--sizes", "100000000,1"], 64, "outside [0, 65536]"),
+    # 18,735,587 triples, refused before the base is built
+    (["construct", "--pattern", "{k2}", "--n", "2400", "--mu", "1/100", "--out", "{out}"], 64,
+     "capped at 1000000"),
+], ids=["graph-header", "solve-host-header", "pattern-sizes", "construct-triples"])
+def test_oversized_inputs_are_refused_before_allocating(files, argv, code, detail):
     # the cap applies to the child only; an allocation sized by the input
     # would end in MemoryError (exit 70) under it
     tmp = files["tmp"]
     (tmp / "huge.graph").write_text("1000000000 0\n", encoding="ascii")
     (tmp / "parts.txt").write_text("0\n1\n", encoding="ascii")
-    paths = dict(files, huge=str(tmp / "huge.graph"), parts=str(tmp / "parts.txt"))
+    paths = dict(files, huge=str(tmp / "huge.graph"), parts=str(tmp / "parts.txt"),
+                 out=str(tmp / "construct-out"))
     src_dir = Path(comptile.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-m", "comptile.cli", *(a.format(**paths) for a in argv)],
@@ -633,7 +637,7 @@ def test_oversized_inputs_are_refused_before_allocating(files, argv, code):
         env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(src_dir),
              "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
     assert proc.returncode == code, proc.stderr
-    assert proc.stdout == "" and "outside [0, 65536]" in json.loads(proc.stderr)["detail"]
+    assert proc.stdout == "" and detail in json.loads(proc.stderr)["detail"]
 
 
 @pytest.mark.parametrize("pattern, host, mode, code, fields", [

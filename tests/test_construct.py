@@ -2,12 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from comptile import solver
+from comptile import construct, solver
 from comptile.construct import (KOMLOS, KUHN_OSTHUS, ConstructionSpec,
                                 augment_and_incompat, detect_multipartite,
                                 komlos_base, kuhn_osthus_base,
                                 verify_index_vector_claim)
-from comptile.errors import ValidationError
+from comptile.errors import SizeCapError, ValidationError
 from comptile.graphs import (Graph, MultipartiteSpec, complete_graph,
                              complete_multipartite, cycle_graph, path_graph)
 from comptile.incompat import IncompatibilitySystem
@@ -153,6 +153,19 @@ def test_index_vector_claim_needs_three_parts():
     assert inst.certificates.all_hold()
     with pytest.raises(ValidationError, match="r >= 3"):
         verify_index_vector_claim(inst)
+
+
+@pytest.mark.parametrize("sizes, n, mu, base", [
+    ((1, 1), 16, Fraction(1, 4), KOMLOS), ((1, 1, 1), 24, Fraction(1, 6), KUHN_OSTHUS),
+    ((1, 1, 2), 28, Fraction(1, 6), KOMLOS),
+])
+def test_triple_cap_counts_the_triples_built(monkeypatch, sizes, n, mu, base):
+    # the cap is checked against the exact size of the system it would build
+    spec = ConstructionSpec(MultipartiteSpec(sizes), n, mu, base=base)
+    triples = augment_and_incompat(spec).system.total_pairs
+    monkeypatch.setattr(construct, "TRIPLE_CAP", triples - 1)
+    with pytest.raises(SizeCapError, match=f"would hold {triples} triples"):
+        augment_and_incompat(spec)
 
 
 def test_transversal_copies_stay_compatible(inst24):

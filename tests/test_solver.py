@@ -207,17 +207,29 @@ def _ko_base(n):
     return complete_multipartite(MultipartiteSpec((big, small, n - big - small)))[0]
 
 
-@pytest.mark.parametrize("pattern, host, budget, status, expansions", [
-    (complete_graph(3), _ko_base(15), None, NONE, 4_789),
-    (complete_graph(3), _ko_base(21), 50_000, INDETERMINATE, 50_001),
-    (complete_graph(2), cycle_graph(800), None, FOUND, 2_000),
-], ids=["ko-base-15", "ko-base-21-capped", "cycle-800"])
-def test_cover_search_effort_is_pinned(pattern, host, budget, status, expansions):
+def _sparse_host(seed):
+    host = random_graph(40, 0.2, seed)
+    return host, random_bounded_system(host, Fraction(1, 20), seed)
+
+
+@pytest.mark.parametrize("search, pattern, host, budget, outcome, expansions", [
+    (find_compatible_factor, complete_graph(3), (_ko_base(15), None), None, NONE, 4_789),
+    (find_compatible_factor, complete_graph(3), (_ko_base(21), None), 50_000,
+     INDETERMINATE, 50_001),
+    (find_compatible_factor, complete_graph(2), (cycle_graph(800), None), None, FOUND, 2_000),
+    (max_compatible_tiling, complete_graph(3), _sparse_host(3), None, (9, True), 342),
+    (max_compatible_tiling, complete_graph(3), _sparse_host(4), None, (8, True), 1_366),
+    (max_compatible_tiling, complete_graph(3), _sparse_host(4), 1_000, (8, False), 1_001),
+], ids=["ko-base-15", "ko-base-21-capped", "cycle-800", "max-g40-3", "max-g40-4",
+        "max-g40-4-capped"])
+def test_cover_search_effort_is_pinned(search, pattern, host, budget, outcome, expansions):
     # the branching rule (fewest admissible rows, then lowest vertex, rows
-    # by ascending index) fixes every expansion count
+    # by ascending index, then leaving the vertex uncovered) fixes every
+    # expansion count; the factor rows are the packing search with no slack
     kwargs = {} if budget is None else {"budget": budget}
-    res = find_compatible_factor(pattern, host, **kwargs)
-    assert (res.status, res.expansions) == (status, expansions)
+    res = search(pattern, *host, **kwargs)
+    got = res.status if search is find_compatible_factor else (len(res.tiling), res.optimal)
+    assert (got, res.expansions) == (outcome, expansions)
 
 
 def test_factor_search_runs_without_recursion_on_deep_instances():
@@ -321,17 +333,45 @@ def test_transversal_effort_is_pinned():
     assert got == [(64, 84), (144, 284), (96, 190), (41, 84), (3, 157), (0, 87)]
 
 
+def _host_with_isolated_vertices(rng) -> Graph:
+    # about one vertex in five has no edge at all: no copy can cover it
+    n = rng.randint(1, 10)
+    lonely = {v for v in range(n) if rng.random() < 0.2}
+    p = rng.uniform(0.3, 0.9)
+    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                if u not in lonely and v not in lonely and rng.random() < p])
+
+
+_MAX_TILING_PATTERNS = [complete_graph(2), path_graph(3), complete_graph(3), cycle_graph(4),
+                        empty_graph(2), complete_graph(4),
+                        disjoint_union(complete_graph(2), complete_graph(2))]
+
+
 def test_max_tiling_matches_raw_oracle():
+    # isolated vertices and dead rows make the search skip vertices it
+    # cannot cover; patterns of 2-4 vertices make the parity cut bite.  A
+    # budget either cuts the search off, leaving the best tiling found so
+    # far, or changes nothing: same tiling and expansions as the unbounded
+    # search.  Deriving the pattern's symmetry rule counts against the
+    # budget but not in expansions, so covering the search needs both.
     rng = random.Random(53)
-    patterns = [complete_graph(2), path_graph(3), complete_graph(3), cycle_graph(4),
-                empty_graph(2)]
-    for _ in range(40):
-        host = random_graph(rng.randint(1, 9), rng.uniform(0.3, 0.9), rng.getrandbits(30))
+    for _ in range(150):
+        host = _host_with_isolated_vertices(rng)
         f = random_system(host, rng.randint(0, 10), rng.getrandbits(30))
-        pattern = rng.choice(patterns)
+        pattern = rng.choice(_MAX_TILING_PATTERNS)
         res = max_compatible_tiling(pattern, host, f)
         assert res.optimal and verify_tiling(host, f, pattern, res.tiling)
         assert len(res.tiling) == oracles.raw_max_tiling(pattern, host, f)
+        rule_cost = solver._plans[(pattern, None)][2] if pattern.n <= host.n else 0
+        budget = rng.randint(0, 2 * res.expansions)
+        cut = max_compatible_tiling(pattern, host, f, budget=budget)
+        if max(res.expansions, rule_cost) <= budget:
+            assert (cut.tiling, cut.optimal, cut.expansions) == \
+                (res.tiling, True, res.expansions)
+        else:
+            assert not cut.optimal and cut.expansions > budget
+            assert verify_tiling(host, f, pattern, cut.tiling)
+            assert len(cut.tiling) <= len(res.tiling)
 
 
 def test_greedy_tiling_maximal_and_seeded():
