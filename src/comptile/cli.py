@@ -105,8 +105,8 @@ def _cmd_construct(args) -> int:
     pattern_graph = _load_graph(args.pattern)
     spec_sizes = detect_multipartite(pattern_graph)
     spec = construct.ConstructionSpec(spec_sizes, args.n, parse_fraction(args.mu),
-                                      base=args.base, seed=args.seed)
-    inst = construct.augment_and_incompat(spec, budget=args.budget)
+                                      base=args.base)
+    inst = construct.augment_and_incompat(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "graph.txt").write_text(format_graph(inst.graph), encoding="ascii")

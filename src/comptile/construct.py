@@ -10,24 +10,25 @@ compatible complete-multipartite copy is forced to be transversal, so a
 compatible factor of the augmented graph would induce a factor of the
 base.
 
-Construction claims are verified, not asserted: factor absence is proved
-by the exact solver when the search completes and reported UNVERIFIED
-when it does not, and every emitted certificate inequality is checked
-numerically before the instance is returned.
+Construction claims are verified, not asserted: whether the base has a
+pattern factor is decided exactly from the pattern's colour-class sizes
+(see ``_factor_exists``), and every emitted certificate inequality is
+checked numerically before the instance is returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 
 from . import solver
-from .coloring import chi_star
+from .coloring import chi_star, enumerate_coloring_profiles
 from .errors import SizeCapError, ValidationError
 from .graphs import (Graph, MultipartiteSpec, VertexPartition, complete_multipartite,
                      components)
 from .incompat import IncompatibilitySystem
-from .lattice import index_vector
+from .lattice import GeneratedLattice, index_vector
 from .util import frac_ceil, frac_floor, format_fraction
 
 KOMLOS = "komlos"
@@ -35,7 +36,6 @@ KUHN_OSTHUS = "ko"
 
 CONFIRMED_ABSENT = "confirmed_absent"
 FACTOR_EXISTS = "factor_exists"
-UNVERIFIED = "unverified"
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ class BaseInstance:
     window_low: Fraction          # observed lower bound (chi_cr+1-r)/r * n
     window_high: int              # ceil(n/chi_cr) + 1
     parts_in_window: tuple        # per-part boolean report, not a gate
-    factor_status: str            # confirmed_absent / factor_exists / unverified
+    factor_status: str            # confirmed_absent / factor_exists
 
     def to_json_dict(self) -> dict:
         return {
@@ -60,34 +60,49 @@ class BaseInstance:
         }
 
 
-# The no-factor probe on a freshly built base is a report, not a gate; its
-# search can be astronomically large for n past desk scale, so it gets its
-# own bounded budget and reports UNVERIFIED when that runs out.
-DEFAULT_FACTOR_PROBE_BUDGET = 200_000
-
 # The induced system holds Theta(mu n^3) triples; past this many, building
 # it takes seconds and hundreds of MB, so construct refuses before the base.
 TRIPLE_CAP = 1_000_000
 
 
-def _sizes_to_instance(pattern: Graph, sizes, window_low, window_high,
-                       budget: int) -> BaseInstance:
+def _factor_exists(pattern: Graph, sizes) -> bool:
+    """Does K(sizes) have a ``pattern``-factor?  Needs len(sizes) = chi(pattern).
+
+    With chi parts each copy puts the classes of a proper chi-colouring
+    into distinct parts, and the vertices of a part are interchangeable, so
+    a factor exists iff ``sizes`` is a sum of permuted colouring profiles.
+    Sizes outside the lattice of those vectors have none; otherwise a
+    depth-first search over sorted remainders (the vector set is closed
+    under permutation) subtracts vectors in ascending order, which puts
+    the largest class on the largest part.
+    """
+    vectors = sorted({v for prof in enumerate_coloring_profiles(pattern, len(sizes))
+                      for v in permutations(prof)})
+    if not GeneratedLattice(vectors).membership(sizes)[0]:
+        return False
+    stack = [tuple(sorted(sizes))]
+    seen = set(stack)
+    while stack:
+        rest = stack.pop()
+        if not any(rest):
+            return True
+        for vec in reversed(vectors):     # the stack pops the first vector first
+            nxt = tuple(sorted(a - b for a, b in zip(rest, vec)))
+            if nxt[0] >= 0 and nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return False
+
+
+def _sizes_to_instance(pattern: Graph, sizes, window_low, window_high) -> BaseInstance:
     g, part = complete_multipartite(MultipartiteSpec(tuple(sizes)))
     in_window = tuple(window_low <= s <= window_high for s in sizes)
-    res = solver.find_compatible_factor(pattern, g, budget=budget)
-    if res.status == solver.NONE:
-        status = CONFIRMED_ABSENT
-    elif res.status == solver.FOUND:
-        status = FACTOR_EXISTS
-    else:
-        status = UNVERIFIED
+    status = FACTOR_EXISTS if _factor_exists(pattern, sizes) else CONFIRMED_ABSENT
     return BaseInstance(g, part, tuple(sizes), g.min_degree(),
                         window_low, window_high, in_window, status)
 
 
-def komlos_base(pattern: Graph, n: int,
-                budget: int = DEFAULT_FACTOR_PROBE_BUDGET,
-                sizes=None) -> BaseInstance:
+def komlos_base(pattern: Graph, n: int, sizes=None) -> BaseInstance:
     """Complete r-partite graph of order n with min degree (1-1/chi_cr)n - 1.
 
     Default part sizes are one admissible choice: the largest part gets
@@ -95,13 +110,13 @@ def komlos_base(pattern: Graph, n: int,
     split as evenly as possible.  Whether every part lands inside the
     observed window [(chi_cr+1-r)/r * n, ceil(n/chi_cr)+1] is reported
     per part; balanced patterns miss the lower end by one at every n, so
-    the window is a diagnostic rather than a gate.  Factor absence is
-    checked by the solver, never assumed; at small n the even split can
-    admit a factor for some patterns, in which case pass explicit
-    ``sizes`` (same order, largest first) to pick another member of the
-    admissible family.
+    the window is a diagnostic rather than a gate.  Whether the base has
+    a factor is decided (``factor_status``), never assumed; at small n
+    the even split can admit a factor for some patterns, in which case
+    pass explicit ``sizes`` (same order, largest first) to pick another
+    member of the admissible family.
     """
-    return _sizes_to_instance(pattern, *_komlos_sizes(pattern, n, sizes), budget)
+    return _sizes_to_instance(pattern, *_komlos_sizes(pattern, n, sizes))
 
 
 def _komlos_sizes(pattern: Graph, n: int, sizes=None) -> tuple:
@@ -134,15 +149,14 @@ def _komlos_sizes(pattern: Graph, n: int, sizes=None) -> tuple:
     return sizes, (cr + 1 - r) / r * n, big
 
 
-def kuhn_osthus_base(pattern: Graph, n: int,
-                     budget: int = DEFAULT_FACTOR_PROBE_BUDGET) -> BaseInstance:
+def kuhn_osthus_base(pattern: Graph, n: int) -> BaseInstance:
     """Complete r-partite graph with |V_1| = floor(n/r)+1, |V_2| = ceil(n/r)-1,
     the rest balanced in [floor(n/r), ceil(n/r)]; delta = ceil((1-1/r)n) - 1.
 
     Preconditions: chi(H) = r >= 3, hcf(H) != 1, n divisible by |H|.
     """
     sizes, lo, hi = _ko_sizes(pattern, n)
-    inst = _sizes_to_instance(pattern, sizes, lo, hi, budget)
+    inst = _sizes_to_instance(pattern, sizes, lo, hi)
     r = len(sizes)
     want = frac_ceil(Fraction((r - 1) * n, r)) - 1
     if inst.min_degree != want:
@@ -181,27 +195,20 @@ class ConstructionSpec:
     n: int
     mu: Fraction
     base: str = KOMLOS
-    seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "mu", Fraction(self.mu))
         if self.base not in (KOMLOS, KUHN_OSTHUS):
             raise ValidationError(f"unknown base {self.base!r}")
-        pattern, _ = complete_multipartite(self.pattern_spec)
-        h = pattern.n
-        if self.n % h != 0:
-            raise ValidationError(f"n = {self.n} not divisible by |H| = {h}")
+        pattern = self.pattern()
+        # the base's own preconditions (chi, hcf, n divisible by |H|)
+        (_komlos_sizes if self.base == KOMLOS else _ko_sizes)(pattern, self.n)
         prof = chi_star(pattern)
         r = prof.chi
         upper = (prof.chi_cr + 1 - r) / r
         if not 0 < self.mu < upper:
             raise ValidationError(
                 f"mu = {self.mu} outside the open interval (0, {upper})")
-        if self.base == KUHN_OSTHUS:
-            if r < 3:
-                raise ValidationError("ko base needs chi(H) >= 3")
-            if prof.hcf_is_one:
-                raise ValidationError("ko base needs hcf(H) != 1")
 
     def pattern(self) -> Graph:
         return complete_multipartite(self.pattern_spec)[0]
@@ -289,8 +296,7 @@ def _is_bipartite(g: Graph, block) -> bool:
     return True
 
 
-def augment_and_incompat(spec: ConstructionSpec,
-                         budget: int = solver.DEFAULT_BUDGET) -> ExtremalInstance:
+def augment_and_incompat(spec: ConstructionSpec) -> ExtremalInstance:
     """Build the full instance and check every certificate inequality.
 
     Raises ValidationError with a part-naming diagnostic when the
@@ -311,7 +317,7 @@ def augment_and_incompat(spec: ConstructionSpec,
     if triples > TRIPLE_CAP:
         raise SizeCapError(f"the induced system would hold {triples} triples; "
                            f"construct is capped at {TRIPLE_CAP}")
-    base = build_base(pattern, n, budget=min(budget, DEFAULT_FACTOR_PROBE_BUDGET))
+    base = build_base(pattern, n)
 
     min_bound = mu * n / 2 + 1
     max_bound = mu * n

@@ -354,6 +354,26 @@ def _system_on(g: Graph, f: IncompatibilitySystem, pattern: Graph) -> Incompatib
     return f
 
 
+def _copies(g: Graph, f: IncompatibilitySystem, pattern: Graph, allowed: list,
+            budget: int, sizes: tuple = None) -> CopyEnumeration:
+    """The copies ``_embed`` finds under ``_search_plan(pattern, budget,
+    sizes)``, in canonical order; truncated when the budget runs out."""
+    found = _search_plan(pattern, budget, sizes)
+    if found is None:
+        return CopyEnumeration([], True, budget + 1)
+    plan, below = found
+    work = _Work(budget)
+    out = []
+    truncated = False
+    try:
+        for img in _embed(g, f, plan, allowed, below, work):
+            out.append(plan.copy(img))
+    except BudgetExceeded:
+        truncated = True
+    out.sort(key=lambda e: e.key)
+    return CopyEnumeration(out, truncated, work.spent)
+
+
 def enumerate_compatible_copies(pattern: Graph, g: Graph,
                                 f: IncompatibilitySystem = None,
                                 budget: int = DEFAULT_BUDGET,
@@ -373,20 +393,7 @@ def enumerate_compatible_copies(pattern: Graph, g: Graph,
     pool = _full_pool(g, pool)
     if pattern.n > pool.bit_count():
         return CopyEnumeration([], False, 0)
-    found = _search_plan(pattern, budget)
-    if found is None:
-        return CopyEnumeration([], True, budget + 1)
-    plan, below = found
-    work = _Work(budget)
-    out = []
-    truncated = False
-    try:
-        for img in _embed(g, f, plan, [pool] * pattern.n, below, work):
-            out.append(plan.copy(img))
-    except BudgetExceeded:
-        truncated = True
-    out.sort(key=lambda e: e.key)
-    return CopyEnumeration(out, truncated, work.spent)
+    return _copies(g, f, pattern, [pool] * pattern.n, budget)
 
 
 def enumerate_transversal_copies(spec: MultipartiteSpec, g: Graph,
@@ -415,25 +422,11 @@ def enumerate_transversal_copies(spec: MultipartiteSpec, g: Graph,
         for j in range(i + 1, len(masks)):
             if masks[i] & masks[j]:
                 raise ValidationError("parts must be pairwise disjoint")
-    for i, (p, h_i) in enumerate(zip(parts, spec.sizes)):
-        if len(p) < h_i:
-            return CopyEnumeration([], False, 0)
+    if any(len(p) < h_i for p, h_i in zip(parts, spec.sizes)):
+        return CopyEnumeration([], False, 0)
 
-    found = _search_plan(pattern, budget, spec.sizes)
-    if found is None:
-        return CopyEnumeration([], True, budget + 1)
-    plan, below = found
     allowed = [m for m, h_i in zip(masks, spec.sizes) for _ in range(h_i)]
-    work = _Work(budget)
-    out = []
-    truncated = False
-    try:
-        for img in _embed(g, f, plan, allowed, below, work):
-            out.append(plan.copy(img))
-    except BudgetExceeded:
-        truncated = True
-    out.sort(key=lambda e: e.key)
-    return CopyEnumeration(out, truncated, work.spent)
+    return _copies(g, f, pattern, allowed, budget, spec.sizes)
 
 
 def verify_embedding(g: Graph, f: IncompatibilitySystem, pattern: Graph,

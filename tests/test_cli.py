@@ -435,7 +435,9 @@ def test_construct_cli_fuzz(tmp_path, capsys, case, base, budget):
     assert code == 0
     # the written instance parses back and its certificates hold
     assert (out_dir / "certificates.json").read_text(encoding="ascii") == out
-    assert json.loads(out)["construct"]["certificates"]["all_hold"]
+    rep = json.loads(out)["construct"]
+    assert rep["certificates"]["all_hold"]
+    assert rep["base_report"]["factor_status"] in {"confirmed_absent", "factor_exists"}
     g = parse_graph((out_dir / "graph.txt").read_text(encoding="ascii"))
     part = parse_partition((out_dir / "partition.txt").read_text(encoding="ascii"), g.n)
     f = parse_system((out_dir / "incompat.txt").read_text(encoding="ascii"), g)

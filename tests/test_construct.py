@@ -1,17 +1,22 @@
+import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 from comptile import construct, solver
+from comptile.coloring import chi_star, enumerate_coloring_profiles
 from comptile.construct import (KOMLOS, KUHN_OSTHUS, ConstructionSpec,
                                 augment_and_incompat, detect_multipartite,
                                 komlos_base, kuhn_osthus_base,
                                 verify_index_vector_claim)
 from comptile.errors import SizeCapError, ValidationError
 from comptile.graphs import (Graph, MultipartiteSpec, complete_graph,
-                             complete_multipartite, cycle_graph, path_graph)
+                             complete_multipartite, cycle_graph, disjoint_union,
+                             empty_graph, path_graph)
 from comptile.incompat import IncompatibilitySystem
-from comptile.lattice import index_vector
+from comptile.lattice import GeneratedLattice, index_vector
+from comptile.oracles import raw_factor_exists
 from comptile.util import mask_of
 
 K3 = complete_graph(3)
@@ -61,6 +66,62 @@ def test_komlos_base_examples():
     assert override.min_degree == base.min_degree == 4
 
 
+def _kr(*sizes):
+    return complete_multipartite(MultipartiteSpec(sizes))[0]
+
+
+# patterns with one colouring profile and patterns with several, e.g.
+# P3+K1 splits (2,2) or (1,3), K3+2K1 splits (1,1,3) or (1,2,2)
+_PROFILE_PATTERNS = [path_graph(4), cycle_graph(5), cycle_graph(6),
+                     disjoint_union(complete_graph(2), complete_graph(2)),
+                     disjoint_union(complete_graph(2), empty_graph(1)), _kr(1, 2), _kr(1, 1, 2),
+                     disjoint_union(path_graph(3), empty_graph(1)),
+                     disjoint_union(complete_graph(3), empty_graph(2)),
+                     disjoint_union(cycle_graph(5), empty_graph(1)),
+                     disjoint_union(complete_graph(2), empty_graph(2))]
+
+
+def test_factor_rule_matches_the_solver_and_the_oracle():
+    rng = random.Random(13)
+    assert any(len(enumerate_coloring_profiles(h, chi_star(h).chi)) > 1
+               for h in _PROFILE_PATTERNS)
+    checked_by_oracle = 0
+    for _ in range(120):
+        pattern = rng.choice(_PROFILE_PATTERNS)
+        r = chi_star(pattern).chi
+        n = pattern.n * rng.randint(1, 12 // pattern.n)
+        if n < r:
+            continue
+        cuts = sorted(rng.sample(range(1, n), r - 1))
+        sizes = tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))
+        host = _kr(*sizes)
+        want = solver.find_compatible_factor(pattern, host).status == solver.FOUND
+        assert construct._factor_exists(pattern, sizes) == want, (pattern, sizes)
+        if n <= 10:
+            assert raw_factor_exists(pattern, host) == want, (pattern, sizes)
+            checked_by_oracle += 1
+    assert checked_by_oracle >= 40
+
+
+def _in_lattice(pattern, sizes):
+    vectors = {v for prof in enumerate_coloring_profiles(pattern, len(sizes))
+               for v in permutations(prof)}
+    return GeneratedLattice(sorted(vectors)).membership(sizes)[0]
+
+
+@pytest.mark.parametrize("pattern, n, build, status, lattice_member", [
+    (complete_graph(2), 600, komlos_base, "confirmed_absent", False),
+    (_kr(1, 1, 3), 300, kuhn_osthus_base, "confirmed_absent", False),
+    (_kr(1, 1, 1, 1, 3), 210, kuhn_osthus_base, "confirmed_absent", False),
+    (_kr(1, 2, 2), 120, komlos_base, "confirmed_absent", True),    # the search decides
+    (_kr(1, 1, 2), 24, komlos_base, "factor_exists", True),
+])
+def test_base_factor_status_is_decided(pattern, n, build, status, lattice_member):
+    base = build(pattern, n)
+    assert base.factor_status == status
+    assert _in_lattice(pattern, base.sizes) == lattice_member
+
+
 def test_komlos_window_reported_not_enforced():
     base = komlos_base(K3, 6)
     assert base.parts_in_window == (True, True, False)
@@ -95,7 +156,7 @@ def test_spec_validation():
 
 @pytest.fixture(scope="module")
 def inst24():
-    spec = ConstructionSpec(K111, 24, Fraction(1, 6), base=KOMLOS, seed=7)
+    spec = ConstructionSpec(K111, 24, Fraction(1, 6), base=KOMLOS)
     return augment_and_incompat(spec)
 
 
@@ -148,7 +209,7 @@ def test_index_vector_claim_true_and_f_empty_false(inst24):
 
 def test_index_vector_claim_needs_three_parts():
     # mu*n = 4 leaves room for the circulant on odd parts (degrees {3, 4})
-    spec = ConstructionSpec(MultipartiteSpec((1, 1)), 16, Fraction(1, 4), seed=1)
+    spec = ConstructionSpec(MultipartiteSpec((1, 1)), 16, Fraction(1, 4))
     inst = augment_and_incompat(spec)
     assert inst.certificates.all_hold()
     with pytest.raises(ValidationError, match="r >= 3"):
