@@ -27,7 +27,6 @@ glue into factor tilings of the whole by construction.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from dataclasses import dataclass
@@ -206,18 +205,22 @@ def find_connector(g: Graph, f: IncompatibilitySystem, pattern: Graph,
     if enum.truncated:
         return ConnectorSearch(solver.INDETERMINATE, None, enum.expansions)
     return _search_connector(g, f, pattern, u, v, t, [emb.mask for emb in enum.copies],
-                             enum.expansions, budget)
+                             enum.expansions, budget, {})
 
 
 def _search_connector(g: Graph, f: IncompatibilitySystem, pattern: Graph,
                       u: int, v: int, t: int, masks: list, spent: int,
-                      budget: int) -> ConnectorSearch:
+                      budget: int, verdicts: dict) -> ConnectorSearch:
     """``find_connector``'s candidate loop over the copy masks ``masks``
-    (canonical order, none containing v), after ``spent`` expansions."""
+    (canonical order, none containing v), after ``spent`` expansions.
+
+    ``verdicts`` maps each candidate S already verified, as a vertex mask,
+    to whether it is a connector for u, v; such an S is not verified again
+    and costs nothing.  A verification cut by the budget is not stored.
+    """
     expansions = spent
     through_u = [msk for msk in masks if msk >> u & 1]
     for j in range(1, t + 1):
-        seen = set()
         # explicit stack: todo[d] holds the untried candidates for copy d,
         # unions[d] the union of copies 0..d-1
         todo, unions = [iter(through_u)], [0]
@@ -234,17 +237,17 @@ def _search_connector(g: Graph, f: IncompatibilitySystem, pattern: Graph,
                 todo.append(iter(masks))
                 unions.append(used)
                 continue
-            s_set = tuple(sorted(bits(used & ~(1 << u))))
-            if s_set in seen:
-                continue
-            seen.add(s_set)
-            check = verify_connector(g, f, pattern, s_set, u, v, t,
-                                     budget=budget - expansions)
-            expansions += check.expansions
-            if check.status == INDETERMINATE:
-                return ConnectorSearch(solver.INDETERMINATE, None, expansions)
-            if check.ok:
-                return ConnectorSearch(solver.FOUND, Connector(u, v, s_set, t), expansions)
+            s_mask = used & ~(1 << u)
+            if s_mask not in verdicts:
+                check = verify_connector(g, f, pattern, tuple(bits(s_mask)), u, v, t,
+                                         budget=budget - expansions)
+                expansions += check.expansions
+                if check.status == INDETERMINATE:
+                    return ConnectorSearch(solver.INDETERMINATE, None, expansions)
+                verdicts[s_mask] = check.ok
+            if verdicts[s_mask]:
+                return ConnectorSearch(solver.FOUND, Connector(u, v, tuple(bits(s_mask)), t),
+                                       expansions)
     return ConnectorSearch(solver.NONE, None, expansions)
 
 
@@ -297,14 +300,9 @@ def reachability_estimate(g: Graph, f: IncompatibilitySystem, pattern: Graph,
     exactly the copies of G - v that miss W, so each W runs
     ``find_connector``'s candidate loop over that filter of one
     enumeration of G - v, in the same canonical order, and gets the same
-    answer as its own search would.  Each W is charged the whole shared
-    enumeration before its factor searches.  That is never less than its
-    own enumeration would cost, so a W that ends FOUND or NONE still
-    spent at most ``budget``; a truncated shared enumeration gives
-    INDETERMINATE with nothing checked.  This is more conservative than
-    a ``find_connector`` per W only at budgets that cover some W's own
-    enumeration plus its factor searches but not the host's enumeration
-    plus the same searches.
+    answer as its own search would.  The loops share one table of
+    verdicts, so each candidate S is verified at most once per call, and
+    ``budget`` bounds the whole call: the enumeration plus those checks.
     """
     _check_connector_inputs(g, pattern, u, v, t)
     if m < 0:
@@ -315,23 +313,24 @@ def reachability_estimate(g: Graph, f: IncompatibilitySystem, pattern: Graph,
     population = math.comb(len(others), m)
     exhaustive = population <= exhaustive_cap
     rng = random.Random(seed)
-
-    @functools.cache
-    def host_copies():
-        # made at the first W, so _for_every rejects bad samples before any search
-        enum = solver.enumerate_compatible_copies(pattern, g, f, budget=budget,
-                                                  pool=((1 << g.n) - 1) & ~(1 << v))
-        return enum, [emb.mask for emb in enum.copies]
+    masks = spent = None
+    verdicts = {}
 
     def has_connector(w_set):
-        enum, masks = host_copies()
-        if enum.truncated:
-            return None
+        nonlocal masks, spent
+        if masks is None:
+            # made at the first W, so _for_every rejects bad samples before any search
+            enum = solver.enumerate_compatible_copies(pattern, g, f, budget=budget,
+                                                      pool=((1 << g.n) - 1) & ~(1 << v))
+            if enum.truncated:
+                return None
+            masks, spent = [emb.mask for emb in enum.copies], enum.expansions
         w_mask = mask_of(w_set)
-        status = _search_connector(g, f, pattern, u, v, t,
-                                   [msk for msk in masks if not msk & w_mask],
-                                   enum.expansions, budget).status
-        return None if status == solver.INDETERMINATE else status == solver.FOUND
+        res = _search_connector(g, f, pattern, u, v, t,
+                                [msk for msk in masks if not msk & w_mask],
+                                spent, budget, verdicts)
+        spent = res.expansions
+        return None if res.status == solver.INDETERMINATE else res.status == solver.FOUND
 
     verdict, checked, witness = _for_every(
         exhaustive, combinations(others, m),
@@ -414,7 +413,7 @@ def assemble_absorber(g: Graph, f: IncompatibilitySystem, pattern: Graph,
 class VectorReport:
     vector: tuple
     robust: bool
-    verdict: str            # proven / supported / refuted-style witness
+    verdict: str            # proven / supported / indeterminate (truncated enumeration)
     witness: tuple = None
     disjoint_copies: int = 0
 
@@ -439,8 +438,11 @@ def robust_vectors(g: Graph, f: IncompatibilitySystem, pattern: Graph,
     vector with more than floor(beta*n) pairwise disjoint realizing
     copies is PROVEN robust outright (no W can hit them all).  Otherwise
     the W-space is exhausted when it fits the cap, else sampled; the
-    verdict label records which.  Testing |W| = floor(beta*n) exactly
-    covers all smaller W too (supersets only make deletion harder).
+    verdict label records which.  A W that hits every copy found proves
+    the vector not robust only when the enumeration was complete; after
+    a truncated one the vector is INDETERMINATE, without a witness.
+    Testing |W| = floor(beta*n) exactly covers all smaller W too
+    (supersets only make deletion harder).
     """
     beta = Fraction(beta)
     if not 0 <= beta <= 1:   # |W| > n would leave no W to check: a vacuous proof
@@ -477,6 +479,8 @@ def robust_vectors(g: Graph, f: IncompatibilitySystem, pattern: Graph,
             lambda: tuple(sorted(rng.sample(range(g.n), w))), samples, survives)
         if killer is None:
             reports[vec] = VectorReport(vec, True, verdict)
+        elif enum.truncated:    # a copy the enumeration did not reach may miss the killer
+            reports[vec] = VectorReport(vec, False, INDETERMINATE)
         else:
             reports[vec] = VectorReport(vec, False, PROVEN, witness=killer)
     return RobustReport(w, reports, enum.truncated)
@@ -499,13 +503,14 @@ def verify_absorbing_set(g: Graph, f: IncompatibilitySystem, pattern: Graph,
     h must leave G[A u R] with a compatible factor.  Exhaustive over all
     admissible R when the count fits the cap, else sampled per size.
     """
-    a_set = sorted(set(a_set))
+    inside = set(a_set)
+    a_set = sorted(inside)
     _check_inputs(g, pattern, a_set)
     xi = Fraction(xi)
     if xi < 0:
         raise ValidationError(f"xi must be >= 0, got {xi}")
     h = pattern.n
-    outside = [v for v in range(g.n) if v not in set(a_set)]
+    outside = [v for v in range(g.n) if v not in inside]
     r_cap = min(frac_floor(xi * g.n), len(outside))   # R lies outside A
     sizes = [s for s in range(0, r_cap + 1) if (len(a_set) + s) % h == 0]
     population = sum(math.comb(len(outside), s) for s in sizes)

@@ -74,21 +74,28 @@ def _factor_exists(pattern: Graph, sizes) -> bool:
     Sizes outside the lattice of those vectors have none; otherwise a
     depth-first search over sorted remainders (the vector set is closed
     under permutation) subtracts vectors in ascending order, which puts
-    the largest class on the largest part.
+    the largest class on the largest part.  It drops a remainder with a
+    part outside [k*low, k*high], where k copies are left and low, high
+    are the smallest and largest class sizes: each copy puts one class
+    into every part.
     """
     vectors = sorted({v for prof in enumerate_coloring_profiles(pattern, len(sizes))
                       for v in permutations(prof)})
     if not GeneratedLattice(vectors).membership(sizes)[0]:
         return False
+    h, low, high = pattern.n, min(map(min, vectors)), max(map(max, vectors))
     stack = [tuple(sorted(sizes))]
     seen = set(stack)
     while stack:
         rest = stack.pop()
+        k = sum(rest) // h    # copies left
+        if not k * low <= rest[0] <= rest[-1] <= k * high:
+            continue
         if not any(rest):
             return True
         for vec in reversed(vectors):     # the stack pops the first vector first
             nxt = tuple(sorted(a - b for a, b in zip(rest, vec)))
-            if nxt[0] >= 0 and nxt not in seen:
+            if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
     return False

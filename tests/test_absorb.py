@@ -196,7 +196,23 @@ def test_reachability_matches_a_find_connector_per_w():
     assert min(verdicts[v] for v in (absorb.PROVEN, absorb.SUPPORTED, absorb.REFUTED)) >= 5
 
 
-def test_reachability_budget_covers_the_shared_enumeration():
+def test_reachability_verifies_each_candidate_once(monkeypatch):
+    k8 = complete_graph(8)
+    calls = []
+    real = absorb.verify_connector
+
+    def recorded(g, f, pattern, s_set, *args, **kwargs):
+        calls.append(tuple(s_set))
+        return real(g, f, pattern, s_set, *args, **kwargs)
+
+    monkeypatch.setattr(absorb, "verify_connector", recorded)
+    rep = reachability_estimate(k8, empty(k8), K2, 0, 1, 2, 1)
+    assert (rep.verdict, rep.checked) == (absorb.PROVEN, 15)
+    # 15 W, but only the interiors {2}, {3} and {4} are ever first to avoid one
+    assert sorted(calls) == [(2,), (3,), (4,)]
+
+
+def test_reachability_budget_covers_the_whole_call():
     k8 = complete_graph(8)
     f = empty(k8)
     host = solver.enumerate_compatible_copies(K2, k8, f, pool=((1 << 8) - 1) & ~(1 << 1))
@@ -206,11 +222,12 @@ def test_reachability_budget_covers_the_shared_enumeration():
     # every W's own search decides at that budget: the regime where sharing is stricter
     assert all(find_connector(k8, f, K2, 0, 1, w_set, 1, budget=budget).status == solver.FOUND
                for w_set in combinations(range(2, 8), 2))
-    # each W pays for the shared enumeration before its factor searches
-    rep = reachability_estimate(k8, f, K2, 0, 1, 2, 1, budget=host.expansions + 1)
-    assert (rep.verdict, rep.checked) == (absorb.INDETERMINATE, 0)
-    rep = reachability_estimate(k8, f, K2, 0, 1, 2, 1, budget=host.expansions + 10)
-    assert (rep.verdict, rep.checked) == (absorb.PROVEN, 15)
+    # the enumeration and the three distinct candidates' checks share one budget;
+    # `checked` counts the W proven before the cut
+    for extra, want in ((1, (absorb.INDETERMINATE, 0)), (10, (absorb.INDETERMINATE, 1)),
+                        (23, (absorb.INDETERMINATE, 5)), (24, (absorb.PROVEN, 15))):
+        rep = reachability_estimate(k8, f, K2, 0, 1, 2, 1, budget=host.expansions + extra)
+        assert (rep.verdict, rep.checked) == want, extra
 
 
 def test_concatenation_and_size_law():
@@ -298,6 +315,19 @@ def test_robust_vectors_ladder():
     assert rep.vectors[(1, 1)].robust is False
     assert rep.vectors[(1, 1)].witness is not None
     assert rep.vectors[(2, 0)].robust is False
+
+
+def test_robust_vectors_claim_no_refutation_from_a_truncated_enumeration():
+    k9 = complete_graph(9)
+    thirds = VertexPartition(9, ((0, 1, 2), (3, 4, 5), (6, 7, 8)))
+    full = robust_vectors(k9, empty(k9), K3, thirds, "1/9")
+    assert not full.enumeration_truncated
+    assert full.vectors[(1, 1, 1)].robust and full.vectors[(1, 1, 1)].verdict == absorb.PROVEN
+    cut = robust_vectors(k9, empty(k9), K3, thirds, "1/9", budget=20)
+    assert cut.enumeration_truncated and (1, 1, 1) in cut.vectors
+    # W = {0} hits every copy found before the cut, but not every copy
+    for rep in cut.vectors.values():
+        assert (rep.robust, rep.verdict, rep.witness) == (False, absorb.INDETERMINATE, None)
 
 
 @pytest.mark.parametrize("beta", [2, "-1/3"])
