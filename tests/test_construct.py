@@ -114,11 +114,11 @@ def _in_lattice(pattern, sizes):
     (_kr(1, 1, 3), 300, kuhn_osthus_base, "confirmed_absent", False),
     (_kr(1, 1, 1, 1, 3), 210, kuhn_osthus_base, "confirmed_absent", False),
     (_kr(1, 2, 2), 120, komlos_base, "confirmed_absent", True),    # the search decides
+    (_kr(1, 1, 2), 24, komlos_base, "factor_exists", True),
     # the per-part bound on the remainders keeps these to a few nodes
     (_kr(1, 2, 2), 600, komlos_base, "confirmed_absent", True),
     (_kr(1, 2, 2), 1200, komlos_base, "confirmed_absent", True),
     (_kr(1, 2, 2, 2), 630, komlos_base, "confirmed_absent", True),
-    (_kr(1, 1, 2), 24, komlos_base, "factor_exists", True),
 ])
 def test_base_factor_status_is_decided(pattern, n, build, status, lattice_member):
     base = build(pattern, n)
