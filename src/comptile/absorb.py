@@ -71,9 +71,6 @@ class VerifyResult:
     tilings: tuple = ()         # witness tilings in host ids when ok
     expansions: int = 0         # spent by the factor searches
 
-    def __bool__(self):
-        return self.ok
-
 
 def _check_inputs(g: Graph, pattern: Graph, vertices):
     """Usage errors rejected before any verdict: an empty pattern, or a

@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Subcommands: invariants, construct, solve, lattice, absorb, regcount,
-acceptance.  Shared flags: --seed, --budget, --json.  Reports echo the
+acceptance.  Shared flags: --seed, --budget.  Reports echo the
 seed and budget (reproducibility header) and are emitted as canonical
 JSON, so identical inputs give byte-identical output.
 
@@ -289,8 +289,6 @@ def build_parser() -> _ArgumentParser:
     def shared(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--budget", type=int, default=solver.DEFAULT_BUDGET)
-        p.add_argument("--json", action="store_true",
-                       help="reports are always JSON; accepted for compatibility")
 
     p = sub.add_parser("invariants", help="chromatic dichotomy profile of a graph")
     p.add_argument("graph")

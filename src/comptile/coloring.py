@@ -141,16 +141,16 @@ def chromatic_number(g: Graph) -> int:
     return g.n  # unreachable; K_n colorable with n colors
 
 
-def enumerate_coloring_profiles(g: Graph, k: int, force: bool = False) -> frozenset:
+def enumerate_coloring_profiles(g: Graph, k: int) -> frozenset:
     """Distinct sorted class-size multisets over proper k-colorings of g.
 
     Returns the empty set when k < chi(g) (no proper k-coloring exists);
     at k = chi(g) the result is never empty.
     """
-    if g.n > COLORING_CAP and not force:
+    if g.n > COLORING_CAP:
         raise SizeCapError(
             f"coloring enumeration capped at {COLORING_CAP} vertices "
-            f"(graph has {g.n}); pass force=True to override")
+            f"(graph has {g.n})")
     if k < 1:
         raise ValidationError("need k >= 1")
     return frozenset(tuple(sorted(sizes)) for sizes in _colorings(g, k))

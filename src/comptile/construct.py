@@ -109,24 +109,22 @@ def _sizes_to_instance(pattern: Graph, sizes, window_low, window_high) -> BaseIn
                         window_low, window_high, in_window, status)
 
 
-def komlos_base(pattern: Graph, n: int, sizes=None) -> BaseInstance:
+def komlos_base(pattern: Graph, n: int) -> BaseInstance:
     """Complete r-partite graph of order n with min degree (1-1/chi_cr)n - 1.
 
-    Default part sizes are one admissible choice: the largest part gets
+    The part sizes are one admissible choice: the largest part gets
     ceil(n/chi_cr) + 1 (the maximal degree deficit), the remainder is
     split as evenly as possible.  Whether every part lands inside the
     observed window [(chi_cr+1-r)/r * n, ceil(n/chi_cr)+1] is reported
     per part; balanced patterns miss the lower end by one at every n, so
     the window is a diagnostic rather than a gate.  Whether the base has
     a factor is decided (``factor_status``), never assumed; at small n
-    the even split can admit a factor for some patterns, in which case
-    pass explicit ``sizes`` (same order, largest first) to pick another
-    member of the admissible family.
+    the even split can admit a factor for some patterns.
     """
-    return _sizes_to_instance(pattern, *_komlos_sizes(pattern, n, sizes))
+    return _sizes_to_instance(pattern, *_komlos_sizes(pattern, n))
 
 
-def _komlos_sizes(pattern: Graph, n: int, sizes=None) -> tuple:
+def _komlos_sizes(pattern: Graph, n: int) -> tuple:
     """(part sizes, window low, window high) of ``komlos_base``."""
     prof = chi_star(pattern)
     r = prof.chi
@@ -136,23 +134,13 @@ def _komlos_sizes(pattern: Graph, n: int, sizes=None) -> tuple:
         raise ValidationError(f"n = {n} is not divisible by |H| = {pattern.n}")
     cr = prof.chi_cr
     big = frac_ceil(Fraction(n) / cr) + 1
-    if sizes is None:
-        rest = n - big
-        if rest < r - 1:
-            raise ValidationError(
-                f"n = {n} too small: largest part {big} leaves {rest} vertices "
-                f"for {r - 1} non-empty parts")
-        base, extra = divmod(rest, r - 1)
-        sizes = [big] + [base + (1 if i < extra else 0) for i in range(r - 1)]
-    else:
-        sizes = [int(s) for s in sizes]
-        if len(sizes) != r or sum(sizes) != n or any(s < 1 for s in sizes):
-            raise ValidationError(
-                f"override sizes must be {r} positive parts summing to {n}")
-        if max(sizes) != big:
-            raise ValidationError(
-                f"override sizes must keep the largest part at {big} "
-                f"(the target degree deficit)")
+    rest = n - big
+    if rest < r - 1:
+        raise ValidationError(
+            f"n = {n} too small: largest part {big} leaves {rest} vertices "
+            f"for {r - 1} non-empty parts")
+    base, extra = divmod(rest, r - 1)
+    sizes = [big] + [base + (1 if i < extra else 0) for i in range(r - 1)]
     return sizes, (cr + 1 - r) / r * n, big
 
 
@@ -263,18 +251,14 @@ class ExtremalInstance:
     certificates: Certificates
 
 
-def _bipartite_circulant(block: tuple, d: int, name: str) -> list:
+def _bipartite_circulant(block: tuple, d: int) -> list:
     """Spanning bipartite graph on the block: one half of size ceil(s/2),
     each of its vertices joined to d cyclically consecutive vertices of
-    the other half.  Degrees land in {d, d+1}.
+    the other half.  Degrees land in {d, d+1}; the block needs at least
+    2d vertices.
     """
-    s = len(block)
-    half = (s + 1) // 2
+    half = (len(block) + 1) // 2
     xs, ys = block[:half], block[half:]
-    if not ys or d > len(ys):
-        raise ValidationError(
-            f"{name} (size {s}) too small for the requested mu: needs a half "
-            f"of size >= d = {d}")
     edges = []
     for i, x in enumerate(xs):
         for j in range(d):
@@ -333,12 +317,11 @@ def augment_and_incompat(spec: ConstructionSpec) -> ExtremalInstance:
     rows = list(base.graph.adj)
     internal_edges = {}  # part index -> edge list
     for pi, block in enumerate(base.partition.blocks):
-        name = f"part {pi}"
         if len(block) < 2 * d:
             raise ValidationError(
-                f"{name} (size {len(block)}) too small for mu = {mu}: "
+                f"part {pi} (size {len(block)}) too small for mu = {mu}: "
                 f"needs size >= 2*(ceil(mu*n/2)+1) = {2 * d}")
-        edges = _bipartite_circulant(block, d, name)
+        edges = _bipartite_circulant(block, d)
         internal_edges[pi] = edges
         for u, v in edges:
             rows[u] |= 1 << v
@@ -374,7 +357,7 @@ def augment_and_incompat(spec: ConstructionSpec) -> ExtremalInstance:
         internal_min_bound=min_bound,
         internal_max_bound=max_bound,
         parts_bipartite=tuple(_is_bipartite(graph, set(b)) for b in base.partition.blocks),
-        f_delta=system.bound_report().delta,
+        f_delta=system.delta,
         f_delta_bound=q_bound,
     )
     if not certs.all_hold():

@@ -96,9 +96,6 @@ class Graph:
     def min_degree(self) -> int:
         return min((self.degree(v) for v in range(self.n)), default=0)
 
-    def max_degree(self) -> int:
-        return max((self.degree(v) for v in range(self.n)), default=0)
-
     def induced(self, vertices) -> tuple:
         """Induced subgraph on ``vertices``; returns (graph, old_ids).
 

@@ -1,4 +1,4 @@
-"""Incompatibility systems: storage, bound reports, queries, generation.
+"""Incompatibility systems: storage, the Delta-bound, queries, generation.
 
 A system F over a graph G assigns to each vertex v a family F_v of
 unordered pairs {e, e'} of edges whose intersection is exactly {v}.  Two
@@ -8,7 +8,8 @@ no vertex are always compatible, so a pair {e, e'} can only ever live in
 F_v for the single shared vertex v.
 
 The Delta-bound of a system is the maximum, over vertices v and edges e
-at v, of the number of other edges at v declared incompatible with e.
+at v, of the number of other edges at v declared incompatible with e
+(``IncompatibilitySystem.delta``).
 
 File format: one line per pair, "v a b" meaning {va, vb} in F_v, ids
 0-based; blank and '#' lines are skipped.  JSON mirror: {"pairs": [[v, a, b],
@@ -20,7 +21,6 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FormatError, ValidationError
@@ -30,11 +30,6 @@ from .util import bits, int_rows
 
 def edge_key(u: int, v: int) -> tuple:
     return (u, v) if u < v else (v, u)
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    delta: int
 
 
 class IncompatibilitySystem:
@@ -125,12 +120,11 @@ class IncompatibilitySystem:
                     return False, (edge_key(v, a), edge_key(v, next(bits(hit))))
         return True, None
 
-    def bound_report(self) -> BoundReport:
-        return BoundReport(max((m.bit_count() for row in self.inc.values()
-                                for m in row.values()), default=0))
-
-    def with_added(self, triples) -> "IncompatibilitySystem":
-        return IncompatibilitySystem(self.graph, self.triples() + list(triples))
+    @property
+    def delta(self) -> int:
+        """The Delta-bound: the most partners any edge has at one end."""
+        return max((m.bit_count() for row in self.inc.values()
+                    for m in row.values()), default=0)
 
 
 def count_bad_pairs_at(f: IncompatibilitySystem, v: int) -> int:
@@ -162,7 +156,7 @@ def random_bounded_system(g: Graph, mu, seed: int) -> IncompatibilitySystem:
     only while both of its edges still have fewer than floor(mu*n)
     partners at v, so the cap holds for the total count (own picks plus
     pairs contributed by sibling edges).  Reproducible from the seed;
-    the achieved bound is whatever bound_report() measures.
+    the achieved bound is whatever ``delta`` measures.
     """
     mu = Fraction(mu)
     n = g.n

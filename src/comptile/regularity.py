@@ -174,10 +174,6 @@ class ReducedGraph:
     eps: Fraction
     d: Fraction
     edges: tuple               # sorted (i, j) cluster pairs that verified regular
-    reports: dict              # (i, j) -> RegularityReport
-
-    def graph(self) -> Graph:
-        return Graph.from_edges(self.k, self.edges)
 
 
 def reduced_graph(g: Graph, blocks, eps, d) -> ReducedGraph:
@@ -190,14 +186,11 @@ def reduced_graph(g: Graph, blocks, eps, d) -> ReducedGraph:
         if len(b) > SIDE_CAP:
             raise SizeCapError(f"cluster {i} exceeds the side cap {SIDE_CAP}")
     edges = []
-    reports = {}
     for i in range(len(blocks)):
         for j in range(i + 1, len(blocks)):
-            rep = is_eps_regular_exhaustive(g, blocks[i], blocks[j], eps, d_min=d)
-            reports[(i, j)] = rep
-            if rep.regular:
+            if is_eps_regular_exhaustive(g, blocks[i], blocks[j], eps, d_min=d).regular:
                 edges.append((i, j))
-    return ReducedGraph(len(blocks), eps, d, tuple(edges), reports)
+    return ReducedGraph(len(blocks), eps, d, tuple(edges))
 
 
 @dataclass(frozen=True)

@@ -61,10 +61,6 @@ class Embedding:
         return _Plan(pattern, list(range(pattern.n))).copy(phi)
 
     @property
-    def key(self) -> tuple:
-        return (self.vertices, self.edges)
-
-    @property
     def mask(self) -> int:
         return mask_of(self.vertices)
 
@@ -83,9 +79,6 @@ class Tiling:
 
     def covered_count(self) -> int:
         return self.covered().bit_count()
-
-    def uncovered(self, g: Graph) -> list:
-        return list(bits(((1 << g.n) - 1) & ~self.covered()))
 
     def __len__(self):
         return len(self.embeddings)
@@ -250,12 +243,9 @@ def _embed(g: Graph, f: IncompatibilitySystem, plan: _Plan, allowed: list,
         open_step(i, used)
 
 
-def _symmetry_conditions(pattern: Graph, plan: _Plan, order: list,
-                         classes: list, work: _Work) -> tuple:
+def _symmetry_conditions(pattern: Graph, plan: _Plan, order: list, work: _Work) -> tuple:
     """Per step, the earlier steps whose images must lie below its image.
 
-    The automorphisms counted are those that map every pattern vertex u
-    into ``classes[u]`` (a vertex mask; the classes partition the pattern).
     Walking the steps in plan order, step i's vertex v gets the condition
     img(v) < img(w) for every other w in its orbit under the automorphisms
     that fix the vertices of steps 0..i-1.  Each such w belongs to a later
@@ -278,12 +268,13 @@ def _symmetry_conditions(pattern: Graph, plan: _Plan, order: list,
     adj = pattern.adj
     f = IncompatibilitySystem.empty(pattern)
     unconditioned = [()] * k
-    allowed = [classes[u] for u in order]
+    full = (1 << k) - 1
+    allowed = [full] * k
     lower = [0] * k    # lower[b]: bitmask of the steps a with img(a) < img(b)
     fixed = 0
     for i, v in enumerate(order):
         near, deg = adj[v] & fixed, adj[v].bit_count()
-        for w in bits(classes[v] & ~fixed & ~(1 << v)):
+        for w in bits(full & ~fixed & ~(1 << v)):
             work.spend()
             if adj[w] & fixed != near or adj[w].bit_count() != deg:
                 continue
@@ -305,40 +296,31 @@ def _symmetry_conditions(pattern: Graph, plan: _Plan, order: list,
     return tuple(below)
 
 
-# (pattern, sizes) -> (plan, below, the work deriving below cost), oldest first
+# pattern -> (plan, below, the work deriving below cost), oldest first
 _plans = {}
 
 
-def _search_plan(pattern: Graph, budget, sizes: tuple = None):
-    """(plan, below) for enumerating ``pattern``, each copy once, or None
-    when deriving ``below`` costs more than ``budget``.
+def _search_plan(pattern: Graph, budget):
+    """(plan, below) for enumerating ``pattern`` in ``_pattern_order``,
+    each copy once, or None when deriving ``below`` costs more than
+    ``budget``.
 
-    Without ``sizes`` the plan follows ``_pattern_order`` and every
-    automorphism counts.  With ``sizes``, ``pattern`` is K(sizes) numbered
-    part by part; it is placed in that order, and only the automorphisms
-    that keep every part in place count.  Plans are cached with their
-    cost, so the answer for a given budget does not depend on which calls
-    came before; a derivation the budget cuts short is not cached.
+    Plans are cached with their cost, so the answer for a given budget
+    does not depend on which calls came before; a derivation the budget
+    cuts short is not cached.
     """
-    key = (pattern, sizes)
-    entry = _plans.get(key)
+    entry = _plans.get(pattern)
     if entry is None:
-        full = (1 << pattern.n) - 1
-        if sizes is None:
-            order, classes = _pattern_order(pattern), [full] * pattern.n
-        else:
-            order, classes = list(range(pattern.n)), []
-            for h_i in sizes:
-                classes += [((1 << h_i) - 1) << len(classes)] * h_i
+        order = _pattern_order(pattern)
         plan = _Plan(pattern, order)
         work = _Work(budget)
         try:
-            below = _symmetry_conditions(pattern, plan, order, classes, work)
+            below = _symmetry_conditions(pattern, plan, order, work)
         except BudgetExceeded:
             return None
         if len(_plans) >= PLAN_CACHE_SIZE:
             del _plans[next(iter(_plans))]
-        entry = _plans[key] = (plan, below, work.spent)
+        entry = _plans[pattern] = (plan, below, work.spent)
     plan, below, cost = entry
     return None if cost > budget else (plan, below)
 
@@ -354,14 +336,10 @@ def _system_on(g: Graph, f: IncompatibilitySystem, pattern: Graph) -> Incompatib
     return f
 
 
-def _copies(g: Graph, f: IncompatibilitySystem, pattern: Graph, allowed: list,
-            budget: int, sizes: tuple = None) -> CopyEnumeration:
-    """The copies ``_embed`` finds under ``_search_plan(pattern, budget,
-    sizes)``, in canonical order; truncated when the budget runs out."""
-    found = _search_plan(pattern, budget, sizes)
-    if found is None:
-        return CopyEnumeration([], True, budget + 1)
-    plan, below = found
+def _copies(g: Graph, f: IncompatibilitySystem, plan: _Plan, below, allowed: list,
+            budget: int) -> CopyEnumeration:
+    """The copies ``_embed`` finds for ``plan`` under ``below``, in
+    canonical order; truncated when the budget runs out."""
     work = _Work(budget)
     out = []
     truncated = False
@@ -370,7 +348,7 @@ def _copies(g: Graph, f: IncompatibilitySystem, pattern: Graph, allowed: list,
             out.append(plan.copy(img))
     except BudgetExceeded:
         truncated = True
-    out.sort(key=lambda e: e.key)
+    out.sort(key=lambda e: (e.vertices, e.edges))
     return CopyEnumeration(out, truncated, work.spent)
 
 
@@ -393,7 +371,10 @@ def enumerate_compatible_copies(pattern: Graph, g: Graph,
     pool = _full_pool(g, pool)
     if pattern.n > pool.bit_count():
         return CopyEnumeration([], False, 0)
-    return _copies(g, f, pattern, [pool] * pattern.n, budget)
+    found = _search_plan(pattern, budget)
+    if found is None:
+        return CopyEnumeration([], True, budget + 1)
+    return _copies(g, f, *found, [pool] * pattern.n, budget)
 
 
 def enumerate_transversal_copies(spec: MultipartiteSpec, g: Graph,
@@ -405,10 +386,10 @@ def enumerate_transversal_copies(spec: MultipartiteSpec, g: Graph,
 
     Only cross-part edges exist in the restriction, which forces the
     pattern classes to align with the parts (a class split over two parts
-    would leave another class with nowhere adjacent to sit).  The symmetry
-    rule over the automorphisms that keep each class in its part then
-    makes every part's images ascend, so each copy is found once.  The
-    budget bounds deriving that rule as in ``enumerate_compatible_copies``.
+    would leave another class with nowhere adjacent to sit).  The pattern
+    is placed part by part, and every part's images ascend, so each copy
+    is found once; no rule is derived, and the budget bounds the search
+    alone.
     """
     pattern, _ = complete_multipartite(spec)
     f = _system_on(g, f, pattern)
@@ -426,7 +407,11 @@ def enumerate_transversal_copies(spec: MultipartiteSpec, g: Graph,
         return CopyEnumeration([], False, 0)
 
     allowed = [m for m, h_i in zip(masks, spec.sizes) for _ in range(h_i)]
-    return _copies(g, f, pattern, allowed, budget, spec.sizes)
+    # the parts are disjoint and non-empty, so a step opens its part exactly
+    # when its mask differs from the previous step's
+    below = [(i - 1,) if i and allowed[i] == allowed[i - 1] else ()
+             for i in range(pattern.n)]
+    return _copies(g, f, _Plan(pattern, list(range(pattern.n))), below, allowed, budget)
 
 
 def verify_embedding(g: Graph, f: IncompatibilitySystem, pattern: Graph,
@@ -444,7 +429,7 @@ def verify_embedding(g: Graph, f: IncompatibilitySystem, pattern: Graph,
 
 
 def verify_tiling(g: Graph, f: IncompatibilitySystem, pattern: Graph,
-                  tiling: Tiling, require_cover: bool = False) -> bool:
+                  tiling: Tiling) -> bool:
     used = 0
     for emb in tiling.embeddings:
         if not verify_embedding(g, f, pattern, emb):
@@ -452,8 +437,6 @@ def verify_tiling(g: Graph, f: IncompatibilitySystem, pattern: Graph,
         if used & emb.mask:
             return False
         used |= emb.mask
-    if require_cover and used != (1 << g.n) - 1:
-        return False
     return True
 
 

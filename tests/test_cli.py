@@ -269,7 +269,7 @@ def test_solve_cli_fuzz(tmp_path, capsys, g, pattern, system, extra, mode, budge
     elif mode == "factor":
         if body["status"] == "found":
             tiling = _tiling_of(g, f, pattern, body["tiling"])
-            assert verify_tiling(g, f, pattern, tiling, require_cover=True)
+            assert verify_tiling(g, f, pattern, tiling) and tiling.covered_count() == g.n
         if code != 2:
             assert (code == 0) == raw_factor_exists(pattern, g, f)
     else:
@@ -442,7 +442,7 @@ def test_construct_cli_fuzz(tmp_path, capsys, case, base, budget):
     part = parse_partition((out_dir / "partition.txt").read_text(encoding="ascii"), g.n)
     f = parse_system((out_dir / "incompat.txt").read_text(encoding="ascii"), g)
     assert g.n == n and n % pattern.n == 0
-    assert part.n == n and f.bound_report().delta <= Fraction(mu) * n
+    assert part.n == n and f.delta <= Fraction(mu) * n
 
 
 def _raw_chi_is_cheap(g, chi: int) -> bool:
@@ -747,7 +747,7 @@ def test_construct_cli_writes_artifacts(files, capsys, tmp_path):
     g = parse_graph((out_dir / "graph.txt").read_text())
     part = parse_partition((out_dir / "partition.txt").read_text(), g.n)
     f = parse_system((out_dir / "incompat.txt").read_text(), g)
-    assert part.k == 3 and f.bound_report().delta == 4
+    assert part.k == 3 and f.delta == 4
 
 
 def test_subprocess_determinism_across_hash_seeds(files, tmp_path):

@@ -58,12 +58,9 @@ def test_komlos_base_examples():
     k112 = complete_multipartite(MultipartiteSpec((1, 1, 2)))[0]
     base = komlos_base(k112, 8)
     assert base.sizes[0] == 4                          # ceil(8 / (8/3)) + 1
-    # the even split admits a factor here; the report must say so honestly,
-    # and an explicit size override realizes the factor-free member
+    # the even split admits a factor here; the report must say so honestly
     assert base.factor_status == "factor_exists"
-    override = komlos_base(k112, 8, sizes=(4, 3, 1))
-    assert override.factor_status == "confirmed_absent"
-    assert override.min_degree == base.min_degree == 4
+    assert base.min_degree == 4
 
 
 def _kr(*sizes):

@@ -79,11 +79,11 @@ def test_every_matching_is_compatible():
 
 def test_bound_report_examples():
     k4 = complete_graph(4)
-    assert IncompatibilitySystem.empty(k4).bound_report().delta == 0
-    assert IncompatibilitySystem(k4, [(0, 1, 2)]).bound_report().delta == 1
+    assert IncompatibilitySystem.empty(k4).delta == 0
+    assert IncompatibilitySystem(k4, [(0, 1, 2)]).delta == 1
     star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     full = IncompatibilitySystem(star, [(0, 1, 2), (0, 1, 3), (0, 2, 3)])
-    assert full.bound_report().delta == 2
+    assert full.delta == 2
 
 
 def test_random_bounded_system_contract():
@@ -101,10 +101,10 @@ def test_random_bounded_system_contract():
         g = random_graph(n, 0.8, rng.getrandbits(30))
         mu = Fraction(rng.randint(0, 3), 10)
         f = random_bounded_system(g, mu, rng.getrandbits(30))
-        delta = f.bound_report().delta
+        delta = f.delta
         assert delta <= int(mu * n)                      # capped generator
         assert delta <= 2 * int(mu * n)                  # the documented worst case
-        assert delta <= max(g.max_degree() - 1, 0)
+        assert delta <= max(max(g.degree(v) for v in range(n)) - 1, 0)
 
 
 def test_count_bad_pairs_examples():

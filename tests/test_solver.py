@@ -107,7 +107,8 @@ def test_enumeration_effort_is_pinned(pattern, n, mu, copies, expansions):
 
 def test_budget_bounds_the_symmetry_rule_whatever_the_cache_holds():
     # C_6's rule costs 51 units to derive: they count against the budget
-    # but not in expansions, and a cached rule keeps its cost
+    # but not in expansions, and a cached rule keeps its cost.  The
+    # transversal lines pin a search cut by its own fourth expansion.
     pattern, host = cycle_graph(6), complete_graph(8)
     spec = MultipartiteSpec((2, 3))
     parts = [[0, 1, 2], [3, 4, 5, 6]]
@@ -122,6 +123,16 @@ def test_budget_bounds_the_symmetry_rule_whatever_the_cache_holds():
         assert (cut.copies, cut.truncated, cut.expansions) == ([], True, 4)
         full = enumerate_transversal_copies(spec, host, None, parts, budget=1_000)
         assert (len(full.copies), full.truncated) == (12, False)
+
+
+@pytest.mark.parametrize("budget", [7, 8])
+def test_transversal_search_is_cut_only_by_its_own_expansions(budget):
+    # no cross edge: the search places part 0 in ascending order (7
+    # expansions) and finds no neighbour for part 1, a complete proof
+    spec, host = MultipartiteSpec((3, 3, 3)), empty_graph(9)
+    parts = [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
+    enum = enumerate_transversal_copies(spec, host, None, parts, budget=budget)
+    assert (enum.copies, enum.truncated, enum.expansions) == ([], False, 7)
 
 
 def test_factor_examples():
@@ -147,7 +158,8 @@ def test_factor_agrees_with_oracle_under_systems():
         assert res.status in (FOUND, NONE)
         assert (res.status == FOUND) == oracles.raw_factor_exists(pattern, host, f)
         if res.status == FOUND:
-            assert verify_tiling(host, f, pattern, res.tiling, require_cover=True)
+            assert verify_tiling(host, f, pattern, res.tiling)
+            assert res.tiling.covered_count() == host.n
 
 
 def _induced_by_hand(host, f, s):
@@ -282,7 +294,7 @@ def test_monotone_in_system():
             continue
         extra = rng.choice(cand)
         after = len(enumerate_compatible_copies(
-            k3, host, f.with_added([extra])).copies)
+            k3, host, IncompatibilitySystem(host, f.triples() + [extra])).copies)
         assert after <= before
 
 
@@ -362,7 +374,7 @@ def test_max_tiling_matches_raw_oracle():
         res = max_compatible_tiling(pattern, host, f)
         assert res.optimal and verify_tiling(host, f, pattern, res.tiling)
         assert len(res.tiling) == oracles.raw_max_tiling(pattern, host, f)
-        rule_cost = solver._plans[(pattern, None)][2] if pattern.n <= host.n else 0
+        rule_cost = solver._plans[pattern][2] if pattern.n <= host.n else 0
         budget = rng.randint(0, 2 * res.expansions)
         cut = max_compatible_tiling(pattern, host, f, budget=budget)
         if max(res.expansions, rule_cost) <= budget:
@@ -383,14 +395,12 @@ def test_greedy_tiling_maximal_and_seeded():
     assert [e.vertices for e in t1.embeddings] == [e.vertices for e in t2.embeddings]
     assert verify_tiling(g, f, k2, t1)
     # maximality: no compatible copy inside the uncovered set
-    pool = 0
-    for v in t1.uncovered(g):
-        pool |= 1 << v
+    pool = ((1 << g.n) - 1) & ~t1.covered()
     left = enumerate_compatible_copies(k2, g, f, pool=pool)
     assert len(left.copies) == 0
     # empty host: nothing covered
     t0 = greedy_almost_tiling(k2, empty_graph(6), None, seed=0)
-    assert len(t0) == 0 and len(t0.uncovered(empty_graph(6))) == 6
+    assert len(t0) == 0 and (((1 << 6) - 1) & ~t0.covered()).bit_count() == 6
 
 
 def test_entry_points_reject_a_system_bound_to_another_graph():
