@@ -13,6 +13,7 @@ internal error (an unexpected exception; never reported as an answer).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import traceback
 from pathlib import Path
@@ -139,6 +140,9 @@ def _cmd_solve(args) -> int:
                    "copies_considered": res.copies_considered}
         if res.tiling is not None:
             payload["tiling"] = [list(e.vertices) for e in res.tiling.embeddings]
+        if res.reason == "lattice":
+            payload["certificate"] = {"parts": [list(p) for p in res.parts],
+                                      "y": [format_fraction(a) for a in res.certificate]}
         _emit(args, payload)
         return _EXIT_BY_STATUS[res.status]
     if args.mode == "count":
@@ -176,7 +180,7 @@ def _cmd_lattice(args) -> int:
     target = tuple(_parse_ints(args.target, "target"))
     member, coeffs = lat.membership(target)
     _emit(args, {"member": member,
-                 "coefficients": None if coeffs is None else list(coeffs),
+                 "coefficients": list(coeffs) if member else None,
                  "target": list(target)})
     return EXIT_OK
 
@@ -282,7 +286,9 @@ def _cmd_acceptance(args) -> int:
     return EXIT_OK if all(r.passed for r in matrix) else EXIT_NONE
 
 
+@functools.cache
 def build_parser() -> _ArgumentParser:
+    """The argument parser, built on first use and kept for the process."""
     parser = _ArgumentParser(prog="comptile", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

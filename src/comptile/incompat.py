@@ -105,17 +105,17 @@ class IncompatibilitySystem:
         compatible by definition.  Vertices are scanned in ascending order,
         and at each vertex its edges in ascending order of the other end.
         """
+        inc = self.inc
         near = {}  # v -> mask of the subgraph's neighbours of v
         for e in sorted({edge_key(*e) for e in edges}):
             self._check_edge(e)
-            near[e[0]] = near.get(e[0], 0) | 1 << e[1]
-            near[e[1]] = near.get(e[1], 0) | 1 << e[0]
-        for v in sorted(near):
-            row = self.inc.get(v)
-            if not row:
-                continue
-            for a in bits(near[v]):
-                hit = row.get(a, 0) & near[v] & (-1 << (a + 1))
+            u, v = e
+            near[u] = near.get(u, 0) | 1 << v
+            near[v] = near.get(v, 0) | 1 << u
+        for v in sorted(near.keys() & inc.keys()):
+            row, nv = inc[v], near[v]
+            for a in bits(nv):
+                hit = row.get(a, 0) & nv & (-1 << (a + 1))
                 if hit:
                     return False, (edge_key(v, a), edge_key(v, next(bits(hit))))
         return True, None

@@ -4,8 +4,10 @@ The lattice generated by a list of integer k-vectors is decided through a
 row-style Hermite normal form computed over Python's arbitrary-precision
 integers, with the unimodular row transform tracked so that a positive
 membership answer comes with integer coefficients over the ORIGINAL
-generators (membership certificates are re-multiplied before being
-returned).
+generators.  A negative answer comes with a dual certificate instead: a
+rational vector y with y.g an integer for every generator g and y.x not,
+which no lattice member can satisfy.  Both certificates are re-multiplied
+before being returned.
 
 The transform is stored as one sparse row per generator, a
 ``{generator index: coefficient}`` dict that starts as ``{i: 1}``, so a row
@@ -21,6 +23,9 @@ pair i == j is rejected.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import ConsistencyError, ValidationError
 from .graphs import VertexPartition
@@ -122,28 +127,22 @@ class GeneratedLattice:
         self._hnf, self._transform, self._pivots = _hnf_with_transform(gens, dim)
 
     def membership(self, x) -> tuple:
-        """(member, coefficients): coefficients over the original generators.
-
-        Solves the triangular pivot system; any non-zero residual left in a
-        pivot-free column means x is outside the lattice.
-        """
+        """(True, coefficients over the original generators) or (False, y),
+        y a rational vector with y.g an integer for every generator g and
+        y.x not; either certificate is checked before it is returned."""
         x = [int(v) for v in x]
         if len(x) != self.dim:
             raise ValidationError(f"vector has dimension {len(x)}, lattice has {self.dim}")
-        residual = list(x)
+        quotients, y = _reduce(self._hnf, self._pivots, x)
+        if quotients is None:
+            if not refutes(y, set(self.generators), x):
+                raise ConsistencyError("non-membership certificate failed to separate the target")
+            return False, y
         coeffs = [0] * len(self.generators)
-        for row, col in self._pivots:
-            piv = self._hnf[row][col]
-            if residual[col] % piv != 0:
-                return False, None
-            q = residual[col] // piv
+        for (row, _), q in zip(self._pivots, quotients):
             if q:
-                for c in range(self.dim):
-                    residual[c] -= q * self._hnf[row][c]
                 for s, a in self._transform[row].items():
                     coeffs[s] += q * a
-        if any(residual):
-            return False, None
         # certificate check: the returned coefficients must reproduce x
         rebuilt = [0] * self.dim
         for a, gen in zip(coeffs, self.generators):
@@ -153,6 +152,69 @@ class GeneratedLattice:
         if rebuilt != x:
             raise ConsistencyError("membership certificate failed to reproduce the target")
         return True, tuple(coeffs)
+
+
+def _dual(h: list, pivots: list, dim: int, col: int, den: int) -> tuple:
+    """The rational dim-vector y with y[col] = 1/den, y.h[row] = 0 for each (row, c)
+    in ``pivots`` (all with c < col), and y zero off col and those c.
+
+    Back-substitution from the last of those pivots to the first: each
+    fixes y at its pivot column, which no later pivot row reaches.  The
+    arithmetic stays in integers, y = z / d, and d grows only by what a
+    pivot does not divide.
+    """
+    z = [0] * dim
+    z[col] = 1
+    d = den
+    for row, c in reversed(pivots):
+        piv = h[row][c]
+        s = sum(a * b for a, b in zip(z, h[row]))
+        grow = piv // gcd(s, piv)
+        if grow > 1:
+            z = [grow * a for a in z]
+            d *= grow
+            s *= grow
+        z[c] = -s // piv
+    return tuple(Fraction(a, d) for a in z)
+
+
+def _reduce(h: list, pivots: list, x: list) -> tuple:
+    """x reduced by the HNF rows in pivot order.
+
+    (quotients, None) when x = sum of quotients[j] * h[pivots[j][0]], else
+    (None, y) with y.h[row] an integer for every row and y.x not.  Either
+    a pivot fails to divide what is left in its column (y gives that pivot
+    row 1/pivot of a unit and every earlier row 0, so y.x is the left-over
+    over the pivot), or something is left off the pivot columns, x lies
+    outside the rational span, and y is orthogonal to every row with y.x
+    = 1/2.
+    """
+    residual = list(x)
+    quotients = []
+    for j, (row, col) in enumerate(pivots):
+        piv = h[row][col]
+        q, rem = divmod(residual[col], piv)
+        if rem:
+            return None, _dual(h, pivots[:j], len(x), col, piv)
+        if q:
+            residual = [a - q * b for a, b in zip(residual, h[row])]
+        quotients.append(q)
+    for col, a in enumerate(residual):
+        if a:
+            return None, _dual(h, [p for p in pivots if p[1] < col], len(x), col, 2 * a)
+    return quotients, None
+
+
+def refutes(y, generators, x) -> bool:
+    """True when y.g is an integer for every generator g and y.x is not:
+    then x lies outside the lattice the generators span.  The entries of
+    y are ints or Fractions."""
+    if any(len(v) != len(y) for v in (x, *generators)):
+        return False
+    d = lcm(*(a.denominator for a in y))
+    z = [a.numerator * (d // a.denominator) for a in y]
+    return (all(sum(a * b for a, b in zip(z, g)) % d == 0 for g in generators)
+            and sum(a * b for a, b in zip(z, x)) % d != 0)
 
 
 def unit_vector(i: int, k: int) -> tuple:

@@ -70,10 +70,30 @@ def test_solve_exit_codes(files, capsys):
     p.write_text(format_graph(base.graph), encoding="ascii")
     code, out, _ = run_cli(["solve", "--pattern", files["k111"],
                             "--graph", str(p)], capsys)
-    assert code == 1 and json.loads(out)["reason"] == "exhausted"
+    assert code == 1 and json.loads(out)["reason"] == "lattice"
     code, out, _ = run_cli(["solve", "--pattern", files["k3"],
                             "--graph", files["k6"], "--budget", "3"], capsys)
     assert code == 2
+
+
+def test_solve_prints_the_lattice_certificate(files, capsys):
+    from comptile.construct import kuhn_osthus_base
+    p = files["tmp"] / "ko6.graph"
+    p.write_text(format_graph(kuhn_osthus_base(complete_graph(3), 6).graph), encoding="ascii")
+    code, out, _ = run_cli(["solve", "--pattern", files["k3"], "--graph", str(p)], capsys)
+    body = json.loads(out)
+    assert (code, body["status"], body["reason"]) == (1, "none", "lattice")
+    assert body["certificate"] == {"parts": [[0, 1, 2], [4, 5], [3]],
+                                   "y": ["1/2", "-1/2", "0/1"]}
+    # the other answers carry no certificate
+    for graph in ("c4", "k6"):
+        code, out, _ = run_cli(["solve", "--pattern", files["k2"], "--graph", files[graph],
+                                "--budget", "3"], capsys)
+        assert code in (0, 2) and "certificate" not in json.loads(out)
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_unexpected_exception_is_internal_error(files, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from comptile.errors import ValidationError
 from comptile.graphs import VertexPartition
 from comptile.lattice import (GeneratedLattice, _hnf_with_transform, find_transferral,
-                              index_vector, unit_vector)
+                              index_vector, refutes, unit_vector)
 from comptile.oracles import bounded_combination_membership
 
 from .helpers import combination
@@ -152,6 +153,42 @@ def test_membership_agrees_with_bounded_brute_force():
             assert fast      # oracle soundness: a found combo proves membership
         if not fast:
             assert not slow
+
+
+def test_non_membership_certificate_examples():
+    member, y = GeneratedLattice([(1, 1, 1)]).membership((9, 8, 7))
+    assert not member and y == (Fraction(1, 2), Fraction(-1, 2), 0)
+    assert GeneratedLattice([(2, 0)]).membership((1, 0)) == (False, (Fraction(1, 2), 0))
+    assert GeneratedLattice([(1, 2), (2, 1)]).membership((1, 0)) == \
+        (False, (Fraction(-2, 3), Fraction(1, 3)))
+    assert GeneratedLattice([], dim=2).membership((0, 3)) == (False, (0, Fraction(1, 6)))
+    # forged: y.(1,1,1) not an integer; y.x an integer; the wrong width
+    for forged in ((Fraction(1, 2), 0, 0), (1, -1, 0), (Fraction(1, 2), Fraction(-1, 2))):
+        assert not refutes(forged, [(1, 1, 1)], (9, 8, 7))
+
+
+def test_non_membership_certificates_separate():
+    rng = random.Random(12)
+    refuted = 0
+    for _ in range(400):
+        dim = rng.randint(1, 4)
+        gens = [tuple(rng.randint(-4, 4) for _ in range(dim))
+                for _ in range(rng.randint(0, 5))]
+        target = tuple(rng.randint(-6, 6) for _ in range(dim))
+        member, cert = GeneratedLattice(gens, dim).membership(target)
+        if member:
+            continue
+        refuted += 1
+        assert refutes(cert, gens, target)
+        # y plus an integer vector separates as well; y with y.x moved to an
+        # integer does not
+        shifted = tuple(a + rng.randint(-2, 2) for a in cert)
+        assert refutes(shifted, gens, target)
+        frac = sum(a * b for a, b in zip(cert, target)) % 1
+        c = next(i for i, b in enumerate(target) if b)
+        moved = tuple(a - frac / target[c] if i == c else a for i, a in enumerate(cert))
+        assert not refutes(moved, gens, target)
+    assert refuted >= 100, refuted
 
 
 def test_transferral_examples():

@@ -1,20 +1,24 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from comptile import oracles, solver
-from comptile.errors import ValidationError
+from comptile import construct, lattice, oracles, solver
+from comptile.errors import ConsistencyError, ValidationError
 from comptile.graphs import (Graph, MultipartiteSpec, complete_graph,
                              complete_multipartite, cycle_graph, disjoint_union,
                              empty_graph, path_graph)
 from comptile.incompat import IncompatibilitySystem, edge_key, random_bounded_system
-from comptile.solver import (FOUND, INDETERMINATE, NONE,
+from comptile.lattice import GeneratedLattice, refutes
+from comptile.solver import (FOUND, INDETERMINATE, NONE, Embedding,
                              enumerate_compatible_copies, enumerate_transversal_copies,
                              find_compatible_factor, greedy_almost_tiling,
-                             max_compatible_tiling, verify_tiling)
+                             max_compatible_tiling, verify_embedding, verify_tiling)
 
 from comptile.util import mask_of
 
@@ -142,8 +146,16 @@ def test_factor_examples():
     res = find_compatible_factor(k3, complete_graph(4))
     assert res.status == NONE and res.reason == "divisibility"
     res = find_compatible_factor(k3, complete_multipartite(MultipartiteSpec((3, 1, 2)))[0])
-    assert res.status == NONE and res.reason == "exhausted"
+    assert res.status == NONE and res.reason == "lattice"
     assert res.expansions > 0
+    # every triangle of K(2,2,2) has index vector (1,1,1), so the lattice
+    # holds the part sizes; with the four through vertex 0 made
+    # incompatible there, only the search proves that no factor exists
+    host = complete_multipartite(MultipartiteSpec((2, 2, 2)))[0]
+    f = IncompatibilitySystem(host, [(0, a, b) for a in (2, 3) for b in (4, 5)])
+    res = find_compatible_factor(k3, host, f)
+    assert (res.status, res.reason, res.expansions) == (NONE, "exhausted", 26)
+    assert not oracles.raw_factor_exists(k3, host, f)
 
 
 def test_factor_agrees_with_oracle_under_systems():
@@ -224,23 +236,36 @@ def _sparse_host(seed):
     return host, random_bounded_system(host, Fraction(1, 20), seed)
 
 
+def _cover_search(pattern, g, f=None, budget=solver.DEFAULT_BUDGET):
+    """The exact-cover search of ``find_compatible_factor`` on the rows it
+    enumerates, without the lattice test that runs before it."""
+    enum = enumerate_compatible_copies(pattern, g, f, budget=budget)
+    work = solver._Work(budget, enum.expansions)
+    chosen, exhausted = solver._pack((1 << g.n) - 1, enum.copies,
+                                     [e.mask for e in enum.copies], g.n, work, pattern.n, 0)
+    status = FOUND if chosen is not None else NONE if exhausted else INDETERMINATE
+    return solver.FactorResult(status, expansions=work.spent)
+
+
 @pytest.mark.parametrize("search, pattern, host, budget, outcome, expansions", [
-    (find_compatible_factor, complete_graph(3), (_ko_base(15), None), None, NONE, 4_789),
-    (find_compatible_factor, complete_graph(3), (_ko_base(21), None), 50_000,
-     INDETERMINATE, 50_001),
+    (_cover_search, complete_graph(3), (_ko_base(15), None), None, NONE, 4_789),
+    (_cover_search, complete_graph(3), (_ko_base(21), None), 50_000, INDETERMINATE, 50_001),
     (find_compatible_factor, complete_graph(2), (cycle_graph(800), None), None, FOUND, 2_000),
     (max_compatible_tiling, complete_graph(3), _sparse_host(3), None, (9, True), 342),
     (max_compatible_tiling, complete_graph(3), _sparse_host(4), None, (8, True), 1_366),
     (max_compatible_tiling, complete_graph(3), _sparse_host(4), 1_000, (8, False), 1_001),
+    # the lattice refutes both ko bases after the enumeration alone
+    (find_compatible_factor, complete_graph(3), (_ko_base(15), None), None, NONE, 209),
+    (find_compatible_factor, complete_graph(3), (_ko_base(21), None), 50_000, NONE, 503),
 ], ids=["ko-base-15", "ko-base-21-capped", "cycle-800", "max-g40-3", "max-g40-4",
-        "max-g40-4-capped"])
+        "max-g40-4-capped", "ko-base-15-lattice", "ko-base-21-capped-lattice"])
 def test_cover_search_effort_is_pinned(search, pattern, host, budget, outcome, expansions):
     # the branching rule (fewest admissible rows, then lowest vertex, rows
     # by ascending index, then leaving the vertex uncovered) fixes every
     # expansion count; the factor rows are the packing search with no slack
     kwargs = {} if budget is None else {"budget": budget}
     res = search(pattern, *host, **kwargs)
-    got = res.status if search is find_compatible_factor else (len(res.tiling), res.optimal)
+    got = (len(res.tiling), res.optimal) if search is max_compatible_tiling else res.status
     assert (got, res.expansions) == (outcome, expansions)
 
 
@@ -275,6 +300,137 @@ def test_budget_yields_indeterminate():
     host = complete_graph(15)
     res = find_compatible_factor(k3, host, budget=50)
     assert res.status == INDETERMINATE and res.reason == "budget"
+
+
+def _complement_parts_by_hand(host, s):
+    """The components of the complement of host[s] by lowest vertex, the
+    singletons merged into one last part."""
+    left, parts, singles = set(s), [], []
+    while left:
+        comp, todo = set(), [min(left)]
+        while todo:
+            v = todo.pop()
+            if v not in comp:
+                comp.add(v)
+                todo += [u for u in left if u != v and not host.has_edge(u, v)]
+        left -= comp
+        if len(comp) > 1:
+            parts.append(sorted(comp))
+        else:
+            singles += comp
+    return parts + ([sorted(singles)] if singles else [])
+
+
+def test_lattice_answers_agree_with_membership_and_oracle():
+    # on hosts whose complement splits, "lattice" is answered exactly when
+    # the part sizes lie outside the lattice of the copies' index vectors
+    # and every vertex lies in a copy (else the search stops at its root),
+    # with a certificate that re-checks, and only where no factor exists
+    rng = random.Random(47)
+    refuted = members = 0
+    for _ in range(400):
+        nh = rng.randint(2, 3)
+        pattern = random_graph(nh, 0.9, rng.getrandbits(30))
+        sizes = [rng.randint(1, 3) for _ in range(rng.randint(2, 4))]
+        host = complete_multipartite(MultipartiteSpec(tuple(sizes)))[0]
+        if rng.random() < 0.5:   # a few edges inside the parts
+            extra = [(u, v) for u in range(host.n) for v in range(u + 1, host.n)
+                     if not host.has_edge(u, v) and rng.random() < 0.2]
+            host = Graph.from_edges(host.n, host.edges() + extra)
+        f = random_system(host, rng.randint(0, 4), rng.getrandbits(30))
+        s = [v for v in range(host.n) if rng.random() < 0.9]
+        res = find_compatible_factor(pattern, host, f, pool=mask_of(s))
+        if res.reason == "divisibility":
+            continue
+        parts = _complement_parts_by_hand(host, s)
+        sub, sub_f = _induced_by_hand(host, f, s)
+        old = host.induced(s)[1]
+        copies = oracles.raw_compatible_copies(pattern, sub, sub_f)
+        vectors = [tuple(sum(old[v] in p for v in verts) for p in parts)
+                   for verts, _ in copies]
+        member = len(parts) < 2 or GeneratedLattice(vectors, len(parts)).membership(
+            [len(p) for p in parts])[0]
+        coverable = {v for verts, _ in copies for v in verts} == set(range(sub.n))
+        assert (res.reason == "lattice") == (not member and coverable)
+        if member or not coverable:
+            members += member and len(parts) >= 2
+            continue
+        refuted += 1
+        assert res.status == NONE and res.tiling is None
+        assert not oracles.raw_factor_exists(pattern, sub, sub_f)
+        assert res.parts == tuple(map(tuple, parts))
+        assert refutes(res.certificate, vectors, [len(p) for p in parts])
+    assert refuted >= 20 and members >= 20, (refuted, members)
+
+
+@pytest.mark.parametrize("n", [6, 9, 12])
+def test_truncated_enumeration_never_refutes_by_lattice(n):
+    # the partial rows of a cut enumeration would refute these bases too
+    k3 = complete_graph(3)
+    full = find_compatible_factor(k3, _ko_base(n))
+    assert (full.status, full.reason) == (NONE, "lattice")
+    for budget in range(full.expansions):
+        cut = find_compatible_factor(k3, _ko_base(n), budget=budget)
+        assert (cut.status, cut.reason) == (INDETERMINATE, "budget"), budget
+
+
+def test_a_forged_lattice_certificate_is_refused(monkeypatch):
+    k3 = complete_graph(3)
+    res = find_compatible_factor(k3, _ko_base(6))
+    assert res.parts == ((0, 1, 2), (4, 5), (3,))
+    assert res.certificate == (Fraction(1, 2), Fraction(-1, 2), 0)
+    # (1/3, 0, 0) makes (1,1,1) fractional, so it separates nothing
+    monkeypatch.setattr(lattice, "_dual", lambda *a: (Fraction(1, 3), 0, 0))
+    with pytest.raises(ConsistencyError, match="non-membership certificate"):
+        find_compatible_factor(k3, _ko_base(6))
+
+
+def test_k112_construction_keeps_its_factor_and_stays_undecided_on_budget():
+    spec = construct.ConstructionSpec(MultipartiteSpec((1, 1, 2)), 24, Fraction(1, 6),
+                                      base=construct.KOMLOS)
+    inst = construct.augment_and_incompat(spec)
+    assert inst.base.factor_status == "factor_exists"
+    res = find_compatible_factor(spec.pattern(), inst.graph, inst.system, budget=8_000)
+    assert (res.status, res.reason) == (INDETERMINATE, "budget")
+
+
+def test_verify_embedding_derives_the_image_from_phi():
+    p3, path = path_graph(3), path_graph(6)
+    f = IncompatibilitySystem(path, [(1, 0, 2)])     # 01 and 12 clash at 1
+    assert not verify_embedding(path, f, p3, Embedding((0, 1, 2), (0, 1, 2), ()))
+    assert not verify_embedding(path, f, p3, Embedding.from_phi(p3, (0, 1, 2)))
+    assert verify_embedding(path, f, p3, Embedding.from_phi(p3, (1, 2, 3)))
+    k2, k6 = complete_graph(2), complete_graph(6)
+    empty = IncompatibilitySystem.empty(k6)
+    assert not verify_embedding(k6, empty, k2, Embedding((1, 2), (0, 5), ()))
+    assert verify_embedding(k6, empty, k2, Embedding.from_phi(k2, (1, 2)))
+    assert not verify_embedding(k6, empty, k2, Embedding((1, 2, 3), (1, 2), ((1, 2),)))
+
+
+@given(seed=st.integers(0, 2**30), field=st.sampled_from(["phi", "vertices", "edges"]),
+       pick=st.integers(0, 2**30), value=st.integers(0, 8))
+def test_verify_embedding_refuses_a_copy_with_one_stored_field_changed(seed, field, pick,
+                                                                       value):
+    rng = random.Random(seed)
+    pattern = random_graph(rng.randint(2, 4), 0.8, rng.getrandbits(30))
+    host = random_graph(9, 0.7, rng.getrandbits(30))
+    f = random_system(host, rng.randint(0, 6), rng.getrandbits(30))
+    copies = enumerate_compatible_copies(pattern, host, f).copies
+    if not copies:
+        return
+    emb = copies[pick % len(copies)]
+    assert verify_embedding(host, f, pattern, emb)
+    stored = list(getattr(emb, field))
+    i = pick % len(stored) if stored else 0
+    if field == "edges":      # drop an image edge, or add a non-image pair
+        other = edge_key(value, (value + 1 + pick % 8) % 9)
+        stored = stored[:i] + stored[i + 1:] if other in stored else sorted(stored + [other])
+    else:                     # move one image vertex to another host vertex
+        stored[i] = value if value != stored[i] else (value + 1) % 9
+        if field == "vertices":
+            stored.sort()
+    forged = dataclasses.replace(emb, **{field: tuple(stored)})
+    assert not verify_embedding(host, f, pattern, forged)
 
 
 def test_monotone_in_system():
