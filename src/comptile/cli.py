@@ -21,7 +21,7 @@ from pathlib import Path
 from . import absorb, construct, solver
 from .coloring import chi_star
 from .construct import detect_multipartite
-from .errors import ComptileError, FormatError
+from .errors import ComptileError, ConsistencyError, FormatError
 from .graphs import (Graph, MultipartiteSpec, format_graph, format_partition,
                      parse_graph, parse_partition)
 from .incompat import (IncompatibilitySystem, format_system, parse_system,
@@ -391,7 +391,8 @@ def main(argv=None) -> int:
     except ComptileError as exc:
         sys.stderr.write(canonical_json(
             {"error": type(exc).__name__, "detail": str(exc)}))
-        return EXIT_USAGE
+        # a failed postcondition is a bug, not bad input
+        return EXIT_SOFTWARE if isinstance(exc, ConsistencyError) else EXIT_USAGE
     except Exception as exc:  # last resort: a bug must not pass for an answer
         where = traceback.extract_tb(exc.__traceback__)[-1]
         sys.stderr.write(canonical_json(

@@ -38,8 +38,9 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 from operator import attrgetter, itemgetter
+from typing import NamedTuple
 
-from .errors import BudgetExceeded, ValidationError
+from .errors import BudgetExceeded, ConsistencyError, ValidationError
 from .graphs import Graph, MultipartiteSpec, complete_multipartite
 from .incompat import IncompatibilitySystem, edge_key
 from .lattice import GeneratedLattice
@@ -56,9 +57,13 @@ DEFAULT_BUDGET = 5_000_000
 PLAN_CACHE_SIZE = 256
 
 
-@dataclass(frozen=True)
-class Embedding:
-    """Injective pattern-to-host map with its image subgraph."""
+class Embedding(NamedTuple):
+    """Injective pattern-to-host map with its image subgraph.
+
+    A named tuple, so the fields are immutable and a copy costs one tuple
+    to build.  Unlike a dataclass, an Embedding compares equal to the
+    plain tuple (phi, vertices, edges) and unpacks like one.
+    """
 
     phi: tuple            # phi[i] = host vertex of pattern vertex i
     vertices: tuple       # sorted image vertices
@@ -165,7 +170,7 @@ class _Plan:
         self.edges = [(i, p) for i, ps in enumerate(self.preds) for p in ps]
         # itemgetter of one index returns the item, not a 1-tuple
         self._phi = itemgetter(*pos) if k > 1 else lambda img: tuple(img[i] for i in pos)
-        self._clique = len(self.edges) == k * (k - 1) // 2
+        self.clique = len(self.edges) == k * (k - 1) // 2
 
     def copy(self, img) -> Embedding:
         """The copy whose step i sits on host vertex img[i]."""
@@ -174,11 +179,13 @@ class _Plan:
         # every pair of a clique's image is an edge, in sorted order already;
         # building the edges this way makes an enumerate-dense pass 5-9% faster
         # (in process, Python 3.11, shared 2-vCPU VM)
-        if self._clique:
-            return Embedding(phi, vertices, tuple(combinations(vertices, 2)))
-        edges = sorted([(img[i], img[p]) if img[i] < img[p] else (img[p], img[i])
-                        for i, p in self.edges])
-        return Embedding(phi, vertices, tuple(edges))
+        if self.clique:
+            edges = tuple(combinations(vertices, 2))
+        else:
+            edges = tuple(sorted([(img[i], img[p]) if img[i] < img[p] else (img[p], img[i])
+                                  for i, p in self.edges]))
+        # tuple.__new__ skips the named tuple's Python-level __new__
+        return tuple.__new__(Embedding, (phi, vertices, edges))
 
 
 class _Work:
@@ -204,8 +211,12 @@ def _embed(g: Graph, f: IncompatibilitySystem, plan: _Plan, allowed: list,
     ``allowed[i]`` adjacent to the images of ``plan.preds[i]`` and above
     the images of the earlier steps ``below[i]``.  Candidates are
     tried by ascending id, or by ascending ``rank[v]``; each one tried
-    spends one unit of ``work`` before its compatibility test.  The
-    yielded list is reused; copy it before resuming.
+    spends one unit of ``work`` before its compatibility test.  The count
+    runs in a local and is written back to ``work`` at every yield, at
+    exhaustion and at the cut, so a caller that drops the generator after
+    a yield has seen all the work spent; a caller that resumes it must
+    not spend from ``work`` in between.  The yielded list is reused; copy
+    it before resuming.
 
     A candidate c is refused when a new edge c-x is incompatible at x
     with an image edge x-y (c in inc[x][y]), or two new edges c-x, c-y
@@ -237,6 +248,7 @@ def _embed(g: Graph, f: IncompatibilitySystem, plan: _Plan, allowed: list,
         todo[i] = bits(cands) if rank is None else \
             iter(sorted(bits(cands), key=rank.__getitem__))
 
+    spent, budget = work.spent, work.budget
     i = used = 0
     open_step(0, 0)
     while i >= 0:
@@ -248,15 +260,25 @@ def _embed(g: Graph, f: IncompatibilitySystem, plan: _Plan, allowed: list,
                 for p in preds[i]:
                     near[p] &= ~(1 << img[i])
             continue
-        work.spend()
+        spent += 1
+        if spent > budget:
+            work.spent = spent
+            raise BudgetExceeded()
         if blocked[i] >> c & 1:
             continue
         nn = new_near[i]
         row = inc.get(c)
-        if row and nn & (nn - 1) and any(row.get(x, 0) & nn for x in bits(nn)):
+        clash = 0
+        if row and nn & (nn - 1):
+            for p in preds[i]:
+                clash = row.get(img[p], 0) & nn
+                if clash:
+                    break
+        if clash:
             continue
         img[i] = c
         if i + 1 == k:
+            work.spent = spent
             yield img
             continue
         used |= 1 << c
@@ -265,6 +287,7 @@ def _embed(g: Graph, f: IncompatibilitySystem, plan: _Plan, allowed: list,
             near[p] |= 1 << c
         i += 1
         open_step(i, used)
+    work.spent = spent
 
 
 def _symmetry_conditions(pattern: Graph, plan: _Plan, order: list, work: _Work) -> tuple:
@@ -372,7 +395,8 @@ def _copies(g: Graph, f: IncompatibilitySystem, plan: _Plan, below, allowed: lis
             out.append(plan.copy(img))
     except BudgetExceeded:
         truncated = True
-    out.sort(key=attrgetter("vertices", "edges"))
+    # a clique's vertex set fixes its edges, and each copy is found once
+    out.sort(key=attrgetter("vertices") if plan.clique else attrgetter("vertices", "edges"))
     return CopyEnumeration(out, truncated, work.spent)
 
 
@@ -744,7 +768,7 @@ def find_compatible_factor(pattern: Graph, g: Graph,
         for r in chosen:
             covered |= masks[r]
         if not verify_tiling(g, f, pattern, tiling) or covered != full:
-            raise AssertionError("internal: factor failed re-verification")
+            raise ConsistencyError("factor failed re-verification")
         return FactorResult(FOUND, tiling=tiling,
                             expansions=work.spent, copies_considered=len(rows))
     if not exhausted or enum.truncated:

@@ -110,6 +110,21 @@ def test_unexpected_exception_is_internal_error(files, capsys, monkeypatch):
     assert report["where"].startswith("test_cli.py:")
 
 
+def test_failed_postcondition_is_internal_error(files, capsys, monkeypatch):
+    # the n = 6 Kuhn-Osthus base K(3, 1, 2), refuted by its lattice; a y that
+    # separates nothing fails the certificate's re-check
+    base = complete_multipartite(MultipartiteSpec((3, 1, 2)))[0]
+    path = files["tmp"] / "ko6.graph"
+    path.write_text(format_graph(base), encoding="ascii")
+    monkeypatch.setattr(comptile.lattice, "_dual", lambda *a: (Fraction(1, 3), 0, 0))
+    code, out, err = run_cli(["solve", "--pattern", files["k3"], "--graph", str(path)],
+                             capsys)
+    assert code == 70 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "ConsistencyError"
+    assert "non-membership certificate" in report["detail"]
+
+
 def test_solve_modes(files, capsys):
     code, out, _ = run_cli(["solve", "--pattern", files["k3"], "--graph",
                             files["k6"], "--mode", "count"], capsys)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -127,6 +126,52 @@ def test_budget_bounds_the_symmetry_rule_whatever_the_cache_holds():
         assert (cut.copies, cut.truncated, cut.expansions) == ([], True, 4)
         full = enumerate_transversal_copies(spec, host, None, parts, budget=1_000)
         assert (len(full.copies), full.truncated) == (12, False)
+
+
+@pytest.mark.parametrize("seed", [3, 8, 21])
+def test_every_budget_cuts_the_enumeration_where_the_full_run_spends_it(seed):
+    # the embedder counts its expansions in a local: every cut must still
+    # fall on the expansion that exceeds the budget, whatever the budget
+    rng = random.Random(seed)
+    host = random_graph(9, 0.7, rng.getrandbits(30))
+    f = random_system(host, rng.randint(2, 10), rng.getrandbits(30))
+    pool = mask_of(v for v in range(host.n) if rng.random() < 0.8)
+    for pattern, within in ((complete_graph(3), None), (path_graph(3), None),
+                            (cycle_graph(4), None), (complete_graph(3), pool)):
+        full = enumerate_compatible_copies(pattern, host, f, pool=within)
+        assert not full.truncated
+        rule_cost = solver._plans[pattern][2]
+        for budget in range(full.expansions + 2):
+            cut = enumerate_compatible_copies(pattern, host, f, budget=budget, pool=within)
+            assert cut.truncated == (max(full.expansions, rule_cost) > budget), budget
+            if cut.truncated:
+                assert cut.expansions == budget + 1
+                kept = set(cut.copies)
+                assert kept <= set(full.copies)
+                assert cut.copies == [e for e in full.copies if e in kept]
+            else:
+                assert (cut.copies, cut.expansions) == (full.copies, full.expansions)
+
+
+def test_enumerated_copies_are_well_formed_named_tuples():
+    rng = random.Random(41)
+    patterns = [complete_graph(2), complete_graph(3), complete_graph(4), path_graph(3),
+                cycle_graph(4)]
+    for _ in range(30):
+        host = random_graph(rng.randint(4, 9), rng.uniform(0.4, 0.9), rng.getrandbits(30))
+        f = random_system(host, rng.randint(0, 8), rng.getrandbits(30))
+        pattern = rng.choice(patterns + [random_graph(rng.randint(2, 4), 0.7,
+                                                      rng.getrandbits(30))])
+        for emb in enumerate_compatible_copies(pattern, host, f).copies:
+            assert type(emb) is Embedding
+            assert emb == Embedding.from_phi(pattern, emb.phi)
+            assert verify_embedding(host, f, pattern, emb)
+            assert emb.mask == mask_of(emb.vertices)
+            phi, vertices, edges = emb
+            assert emb == (phi, vertices, edges)
+            for field in Embedding._fields:
+                with pytest.raises(AttributeError):
+                    setattr(emb, field, ())
 
 
 @pytest.mark.parametrize("budget", [7, 8])
@@ -385,6 +430,12 @@ def test_a_forged_lattice_certificate_is_refused(monkeypatch):
         find_compatible_factor(k3, _ko_base(6))
 
 
+def test_a_factor_failing_re_verification_is_a_consistency_error(monkeypatch):
+    monkeypatch.setattr(solver, "verify_tiling", lambda *a: False)
+    with pytest.raises(ConsistencyError, match="factor failed re-verification"):
+        find_compatible_factor(complete_graph(3), complete_graph(6))
+
+
 def test_k112_construction_keeps_its_factor_and_stays_undecided_on_budget():
     spec = construct.ConstructionSpec(MultipartiteSpec((1, 1, 2)), 24, Fraction(1, 6),
                                       base=construct.KOMLOS)
@@ -429,7 +480,7 @@ def test_verify_embedding_refuses_a_copy_with_one_stored_field_changed(seed, fie
         stored[i] = value if value != stored[i] else (value + 1) % 9
         if field == "vertices":
             stored.sort()
-    forged = dataclasses.replace(emb, **{field: tuple(stored)})
+    forged = emb._replace(**{field: tuple(stored)})
     assert not verify_embedding(host, f, pattern, forged)
 
 
@@ -557,6 +608,19 @@ def test_greedy_tiling_maximal_and_seeded():
     # empty host: nothing covered
     t0 = greedy_almost_tiling(k2, empty_graph(6), None, seed=0)
     assert len(t0) == 0 and (((1 << 6) - 1) & ~t0.covered()).bit_count() == 6
+
+
+@pytest.mark.parametrize("pattern, seed, phis", [
+    (complete_graph(3), 3, [(11, 12, 6), (10, 4, 1), (13, 0, 7)]),
+    (complete_graph(3), 11, [(10, 5, 1), (0, 12, 7), (9, 4, 3), (6, 11, 8)]),
+    (path_graph(3), 3, [(12, 11, 6), (4, 10, 1), (0, 13, 7), (5, 8, 9)]),
+    (path_graph(3), 11, [(5, 10, 1), (12, 0, 13), (4, 9, 6), (3, 2, 7)]),
+], ids=["K3-seed3", "K3-seed11", "P3-seed3", "P3-seed11"])
+def test_greedy_tiling_is_pinned(pattern, seed, phis):
+    g = random_graph(14, 0.6, 5)
+    f = random_system(g, 12, 5)
+    tiling = greedy_almost_tiling(pattern, g, f, seed=seed)
+    assert [e.phi for e in tiling.embeddings] == phis
 
 
 def test_entry_points_reject_a_system_bound_to_another_graph():
