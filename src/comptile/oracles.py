@@ -9,14 +9,17 @@ them simple enough to be obviously correct.
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
 import numpy as np
 
 from .coloring import INFINITY
+from .errors import ValidationError
 from .graphs import Graph, components
 from .incompat import IncompatibilitySystem, edge_key
+from .util import bits
 
 
 def raw_coloring_profiles(g: Graph, k: int) -> frozenset:
@@ -227,3 +230,32 @@ def raw_is_eps_regular(g: Graph, xs, ys, eps, d_min=None):
             if len(b) >= eps * len(ys) and abs(dens(a, b) - d) >= eps:
                 return False, (tuple(a), tuple(b))
     return True, None
+
+
+def raw_bounded_system(g: Graph, mu, seed: int) -> IncompatibilitySystem:
+    """``incompat.random_bounded_system`` with one literal ``rng.shuffle``
+    per (v, e): the stream it must reproduce, seed for seed.
+    """
+    mu = Fraction(mu)
+    n = g.n
+    if mu < 0:
+        raise ValidationError("mu must be non-negative")
+    q = math.floor(mu * n)
+    rng = random.Random(seed)
+    triples = []
+    if q > 0:
+        for v in range(n):
+            nbrs = list(bits(g.adj[v]))
+            row = {}  # a -> partners of va at v so far
+            for a in nbrs:
+                cands = [b for b in nbrs if b != a]
+                rng.shuffle(cands)
+                for b in cands:
+                    if row.get(a, 0).bit_count() >= q:
+                        break
+                    if row.get(b, 0).bit_count() >= q or row.get(a, 0) >> b & 1:
+                        continue
+                    row[a] = row.get(a, 0) | 1 << b
+                    row[b] = row.get(b, 0) | 1 << a
+            triples.extend((v, a, b) for a, m in row.items() for b in bits(m) if a < b)
+    return IncompatibilitySystem(g, triples)

@@ -633,6 +633,20 @@ def test_regcount_cli(files, capsys):
     assert lines[0] == "mu,total,compatible,c_observed" and len(lines) == 3
 
 
+def test_regcount_sweep_csv_is_pinned(files, capsys):
+    # the CSV printed before the system generator replayed its shuffles in bulk
+    k12 = files["tmp"] / "k12.graph"
+    k12.write_text(format_graph(complete_graph(12)), encoding="ascii")
+    parts = files["tmp"] / "parts12.txt"
+    parts.write_text("0 1 2 3\n4 5 6 7\n8 9 10 11\n", encoding="ascii")
+    code, out, _ = run_cli(["regcount", "sweep", "--graph", str(k12), "--parts", str(parts),
+                            "--sizes", "1,1,1", "--mus", "1/12,1/6,1/4,1/3",
+                            "--seed", str(2**33 + 1)], capsys)
+    assert code == 0
+    assert out == ("mu,total,compatible,c_observed\n1/12,64,48,3/4\n1/6,64,40,5/8\n"
+                   "1/4,64,22,11/32\n1/3,64,11,11/64\n")
+
+
 @pytest.mark.parametrize("action", ["reduced", "count", "sweep"])
 def test_regcount_without_parts_is_a_usage_error(files, capsys, action):
     code, out, err = run_cli(["regcount", action, "--graph", files["k6"],

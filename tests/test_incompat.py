@@ -1,12 +1,16 @@
+import hashlib
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from comptile.errors import FormatError, ValidationError
 from comptile.graphs import Graph, complete_graph, cycle_graph
+from comptile import incompat
 from comptile.incompat import (IncompatibilitySystem, count_bad_pairs_at, format_system,
                                parse_system, random_bounded_system, system_to_json)
+from comptile.oracles import raw_bounded_system
 
 from .helpers import random_graph, random_system
 
@@ -105,6 +109,92 @@ def test_random_bounded_system_contract():
         assert delta <= int(mu * n)                      # capped generator
         assert delta <= 2 * int(mu * n)                  # the documented worst case
         assert delta <= max(max(g.degree(v) for v in range(n)) - 1, 0)
+
+
+def _star(leaves: int) -> Graph:
+    return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+def _rows(f: IncompatibilitySystem) -> list:
+    return [(v, list(row.items())) for v, row in f.inc.items()]
+
+
+def test_random_bounded_system_replays_the_literal_shuffles():
+    rng = random.Random(18)
+    seeds = (lambda: rng.getrandbits(30), lambda: (1 << 32) + rng.getrandbits(40),
+             lambda: -1 - rng.getrandbits(40))
+    cases = [(complete_graph(n), Fraction(rng.randint(1, 6), 40), seeds[n % 3]())
+             for n in (2, 3, 8, 16, 24, 32, 40, 48)]
+    # the star's 299-candidate rows draw past what one top byte decides
+    cases += [(_star(300), Fraction(1, 100), 7), (_star(300), Fraction(1, 2), -5)]
+    for i in range(300):
+        g = random_graph(rng.randint(0, 20), rng.choice((0.1, 0.3, 0.6, 0.9)), rng.getrandbits(30))
+        cases.append((g, Fraction(rng.randint(0, 12), 20), seeds[i % 3]()))
+    covered = set()
+    for g, mu, seed in cases:
+        fast, raw = random_bounded_system(g, mu, seed), raw_bounded_system(g, mu, seed)
+        assert fast.triples() == raw.triples(), (g.n, mu, seed)
+        # equal rows, inserted in the same order: iteration over inc is unchanged too
+        assert _rows(fast) == _rows(raw), (g.n, mu, seed)
+        degrees = {g.degree(v) for v in range(g.n)}
+        q = int(mu * g.n)
+        covered |= degrees & {0, 1, 2}
+        covered |= {tag for tag, hit in (("mu=0", mu == 0), ("seed>=2^32", seed >= 1 << 32),
+                                         ("seed<0", seed < 0), ("K48", g.m == 48 * 47 // 2),
+                                         ("q>=degree", g.m and q >= max(degrees)),
+                                         ("row>255", max(degrees, default=0) > 256)) if hit}
+    assert covered == {0, 1, 2, "mu=0", "seed>=2^32", "seed<0", "K48", "q>=degree", "row>255"}
+
+
+def test_random_bounded_system_tops_up_inside_shuffles(monkeypatch):
+    # the smallest buffer allowed runs out inside a shuffle every few rows
+    monkeypatch.setattr(incompat, "_WORDS", 255)
+    rng = random.Random(5)
+    cases = [(complete_graph(n), Fraction(1, rng.randint(3, 40)), rng.getrandbits(40))
+             for n in (20, 40, 60)]
+    cases += [(_star(300), Fraction(1, 100), 3), (_star(300), Fraction(1, 3), 4)]
+    # thousands of one- to three-draw shuffles: some start on the buffer's last words
+    cliques = Graph.from_edges(300, [(b + u, b + v) for b in range(0, 300, 5)
+                                     for u in range(4 + b % 2) for v in range(u + 1, 4 + b % 2)])
+    cases += [(cliques, Fraction(k, 300), seed) for k in (1, 4) for seed in range(6)]
+    for g, mu, seed in cases:
+        assert _rows(random_bounded_system(g, mu, seed)) == _rows(raw_bounded_system(g, mu, seed))
+
+
+# sha256 of format_system for systems drawn before the shuffles were
+# replayed in bulk; a changed oracle cannot hide a drift of the stream
+PINNED_STREAM = [
+    (complete_graph(30), Fraction(1, 20), 171,
+     "a12c05c384c401703a9e34cb7949f0f73140b956c90663055604cf192e550a09"),
+    (random_graph(40, 0.8, 5), Fraction(1, 10), 2**40 + 3,
+     "92a0427da43a1e878edf239f2ccb53cd044195ac5159ce9fc1c3953c853349f9"),
+    (complete_graph(60), Fraction(1, 50), -12345,
+     "79b59ad2e50bedf6eeaec982f5e64da183fa27b0b9461f2ea798325f17a5e83f"),
+    (random_graph(16, 0.5, 3), Fraction(3, 10), 0,
+     "82e85b648dcb384503f90bf1f38c4cb29e0b467a8bb5b2e188217d290f364d79"),
+    (_star(300), Fraction(1, 100), 7,
+     "643ad7292ded743a41030f6ab794e1e6923a59518443273a4c00d7a874e0e480"),
+]
+
+
+@pytest.mark.parametrize("case", range(len(PINNED_STREAM)))
+def test_random_bounded_system_stream_is_pinned(case):
+    g, mu, seed, digest = PINNED_STREAM[case]
+    text = format_system(random_bounded_system(g, mu, seed))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_random_bounded_system_draws_in_bounded_chunks():
+    k60, mu = complete_graph(60), Fraction(1, 50)
+    random_bounded_system(k60, mu, 0)    # one-time allocations stay outside the trace
+    tracemalloc.start()
+    try:
+        random_bounded_system(k60, mu, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the literal shuffles peak at about 246 KiB; all of the system's words at once take ~2 MB
+    assert peak < 512 << 10
 
 
 def test_count_bad_pairs_examples():
