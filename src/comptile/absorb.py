@@ -45,6 +45,8 @@ SUPPORTED = "supported"
 REFUTED = "refuted"
 INDETERMINATE = "indeterminate"
 
+# the quantifier checks run over every set when there are at most this many,
+# else over seeded samples
 DEFAULT_EXHAUSTIVE_CAP = 20_000
 
 
@@ -284,7 +286,6 @@ class ReachReport:
 def reachability_estimate(g: Graph, f: IncompatibilitySystem, pattern: Graph,
                           u: int, v: int, m: int, t: int,
                           samples: int = 100, seed: int = 0,
-                          exhaustive_cap: int = DEFAULT_EXHAUSTIVE_CAP,
                           budget: int = solver.DEFAULT_BUDGET) -> ReachReport:
     """Quantify 'for every m-set W there is a connector avoiding W'.
 
@@ -308,7 +309,7 @@ def reachability_estimate(g: Graph, f: IncompatibilitySystem, pattern: Graph,
     if m > len(others):
         raise ValidationError(f"m = {m} exceeds the {len(others)} non-endpoint vertices")
     population = math.comb(len(others), m)
-    exhaustive = population <= exhaustive_cap
+    exhaustive = population <= DEFAULT_EXHAUSTIVE_CAP
     rng = random.Random(seed)
     masks = spent = None
     verdicts = {}
@@ -427,7 +428,6 @@ class RobustReport:
 
 def robust_vectors(g: Graph, f: IncompatibilitySystem, pattern: Graph,
                    p: VertexPartition, beta, samples: int = 100, seed: int = 0,
-                   exhaustive_cap: int = DEFAULT_EXHAUSTIVE_CAP,
                    budget: int = solver.DEFAULT_BUDGET) -> RobustReport:
     """Which index vectors survive every deletion of floor(beta*n) vertices?
 
@@ -472,7 +472,7 @@ def robust_vectors(g: Graph, f: IncompatibilitySystem, pattern: Graph,
             return not all(msk & w_mask for msk in masks)
 
         verdict, _, killer = _for_every(
-            population <= exhaustive_cap, combinations(range(g.n), w),
+            population <= DEFAULT_EXHAUSTIVE_CAP, combinations(range(g.n), w),
             lambda: tuple(sorted(rng.sample(range(g.n), w))), samples, survives)
         if killer is None:
             reports[vec] = VectorReport(vec, True, verdict)
@@ -492,7 +492,6 @@ class AbsorbingSetReport:
 
 def verify_absorbing_set(g: Graph, f: IncompatibilitySystem, pattern: Graph,
                          a_set, xi, samples: int = 100, seed: int = 0,
-                         exhaustive_cap: int = DEFAULT_EXHAUSTIVE_CAP,
                          budget: int = solver.DEFAULT_BUDGET) -> AbsorbingSetReport:
     """Check the absorbing-set property of A by definition.
 
@@ -522,7 +521,7 @@ def verify_absorbing_set(g: Graph, f: IncompatibilitySystem, pattern: Graph,
         return None if status == solver.INDETERMINATE else status == solver.FOUND
 
     verdict, checked, witness = _for_every(
-        population <= exhaustive_cap,
+        population <= DEFAULT_EXHAUSTIVE_CAP,
         (r_set for s in sizes for r_set in combinations(outside, s)),
         draw, samples, absorbed)
     return AbsorbingSetReport(verdict, checked, witness)

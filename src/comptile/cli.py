@@ -124,8 +124,9 @@ def _cmd_construct(args) -> int:
             "system": system_to_json(inst.system),
         }
     }
-    (out / "certificates.json").write_text(_report(args, report), encoding="ascii")
-    _emit(args, report)
+    text = _report(args, report)
+    (out / "certificates.json").write_text(text, encoding="ascii")
+    sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -278,11 +279,11 @@ def _cmd_acceptance(args) -> int:
 
     selectors = None if not args.only else [s.strip().upper() for s in args.only.split(",")]
     matrix = acceptance.run_battery(selectors=selectors, seed=args.seed, verbose=True)
+    text = acceptance.matrix_json(matrix)
     if args.out:
         Path(args.out).mkdir(parents=True, exist_ok=True)
-        (Path(args.out) / "matrix.json").write_text(
-            acceptance.matrix_json(matrix), encoding="ascii")
-    sys.stdout.write(acceptance.matrix_json(matrix))
+        (Path(args.out) / "matrix.json").write_text(text, encoding="ascii")
+    sys.stdout.write(text)
     return EXIT_OK if all(r.passed for r in matrix) else EXIT_NONE
 
 
@@ -378,6 +379,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.budget < 0:
+            raise _UsageError(f"--budget must be >= 0, got {args.budget}")
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         sys.stderr.write(canonical_json({"error": "usage", "detail": str(exc)}))

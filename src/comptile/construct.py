@@ -18,18 +18,18 @@ checked numerically before the instance is returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
+from itertools import chain, permutations, repeat
 
 from . import solver
 from .coloring import chi_star, enumerate_coloring_profiles
 from .errors import SizeCapError, ValidationError
-from .graphs import (Graph, MultipartiteSpec, VertexPartition, complete_multipartite,
-                     components)
+from .graphs import (Graph, MultipartiteSpec, VertexPartition, complement_components,
+                     complete_multipartite)
 from .incompat import IncompatibilitySystem
 from .lattice import GeneratedLattice, index_vector
-from .util import frac_ceil, frac_floor, format_fraction
+from .util import bits, frac_ceil, frac_floor, format_fraction
 
 KOMLOS = "komlos"
 KUHN_OSTHUS = "ko"
@@ -101,16 +101,22 @@ def _factor_exists(pattern: Graph, sizes) -> bool:
     return False
 
 
-def _sizes_to_instance(pattern: Graph, sizes, window_low, window_high) -> BaseInstance:
-    g, part = complete_multipartite(MultipartiteSpec(tuple(sizes)))
+def _build_base(pattern: Graph, sized: tuple) -> BaseInstance:
+    """The base K(sizes) of ``sized`` = (part sizes, window low, window
+    high, min degree), with the min degree its formula gives checked on
+    the built graph."""
+    sizes, window_low, window_high, want = sized
+    g, part = complete_multipartite(MultipartiteSpec(sizes))
+    delta = g.min_degree()
+    if delta != want:
+        raise ValidationError(f"degree check failed: delta = {delta}, formula gives {want}")
     in_window = tuple(window_low <= s <= window_high for s in sizes)
     status = FACTOR_EXISTS if _factor_exists(pattern, sizes) else CONFIRMED_ABSENT
-    return BaseInstance(g, part, tuple(sizes), g.min_degree(),
-                        window_low, window_high, in_window, status)
+    return BaseInstance(g, part, sizes, delta, window_low, window_high, in_window, status)
 
 
 def komlos_base(pattern: Graph, n: int) -> BaseInstance:
-    """Complete r-partite graph of order n with min degree (1-1/chi_cr)n - 1.
+    """Complete r-partite graph of order n, min degree floor((1-1/chi_cr)n) - 1.
 
     The part sizes are one admissible choice: the largest part gets
     ceil(n/chi_cr) + 1 (the maximal degree deficit), the remainder is
@@ -121,12 +127,11 @@ def komlos_base(pattern: Graph, n: int) -> BaseInstance:
     a factor is decided (``factor_status``), never assumed; at small n
     the even split can admit a factor for some patterns.
     """
-    return _sizes_to_instance(pattern, *_komlos_sizes(pattern, n))
+    return _build_base(pattern, _komlos_sizes(pattern, chi_star(pattern), n))
 
 
-def _komlos_sizes(pattern: Graph, n: int) -> tuple:
-    """(part sizes, window low, window high) of ``komlos_base``."""
-    prof = chi_star(pattern)
+def _komlos_sizes(pattern: Graph, prof, n: int) -> tuple:
+    """(part sizes, window low, window high, min degree) of ``komlos_base``."""
     r = prof.chi
     if r < 2:
         raise ValidationError("base construction needs chi >= 2")
@@ -141,7 +146,7 @@ def _komlos_sizes(pattern: Graph, n: int) -> tuple:
             f"for {r - 1} non-empty parts")
     base, extra = divmod(rest, r - 1)
     sizes = [big] + [base + (1 if i < extra else 0) for i in range(r - 1)]
-    return sizes, (cr + 1 - r) / r * n, big
+    return tuple(sizes), (cr + 1 - r) / r * n, big, frac_floor((1 - 1 / cr) * n) - 1
 
 
 def kuhn_osthus_base(pattern: Graph, n: int) -> BaseInstance:
@@ -150,19 +155,11 @@ def kuhn_osthus_base(pattern: Graph, n: int) -> BaseInstance:
 
     Preconditions: chi(H) = r >= 3, hcf(H) != 1, n divisible by |H|.
     """
-    sizes, lo, hi = _ko_sizes(pattern, n)
-    inst = _sizes_to_instance(pattern, sizes, lo, hi)
-    r = len(sizes)
-    want = frac_ceil(Fraction((r - 1) * n, r)) - 1
-    if inst.min_degree != want:
-        raise ValidationError(
-            f"degree check failed: delta = {inst.min_degree}, formula gives {want}")
-    return inst
+    return _build_base(pattern, _ko_sizes(pattern, chi_star(pattern), n))
 
 
-def _ko_sizes(pattern: Graph, n: int) -> tuple:
-    """(part sizes, window low, window high) of ``kuhn_osthus_base``."""
-    prof = chi_star(pattern)
+def _ko_sizes(pattern: Graph, prof, n: int) -> tuple:
+    """(part sizes, window low, window high, min degree) of ``kuhn_osthus_base``."""
     r = prof.chi
     if r < 3:
         raise ValidationError(f"precondition chi(H) >= 3 failed (chi = {r})")
@@ -179,7 +176,10 @@ def _ko_sizes(pattern: Graph, n: int) -> tuple:
     for s in sizes[2:]:
         if not lo <= s <= hi:
             raise ValidationError(f"balanced tail size {s} escaped [{lo}, {hi}]")
-    return sizes, Fraction(lo), hi
+    return tuple(sizes), Fraction(lo), hi, frac_ceil(Fraction((r - 1) * n, r)) - 1
+
+
+_BASE_SIZES = {KOMLOS: _komlos_sizes, KUHN_OSTHUS: _ko_sizes}
 
 
 @dataclass(frozen=True)
@@ -190,15 +190,18 @@ class ConstructionSpec:
     n: int
     mu: Fraction
     base: str = KOMLOS
+    # the base's (part sizes, window low, window high, min degree), derived once
+    base_sizes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "mu", Fraction(self.mu))
-        if self.base not in (KOMLOS, KUHN_OSTHUS):
+        sizes_of = _BASE_SIZES.get(self.base)
+        if sizes_of is None:
             raise ValidationError(f"unknown base {self.base!r}")
         pattern = self.pattern()
-        # the base's own preconditions (chi, hcf, n divisible by |H|)
-        (_komlos_sizes if self.base == KOMLOS else _ko_sizes)(pattern, self.n)
         prof = chi_star(pattern)
+        # the base's own preconditions (chi, hcf, n divisible by |H|)
+        object.__setattr__(self, "base_sizes", sizes_of(pattern, prof, self.n))
         r = prof.chi
         upper = (prof.chi_cr + 1 - r) / r
         if not 0 < self.mu < upper:
@@ -259,11 +262,7 @@ def _bipartite_circulant(block: tuple, d: int) -> list:
     """
     half = (len(block) + 1) // 2
     xs, ys = block[:half], block[half:]
-    edges = []
-    for i, x in enumerate(xs):
-        for j in range(d):
-            edges.append((x, ys[(i + j) % len(ys)]))
-    return edges
+    return [(x, ys[(i + j) % len(ys)]) for i, x in enumerate(xs) for j in range(d)]
 
 
 def _is_bipartite(g: Graph, block) -> bool:
@@ -297,41 +296,35 @@ def augment_and_incompat(spec: ConstructionSpec) -> ExtremalInstance:
     ``TRIPLE_CAP`` triples.
     """
     pattern = spec.pattern()
-    prof = chi_star(pattern)
     n, mu = spec.n, spec.mu
     d = frac_ceil(mu * n / 2) + 1
-    sizes_of, build_base = ((_komlos_sizes, komlos_base) if spec.base == KOMLOS
-                            else (_ko_sizes, kuhn_osthus_base))
     # part j's circulant has ceil(s_j/2)*d edges, each incompatible at
     # every vertex outside the part
-    triples = sum(-(-s // 2) * d * (n - s) for s in sizes_of(pattern, n)[0])
+    triples = sum(-(-s // 2) * d * (n - s) for s in spec.base_sizes[0])
     if triples > TRIPLE_CAP:
         raise SizeCapError(f"the induced system would hold {triples} triples; "
                            f"construct is capped at {TRIPLE_CAP}")
-    base = build_base(pattern, n)
-
-    min_bound = mu * n / 2 + 1
-    max_bound = mu * n
-    q_bound = frac_floor(mu * n)
+    base = _build_base(pattern, spec.base_sizes)
+    blocks = base.partition.blocks
 
     rows = list(base.graph.adj)
-    internal_edges = {}  # part index -> edge list
-    for pi, block in enumerate(base.partition.blocks):
+    circulants = []  # per part, its edges (x, y); x < y, as xs precede ys in the sorted block
+    for pi, block in enumerate(blocks):
         if len(block) < 2 * d:
             raise ValidationError(
                 f"part {pi} (size {len(block)}) too small for mu = {mu}: "
                 f"needs size >= 2*(ceil(mu*n/2)+1) = {2 * d}")
         edges = _bipartite_circulant(block, d)
-        internal_edges[pi] = edges
+        circulants.append(edges)
         for u, v in edges:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
     graph = Graph(n, rows)
 
+    max_bound = mu * n
     part_windows = []
-    part_masks = base.partition.block_masks()
-    for pi, block in enumerate(base.partition.blocks):
-        degs = [(graph.adj[w] & part_masks[pi]).bit_count() for w in block]
+    for pi, (block, mask) in enumerate(zip(blocks, base.partition.block_masks())):
+        degs = [(graph.adj[w] & mask).bit_count() for w in block]
         lo, hi = min(degs), max(degs)
         if hi > max_bound:
             raise ValidationError(
@@ -339,26 +332,23 @@ def augment_and_incompat(spec: ConstructionSpec) -> ExtremalInstance:
                 f"(odd part sizes push one side to d+1)")
         part_windows.append((lo, hi))
 
-    triples = []
-    for pj, block in enumerate(base.partition.blocks):
-        for u, w in internal_edges[pj]:
-            a, b = min(u, w), max(u, w)
-            for pi, vblock in enumerate(base.partition.blocks):
-                if pi == pj:
-                    continue
-                for v in vblock:
-                    triples.append((v, a, b))
-    system = IncompatibilitySystem(graph, triples)
+    # xy is incompatible with vx and vy at every v outside the part of xy;
+    # the triples go straight into the system, one zip per edge
+    outside = [[v for pi, vblock in enumerate(blocks) if pi != pj for v in vblock]
+               for pj in range(len(blocks))]
+    system = IncompatibilitySystem(graph, chain.from_iterable(
+        zip(vs, repeat(x), repeat(y)) for edges, vs in zip(circulants, outside)
+        for x, y in edges))
 
     certs = Certificates(
         min_degree=graph.min_degree(),
-        min_degree_bound=(1 - 1 / prof.chi_star + mu / 2) * n,
+        min_degree_bound=(1 - 1 / chi_star(pattern).chi_star + mu / 2) * n,
         part_internal_degrees=tuple(part_windows),
-        internal_min_bound=min_bound,
+        internal_min_bound=mu * n / 2 + 1,
         internal_max_bound=max_bound,
-        parts_bipartite=tuple(_is_bipartite(graph, set(b)) for b in base.partition.blocks),
+        parts_bipartite=tuple(_is_bipartite(graph, set(b)) for b in blocks),
         f_delta=system.delta,
-        f_delta_bound=q_bound,
+        f_delta_bound=frac_floor(mu * n),
     )
     if not certs.all_hold():
         raise ValidationError(f"certificate inequalities failed: {certs.to_json_dict()}")
@@ -403,22 +393,16 @@ def detect_multipartite(g: Graph) -> MultipartiteSpec:
     (parts ordered by minimum vertex) or raises ValidationError.
 
     The complement of K_r(h_1..h_r) is a disjoint union of cliques, so
-    the candidate parts are the complement's components; they are then
-    validated directly.
+    the candidate parts are the complement's components; each vertex is
+    then checked against the definition, adjacent to exactly the vertices
+    outside its part.
     """
     full = (1 << g.n) - 1
-    comp = Graph(g.n, tuple((full & ~g.adj[v]) & ~(1 << v) for v in range(g.n)))
-    parts = components(comp)
-    for block in parts:
-        for i, u in enumerate(block):
-            for v in block[i + 1:]:
-                if g.has_edge(u, v):
-                    raise ValidationError("not complete multipartite: edge inside a part")
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            for u in parts[i]:
-                for v in parts[j]:
-                    if not g.has_edge(u, v):
-                        raise ValidationError(
-                            "not complete multipartite: missing cross edge")
-    return MultipartiteSpec(tuple(len(b) for b in parts))
+    parts = complement_components(g, full)
+    for part in parts:
+        others = full & ~part
+        for v in bits(part):
+            if g.adj[v] != others:
+                fault = "edge inside a part" if g.adj[v] & part else "missing cross edge"
+                raise ValidationError(f"not complete multipartite: {fault}")
+    return MultipartiteSpec(tuple(p.bit_count() for p in parts))

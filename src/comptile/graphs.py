@@ -163,6 +163,8 @@ class VertexPartition:
             if b[0] < 0 or b[-1] >= self.n:
                 raise ValidationError("block names a vertex outside 0..n-1")
             bm = mask_of(b)
+            if bm.bit_count() != len(b):
+                raise ValidationError("block repeats a vertex")
             if bm & seen:
                 raise ValidationError("blocks are not disjoint")
             seen |= bm
@@ -249,6 +251,26 @@ def components(g: Graph) -> list:
             comp |= grow
         out.append(list(bits(comp)))
         unseen &= ~comp
+    return out
+
+
+def complement_components(g: Graph, pool: int) -> list:
+    """The vertex masks of the components of the complement of g[pool],
+    ordered by lowest vertex.  No complement graph is built: a component
+    grows by every pool vertex missing an edge to a vertex it holds."""
+    adj = g.adj
+    out = []
+    left = pool
+    while left:
+        comp = todo = left & -left
+        while todo and comp != left:
+            low = todo & -todo
+            todo ^= low
+            new = left & ~adj[low.bit_length() - 1] & ~comp
+            comp |= new
+            todo |= new
+        left &= ~comp
+        out.append(comp)
     return out
 
 

@@ -45,15 +45,18 @@ class IncompatibilitySystem:
 
     def __init__(self, graph: Graph, triples):
         """Build from (v, a, b) triples meaning {va, vb} in F_v."""
+        adj, n = graph.adj, graph.n
         inc = {}
         for v, a, b in triples:
             if a == b:
                 raise ValidationError(f"pair at {v} names the same edge twice")
-            for x in (a, b):
-                if not (0 <= x < graph.n) or not (0 <= v < graph.n):
-                    raise ValidationError(f"triple ({v},{a},{b}) outside vertex range")
-                if not graph.has_edge(v, x):
-                    raise ValidationError(f"({v},{x}) is not an edge of the bound graph")
+            if not (0 <= v < n and 0 <= a < n and 0 <= b < n
+                    and adj[v] >> a & adj[v] >> b & 1):
+                for x in (a, b):  # name the first fault: range, then edge, a before b
+                    if not (0 <= x < n and 0 <= v < n):
+                        raise ValidationError(f"triple ({v},{a},{b}) outside vertex range")
+                    if not adj[v] >> x & 1:
+                        raise ValidationError(f"({v},{x}) is not an edge of the bound graph")
             row = inc.setdefault(v, {})
             row[a] = row.get(a, 0) | 1 << b
             row[b] = row.get(b, 0) | 1 << a
@@ -313,13 +316,12 @@ def parse_system(text: str, graph: Graph) -> IncompatibilitySystem:
             raise FormatError(f"bad incompatibility JSON: {exc}") from exc
         except KeyError:
             raise FormatError("incompatibility JSON must be an object with a 'pairs' key") from None
-        triples, row = [], pairs  # row: what to quote if pairs is not iterable
+        triples = row = pairs  # row: what to quote if pairs is not iterable
         try:
-            for row in pairs:
-                triples.append(tuple(map(int, row)))
-                if len(triples[-1]) != 3:
+            for row in pairs:  # three JSON integers; a bool is not one
+                if len(row) != 3 or any(type(x) is not int for x in row):
                     raise ValueError
-        except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: int(inf)
+        except (TypeError, ValueError) as exc:
             raise FormatError(f"bad incompatibility JSON pair {row!r}") from exc
     else:
         triples = int_rows(text, "incompatibility", 3)
@@ -330,4 +332,4 @@ def parse_system(text: str, graph: Graph) -> IncompatibilitySystem:
 
 
 def system_to_json(f: IncompatibilitySystem) -> dict:
-    return {"pairs": [list(t) for t in f.triples()]}
+    return {"pairs": f.triples()}  # canonical JSON writes each tuple as an array

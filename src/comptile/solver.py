@@ -41,7 +41,7 @@ from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from .errors import BudgetExceeded, ConsistencyError, ValidationError
-from .graphs import Graph, MultipartiteSpec, complete_multipartite
+from .graphs import Graph, MultipartiteSpec, complement_components, complete_multipartite
 from .incompat import IncompatibilitySystem, edge_key
 from .lattice import GeneratedLattice
 from .util import bits, mask_of
@@ -415,6 +415,8 @@ def enumerate_compatible_copies(pattern: Graph, g: Graph,
     costs more than ``budget`` no search starts, and the result is
     truncated with budget + 1 expansions, as any search cut by its budget.
     """
+    if budget < 0:
+        raise ValidationError(f"budget must be >= 0, got {budget}")
     f = _system_on(g, f, pattern)
     pool = _full_pool(g, pool)
     if pattern.n > pool.bit_count():
@@ -439,6 +441,8 @@ def enumerate_transversal_copies(spec: MultipartiteSpec, g: Graph,
     is found once; no rule is derived, and the budget bounds the search
     alone.
     """
+    if budget < 0:
+        raise ValidationError(f"budget must be >= 0, got {budget}")
     pattern, _ = complete_multipartite(spec)
     f = _system_on(g, f, pattern)
     if parts is None or len(parts) != spec.r:
@@ -644,32 +648,6 @@ def _pack(full: int, rows: list, row_masks: list, n: int, work: _Work, h: int,
             chosen.pop()
 
 
-def _complement_parts(g: Graph, pool: int) -> list:
-    """The vertex masks of the components of the complement of g[pool],
-    by lowest vertex, with the singletons (vertices adjacent to the rest
-    of the pool) merged into one last part."""
-    adj = g.adj
-    parts = []
-    singles = 0
-    left = pool
-    while left:
-        comp = todo = left & -left
-        while todo and comp != left:  # comp takes every vertex missing an edge to todo
-            low = todo & -todo
-            todo ^= low
-            new = left & ~adj[low.bit_length() - 1] & ~comp
-            comp |= new
-            todo |= new
-        left &= ~comp
-        if comp & (comp - 1):
-            parts.append(comp)
-        else:
-            singles |= comp
-    if singles:
-        parts.append(singles)
-    return parts
-
-
 def _two_part_member(row_masks: list, p0: int, s0: int, t: int) -> bool:
     """Whether sizes (s0, s1) lie in the lattice of the index vectors over
     two parts, the first with mask ``p0``, of rows that all have h
@@ -698,9 +676,11 @@ def _lattice_refutation(g: Graph, full: int, row_masks: list, h: int):
     lattice generated by the index vectors of ``row_masks``, rows of ``h``
     vertices each, else None.
 
-    The parts are ``_complement_parts``: on a complete multipartite host
-    they are its parts, and any partition is sound, since a factor's
-    copies have index vectors summing to the part sizes over every one.
+    The parts are the components of the complement of g[full], with the
+    singletons (vertices adjacent to the rest of the pool) merged into one
+    last part: on a complete multipartite host they are its parts, and any
+    partition is sound, since a factor's copies have index vectors summing
+    to the part sizes over every one.
     With fewer than two parts every copy's vector is a multiple of the
     sizes, and there is nothing to test; with two, ``_two_part_member``
     settles membership, because building a ``GeneratedLattice`` costs more
@@ -711,7 +691,9 @@ def _lattice_refutation(g: Graph, full: int, row_masks: list, h: int):
     y is the dual certificate ``GeneratedLattice.membership`` gives, and
     checks, over the distinct vectors.
     """
-    parts = _complement_parts(g, full)
+    comps = complement_components(g, full)
+    singles = sum(c for c in comps if not c & (c - 1))  # disjoint masks: the sum is the union
+    parts = [c for c in comps if c & (c - 1)] + ([singles] if singles else [])
     if len(parts) < 2 or not row_masks:
         return None
     sizes = [p.bit_count() for p in parts]

@@ -128,7 +128,7 @@ def test_find_connector_charges_its_factor_searches(monkeypatch, u, v, budget):
         assert res.expansions <= budget
 
 
-def test_reachability_ladder():
+def test_reachability_ladder(monkeypatch):
     k6 = complete_graph(6)
     assert reachability_estimate(k6, empty(k6), K2, 0, 1, 0, 1).verdict == absorb.PROVEN
     assert reachability_estimate(k6, empty(k6), K2, 0, 1, 2, 1).verdict == absorb.PROVEN
@@ -136,8 +136,8 @@ def test_reachability_ladder():
     rep = reachability_estimate(k4, empty(k4), K2, 0, 1, 2, 1)
     assert rep.verdict == absorb.REFUTED and rep.witness == (2, 3)
     big = complete_graph(24)
-    rep = reachability_estimate(big, empty(big), K2, 0, 1, 8, 1,
-                                samples=5, exhaustive_cap=10)
+    monkeypatch.setattr(absorb, "DEFAULT_EXHAUSTIVE_CAP", 10)
+    rep = reachability_estimate(big, empty(big), K2, 0, 1, 8, 1, samples=5)
     assert rep.verdict == absorb.SUPPORTED and rep.checked == 5
 
 
@@ -178,7 +178,7 @@ def _reach_by_find_connector(g, f, pattern, u, v, m, t, samples, seed, exhaustiv
                               checked, total)
 
 
-def test_reachability_matches_a_find_connector_per_w():
+def test_reachability_matches_a_find_connector_per_w(monkeypatch):
     rng = random.Random(9)
     verdicts = Counter()
     for i in range(70):
@@ -189,7 +189,8 @@ def test_reachability_matches_a_find_connector_per_w():
         m, cap = rng.randint(0, min(3, n - 2)), rng.choice([DEFAULT_CAP, 3])
         u, v = rng.sample(range(n), 2)
         args = (g, f, pattern, u, v, m, t)
-        rep = reachability_estimate(*args, samples=5, seed=i, exhaustive_cap=cap)
+        monkeypatch.setattr(absorb, "DEFAULT_EXHAUSTIVE_CAP", cap)
+        rep = reachability_estimate(*args, samples=5, seed=i)
         assert rep == _reach_by_find_connector(*args, 5, i, cap), (i, rep)
         verdicts[rep.verdict] += 1
     # both regimes, and REFUTED witnesses, are exercised
@@ -383,12 +384,13 @@ def test_absorbing_set_verifier():
 THIRDS = VertexPartition(12, ((0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11)))
 
 
-def test_sampled_verdicts_are_pinned():
-    # exhaustive_cap=10 forces the sampled regime; the values pin the
+def test_sampled_verdicts_are_pinned(monkeypatch):
+    # a cap of 10 forces the sampled regime; the values pin the
     # seeded draw order (one generator shared across robust vectors)
+    monkeypatch.setattr(absorb, "DEFAULT_EXHAUSTIVE_CAP", 10)
     g = random_graph(12, .45, 0)
     rep = robust_vectors(g, random_bounded_system(g, "1/6", 0), K2, THIRDS, "1/3",
-                         samples=12, seed=7, exhaustive_cap=10)
+                         samples=12, seed=7)
     assert rep.w_size == 4 and len(rep.vectors) == 6
     assert rep.robust_vectors() == [(1, 0, 1)]
     assert rep.vectors[(1, 0, 1)].verdict == absorb.SUPPORTED
@@ -397,29 +399,25 @@ def test_sampled_verdicts_are_pinned():
     assert rep.vectors[(2, 0, 0)].verdict == absorb.PROVEN
     h = random_graph(12, .5, 3)
     fh = random_bounded_system(h, "1/6", 5)
-    res = verify_absorbing_set(h, fh, K2, [0, 1], "1/3", samples=20, seed=2,
-                               exhaustive_cap=10)
+    res = verify_absorbing_set(h, fh, K2, [0, 1], "1/3", samples=20, seed=2)
     assert (res.verdict, res.checked, res.witness) == (absorb.REFUTED, 4, (5, 11))
-    res = reachability_estimate(h, fh, K2, 0, 1, 4, 1, samples=20, seed=7,
-                                exhaustive_cap=10)
+    res = reachability_estimate(h, fh, K2, 0, 1, 4, 1, samples=20, seed=7)
     assert (res.verdict, res.checked, res.total, res.witness) == \
         (absorb.REFUTED, 8, None, (3, 4, 6, 8))
 
 
 @pytest.mark.parametrize("quantifier", ["reachability", "absorbing_set", "robust"])
 @pytest.mark.parametrize("samples", [0, -3])
-def test_sampling_needs_a_sample(quantifier, samples):
+def test_sampling_needs_a_sample(monkeypatch, quantifier, samples):
     # zero draws cannot support a "for every" claim
+    monkeypatch.setattr(absorb, "DEFAULT_EXHAUSTIVE_CAP", 10)
     big = complete_graph(12)
     f = empty(big)
     with pytest.raises(ValidationError, match="samples"):
         if quantifier == "reachability":
-            reachability_estimate(big, f, K2, 0, 1, 4, 1, samples=samples,
-                                  exhaustive_cap=10)
+            reachability_estimate(big, f, K2, 0, 1, 4, 1, samples=samples)
         elif quantifier == "absorbing_set":
-            verify_absorbing_set(big, f, K2, [0, 1], "1/3", samples=samples,
-                                 exhaustive_cap=10)
+            verify_absorbing_set(big, f, K2, [0, 1], "1/3", samples=samples)
         else:
             sparse = Graph.from_edges(12, [(0, 4)])
-            robust_vectors(sparse, empty(sparse), K2, THIRDS, "1/3",
-                           samples=samples, exhaustive_cap=10)
+            robust_vectors(sparse, empty(sparse), K2, THIRDS, "1/3", samples=samples)

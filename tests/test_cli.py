@@ -1,3 +1,4 @@
+import hashlib
 import json
 import resource
 import shutil
@@ -589,6 +590,31 @@ def test_absorb_cli(files, capsys):
     assert code == 2 and json.loads(out)["status"] == "indeterminate"
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--mode", "factor", "--graph", "{k6}", "--pattern", "{k2}", "--budget", "-5"],
+    ["solve", "--mode", "count", "--graph", "{k6}", "--pattern", "{k2}", "--budget", "-5"],
+    ["solve", "--mode", "max", "--graph", "{k6}", "--pattern", "{k2}", "--budget", "-5"],
+    ["absorb", "find", "--graph", "{k6}", "--pattern", "{k2}", "--u", "0", "--v", "3",
+     "--budget", "-3"],
+], ids=["factor", "count", "max", "absorb-find"])
+def test_negative_budget_is_a_usage_error(files, capsys, argv):
+    # it used to run and report the negative budget plus one as work done
+    code, out, err = run_cli([a.format(**files) for a in argv], capsys)
+    assert code == 64 and out == ""
+    assert json.loads(err) == {"error": "usage",
+                               "detail": f"--budget must be >= 0, got {argv[-1]}"}
+
+
+def test_non_integer_json_system_is_a_parse_error(files, capsys):
+    inc = files["tmp"] / "k3.json"
+    inc.write_text('{"pairs": [[0, 1, 2.7]]}', encoding="ascii")
+    code, out, err = run_cli(["solve", "--graph", files["k3"], "--pattern", files["k2"],
+                              "--incompat", str(inc)], capsys)
+    assert code == 65 and out == ""
+    assert json.loads(err) == {"error": "parse",
+                               "detail": "bad incompatibility JSON pair [0, 1, 2.7]"}
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_absorbing_set_sampling_without_samples_is_usage_error(files, capsys, samples):
     k30 = files["tmp"] / "k30.graph"
@@ -797,6 +823,50 @@ def test_construct_cli_writes_artifacts(files, capsys, tmp_path):
     part = parse_partition((out_dir / "partition.txt").read_text(), g.n)
     f = parse_system((out_dir / "incompat.txt").read_text(), g)
     assert part.k == 3 and f.delta == 4
+
+
+# sha256 of stdout (certificates.json holds the same bytes), incompat.txt,
+# graph.txt and partition.txt as recorded at commit e530d34: how the
+# pipeline derives the instance must not change a byte of what it writes
+_CONSTRUCT_DIGESTS = {
+    ("k111", 24, "komlos"): (
+        "044759ea62fec7095342a5cba55d8fe5606c5fd8b27dbc64701971497072239e",
+        "5026b2e4527bfd4a27da30eaf4cde707494068d613a531610aba43a31ce0bf0b",
+        "9e98411127c4ab9d9f8539107bd30865d747cfc7bc024fb9d2dba36746f59c76",
+        "7ae521bf6a37db2e7331794055a6c0d3f4d62d7c0f45c5f97f272955f5db4daa"),
+    ("k111", 24, "ko"): (
+        "b2d8cefd5917f2f38101e4acb321e26216874fca06044cff720573a9fc38867f",
+        "631bb7bd364fa518ed7164081749b8df182dd8d76ddf8ac7012ede9ec8bde261",
+        "584ea05febb9c46f428cf91796e240751d3b3a990f0ed4160075394e64266dd9",
+        "c303d95029a7cfa821902b29d63557265ea87e952e4ed5ad8bdd683012a5070f"),
+    ("k111", 120, "komlos"): (
+        "169ed914da64cae6b013bd2a2dc037ae55abc9ba95b4fbe1a7a1bd3edf2602a4",
+        "1ac75d8df7187ae1c20ecc78962017e27e1ff8a44c30c7bdb8253789b4f7f8ac",
+        "1dc7fd0de61db7bdac96e0c49fd044ab5a17447994954c343e7ba6d595d426e4",
+        "82917c94e238a8dd61726f8acc48ccf4f798a9735dbd95fec42a37ad667aeb11"),
+    ("k112", 24, "komlos"): (
+        "64157217084e006e2c01f914115c0858dbbdd83f1351f7420cf8a55bf5846056",
+        "769560cdfd204bbcdda3d460e0d92d489ccb687d82bef5a81905db530e195790",
+        "a67b0d509aa88b207675e3120782752633d09699cc53eb03e59d0c607edda0b7",
+        "ecdbe1ae55d37260849e88e172c3fc6f82f0f72f6927fd87ffd0a0ed43450120"),
+}
+
+
+@pytest.mark.parametrize("pattern, n, base", sorted(_CONSTRUCT_DIGESTS))
+def test_construct_outputs_are_pinned(files, capsys, tmp_path, pattern, n, base):
+    k112 = tmp_path / "k112.graph"
+    k112.write_text(format_graph(complete_multipartite(MultipartiteSpec((1, 1, 2)))[0]),
+                    encoding="ascii")
+    out_dir = tmp_path / "inst"
+    code, out, _ = run_cli(["construct", "--pattern", str(k112) if pattern == "k112"
+                            else files[pattern], "--n", str(n), "--mu", "1/6",
+                            "--base", base, "--out", str(out_dir)], capsys)
+    assert code == 0
+    assert (out_dir / "certificates.json").read_text(encoding="ascii") == out
+    got = [out.encode("ascii")] + [(out_dir / name).read_bytes()
+                                   for name in ("incompat.txt", "graph.txt", "partition.txt")]
+    assert tuple(hashlib.sha256(b).hexdigest() for b in got) == _CONSTRUCT_DIGESTS[
+        (pattern, n, base)]
 
 
 def test_subprocess_determinism_across_hash_seeds(files, tmp_path):

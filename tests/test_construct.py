@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 
@@ -254,7 +255,32 @@ def test_transversal_vector_is_robust_on_instance(inst24):
 def test_detect_multipartite():
     g, _ = complete_multipartite(MultipartiteSpec((2, 3, 1)))
     assert detect_multipartite(g).sizes == (2, 3, 1)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="edge inside a part"):
         detect_multipartite(path_graph(4))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="edge inside a part"):
         detect_multipartite(cycle_graph(5))
+
+
+def test_detect_multipartite_checks_parts_against_the_definition(monkeypatch):
+    # each vertex must see exactly the vertices outside its part, however
+    # the parts were found: a walk that split a part leaves a cross edge missing
+    g, _ = complete_multipartite(MultipartiteSpec((2, 2)))
+    monkeypatch.setattr(construct, "complement_components",
+                        lambda g, pool: [0b0001, 0b0010, 0b1100])
+    with pytest.raises(ValidationError, match="missing cross edge"):
+        detect_multipartite(g)
+
+
+def test_induced_triples_are_streamed_into_the_system():
+    # n = 60 holds 7,434 triples: a list of them before the system would
+    # push the build's peak past 0.5 MB; streamed, it peaks near 0.15 MB
+    spec = ConstructionSpec(K111, 60, Fraction(1, 6))
+    augment_and_incompat(spec)    # one-time allocations stay outside the trace
+    tracemalloc.start()
+    try:
+        inst = augment_and_incompat(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inst.system.total_pairs == 7434
+    assert peak < 300 << 10

@@ -4,9 +4,11 @@ from hypothesis import strategies as st
 
 from comptile.errors import FormatError, ValidationError
 from comptile.graphs import (MAX_VERTICES, Graph, MultipartiteSpec, VertexPartition,
-                             complete_graph, complete_multipartite, components,
+                             complement_components, complete_graph,
+                             complete_multipartite, components,
                              disjoint_union, empty_graph, format_graph, format_partition,
                              parse_graph, parse_partition, path_graph)
+from comptile.util import bits, mask_of
 
 from .helpers import random_graph
 
@@ -106,6 +108,28 @@ def test_partition_roundtrip_and_validation():
         VertexPartition(3, ((0, 1), (1, 2)))   # overlap
     with pytest.raises(ValidationError):
         VertexPartition(2, ((0, 1), ()))       # empty block
+
+
+def test_partition_block_repeating_a_vertex_is_refused():
+    with pytest.raises(ValidationError, match="block repeats a vertex"):
+        VertexPartition(4, ((0, 0, 1), (2, 3)))
+    with pytest.raises(ValidationError, match="block repeats a vertex"):
+        VertexPartition(2, ((1, 0, 1),))
+    with pytest.raises(FormatError, match="block repeats a vertex"):
+        parse_partition("0 0 1\n2 3\n", 4)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_complement_components_match_the_explicit_complement(seed):
+    # reference: components of the complement graph built edge by edge,
+    # restricted to the pool
+    g = random_graph(2 + seed % 9, (0.3, 0.6, 0.85)[seed % 3], seed)
+    pool = mask_of(v for v in range(g.n) if (seed * 7 + v * 13) % 5)
+    pos = list(bits(pool))
+    comp = Graph(len(pos), [mask_of(j for j, u in enumerate(pos) if u != v
+                                    and not g.adj[v] >> u & 1) for v in pos])
+    want = [mask_of(pos[j] for j in c) for c in components(comp)]
+    assert complement_components(g, pool) == want
 
 
 def test_multipartite_spec_validation():

@@ -26,6 +26,38 @@ def test_pair_validation():
         IncompatibilitySystem(g, [(0, 1, 2)])       # (0,2) not an edge
 
 
+def _first_fault(graph, triples):
+    """Reference: the message of the first bad triple, each checked for a
+    repeated edge, then for a (range, edge) and b (range, edge)."""
+    for v, a, b in triples:
+        if a == b:
+            return f"pair at {v} names the same edge twice"
+        for x in (a, b):
+            if not (0 <= x < graph.n) or not (0 <= v < graph.n):
+                return f"triple ({v},{a},{b}) outside vertex range"
+            if not graph.has_edge(v, x):
+                return f"({v},{x}) is not an edge of the bound graph"
+    return None
+
+
+def test_triple_checks_report_the_first_fault():
+    rng = random.Random(5)
+    faults = set()
+    for i in range(300):
+        g = random_graph(rng.randint(1, 6), 0.6, i)
+        triples = [tuple(rng.randint(-1, g.n) for _ in range(3))
+                   for _ in range(rng.randint(0, 4))]
+        want = _first_fault(g, triples)
+        if want is None:
+            assert IncompatibilitySystem(g, triples).graph is g
+            continue
+        with pytest.raises(ValidationError) as exc:
+            IncompatibilitySystem(g, triples)
+        assert str(exc.value) == want
+        faults.add(want.split()[-1])
+    assert faults == {"twice", "range", "graph"}
+
+
 def test_are_compatible_semantics():
     k4 = complete_graph(4)
     f = IncompatibilitySystem(k4, [(0, 1, 2)])
@@ -250,7 +282,16 @@ def test_comment_lines_ignored():
     assert f.triples() == [(0, 1, 2)]
 
 
+@pytest.mark.parametrize("entry", ["2.7", '"2"', "true", "2.0", "null"])
+def test_json_pairs_hold_integers_only(entry):
+    # a float, a string, a bool or null is no vertex id, even where it names
+    # an integer; the line format refuses such tokens too
+    text = '{"pairs": [[0, 1, %s]]}' % entry
+    with pytest.raises(FormatError, match=r"JSON pair \[0, 1, "):
+        parse_system(text, complete_graph(4))
+
+
 def test_json_pair_that_overflows_int_is_a_format_error():
-    # JSON reads 1e999 as float infinity, which int() refuses with OverflowError
+    # JSON reads 1e999 as float infinity, which is not an integer
     with pytest.raises(FormatError, match=r"JSON pair \[inf, 1, 2\]"):
         parse_system('{"pairs": [[1e999, 1, 2]]}', complete_graph(3))

@@ -340,6 +340,18 @@ def test_p3_factor_of_c6_under_centered_system():
     assert (res.status == FOUND) == oracles.raw_factor_exists(p3, c6, f)
 
 
+def test_negative_budget_is_refused_before_any_search():
+    k3, host = complete_graph(3), complete_graph(6)
+    with pytest.raises(ValidationError, match="budget must be >= 0"):
+        enumerate_compatible_copies(k3, host, budget=-1)
+    with pytest.raises(ValidationError, match="budget must be >= 0"):
+        enumerate_transversal_copies(MultipartiteSpec((1, 1, 1)), host, None,
+                                     [[0, 1], [2, 3], [4, 5]], budget=-1)
+    with pytest.raises(ValidationError, match="budget must be >= 0"):
+        find_compatible_factor(k3, host, budget=-5)     # the factor search enumerates first
+    assert enumerate_compatible_copies(k3, host, budget=0).truncated
+
+
 def test_budget_yields_indeterminate():
     k3 = complete_graph(3)
     host = complete_graph(15)
