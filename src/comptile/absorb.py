@@ -84,25 +84,47 @@ def _check_inputs(g: Graph, pattern: Graph, vertices):
 
 
 def _factor_on(g: Graph, f: IncompatibilitySystem, pattern: Graph,
-               vertices, budget: int) -> solver.FactorResult:
-    """Compatible-factor decision on G[vertices], host-id tiling."""
+               vertices, budget: int, copies=None) -> solver.FactorResult:
+    """Compatible-factor decision on G[vertices], host-id tiling; rows
+    from ``copies`` when given (see ``solver.find_compatible_factor``)."""
     return solver.find_compatible_factor(pattern, g, f, budget=budget,
-                                         pool=mask_of(vertices))
+                                         pool=mask_of(vertices), copies=copies)
 
 
 def _factor_gate(g: Graph, f: IncompatibilitySystem, pattern: Graph,
-                 named_sets, budget: int) -> VerifyResult:
+                 named_sets, budget: int, copies=None) -> VerifyResult:
     """PROVEN when every G[vertices] of ``named_sets`` has a compatible factor.
 
     ``named_sets`` lists (name, vertices); the first set without a factor
     (REFUTED) or whose search hit the budget (INDETERMINATE) is named in
-    the reason.  The searches share ``budget``, so a gate that ends
-    PROVEN or REFUTED spent at most ``budget`` expansions.
+    the reason.  A set whose size h does not divide refutes the gate
+    before anything is enumerated, at no expansions.  Otherwise the union
+    of the sets is enumerated once, and each search takes the copies
+    inside its set from that enumeration; an enumeration cut by the
+    budget makes the gate INDETERMINATE at once.  ``budget`` covers the
+    enumeration and the searches, so a gate that ends PROVEN or REFUTED
+    spent at most ``budget`` expansions.  ``copies``, a complete
+    enumeration over a superset of the union, replaces the gate's own;
+    ``budget`` and ``expansions`` then cover the searches alone.
     """
-    tilings = []
-    spent = 0
     for name, vertices in named_sets:
-        res = _factor_on(g, f, pattern, vertices, budget - spent)
+        if len(vertices) % pattern.n:
+            return VerifyResult(False, REFUTED, f"G[{name}] has no compatible factor")
+    spent = 0
+    if copies is None:
+        union = 0
+        for _, vertices in named_sets:
+            union |= mask_of(vertices)
+        copies = solver.enumerate_compatible_copies(pattern, g, f, budget=budget, pool=union)
+        spent = copies.expansions
+        if copies.truncated:
+            return VerifyResult(False, INDETERMINATE,
+                                "copy enumeration of the union of "
+                                + ", ".join(f"G[{name}]" for name, _ in named_sets)
+                                + " hit budget", expansions=spent)
+    tilings = []
+    for name, vertices in named_sets:
+        res = _factor_on(g, f, pattern, vertices, budget - spent, copies)
         spent += res.expansions
         if res.status == solver.INDETERMINATE:
             return VerifyResult(False, INDETERMINATE,
@@ -134,8 +156,14 @@ def verify_absorber(g: Graph, f: IncompatibilitySystem, pattern: Graph,
 
 def verify_connector(g: Graph, f: IncompatibilitySystem, pattern: Graph,
                      s_set, u: int, v: int, t: int,
-                     budget: int = solver.DEFAULT_BUDGET) -> VerifyResult:
-    """Size bound |S| <= h*t - 1 plus factors of G[S u {u}] and G[S u {v}]."""
+                     budget: int = solver.DEFAULT_BUDGET, copies=None) -> VerifyResult:
+    """Size bound |S| <= h*t - 1 plus factors of G[S u {u}] and G[S u {v}].
+
+    Both factor searches take their copies from one enumeration of
+    G[S u {u, v}], or from ``copies``, an enumeration of the same
+    pattern, g and f over a superset of it (``find_connector`` passes
+    its own); ``budget`` covers what ``_factor_gate`` says.
+    """
     s_set = sorted(set(s_set))
     _check_inputs(g, pattern, s_set + [u, v])
     h = pattern.n
@@ -147,7 +175,7 @@ def verify_connector(g: Graph, f: IncompatibilitySystem, pattern: Graph,
         return VerifyResult(False, REFUTED,
                             f"|S| = {len(s_set)} exceeds h*t - 1 = {h * t - 1}")
     return _factor_gate(g, f, pattern,
-                        (("S u {u}", s_set + [u]), ("S u {v}", s_set + [v])), budget)
+                        (("S u {u}", s_set + [u]), ("S u {v}", s_set + [v])), budget, copies)
 
 
 def _reverified(check: VerifyResult, during: str, what: str):
@@ -187,9 +215,11 @@ def find_connector(g: Graph, f: IncompatibilitySystem, pattern: Graph,
     exactly the unions of j vertex-disjoint compatible copies through u
     minus u itself (any valid S tiles S u {u} that way), found in
     deterministic order; each candidate is accepted once G[S u {v}]
-    factors as well.  The copies are enumerated once: the first copy of
-    a union is one through u, each later one a copy disjoint from the
-    union so far, both in canonical order.
+    factors as well.  G - W is enumerated once: the candidates are built
+    from its copies that miss v, the first copy of a union one through
+    u, each later one a copy disjoint from the union so far, both in
+    canonical order; and every candidate's two factor searches take
+    their copies from the same enumeration.
 
     ``expansions`` counts the enumeration plus every candidate's factor
     searches, which share what the enumeration left of ``budget``; a
@@ -199,19 +229,23 @@ def find_connector(g: Graph, f: IncompatibilitySystem, pattern: Graph,
     w_mask = mask_of(w_set)
     if w_mask >> u & 1 or w_mask >> v & 1:
         raise ValidationError("W must avoid the endpoints")
-    pool = ((1 << g.n) - 1) & ~w_mask & ~(1 << v)
+    pool = ((1 << g.n) - 1) & ~w_mask
     enum = solver.enumerate_compatible_copies(pattern, g, f, budget=budget, pool=pool)
     if enum.truncated:
         return ConnectorSearch(solver.INDETERMINATE, None, enum.expansions)
-    return _search_connector(g, f, pattern, u, v, t, [emb.mask for emb in enum.copies],
+    return _search_connector(g, f, pattern, u, v, t, enum,
+                             [msk for msk in enum.masks if not msk >> v & 1],
                              enum.expansions, budget, {})
 
 
 def _search_connector(g: Graph, f: IncompatibilitySystem, pattern: Graph,
-                      u: int, v: int, t: int, masks: list, spent: int,
-                      budget: int, verdicts: dict) -> ConnectorSearch:
+                      u: int, v: int, t: int, copies: solver.CopyEnumeration,
+                      masks: list, spent: int, budget: int,
+                      verdicts: dict) -> ConnectorSearch:
     """``find_connector``'s candidate loop over the copy masks ``masks``
-    (canonical order, none containing v), after ``spent`` expansions.
+    (canonical order, none containing v or meeting W), after ``spent``
+    expansions; each candidate is verified on ``copies``, a complete
+    enumeration over a pool that holds every candidate and u and v.
 
     ``verdicts`` maps each candidate S already verified, as a vertex mask,
     to whether it is a connector for u, v; such an S is not verified again
@@ -239,7 +273,7 @@ def _search_connector(g: Graph, f: IncompatibilitySystem, pattern: Graph,
             s_mask = used & ~(1 << u)
             if s_mask not in verdicts:
                 check = verify_connector(g, f, pattern, tuple(bits(s_mask)), u, v, t,
-                                         budget=budget - expansions)
+                                         budget=budget - expansions, copies=copies)
                 expansions += check.expansions
                 if check.status == INDETERMINATE:
                     return ConnectorSearch(solver.INDETERMINATE, None, expansions)
@@ -294,13 +328,15 @@ def reachability_estimate(g: Graph, f: IncompatibilitySystem, pattern: Graph,
     requires the inner connector search to have exhausted its space, so
     the witness is genuine; inner budget blowups surface as INDETERMINATE.
 
-    The host is enumerated once per call: the copies of G - v - W are
-    exactly the copies of G - v that miss W, so each W runs
-    ``find_connector``'s candidate loop over that filter of one
-    enumeration of G - v, in the same canonical order, and gets the same
-    answer as its own search would.  The loops share one table of
-    verdicts, so each candidate S is verified at most once per call, and
-    ``budget`` bounds the whole call: the enumeration plus those checks.
+    The host is enumerated once per call: the copies of G - W are
+    exactly the host copies that miss W, so each W runs
+    ``find_connector``'s candidate loop over the host copies that miss W
+    and v, in the same canonical order, and verifies each candidate on
+    the host enumeration; it gets the same answer as its own search
+    would.  The loops share one table of verdicts, so each candidate S is
+    verified at most once per call, and ``budget`` bounds the whole call:
+    the enumeration plus those checks.  So a budget under which every W's
+    own ``find_connector`` decides can leave the call INDETERMINATE.
     """
     _check_connector_inputs(g, pattern, u, v, t)
     if m < 0:
@@ -311,21 +347,20 @@ def reachability_estimate(g: Graph, f: IncompatibilitySystem, pattern: Graph,
     population = math.comb(len(others), m)
     exhaustive = population <= DEFAULT_EXHAUSTIVE_CAP
     rng = random.Random(seed)
-    masks = spent = None
+    enum = spent = None
     verdicts = {}
 
     def has_connector(w_set):
-        nonlocal masks, spent
-        if masks is None:
+        nonlocal enum, spent
+        if enum is None:
             # made at the first W, so _for_every rejects bad samples before any search
-            enum = solver.enumerate_compatible_copies(pattern, g, f, budget=budget,
-                                                      pool=((1 << g.n) - 1) & ~(1 << v))
-            if enum.truncated:
-                return None
-            masks, spent = [emb.mask for emb in enum.copies], enum.expansions
-        w_mask = mask_of(w_set)
-        res = _search_connector(g, f, pattern, u, v, t,
-                                [msk for msk in masks if not msk & w_mask],
+            enum = solver.enumerate_compatible_copies(pattern, g, f, budget=budget)
+            spent = enum.expansions
+        if enum.truncated:
+            return None
+        avoid = mask_of(w_set) | 1 << v
+        res = _search_connector(g, f, pattern, u, v, t, enum,
+                                [msk for msk in enum.masks if not msk & avoid],
                                 spent, budget, verdicts)
         spent = res.expansions
         return None if res.status == solver.INDETERMINATE else res.status == solver.FOUND
@@ -498,6 +533,14 @@ def verify_absorbing_set(g: Graph, f: IncompatibilitySystem, pattern: Graph,
     Every residual R outside A with |R| <= xi*n and |A u R| divisible by
     h must leave G[A u R] with a compatible factor.  Exhaustive over all
     admissible R when the count fits the cap, else sampled per size.
+
+    The exhaustive check enumerates A and the vertices its R can use
+    (the host, when some R is non-empty) once, at the first R, and each
+    R's search takes the copies inside A u R from it with ``budget`` less
+    that enumeration, so each check spends at most ``budget``; a budget
+    under which every R's own search decides can then end INDETERMINATE,
+    as does a cut enumeration.  A sampled check enumerates each sample's
+    A u R, since a hundred small samples can cover far less than the host.
     """
     inside = set(a_set)
     a_set = sorted(inside)
@@ -516,12 +559,25 @@ def verify_absorbing_set(g: Graph, f: IncompatibilitySystem, pattern: Graph,
         s = sizes[rng.randrange(len(sizes))]
         return tuple(sorted(rng.sample(outside, s)))
 
+    exhaustive = population <= DEFAULT_EXHAUSTIVE_CAP
+    shared = None
+
     def absorbed(r_set):
-        status = _factor_on(g, f, pattern, a_set + list(r_set), budget).status
+        nonlocal shared
+        left = budget
+        if exhaustive:
+            if shared is None:
+                pool = mask_of(a_set) | (mask_of(outside) if sizes[-1] else 0)
+                shared = solver.enumerate_compatible_copies(pattern, g, f, budget=budget,
+                                                            pool=pool)
+            if shared.truncated:
+                return None
+            left -= shared.expansions
+        status = _factor_on(g, f, pattern, a_set + list(r_set), left, shared).status
         return None if status == solver.INDETERMINATE else status == solver.FOUND
 
     verdict, checked, witness = _for_every(
-        population <= DEFAULT_EXHAUSTIVE_CAP,
+        exhaustive,
         (r_set for s in sizes for r_set in combinations(outside, s)),
         draw, samples, absorbed)
     return AbsorbingSetReport(verdict, checked, witness)

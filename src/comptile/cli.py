@@ -24,8 +24,8 @@ from .construct import detect_multipartite
 from .errors import ComptileError, ConsistencyError, FormatError
 from .graphs import (Graph, MultipartiteSpec, format_graph, format_partition,
                      parse_graph, parse_partition)
-from .incompat import (IncompatibilitySystem, format_system, parse_system,
-                       random_bounded_system, system_to_json)
+from .incompat import (IncompatibilitySystem, parse_system, random_bounded_system,
+                       system_blocks, system_to_json)
 from .lattice import GeneratedLattice, find_transferral
 from .util import canonical_json, format_fraction, int_rows, parse_fraction
 
@@ -112,7 +112,9 @@ def _cmd_construct(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / "graph.txt").write_text(format_graph(inst.graph), encoding="ascii")
     (out / "partition.txt").write_text(format_partition(inst.partition), encoding="ascii")
-    (out / "incompat.txt").write_text(format_system(inst.system), encoding="ascii")
+    system = system_to_json(inst.system)   # its sorted triples also make incompat.txt
+    with (out / "incompat.txt").open("w", encoding="ascii") as fh:
+        fh.writelines(system_blocks(system["pairs"]))
     report = {
         "construct": {
             "pattern_sizes": list(spec_sizes.sizes),
@@ -121,7 +123,7 @@ def _cmd_construct(args) -> int:
             "base": args.base,
             "base_report": inst.base.to_json_dict(),
             "certificates": inst.certificates.to_json_dict(),
-            "system": system_to_json(inst.system),
+            "system": system,
         }
     }
     text = _report(args, report)

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
@@ -99,9 +99,63 @@ class Tiling:
 
 @dataclass
 class CopyEnumeration:
+    """Copies in canonical order.  ``pool`` is the vertex mask enumerated:
+    when not truncated, every compatible copy inside it is listed.  A
+    transversal enumeration lists only copies across its parts, and its
+    pool is 0.  ``pattern``, ``graph`` and ``system`` are the objects the
+    enumeration was asked for (``system`` None for the empty one)."""
+
     copies: list
     truncated: bool
     expansions: int
+    pool: int
+    pattern: Graph = field(repr=False, compare=False)
+    graph: Graph = field(repr=False, compare=False)
+    system: IncompatibilitySystem = field(repr=False, compare=False)
+    _masks: list = field(default=None, init=False, repr=False, compare=False)
+    _runs: dict = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def masks(self) -> list:
+        """Each copy's vertex mask, in the order of ``copies``, computed at
+        the first read.  (Not ``functools.cached_property``: on Python
+        3.11 its first read takes a lock, 1.6 us, over 1% of a tiny
+        factor decision.)"""
+        if self._masks is None:
+            self._masks = [mask_of(e.vertices) for e in self.copies]
+        return self._masks
+
+    def inside(self, pool: int) -> tuple:
+        """(copies, masks) of the listed copies inside the vertex mask
+        ``pool``, in canonical order.
+
+        Canonical order sorts by the sorted image, so the copies whose two
+        lowest vertices are v < w (v alone for a one-vertex pattern) form
+        one run; the runs are indexed once, at the first call.  A call
+        walks the runs of the pairs inside ``pool`` in order and keeps the
+        copies whose other vertices lie in it too, so it reads only copies
+        that start with two pool vertices, not every copy of the host.
+        """
+        masks = self.masks
+        if self._runs is None:
+            # a run ends where its key is last seen, and the keys come in order
+            ends = {e.vertices[:2]: i for i, e in enumerate(self.copies, 1)}
+            self._runs = dict(zip(ends, zip((0, *ends.values()), ends.values())))
+        runs = self._runs
+        if self.pattern.n == 1:
+            keys = [(v,) for v in bits(pool)]
+        else:
+            keys = [(v, w) for v in bits(pool) for w in bits(pool >> v + 1 << v + 1)]
+        outside = ~pool
+        rows, row_masks = [], []
+        for key in keys:
+            run = runs.get(key)
+            if run is not None:
+                for i in range(*run):
+                    if not masks[i] & outside:
+                        rows.append(self.copies[i])
+                        row_masks.append(masks[i])
+        return rows, row_masks
 
 
 @dataclass
@@ -384,9 +438,10 @@ def _system_on(g: Graph, f: IncompatibilitySystem, pattern: Graph) -> Incompatib
 
 
 def _copies(g: Graph, f: IncompatibilitySystem, plan: _Plan, below, allowed: list,
-            budget: int) -> CopyEnumeration:
+            budget: int, pool: int, asked: tuple) -> CopyEnumeration:
     """The copies ``_embed`` finds for ``plan`` under ``below``, in
-    canonical order; truncated when the budget runs out."""
+    canonical order; truncated when the budget runs out.  ``asked`` is
+    the (pattern, graph, system) the caller was given."""
     work = _Work(budget)
     out = []
     truncated = False
@@ -397,7 +452,7 @@ def _copies(g: Graph, f: IncompatibilitySystem, plan: _Plan, below, allowed: lis
         truncated = True
     # a clique's vertex set fixes its edges, and each copy is found once
     out.sort(key=attrgetter("vertices") if plan.clique else attrgetter("vertices", "edges"))
-    return CopyEnumeration(out, truncated, work.spent)
+    return CopyEnumeration(out, truncated, work.spent, pool, *asked)
 
 
 def enumerate_compatible_copies(pattern: Graph, g: Graph,
@@ -417,14 +472,15 @@ def enumerate_compatible_copies(pattern: Graph, g: Graph,
     """
     if budget < 0:
         raise ValidationError(f"budget must be >= 0, got {budget}")
+    asked = (pattern, g, f)
     f = _system_on(g, f, pattern)
     pool = _full_pool(g, pool)
     if pattern.n > pool.bit_count():
-        return CopyEnumeration([], False, 0)
+        return CopyEnumeration([], False, 0, pool, *asked)
     found = _search_plan(pattern, budget)
     if found is None:
-        return CopyEnumeration([], True, budget + 1)
-    return _copies(g, f, *found, [pool] * pattern.n, budget)
+        return CopyEnumeration([], True, budget + 1, pool, *asked)
+    return _copies(g, f, *found, [pool] * pattern.n, budget, pool, asked)
 
 
 def enumerate_transversal_copies(spec: MultipartiteSpec, g: Graph,
@@ -444,6 +500,7 @@ def enumerate_transversal_copies(spec: MultipartiteSpec, g: Graph,
     if budget < 0:
         raise ValidationError(f"budget must be >= 0, got {budget}")
     pattern, _ = complete_multipartite(spec)
+    asked = (pattern, g, f)
     f = _system_on(g, f, pattern)
     if parts is None or len(parts) != spec.r:
         raise ValidationError("need one vertex set per pattern part")
@@ -456,14 +513,14 @@ def enumerate_transversal_copies(spec: MultipartiteSpec, g: Graph,
             if masks[i] & masks[j]:
                 raise ValidationError("parts must be pairwise disjoint")
     if any(len(p) < h_i for p, h_i in zip(parts, spec.sizes)):
-        return CopyEnumeration([], False, 0)
+        return CopyEnumeration([], False, 0, 0, *asked)
 
     allowed = [m for m, h_i in zip(masks, spec.sizes) for _ in range(h_i)]
     # the parts are disjoint and non-empty, so a step opens its part exactly
     # when its mask differs from the previous step's
     below = [(i - 1,) if i and allowed[i] == allowed[i - 1] else ()
              for i in range(pattern.n)]
-    return _copies(g, f, _Plan(pattern, list(range(pattern.n))), below, allowed, budget)
+    return _copies(g, f, _Plan(pattern, list(range(pattern.n))), below, allowed, budget, 0, asked)
 
 
 def verify_embedding(g: Graph, f: IncompatibilitySystem, pattern: Graph,
@@ -713,7 +770,8 @@ def _lattice_refutation(g: Graph, full: int, row_masks: list, h: int):
 def find_compatible_factor(pattern: Graph, g: Graph,
                            f: IncompatibilitySystem = None,
                            budget: int = DEFAULT_BUDGET,
-                           pool: int = None) -> FactorResult:
+                           pool: int = None,
+                           copies: CopyEnumeration = None) -> FactorResult:
     """Exact compatible-factor decision: a lattice test, then exact-cover
     search.
 
@@ -725,24 +783,49 @@ def find_compatible_factor(pattern: Graph, g: Graph,
     ``certificate``; no search ran) or "exhausted" (complete search).
     INDETERMINATE only ever means the budget ran out, either during copy
     enumeration or during the cover search.
+
+    ``copies``, an enumeration of this ``pattern``, ``g`` and ``f`` (the
+    same objects) over a superset of ``pool``, is used instead of
+    enumerating the pool: the copies of g[pool] are exactly the host
+    copies inside it, and ``CopyEnumeration.inside`` gives them in
+    canonical order, the rows enumerating the pool would give, so every
+    field of the result but ``expansions`` is the same.  ``budget`` and
+    ``expansions`` then cover the search alone; the enumeration is the
+    caller's to charge.  A truncated ``copies`` can still give FOUND,
+    never NONE but by divisibility.  A ``copies`` made for other objects,
+    or whose pool misses a vertex of this one, is refused.
     """
+    if budget < 0:
+        raise ValidationError(f"budget must be >= 0, got {budget}")
+    if copies is not None and (copies.pattern is not pattern or copies.graph is not g
+                               or copies.system is not f):
+        raise ValidationError("copies were enumerated for another pattern, graph or system")
     f = _system_on(g, f, pattern)
     full = _full_pool(g, pool)
+    if copies is not None and full & ~copies.pool:
+        raise ValidationError("copies were enumerated over a pool that misses "
+                              "vertices of this one")
     if full.bit_count() % pattern.n != 0:
         return FactorResult(NONE, reason="divisibility")
     if full == 0:
         return FactorResult(FOUND, tiling=Tiling(()))
 
-    enum = enumerate_compatible_copies(pattern, g, f, budget=budget, pool=full)
-    rows = enum.copies
-    masks = [mask_of(e.vertices) for e in rows]
-    if not enum.truncated:  # a partial row set refutes nothing
+    if copies is None:
+        copies = enumerate_compatible_copies(pattern, g, f, budget=budget, pool=full)
+        spent = copies.expansions
+    else:
+        spent = 0
+    if copies.pool == full:
+        rows, masks = copies.copies, copies.masks
+    else:
+        rows, masks = copies.inside(full)
+    if not copies.truncated:  # a partial row set refutes nothing
         refuted = _lattice_refutation(g, full, masks, pattern.n)
         if refuted is not None:
-            return FactorResult(NONE, reason="lattice", expansions=enum.expansions,
+            return FactorResult(NONE, reason="lattice", expansions=spent,
                                 copies_considered=len(rows), parts=refuted[0],
                                 certificate=refuted[1])
-    work = _Work(budget, enum.expansions)
+    work = _Work(budget, spent)
     chosen, exhausted = _pack(full, rows, masks, g.n, work, pattern.n, 0)
     if chosen is not None:
         tiling = Tiling(tuple(rows[r] for r in chosen))
@@ -753,7 +836,7 @@ def find_compatible_factor(pattern: Graph, g: Graph,
             raise ConsistencyError("factor failed re-verification")
         return FactorResult(FOUND, tiling=tiling,
                             expansions=work.spent, copies_considered=len(rows))
-    if not exhausted or enum.truncated:
+    if not exhausted or copies.truncated:
         # absence over a truncated row set proves nothing
         return FactorResult(INDETERMINATE, reason="budget",
                             expansions=work.spent, copies_considered=len(rows))
@@ -818,8 +901,7 @@ def max_compatible_tiling(pattern: Graph, g: Graph,
     f = _system_on(g, f, pattern)
     enum = enumerate_compatible_copies(pattern, g, f, budget=budget)
     rows = enum.copies
-    masks = [mask_of(e.vertices) for e in rows]
     work = _Work(budget, enum.expansions)
-    chosen, exhausted = _pack((1 << g.n) - 1, rows, masks, g.n, work, pattern.n, g.n)
+    chosen, exhausted = _pack((1 << g.n) - 1, rows, enum.masks, g.n, work, pattern.n, g.n)
     return MaxTilingResult(Tiling(tuple(rows[r] for r in chosen)),
                            exhausted and not enum.truncated, work.spent)

@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -14,6 +15,7 @@ from comptile.errors import ValidationError
 from comptile.graphs import Graph, VertexPartition, complete_graph
 from comptile.incompat import IncompatibilitySystem, random_bounded_system
 from comptile.solver import Embedding
+from comptile.util import mask_of
 
 from .helpers import random_graph
 
@@ -96,11 +98,12 @@ def test_find_connector_respects_t_ladder():
     assert res.status == solver.FOUND and res.connector.s == (1, 2, 3)
     check = verify_connector(g, empty(g), K2, res.connector.s, 0, 4, 2)
     assert check.ok
-    # 7 for the one enumeration plus 24 for the candidates' factor searches
-    assert res.expansions == 31
-    res = find_connector(g, empty(g), K2, 0, 4, (), 2, budget=31)
+    # 9 for the one enumeration of G - W plus 5 for the candidates' factor
+    # searches, which take their copies from it
+    assert res.expansions == 14
+    res = find_connector(g, empty(g), K2, 0, 4, (), 2, budget=14)
     assert res.status == solver.FOUND and res.connector.s == (1, 2, 3)
-    res = find_connector(g, empty(g), K2, 0, 4, (), 2, budget=30)
+    res = find_connector(g, empty(g), K2, 0, 4, (), 2, budget=13)
     assert res.status == solver.INDETERMINATE
 
 
@@ -109,8 +112,8 @@ def test_find_connector_respects_t_ladder():
 def test_find_connector_charges_its_factor_searches(monkeypatch, u, v, budget):
     g = random_graph(14, .6, 18)
     f = random_bounded_system(g, "1/4", 18)
-    pool = ((1 << g.n) - 1) & ~(1 << v)
-    enumeration = solver.enumerate_compatible_copies(K3, g, f, budget=budget, pool=pool)
+    # W is empty, so the one enumeration is of all of g
+    enumeration = solver.enumerate_compatible_copies(K3, g, f)
     spent = []
     real = solver.find_compatible_factor
 
@@ -120,12 +123,19 @@ def test_find_connector_charges_its_factor_searches(monkeypatch, u, v, budget):
         return res
 
     monkeypatch.setattr(solver, "find_compatible_factor", recorded)
-    res = find_connector(g, f, K3, u, v, (), 2, budget=budget)
-    assert res.expansions == enumeration.expansions + sum(spent)
-    # the factor searches spend over 1,500 here, so 300 cannot decide either pair
-    assert (res.status == solver.INDETERMINATE) == (budget == 300)
-    if res.status != solver.INDETERMINATE:
-        assert res.expansions <= budget
+
+    def charged(budget):
+        spent.clear()
+        res = find_connector(g, f, K3, u, v, (), 2, budget=budget)
+        assert res.expansions == enumeration.expansions + sum(spent)
+        return res
+
+    res = charged(budget)
+    # the candidates' searches take their copies from the one enumeration, so
+    # 300 decides both pairs (it decided neither when each search enumerated)
+    assert res.status != solver.INDETERMINATE
+    assert res.expansions == {(0, 1): 240, (3, 7): 219}[u, v] <= budget
+    assert charged(res.expansions - 1).status == solver.INDETERMINATE
 
 
 def test_reachability_ladder(monkeypatch):
@@ -216,19 +226,75 @@ def test_reachability_verifies_each_candidate_once(monkeypatch):
 def test_reachability_budget_covers_the_whole_call():
     k8 = complete_graph(8)
     f = empty(k8)
-    host = solver.enumerate_compatible_copies(K2, k8, f, pool=((1 << 8) - 1) & ~(1 << 1))
+    host = solver.enumerate_compatible_copies(K2, k8, f)
+    assert host.expansions == 36
     budget = host.expansions - 1
     rep = reachability_estimate(k8, f, K2, 0, 1, 2, 1, budget=budget)
     assert (rep.verdict, rep.checked, rep.witness) == (absorb.INDETERMINATE, 0, None)
     # every W's own search decides at that budget: the regime where sharing is stricter
     assert all(find_connector(k8, f, K2, 0, 1, w_set, 1, budget=budget).status == solver.FOUND
                for w_set in combinations(range(2, 8), 2))
-    # the enumeration and the three distinct candidates' checks share one budget;
-    # `checked` counts the W proven before the cut
-    for extra, want in ((1, (absorb.INDETERMINATE, 0)), (10, (absorb.INDETERMINATE, 1)),
-                        (23, (absorb.INDETERMINATE, 5)), (24, (absorb.PROVEN, 15))):
+    # the enumeration and the three distinct candidates' checks share one budget,
+    # each check's two searches spending 2 on the host's copies; `checked`
+    # counts the W proven before the cut
+    for extra, want in ((1, (absorb.INDETERMINATE, 0)), (2, (absorb.INDETERMINATE, 1)),
+                        (5, (absorb.INDETERMINATE, 5)), (6, (absorb.PROVEN, 15))):
         rep = reachability_estimate(k8, f, K2, 0, 1, 2, 1, budget=host.expansions + extra)
         assert (rep.verdict, rep.checked) == want, extra
+
+
+def test_factor_gate_budget_covers_one_enumeration_and_both_searches():
+    k6 = complete_graph(6)
+    f = empty(k6)
+    union = solver.enumerate_compatible_copies(K3, k6, f, pool=mask_of([0, 1, 2, 3]))
+    assert union.expansions == 14
+    res = verify_connector(k6, f, K3, [2, 3], 0, 1, 1)
+    assert (res.status, res.expansions) == (absorb.PROVEN, 16)  # 14 + 1 per search
+    res = verify_connector(k6, f, K3, [2, 3], 0, 1, 1, budget=15)
+    assert (res.status, res.reason) == (absorb.INDETERMINATE,
+                                        "G[S u {v}] factor search hit budget")
+    # G[S u {u}] alone decides at 8, its own enumeration included; the gate's
+    # enumeration of S u {u, v} does not fit: sharing is stricter there
+    alone = solver.find_compatible_factor(K3, k6, f, budget=8, pool=mask_of([0, 2, 3]))
+    assert alone.status == solver.FOUND
+    res = verify_connector(k6, f, K3, [2, 3], 0, 1, 1, budget=8)
+    assert (res.status, res.reason, res.expansions) == (
+        absorb.INDETERMINATE,
+        "copy enumeration of the union of G[S u {u}], G[S u {v}] hit budget", 9)
+    # an enumeration handed in is the caller's to charge: the budget covers the searches
+    host = solver.enumerate_compatible_copies(K3, k6, f)
+    shared = verify_connector(k6, f, K3, [2, 3], 0, 1, 1, budget=2, copies=host)
+    assert replace(shared, expansions=16) == verify_connector(k6, f, K3, [2, 3], 0, 1, 1)
+    too_small = solver.enumerate_compatible_copies(K3, k6, f, pool=mask_of([0, 2, 3]))
+    with pytest.raises(ValidationError, match="misses vertices"):
+        verify_connector(k6, f, K3, [2, 3], 0, 1, 1, copies=too_small)
+
+
+def test_a_decided_gate_spends_at_most_its_budget():
+    # a set size h does not divide refutes before anything is enumerated
+    k6 = complete_graph(6)
+    res = verify_absorber(k6, empty(k6), K3, [0, 1, 2], [3, 4], 1, budget=0)
+    assert (res.status, res.reason, res.expansions) == (
+        absorb.REFUTED, "G[A] has no compatible factor", 0)
+    rng = random.Random(23)
+    seen = Counter()
+    for _ in range(150):
+        n = rng.randint(5, 9)
+        g = random_graph(n, rng.choice([.5, .8, 1.]), rng.randrange(1 << 20))
+        f = random_bounded_system(g, rng.choice(["0", "1/4"]), rng.randrange(1 << 20))
+        pattern = rng.choice([K2, K3])
+        h = pattern.n
+        budget = rng.randint(0, 40)
+        if rng.random() < .5:
+            u, v, *s_set = rng.sample(range(n), rng.randint(2, min(n, 2 * h + 1)))
+            res = verify_connector(g, f, pattern, s_set, u, v, 2, budget=budget)
+        else:
+            vs = rng.sample(range(n), rng.randint(h, n))
+            res = verify_absorber(g, f, pattern, vs[:h], vs[h:], 2, budget=budget)
+        if res.status != absorb.INDETERMINATE:
+            assert res.expansions <= budget, res
+        seen[res.status] += 1
+    assert min(seen.values()) >= 10 and len(seen) == 3, seen
 
 
 def test_concatenation_and_size_law():
@@ -379,6 +445,34 @@ def test_absorbing_set_verifier():
     g = Graph.from_edges(4, [(0, 1)])
     rep = verify_absorbing_set(g, empty(g), K2, [0, 1], "1/2")
     assert rep.verdict == absorb.REFUTED and rep.witness == (2, 3)
+
+
+def test_absorbing_set_budget_covers_the_host_enumeration_and_each_search(monkeypatch):
+    k6 = complete_graph(6)
+    f = empty(k6)
+    host = solver.enumerate_compatible_copies(K2, k6, f)
+    assert host.expansions == 21
+    residuals = [r for s in (0, 2) for r in combinations(range(2, 6), s)]
+    alone = [solver.find_compatible_factor(K2, k6, f, pool=mask_of((0, 1, *r)))
+             for r in residuals]
+    assert all(res.status == solver.FOUND for res in alone)
+    assert max(res.expansions for res in alone) == 12
+    # every R's own search decides at 12, but the host enumeration does not fit
+    rep = verify_absorbing_set(k6, f, K2, [0, 1], "1/3", budget=12)
+    assert (rep.verdict, rep.checked) == (absorb.INDETERMINATE, 0)
+    # each check is the enumeration plus its own search: 21 + 1 for R empty,
+    # 21 + 2 for each pair
+    rep = verify_absorbing_set(k6, f, K2, [0, 1], "1/3", budget=22)
+    assert (rep.verdict, rep.checked) == (absorb.INDETERMINATE, 1)
+    rep = verify_absorbing_set(k6, f, K2, [0, 1], "1/3", budget=23)
+    assert (rep.verdict, rep.checked) == (absorb.PROVEN, 7)
+    # with R empty only, A alone is enumerated: A's own search budget suffices
+    rep = verify_absorbing_set(k6, f, K2, [0, 1], "0", budget=alone[0].expansions)
+    assert (rep.verdict, rep.checked) == (absorb.PROVEN, 1)
+    # a sampled check enumerates each sample's own A u R, so 12 decides it
+    monkeypatch.setattr(absorb, "DEFAULT_EXHAUSTIVE_CAP", 1)
+    rep = verify_absorbing_set(k6, f, K2, [0, 1], "1/3", samples=5, budget=12)
+    assert (rep.verdict, rep.checked) == (absorb.SUPPORTED, 5)
 
 
 THIRDS = VertexPartition(12, ((0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11)))

@@ -869,6 +869,21 @@ def test_construct_outputs_are_pinned(files, capsys, tmp_path, pattern, n, base)
         (pattern, n, base)]
 
 
+def test_construct_sorts_the_triples_once(files, capsys, tmp_path, monkeypatch):
+    # incompat.txt and certificates.json share one sorted list
+    calls = []
+    real = IncompatibilitySystem.triples
+
+    def counted(self):
+        calls.append(1)
+        return real(self)
+
+    monkeypatch.setattr(IncompatibilitySystem, "triples", counted)
+    code, _, _ = run_cli(["construct", "--pattern", files["k111"], "--n", "24", "--mu", "1/6",
+                          "--out", str(tmp_path / "inst")], capsys)
+    assert code == 0 and len(calls) == 1
+
+
 def test_subprocess_determinism_across_hash_seeds(files, tmp_path):
     # The child runs the package this process imported (src/ under
     # PYTHONPATH=src or an editable install); the explicit minimal env keeps

@@ -9,7 +9,8 @@ from comptile.errors import FormatError, ValidationError
 from comptile.graphs import Graph, complete_graph, cycle_graph
 from comptile import incompat
 from comptile.incompat import (IncompatibilitySystem, count_bad_pairs_at, format_system,
-                               parse_system, random_bounded_system, system_to_json)
+                               parse_system, random_bounded_system, system_blocks,
+                               system_to_json)
 from comptile.oracles import raw_bounded_system
 
 from .helpers import random_graph, random_system
@@ -274,6 +275,20 @@ def test_file_roundtrip_and_json():
         parse_system("0 1\n", g)
     with pytest.raises(FormatError):
         parse_system('{"pairs": [[0, 1]]}', g)
+
+
+@pytest.mark.parametrize("lines", [1, 2, 5, incompat.BLOCK_LINES])
+def test_system_blocks_join_to_the_line_format(monkeypatch, lines):
+    monkeypatch.setattr(incompat, "BLOCK_LINES", lines)
+    g = complete_graph(6)
+    f = random_system(g, 11, 3)
+    triples = f.triples()
+    blocks = list(system_blocks(triples))
+    assert len(blocks) == -(-len(triples) // lines)
+    assert "".join(blocks) == format_system(f) == \
+        "".join(f"{v} {a} {b}\n" for v, a, b in triples)
+    assert system_to_json(f)["pairs"] == triples
+    assert format_system(IncompatibilitySystem.empty(g)) == ""
 
 
 def test_comment_lines_ignored():

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 
@@ -19,7 +20,7 @@ from comptile.solver import (FOUND, INDETERMINATE, NONE, Embedding,
                              find_compatible_factor, greedy_almost_tiling,
                              max_compatible_tiling, verify_embedding, verify_tiling)
 
-from comptile.util import mask_of
+from comptile.util import bits, mask_of
 
 from .helpers import random_graph, random_system
 
@@ -446,6 +447,129 @@ def test_a_factor_failing_re_verification_is_a_consistency_error(monkeypatch):
     monkeypatch.setattr(solver, "verify_tiling", lambda *a: False)
     with pytest.raises(ConsistencyError, match="factor failed re-verification"):
         find_compatible_factor(complete_graph(3), complete_graph(6))
+
+
+def _planted_host(rng):
+    """A random host, a third of the time with an independent set planted
+    (every triangle then puts at most one vertex in it), a third of the
+    time complete multipartite, where the lattice test refutes."""
+    kind = rng.randrange(3)
+    if kind == 2:
+        sizes = tuple(rng.randint(1, 3) for _ in range(rng.randint(2, 4)))
+        return complete_multipartite(MultipartiteSpec(sizes))[0]
+    host = random_graph(rng.randint(3, 11), rng.uniform(0.5, 1.0), rng.getrandbits(30))
+    if kind == 1:
+        planted = set(rng.sample(range(host.n), rng.randint(2, host.n // 2 + 1)))
+        host = Graph.from_edges(host.n, [(u, v) for u, v in host.edges()
+                                         if not {u, v} <= planted])
+    return host
+
+
+def test_copies_give_the_answer_of_enumerating_the_pool():
+    # the host copies inside a pool, in canonical order, are the rows
+    # enumerating the pool gives: every field but expansions is the same,
+    # and expansions drop by exactly that enumeration
+    rng = random.Random(53)
+    seen = set()
+    for _ in range(300):
+        host = _planted_host(rng)
+        pattern = rng.choice([complete_graph(2), complete_graph(3), path_graph(3)])
+        f = random_system(host, rng.randint(0, 8), rng.getrandbits(30))
+        outer = mask_of(v for v in range(host.n) if rng.random() < 0.85)
+        enum = enumerate_compatible_copies(pattern, host, f, pool=outer)
+        assert enum.pool == outer and not enum.truncated
+        assert enum.masks == [mask_of(e.vertices) for e in enum.copies]
+        for _ in range(4):
+            pool = mask_of(v for v in range(host.n) if outer >> v & 1 and rng.random() < 0.8)
+            alone = find_compatible_factor(pattern, host, f, pool=pool)
+            shared = find_compatible_factor(pattern, host, f, pool=pool, copies=enum)
+            assert replace(shared, expansions=alone.expansions) == alone
+            if alone.reason not in ("divisibility", ""):
+                search = alone.expansions - enumerate_compatible_copies(
+                    pattern, host, f, pool=pool).expansions
+                assert shared.expansions == search
+            if alone.reason != "divisibility" and host.n <= 9:
+                s = list(bits(pool))
+                sub, sub_f = _induced_by_hand(host, f, s)
+                assert (shared.status == FOUND) == oracles.raw_factor_exists(pattern, sub, sub_f)
+            seen.add(alone.reason or alone.status)
+    assert seen == {FOUND, "divisibility", "lattice", "exhausted"}, seen
+
+
+def test_truncated_copies_never_prove_absence():
+    # a cut host enumeration lists only some of a pool's copies: it can still
+    # find a factor among them, but refutes nothing but divisibility
+    rng = random.Random(59)
+    k3 = complete_graph(3)
+    found = 0
+    for host in (_ko_base(9), _ko_base(12), complete_graph(9), random_graph(12, .8, 5)):
+        f = random_system(host, 6, 7)
+        full = enumerate_compatible_copies(k3, host, f)
+        pools = [mask_of(rng.sample(range(host.n), rng.choice([6, 7, 9])))
+                 for _ in range(6)] + [(1 << host.n) - 1]
+        for budget in range(0, full.expansions, 3):
+            cut = enumerate_compatible_copies(k3, host, f, budget=budget)
+            assert cut.truncated
+            for pool in pools:
+                res = find_compatible_factor(k3, host, f, pool=pool, copies=cut)
+                if res.status == NONE:
+                    assert res.reason == "divisibility"
+                elif res.status == FOUND:
+                    found += 1
+                    assert verify_tiling(host, f, k3, res.tiling)
+                    assert res.tiling.covered() == pool
+    assert found > 0
+
+
+def test_copies_that_miss_a_pool_vertex_are_refused():
+    k3, host = complete_graph(3), complete_graph(9)
+    enum = enumerate_compatible_copies(k3, host, pool=0b011111111)
+    assert find_compatible_factor(k3, host, pool=0b000111111, copies=enum).status == FOUND
+    with pytest.raises(ValidationError, match="misses vertices"):
+        find_compatible_factor(k3, host, pool=0b100000011, copies=enum)
+    with pytest.raises(ValidationError, match="misses vertices"):
+        find_compatible_factor(k3, host, copies=enum)
+    # a transversal enumeration lists only copies across its parts: no pool
+    across = enumerate_transversal_copies(MultipartiteSpec((1, 1, 1)), host, None,
+                                          [[0, 1, 2], [3, 4, 5], [6, 7, 8]])
+    assert across.pool == 0
+    with pytest.raises(ValidationError, match="misses vertices"):
+        find_compatible_factor(across.pattern, host, pool=0b001001001, copies=across)
+
+
+def test_copies_made_for_other_objects_are_refused():
+    # rows of another pattern, graph or system could refute wrongly, so the
+    # copies must come from the very objects the search is asked about
+    k3, host = complete_graph(3), complete_graph(9)
+    f = random_system(host, 6, 3)
+    enum = enumerate_compatible_copies(k3, host, f)
+    assert find_compatible_factor(k3, host, f, copies=enum).status == FOUND
+    for other in ((complete_graph(3), host, f), (path_graph(3), host, f),
+                  (k3, complete_graph(9), f), (k3, host, None),
+                  (k3, host, random_system(host, 6, 3))):
+        with pytest.raises(ValidationError, match="another pattern, graph or system"):
+            find_compatible_factor(*other, copies=enum)
+    across = enumerate_transversal_copies(MultipartiteSpec((1, 1, 1)), host, None,
+                                          [[0, 1, 2], [3, 4, 5], [6, 7, 8]])
+    with pytest.raises(ValidationError, match="another pattern, graph or system"):
+        find_compatible_factor(k3, host, pool=0, copies=across)
+
+
+def test_inside_gathers_the_copies_of_a_pool_in_canonical_order():
+    # the runs by two lowest vertices give what a scan of every copy gives
+    rng = random.Random(61)
+    for _ in range(200):
+        host = random_graph(rng.randint(1, 12), rng.uniform(0.3, 1.0), rng.getrandbits(30))
+        pattern = rng.choice([complete_graph(1), complete_graph(2), complete_graph(3),
+                              path_graph(3), cycle_graph(4)])
+        f = random_system(host, rng.randint(0, 6), rng.getrandbits(30))
+        enum = enumerate_compatible_copies(pattern, host, f)
+        for _ in range(5):
+            pool = rng.getrandbits(host.n)
+            want = [(e, m) for e, m in zip(enum.copies, enum.masks) if not m & ~pool]
+            rows, masks = enum.inside(pool)
+            assert list(zip(rows, masks)) == want
+            assert rows == enumerate_compatible_copies(pattern, host, f, pool=pool).copies
 
 
 def test_k112_construction_keeps_its_factor_and_stays_undecided_on_budget():
