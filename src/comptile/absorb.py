@@ -37,7 +37,7 @@ from . import solver
 from .errors import ConsistencyError, ValidationError
 from .graphs import Graph, VertexPartition
 from .incompat import IncompatibilitySystem
-from .lattice import index_vector
+from .lattice import index_vector, mask_index_vector
 from .util import bits, frac_floor, mask_of
 
 PROVEN = "proven"
@@ -481,9 +481,14 @@ def robust_vectors(g: Graph, f: IncompatibilitySystem, pattern: Graph,
         raise ValidationError(f"beta must lie in [0, 1], got {beta}")
     w = frac_floor(beta * g.n)
     enum = solver.enumerate_compatible_copies(pattern, g, f, budget=budget)
+    covered = 0
+    for msk in enum.masks:
+        covered |= msk
+    if covered >> p.n:
+        raise ValidationError("vertex outside the partition's ground set")
     by_vector = {}
-    for emb in enum.copies:
-        by_vector.setdefault(index_vector(emb.vertices, p), []).append(emb.mask)
+    for msk in enum.masks:
+        by_vector.setdefault(mask_index_vector(msk, p), []).append(msk)
 
     rng = random.Random(seed)
     population = math.comb(g.n, w)

@@ -31,7 +31,7 @@ from .errors import ComptileError
 from .graphs import (Graph, MultipartiteSpec, VertexPartition, complete_graph,
                      complete_multipartite, cycle_graph, disjoint_union, path_graph)
 from .incompat import IncompatibilitySystem, count_bad_pairs_at, random_bounded_system
-from .lattice import GeneratedLattice, find_transferral, index_vector, refutes, unit_vector
+from .lattice import GeneratedLattice, find_transferral, mask_index_vector, refutes, unit_vector
 from .util import canonical_json, format_fraction
 
 
@@ -92,8 +92,8 @@ def _lattice_certificate_holds(pattern: Graph, g: Graph, res) -> bool:
     for the index vector v of every compatible copy over the reported
     parts, and y.(part sizes) is not."""
     part = VertexPartition(g.n, res.parts)
-    vectors = [index_vector(e.vertices, part)
-               for e in solver.enumerate_compatible_copies(pattern, g).copies]
+    vectors = [mask_index_vector(m, part)
+               for m in solver.enumerate_compatible_copies(pattern, g).masks]
     return refutes(res.certificate, vectors, [len(b) for b in part.blocks])
 
 
@@ -179,13 +179,13 @@ def criterion_a5(seed: int = 0) -> CriterionResult:
     ok = True
     for n in (20, 30, 40):
         host = complete_graph(n)
-        total = len(solver.enumerate_compatible_copies(k3, host).copies)
+        total = len(solver.enumerate_compatible_copies(k3, host).masks)
         for mu in (Fraction(2, 100), Fraction(5, 100)):
             worst_deficit = 0
             worst_pairs = 0
             for s in range(20):
                 f = random_bounded_system(host, mu, seed * 1000 + s)
-                compatible = len(solver.enumerate_compatible_copies(k3, host, f).copies)
+                compatible = len(solver.enumerate_compatible_copies(k3, host, f).masks)
                 worst_deficit = max(worst_deficit, total - compatible)
                 for v in range(n):
                     worst_pairs = max(worst_pairs, count_bad_pairs_at(f, v))

@@ -150,7 +150,7 @@ def _cmd_solve(args) -> int:
         return _EXIT_BY_STATUS[res.status]
     if args.mode == "count":
         enum = solver.enumerate_compatible_copies(pattern, g, f, budget=args.budget)
-        _emit(args, {"mode": "count", "count": len(enum.copies),
+        _emit(args, {"mode": "count", "count": len(enum.masks),
                      "truncated": enum.truncated, "expansions": enum.expansions})
         return EXIT_INDETERMINATE if enum.truncated else EXIT_OK
     if args.mode == "greedy":

@@ -28,7 +28,7 @@ from .errors import SizeCapError, ValidationError
 from .graphs import (Graph, MultipartiteSpec, VertexPartition, complement_components,
                      complete_multipartite)
 from .incompat import IncompatibilitySystem
-from .lattice import GeneratedLattice, index_vector
+from .lattice import GeneratedLattice, mask_index_vector
 from .util import bits, frac_ceil, frac_floor, format_fraction
 
 KOMLOS = "komlos"
@@ -323,7 +323,7 @@ def augment_and_incompat(spec: ConstructionSpec) -> ExtremalInstance:
 
     max_bound = mu * n
     part_windows = []
-    for pi, (block, mask) in enumerate(zip(blocks, base.partition.block_masks())):
+    for pi, (block, mask) in enumerate(zip(blocks, base.partition.block_masks)):
         degs = [(graph.adj[w] & mask).bit_count() for w in block]
         lo, hi = min(degs), max(degs)
         if hi > max_bound:
@@ -379,13 +379,12 @@ def verify_index_vector_claim(inst: ExtremalInstance,
     enum = solver.enumerate_compatible_copies(pattern, inst.graph, inst.system,
                                               budget=budget)
     want = tuple(sorted(hs.sizes))
-    for emb in enum.copies:
-        vec = index_vector(emb.vertices, inst.partition)
-        if tuple(sorted(vec)) != want:
-            return ClaimReport("false", len(enum.copies), emb)
+    for i, mask in enumerate(enum.masks):
+        if tuple(sorted(mask_index_vector(mask, inst.partition))) != want:
+            return ClaimReport("false", len(enum.masks), enum.embedding(i))
     if enum.truncated:
-        return ClaimReport("indeterminate", len(enum.copies))
-    return ClaimReport("true", len(enum.copies))
+        return ClaimReport("indeterminate", len(enum.masks))
+    return ClaimReport("true", len(enum.masks))
 
 
 def detect_multipartite(g: Graph) -> MultipartiteSpec:

@@ -157,6 +157,7 @@ class VertexPartition:
         blocks = tuple(tuple(sorted(b)) for b in self.blocks)
         object.__setattr__(self, "blocks", blocks)
         seen = 0
+        masks = []
         for b in blocks:
             if not b:
                 raise ValidationError("empty block")
@@ -168,6 +169,7 @@ class VertexPartition:
             if bm & seen:
                 raise ValidationError("blocks are not disjoint")
             seen |= bm
+            masks.append(bm)
         if seen != (1 << self.n) - 1:
             raise ValidationError("blocks do not cover the ground set 0..n-1")
         lookup = [0] * self.n
@@ -175,6 +177,8 @@ class VertexPartition:
             for v in b:
                 lookup[v] = i
         object.__setattr__(self, "_block_of", tuple(lookup))
+        # block_masks[i]: the vertex mask of block i
+        object.__setattr__(self, "block_masks", tuple(masks))
 
     def block_of(self, v: int) -> int:
         return self._block_of[v]
@@ -182,9 +186,6 @@ class VertexPartition:
     @property
     def k(self) -> int:
         return len(self.blocks)
-
-    def block_masks(self) -> list:
-        return [mask_of(b) for b in self.blocks]
 
 
 def complete_multipartite(spec: MultipartiteSpec) -> tuple:
@@ -202,7 +203,7 @@ def complete_multipartite(spec: MultipartiteSpec) -> tuple:
         start += s
     part = VertexPartition(n, tuple(blocks))
     full = (1 << n) - 1
-    masks = part.block_masks()
+    masks = part.block_masks
     rows = [0] * n
     for b, bm in zip(part.blocks, masks):
         other = full & ~bm

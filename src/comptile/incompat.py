@@ -71,10 +71,24 @@ class IncompatibilitySystem:
         return cls(graph, ())
 
     def triples(self) -> list:
-        """Canonical (v, a, b) list with a < b, sorted."""
-        return sorted((v, a, b) for v, row in self.inc.items()
-                      for a, partners in row.items()
-                      for b in bits(partners & (-1 << (a + 1))))
+        """Canonical (v, a, b) list with a < b, sorted.
+
+        The rows are read in sorted order and each partner mask is walked
+        inline from its lowest bit, so the list comes out sorted; a
+        ``bits`` generator per row, and a sort, cost more than the walk.
+        """
+        out = []
+        append = out.append
+        inc = self.inc
+        for v in sorted(inc):
+            row = inc[v]
+            for a in sorted(row):
+                partners = row[a] >> a + 1    # the partners b > a, bit b - a - 1
+                while partners:
+                    low = partners & -partners
+                    append((v, a, a + low.bit_length()))
+                    partners ^= low
+        return out
 
     @property
     def total_pairs(self) -> int:

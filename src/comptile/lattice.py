@@ -9,13 +9,20 @@ rational vector y with y.g an integer for every generator g and y.x not,
 which no lattice member can satisfy.  Both certificates are re-multiplied
 before being returned.
 
-The transform is stored as one sparse row per generator, a
+The lattices of the construction have one generator per compatible copy,
+thousands of them in a handful of dimensions, and few of them distinct: at
+m = 2730 (K_3 at n = 42) the copies give 1 to 3 distinct index vectors.
+So the HNF runs over the distinct generators, in the order of their first
+occurrence, and the transform maps each back to its first index: the
+coefficients stay over the full list, 0 on every repeated generator, and
+a list without repeats is reduced as it stands.  The
+transform is stored as one sparse row per distinct generator, a
 ``{generator index: coefficient}`` dict that starts as ``{i: 1}``, so a row
-operation costs the size of the row it subtracts instead of the number m
-of generators.  The lattices of the construction have one generator per
-compatible copy, thousands of them in a handful of dimensions: at m = 2730
-a dense m x m transform holds 7.45M entries and every row operation walks
-all m of its columns, while no sparse row there holds more than 3 entries.
+operation costs the size of the row it subtracts instead of the number of
+generators.
+
+An index vector counts a vertex set per block with one popcount per
+block, against block masks that ``VertexPartition`` builds once.
 
 A transferral is a difference u_i - u_j of unit vectors lying in the
 lattice; the scan over ordered pairs is deterministic and the degenerate
@@ -33,15 +40,22 @@ from .graphs import VertexPartition
 
 def index_vector(s, p: VertexPartition) -> tuple:
     """i-th coordinate = |S intersect V_i|.  S must lie in the ground set."""
-    s = list(s)
-    if any(not 0 <= v < p.n for v in s):
-        raise ValidationError("vertex outside the partition's ground set")
-    if len(set(s)) != len(s):
-        raise ValidationError("index_vector expects a set (duplicate vertex)")
-    counts = [0] * p.k
+    n = p.n
+    mask = size = 0
     for v in s:
-        counts[p.block_of(v)] += 1
-    return tuple(counts)
+        if not 0 <= v < n:
+            raise ValidationError("vertex outside the partition's ground set")
+        mask |= 1 << v
+        size += 1
+    if mask.bit_count() != size:
+        raise ValidationError("index_vector expects a set (duplicate vertex)")
+    return mask_index_vector(mask, p)
+
+
+def mask_index_vector(mask: int, p: VertexPartition) -> tuple:
+    """The index vector of the vertex set ``mask``, one popcount per block;
+    unchecked: ``mask`` must lie in the ground set."""
+    return tuple([(mask & b).bit_count() for b in p.block_masks])
 
 
 def _sub_row(target: dict, q: int, source: dict) -> None:
@@ -107,24 +121,36 @@ def _hnf_with_transform(rows: list, dim: int) -> tuple:
 
 
 class GeneratedLattice:
-    """Integer span of a generator list, with HNF basis cached."""
+    """Integer span of a generator list, with HNF basis cached.
+
+    The HNF is taken over the distinct generators, in the order of their
+    first occurrence; ``generators`` keeps the full list, and membership
+    coefficients are over it, 0 on every repeated generator.
+    """
 
     def __init__(self, generators, dim: int = None):
-        gens = [tuple(int(x) for x in g) for g in generators]
+        first = {}    # distinct generator -> index of its first occurrence
+        gens = []     # a repeated generator is the tuple of its first occurrence
+        for g in generators:
+            g = tuple(map(int, g))
+            i = first.setdefault(g, len(gens))
+            gens.append(gens[i] if i < len(gens) else g)
         if dim is None:
             if not gens:
                 raise ValidationError("dimension required for an empty generator list")
             dim = len(gens[0])
         if dim < 0:
             raise ValidationError(f"lattice dimension must be >= 0, got {dim}")
-        for i, g in enumerate(gens):
+        for g, i in first.items():  # first-occurrence order: the first misfit comes first
             if len(g) != dim:
                 raise ValidationError(
                     f"generators have mixed dimensions: generator {i} has width "
                     f"{len(g)}, expected {dim}")
         self.generators = gens
         self.dim = dim
-        self._hnf, self._transform, self._pivots = _hnf_with_transform(gens, dim)
+        self._distinct = list(first)
+        self._first = list(first.values())
+        self._hnf, self._transform, self._pivots = _hnf_with_transform(self._distinct, dim)
 
     def membership(self, x) -> tuple:
         """(True, coefficients over the original generators) or (False, y),
@@ -135,14 +161,15 @@ class GeneratedLattice:
             raise ValidationError(f"vector has dimension {len(x)}, lattice has {self.dim}")
         quotients, y = _reduce(self._hnf, self._pivots, x)
         if quotients is None:
-            if not refutes(y, set(self.generators), x):
+            if not refutes(y, self._distinct, x):
                 raise ConsistencyError("non-membership certificate failed to separate the target")
             return False, y
         coeffs = [0] * len(self.generators)
+        first = self._first
         for (row, _), q in zip(self._pivots, quotients):
             if q:
                 for s, a in self._transform[row].items():
-                    coeffs[s] += q * a
+                    coeffs[first[s]] += q * a
         # certificate check: the returned coefficients must reproduce x
         rebuilt = [0] * self.dim
         for a, gen in zip(coeffs, self.generators):

@@ -222,6 +222,6 @@ def counting_experiment(g: Graph, f: IncompatibilitySystem,
     product = 1
     for u, h_i in zip(parts, spec.sizes):
         product *= len(u) ** h_i
-    return CountingReport(len(free.copies), len(cons.copies),
-                          Fraction(len(cons.copies), product), product)
+    return CountingReport(len(free.masks), len(cons.masks),
+                          Fraction(len(cons.masks), product), product)
 

@@ -37,7 +37,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from itertools import combinations
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import BudgetExceeded, ConsistencyError, ValidationError
@@ -55,6 +55,8 @@ DEFAULT_BUDGET = 5_000_000
 # search plans are cached per pattern: patterns are few and small, and
 # deriving a plan's symmetry conditions costs more than a tiny search
 PLAN_CACHE_SIZE = 256
+
+_BIT = (1).__lshift__     # vertex -> its bit; the images of a copy are distinct
 
 
 class Embedding(NamedTuple):
@@ -99,63 +101,87 @@ class Tiling:
 
 @dataclass
 class CopyEnumeration:
-    """Copies in canonical order.  ``pool`` is the vertex mask enumerated:
-    when not truncated, every compatible copy inside it is listed.  A
-    transversal enumeration lists only copies across its parts, and its
-    pool is 0.  ``pattern``, ``graph`` and ``system`` are the objects the
-    enumeration was asked for (``system`` None for the empty one)."""
+    """Copies in canonical order: sorted image vertices, then sorted image
+    edges.  ``pool`` is the vertex mask enumerated: when not truncated,
+    every compatible copy inside it is listed.  A transversal enumeration
+    lists only copies across its parts, and its pool is 0.  ``pattern``,
+    ``graph`` and ``system`` are the objects the enumeration was asked
+    for (``system`` None for the empty one).
 
-    copies: list
+    A copy travels as its image, the host vertex of each plan step
+    (``images``), and its vertex mask (``masks``); the factor decision,
+    the maximum tiling and the lattice test read only those.  ``copies``,
+    the Embeddings, is built at its first read, and ``embedding(i)``
+    builds one copy, e.g. a row of a tiling.  ``masks`` and ``copies``
+    are plain lazily filled fields, not ``functools.cached_property``: on
+    Python 3.11 its first read takes a lock, 1.6 us, over 1% of a tiny
+    factor decision.
+    """
+
+    images: list = field(repr=False)
     truncated: bool
     expansions: int
     pool: int
     pattern: Graph = field(repr=False, compare=False)
     graph: Graph = field(repr=False, compare=False)
     system: IncompatibilitySystem = field(repr=False, compare=False)
+    _plan: "_Plan" = field(repr=False, compare=False)
     _masks: list = field(default=None, init=False, repr=False, compare=False)
+    _copies: list = field(default=None, init=False, repr=False, compare=False)
     _runs: dict = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def masks(self) -> list:
-        """Each copy's vertex mask, in the order of ``copies``, computed at
-        the first read.  (Not ``functools.cached_property``: on Python
-        3.11 its first read takes a lock, 1.6 us, over 1% of a tiny
-        factor decision.)"""
+        """Each copy's vertex mask, in canonical order."""
         if self._masks is None:
-            self._masks = [mask_of(e.vertices) for e in self.copies]
+            self._masks = [sum(map(_BIT, img)) for img in self.images]
         return self._masks
 
+    @property
+    def copies(self) -> list:
+        """Every copy as an Embedding, in canonical order."""
+        if self._copies is None:
+            # an enumeration that never searched has no plan, and no images
+            self._copies = [self._plan.copy(img) for img in self.images]
+        return self._copies
+
+    def embedding(self, i: int) -> "Embedding":
+        """The i-th copy as an Embedding."""
+        return self._plan.copy(self.images[i])
+
     def inside(self, pool: int) -> tuple:
-        """(copies, masks) of the listed copies inside the vertex mask
+        """(indices, masks) of the listed copies inside the vertex mask
         ``pool``, in canonical order.
 
         Canonical order sorts by the sorted image, so the copies whose two
         lowest vertices are v < w (v alone for a one-vertex pattern) form
-        one run; the runs are indexed once, at the first call.  A call
-        walks the runs of the pairs inside ``pool`` in order and keeps the
-        copies whose other vertices lie in it too, so it reads only copies
-        that start with two pool vertices, not every copy of the host.
+        one run; the runs are indexed once, at the first call, by the mask
+        of those vertices.  A call walks the runs of the pairs inside
+        ``pool`` in order and keeps the copies whose other vertices lie in
+        it too, so it reads only copies that start with two pool vertices,
+        not every copy of the host.
         """
         masks = self.masks
         if self._runs is None:
-            # a run ends where its key is last seen, and the keys come in order
-            ends = {e.vertices[:2]: i for i, e in enumerate(self.copies, 1)}
+            # a run ends where its key is last seen, and the keys come in order;
+            # m & (m - 1) drops m's lowest bit, so the key keeps its two lowest
+            ends = {m ^ ((rest := m & (m - 1)) & (rest - 1)): i for i, m in enumerate(masks, 1)}
             self._runs = dict(zip(ends, zip((0, *ends.values()), ends.values())))
         runs = self._runs
         if self.pattern.n == 1:
-            keys = [(v,) for v in bits(pool)]
+            keys = [1 << v for v in bits(pool)]
         else:
-            keys = [(v, w) for v in bits(pool) for w in bits(pool >> v + 1 << v + 1)]
+            keys = [1 << v | 1 << w for v in bits(pool) for w in bits(pool >> v + 1 << v + 1)]
         outside = ~pool
-        rows, row_masks = [], []
+        indices, row_masks = [], []
         for key in keys:
             run = runs.get(key)
             if run is not None:
                 for i in range(*run):
                     if not masks[i] & outside:
-                        rows.append(self.copies[i])
+                        indices.append(i)
                         row_masks.append(masks[i])
-        return rows, row_masks
+        return indices, row_masks
 
 
 @dataclass
@@ -222,24 +248,26 @@ class _Plan:
         self.preds = [[pos[u] for u in pattern.neighbors(v) if pos[u] < i]
                       for i, v in enumerate(order)]
         self.edges = [(i, p) for i, ps in enumerate(self.preds) for p in ps]
-        # itemgetter of one index returns the item, not a 1-tuple
-        self._phi = itemgetter(*pos) if k > 1 else lambda img: tuple(img[i] for i in pos)
+        # phi is img reordered, or img itself in plan order (tuple() of a
+        # tuple is that tuple); itemgetter of one index would return the item
+        self._phi = tuple if pos == list(range(k)) else itemgetter(*pos)
         self.clique = len(self.edges) == k * (k - 1) // 2
 
     def copy(self, img) -> Embedding:
         """The copy whose step i sits on host vertex img[i]."""
         phi = self._phi(img)
         vertices = tuple(sorted(phi))
-        # every pair of a clique's image is an edge, in sorted order already;
-        # building the edges this way makes an enumerate-dense pass 5-9% faster
-        # (in process, Python 3.11, shared 2-vCPU VM)
-        if self.clique:
-            edges = tuple(combinations(vertices, 2))
-        else:
-            edges = tuple(sorted([(img[i], img[p]) if img[i] < img[p] else (img[p], img[i])
-                                  for i, p in self.edges]))
+        if vertices == phi:  # one tuple serves both fields, and is kept once
+            vertices = phi
+        # every pair of a clique's image is an edge, in sorted order already
+        edges = tuple(combinations(vertices, 2)) if self.clique else self.image_edges(img)
         # tuple.__new__ skips the named tuple's Python-level __new__
         return tuple.__new__(Embedding, (phi, vertices, edges))
+
+    def image_edges(self, img) -> tuple:
+        """The sorted image edges of the copy whose step i sits on img[i]."""
+        return tuple(sorted([(img[i], img[p]) if img[i] < img[p] else (img[p], img[i])
+                             for i, p in self.edges]))
 
 
 class _Work:
@@ -441,18 +469,43 @@ def _copies(g: Graph, f: IncompatibilitySystem, plan: _Plan, below, allowed: lis
             budget: int, pool: int, asked: tuple) -> CopyEnumeration:
     """The copies ``_embed`` finds for ``plan`` under ``below``, in
     canonical order; truncated when the budget runs out.  ``asked`` is
-    the (pattern, graph, system) the caller was given."""
+    the (pattern, graph, system) the caller was given.
+
+    Each copy is kept as its image tuple; no Embedding is built.  When
+    every step's image must lie above the previous step's
+    (the rule of a clique or an edgeless pattern) and all steps draw from
+    one pool, each image ascends and the embedder, trying candidates by
+    ascending id, yields the images in lexicographic order: canonical
+    order already.  Otherwise the order comes from the images: for vertex
+    sets of one size, the lexicographic order of the sorted vertex tuples
+    is the descending order of the bit-reversed masks (vertex v as bit
+    n-1-v), since the lowest vertex where two sets differ decides both.
+    Copies on one vertex set, which only a non-clique pattern has, keep
+    the tie order of their sorted edges.
+    """
     work = _Work(budget)
-    out = []
+    images = []
     truncated = False
     try:
-        for img in _embed(g, f, plan, allowed, below, work):
-            out.append(plan.copy(img))
+        # the embedder reuses its list, and map copies each image before resuming it
+        images.extend(map(tuple, _embed(g, f, plan, allowed, below, work)))
     except BudgetExceeded:
         truncated = True
-    # a clique's vertex set fixes its edges, and each copy is found once
-    out.sort(key=attrgetter("vertices") if plan.clique else attrgetter("vertices", "edges"))
-    return CopyEnumeration(out, truncated, work.spent, pool, *asked)
+    if len(images) > 1 and (any(b != (i - 1,) for i, b in enumerate(below) if i)
+                            or allowed.count(allowed[0]) < len(allowed)):
+        reversed_bit = (1 << g.n >> 1).__rshift__
+        keys = [sum(map(reversed_bit, img)) for img in images]
+        order = sorted(range(len(images)), key=keys.__getitem__, reverse=True)
+        images = [images[i] for i in order]
+        if not plan.clique:
+            keys = [keys[i] for i in order]
+            start = 0
+            for end in range(1, len(images) + 1):
+                if end == len(images) or keys[end] != keys[start]:
+                    if end - start > 1:
+                        images[start:end] = sorted(images[start:end], key=plan.image_edges)
+                    start = end
+    return CopyEnumeration(images, truncated, work.spent, pool, *asked, plan)
 
 
 def enumerate_compatible_copies(pattern: Graph, g: Graph,
@@ -476,10 +529,10 @@ def enumerate_compatible_copies(pattern: Graph, g: Graph,
     f = _system_on(g, f, pattern)
     pool = _full_pool(g, pool)
     if pattern.n > pool.bit_count():
-        return CopyEnumeration([], False, 0, pool, *asked)
+        return CopyEnumeration([], False, 0, pool, *asked, None)
     found = _search_plan(pattern, budget)
     if found is None:
-        return CopyEnumeration([], True, budget + 1, pool, *asked)
+        return CopyEnumeration([], True, budget + 1, pool, *asked, None)
     return _copies(g, f, *found, [pool] * pattern.n, budget, pool, asked)
 
 
@@ -513,7 +566,7 @@ def enumerate_transversal_copies(spec: MultipartiteSpec, g: Graph,
             if masks[i] & masks[j]:
                 raise ValidationError("parts must be pairwise disjoint")
     if any(len(p) < h_i for p, h_i in zip(parts, spec.sizes)):
-        return CopyEnumeration([], False, 0, 0, *asked)
+        return CopyEnumeration([], False, 0, 0, *asked, None)
 
     allowed = [m for m, h_i in zip(masks, spec.sizes) for _ in range(h_i)]
     # the parts are disjoint and non-empty, so a step opens its part exactly
@@ -567,13 +620,13 @@ def _full_pool(g: Graph, pool) -> int:
 
 def _pack(full: int, rows: list, row_masks: list, n: int, work: _Work, h: int,
           slack: int) -> tuple:
-    """(indices of disjoint ``rows``, whose vertex masks are ``row_masks``,
-    inside the vertex mask ``full`` that leave the fewest of its vertices
-    uncovered, exhausted).  The packing
-    is None unless one leaves at most ``slack`` vertices uncovered; with
-    slack 0 this is exact cover.  ``n`` bounds the vertex ids and every
-    row has ``h`` vertices; ``slack`` is at least |full| or differs from
-    it by a multiple of h.  ``exhausted`` is False when ``work``'s budget
+    """(indices of disjoint ``rows``, tuples of vertices whose vertex masks
+    are ``row_masks``, inside the vertex mask ``full`` that leave the
+    fewest of its vertices uncovered, exhausted).  The packing is None
+    unless one leaves at most ``slack`` vertices uncovered; with slack 0
+    this is exact cover.  ``n`` bounds the vertex ids and every row has
+    ``h`` vertices; ``slack`` is at least |full| or differs from it by a
+    multiple of h.  ``exhausted`` is False when ``work``'s budget
     cut the search short, and the packing is then the best found so far.
 
     Depth-first with an explicit stack; each node branches on its
@@ -608,9 +661,9 @@ def _pack(full: int, rows: list, row_masks: list, n: int, work: _Work, h: int,
     """
     rows_at = [0] * n   # rows_at[v]: bitmask of the indices of the rows through v
     reach = [0] * n     # reach[v]: union of those rows' vertex masks
-    for i, (e, mask) in enumerate(zip(rows, row_masks)):
+    for i, (row, mask) in enumerate(zip(rows, row_masks)):
         bit = 1 << i
-        for v in e.vertices:
+        for v in row:
             rows_at[v] |= bit
             reach[v] |= mask
     spent, budget = work.spent, work.budget
@@ -669,7 +722,7 @@ def _pack(full: int, rows: list, row_masks: list, n: int, work: _Work, h: int,
             else:
                 uncovered ^= row_masks[r]
                 kill = touched = 0
-                for u in rows[r].vertices:
+                for u in rows[r]:
                     kill |= rows_at[u]
                     touched |= reach[u]
             spent += 1
@@ -816,32 +869,35 @@ def find_compatible_factor(pattern: Graph, g: Graph,
     else:
         spent = 0
     if copies.pool == full:
-        rows, masks = copies.copies, copies.masks
+        indices, masks = None, copies.masks
     else:
-        rows, masks = copies.inside(full)
+        indices, masks = copies.inside(full)
     if not copies.truncated:  # a partial row set refutes nothing
         refuted = _lattice_refutation(g, full, masks, pattern.n)
         if refuted is not None:
             return FactorResult(NONE, reason="lattice", expansions=spent,
-                                copies_considered=len(rows), parts=refuted[0],
+                                copies_considered=len(masks), parts=refuted[0],
                                 certificate=refuted[1])
+    rows = copies.images if indices is None else list(map(copies.images.__getitem__, indices))
     work = _Work(budget, spent)
     chosen, exhausted = _pack(full, rows, masks, g.n, work, pattern.n, 0)
     if chosen is not None:
-        tiling = Tiling(tuple(rows[r] for r in chosen))
         covered = 0
         for r in chosen:
             covered |= masks[r]
+        if indices is not None:
+            chosen = [indices[r] for r in chosen]
+        tiling = Tiling(tuple(map(copies.embedding, chosen)))
         if not verify_tiling(g, f, pattern, tiling) or covered != full:
             raise ConsistencyError("factor failed re-verification")
         return FactorResult(FOUND, tiling=tiling,
-                            expansions=work.spent, copies_considered=len(rows))
+                            expansions=work.spent, copies_considered=len(masks))
     if not exhausted or copies.truncated:
         # absence over a truncated row set proves nothing
         return FactorResult(INDETERMINATE, reason="budget",
-                            expansions=work.spent, copies_considered=len(rows))
+                            expansions=work.spent, copies_considered=len(masks))
     return FactorResult(NONE, reason="exhausted",
-                        expansions=work.spent, copies_considered=len(rows))
+                        expansions=work.spent, copies_considered=len(masks))
 
 
 def greedy_almost_tiling(pattern: Graph, g: Graph,
@@ -900,8 +956,8 @@ def max_compatible_tiling(pattern: Graph, g: Graph,
     """
     f = _system_on(g, f, pattern)
     enum = enumerate_compatible_copies(pattern, g, f, budget=budget)
-    rows = enum.copies
     work = _Work(budget, enum.expansions)
-    chosen, exhausted = _pack((1 << g.n) - 1, rows, enum.masks, g.n, work, pattern.n, g.n)
-    return MaxTilingResult(Tiling(tuple(rows[r] for r in chosen)),
+    chosen, exhausted = _pack((1 << g.n) - 1, enum.images, enum.masks, g.n, work, pattern.n,
+                              g.n)
+    return MaxTilingResult(Tiling(tuple(map(enum.embedding, chosen))),
                            exhausted and not enum.truncated, work.spent)

@@ -59,6 +59,19 @@ def test_triple_checks_report_the_first_fault():
     assert faults == {"twice", "range", "graph"}
 
 
+def test_triples_follow_the_plain_definition():
+    # the rows' partner masks are walked inline in sorted row order; the
+    # list must be the given pairs as sorted (v, a, b) with a < b, once each
+    rng = random.Random(29)
+    for _ in range(60):
+        g = random_graph(rng.randint(1, 40), rng.uniform(0.1, 1.0), rng.getrandbits(30))
+        cand = [(v, a, b) for v in range(g.n) for a in g.neighbors(v) for b in g.neighbors(v)
+                if a != b]
+        given = rng.sample(cand, min(len(cand), rng.randint(0, 600)))
+        f = IncompatibilitySystem(g, given)
+        assert f.triples() == sorted({(v, min(a, b), max(a, b)) for v, a, b in given})
+
+
 def test_are_compatible_semantics():
     k4 = complete_graph(4)
     f = IncompatibilitySystem(k4, [(0, 1, 2)])

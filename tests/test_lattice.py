@@ -74,6 +74,36 @@ def test_certificates_are_pinned():
     assert find_transferral(GeneratedLattice(robust)) == (0, 1, (-1, 0, 1, 0, 0, 0))
 
 
+def test_repeated_generators_are_reduced_once_with_zero_coefficients():
+    # the HNF runs over the distinct generators in first-occurrence order;
+    # answers are those of the list without repeats, and coefficients stay
+    # over the full list, 0 on every repeat
+    rng = random.Random(23)
+    repeats = 0
+    for _ in range(300):
+        dim = rng.randint(1, 4)
+        base = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(rng.randint(1, 4))]
+        gens = [rng.choice(base) for _ in range(rng.randint(1, 10))]
+        distinct = list(dict.fromkeys(gens))
+        first = [gens.index(g) for g in distinct]
+        repeats += len(gens) - len(distinct)
+        lat, plain = GeneratedLattice(gens, dim), GeneratedLattice(distinct, dim)
+        assert lat.generators == gens
+        combo = combination([rng.randint(-2, 2) for _ in gens], gens, dim)
+        for target in (combo, [rng.randint(-5, 5) for _ in range(dim)]):
+            member, cert = lat.membership(target)
+            plain_member, plain_cert = plain.membership(target)
+            assert member == plain_member
+            if member:
+                assert len(cert) == len(gens)
+                assert combination(cert, gens, dim) == target
+                assert all(a == 0 for i, a in enumerate(cert) if i not in first)
+                assert tuple(cert[i] for i in first) == plain_cert
+            else:
+                assert cert == plain_cert and refutes(cert, gens, target)
+    assert repeats > 300
+
+
 def test_sparse_transform_rows_reproduce_the_hnf():
     rng = random.Random(10)
     for _ in range(300):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from dataclasses import replace
@@ -154,6 +155,105 @@ def test_every_budget_cuts_the_enumeration_where_the_full_run_spends_it(seed):
                 assert (cut.copies, cut.expansions) == (full.copies, full.expansions)
 
 
+# P4 and K(2,3) are found in an order that their sorted edges change on
+# shared vertex sets; for the others the embedder's order already agrees
+_ORDER_PATTERNS = {"K3": MultipartiteSpec((1, 1, 1)), "K4": MultipartiteSpec((1, 1, 1, 1)),
+                   "P3": MultipartiteSpec((1, 2)), "C4": MultipartiteSpec((2, 2)),
+                   "K112": MultipartiteSpec((1, 1, 2)), "K23": MultipartiteSpec((2, 3)),
+                   "P4": None}
+
+
+def _canonical_order_holds(enum, pattern, host, f):
+    """The rows built from images and masks are the copies in the order
+    sorted vertices, then sorted edges, each with its own mask."""
+    keys = _keys(enum)
+    assert keys == sorted(keys) and len(keys) == len(set(keys))
+    assert enum.masks == [mask_of(e.vertices) for e in enum.copies]
+    assert all(verify_embedding(host, f, pattern, e) for e in enum.copies)
+
+
+@pytest.mark.parametrize("name", sorted(_ORDER_PATTERNS))
+def test_copy_order_is_sorted_vertices_then_edges(name):
+    # copies travel as images and masks and are ordered by bit-reversed
+    # masks; the order must stay the one of the sorted (vertices, edges) keys
+    spec = _ORDER_PATTERNS[name]
+    pattern = path_graph(4) if spec is None else complete_multipartite(spec)[0]
+    rng = random.Random(sorted(_ORDER_PATTERNS).index(name) + 71)
+    for _ in range(12):
+        host = random_graph(rng.randint(pattern.n + 1, 10), rng.uniform(0.5, 1.0),
+                            rng.getrandbits(30))
+        f = random_system(host, rng.randint(0, 10), rng.getrandbits(30))
+        raw = oracles.raw_compatible_copies(pattern, host, f)
+        pool = mask_of(v for v in range(host.n) if rng.random() < 0.8)
+        full = enumerate_compatible_copies(pattern, host, f)
+        inside = enumerate_compatible_copies(pattern, host, f, pool=pool)
+        for enum, want in ((full, raw), (inside, {k for k in raw if not mask_of(k[0]) & ~pool})):
+            assert not enum.truncated
+            assert len(enum.masks) == len(want) and set(_keys(enum)) == want
+            _canonical_order_holds(enum, pattern, host, f)
+        enumerations = [(full, lambda b: enumerate_compatible_copies(pattern, host, f, b))]
+        if spec is not None:
+            verts = list(range(host.n))
+            rng.shuffle(verts)
+            cuts = sorted(rng.sample(range(1, host.n), spec.r - 1))
+            parts = [verts[a:b] for a, b in zip([0] + cuts, cuts + [host.n])]
+            across = enumerate_transversal_copies(spec, host, f, parts)
+            assert not across.truncated
+            assert len(across.masks) == oracles.raw_transversal_count(spec.sizes, host, f,
+                                                                      parts)
+            _canonical_order_holds(across, pattern, host, f)
+            enumerations.append((across, lambda b: enumerate_transversal_copies(
+                spec, host, f, parts, b)))
+        for enum, again in enumerations:
+            for budget in (rng.randrange(enum.expansions + 1) for _ in range(3)):
+                cut = again(budget)
+                kept = set(cut.copies)
+                assert cut.copies == [e for e in enum.copies if e in kept]
+                _canonical_order_holds(cut, pattern, host, f)
+
+
+def _tiling_record():
+    """What the factor decision and the maximum tiling answer on 150
+    seeded instances, plain and multipartite hosts, pools and shared
+    enumerations included."""
+    rng = random.Random(67)
+    patterns = [complete_graph(2), complete_graph(3), path_graph(3), cycle_graph(4),
+                complete_multipartite(MultipartiteSpec((1, 1, 2)))[0]]
+    out = []
+    for _ in range(150):
+        pattern = rng.choice(patterns)
+        if rng.random() < 0.5:
+            host = random_graph(rng.randint(pattern.n, 12), rng.uniform(0.4, 1.0),
+                                rng.getrandbits(30))
+        else:
+            sizes = tuple(rng.randint(1, 4) for _ in range(rng.randint(2, 4)))
+            host = complete_multipartite(MultipartiteSpec(sizes))[0]
+        f = random_system(host, rng.randint(0, 10), rng.getrandbits(30))
+        pool = [v for v in range(host.n) if rng.random() < 0.9]
+        pool = mask_of(pool[:len(pool) - len(pool) % pattern.n])
+        res = find_compatible_factor(pattern, host, f, budget=rng.choice([40, 400, 4000]),
+                                     pool=pool)
+        shared = enumerate_compatible_copies(pattern, host, f, budget=rng.choice([30, 3000]))
+        inside = find_compatible_factor(pattern, host, f, pool=pool, copies=shared)
+        best = max_compatible_tiling(pattern, host, f, budget=rng.choice([60, 600, 6000]))
+        out.append((res.status, res.reason, res.expansions, res.copies_considered,
+                    res.tiling and res.tiling.embeddings, res.parts, res.certificate,
+                    best.tiling.embeddings, best.optimal, best.expansions,
+                    inside.status, inside.expansions, inside.tiling and inside.tiling.embeddings))
+    return out
+
+
+def test_factor_and_max_tilings_are_pinned():
+    # recorded while the packing search still took Embedding rows: reading
+    # masks and building Embeddings only for the chosen rows changes nothing
+    out = _tiling_record()
+    statuses = {(o[0], o[1]) for o in out}
+    assert statuses == {(FOUND, ""), (NONE, "exhausted"), (NONE, "lattice"),
+                        (INDETERMINATE, "budget")}
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == \
+        "42fc7e1a8bc2e6f56d9d8f3fa0ab4d38d94c3a86987ea7dee8d99f2fc3293ac2"
+
+
 def test_enumerated_copies_are_well_formed_named_tuples():
     rng = random.Random(41)
     patterns = [complete_graph(2), complete_graph(3), complete_graph(4), path_graph(3),
@@ -287,8 +387,8 @@ def _cover_search(pattern, g, f=None, budget=solver.DEFAULT_BUDGET):
     enumerates, without the lattice test that runs before it."""
     enum = enumerate_compatible_copies(pattern, g, f, budget=budget)
     work = solver._Work(budget, enum.expansions)
-    chosen, exhausted = solver._pack((1 << g.n) - 1, enum.copies,
-                                     [e.mask for e in enum.copies], g.n, work, pattern.n, 0)
+    chosen, exhausted = solver._pack((1 << g.n) - 1, enum.images, enum.masks, g.n, work,
+                                     pattern.n, 0)
     status = FOUND if chosen is not None else NONE if exhausted else INDETERMINATE
     return solver.FactorResult(status, expansions=work.spent)
 
@@ -567,7 +667,8 @@ def test_inside_gathers_the_copies_of_a_pool_in_canonical_order():
         for _ in range(5):
             pool = rng.getrandbits(host.n)
             want = [(e, m) for e, m in zip(enum.copies, enum.masks) if not m & ~pool]
-            rows, masks = enum.inside(pool)
+            indices, masks = enum.inside(pool)
+            rows = [enum.copies[i] for i in indices]
             assert list(zip(rows, masks)) == want
             assert rows == enumerate_compatible_copies(pattern, host, f, pool=pool).copies
 
