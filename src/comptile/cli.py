@@ -85,9 +85,13 @@ def _emit(args, payload: dict):
 
 
 def _parse_ints(text: str, flag: str) -> list:
-    """Comma- or space-separated integers of a command-line flag."""
+    """Comma- or space-separated integers of a command-line flag; a comma
+    needs a token on both sides."""
+    fields = text.split(",")
+    if len(fields) > 1 and not all(map(str.strip, fields)):
+        raise _UsageError(f"--{flag}: empty field between commas: {text!r}")
     ints = []
-    for tok in text.replace(",", " ").split():
+    for tok in " ".join(fields).split():
         try:
             ints.append(int(tok))
         except ValueError:
@@ -248,8 +252,8 @@ def _cmd_regcount(args) -> int:
                                        parse_fraction(args.eps), parse_fraction(args.d))
         _emit(args, {"reduced": {"k": red.k, "edges": [list(e) for e in red.edges]}})
         return EXIT_OK
+    blocks = int_rows(_read(args.parts), "vertex-set")
     if args.action == "count":
-        blocks = int_rows(_read(args.parts), "vertex-set")
         f = _load_system(args.incompat, g)
         spec = MultipartiteSpec(tuple(_parse_ints(args.sizes, "sizes")))
         rep = regularity.counting_experiment(g, f, blocks[:spec.r],
@@ -257,7 +261,6 @@ def _cmd_regcount(args) -> int:
         _emit(args, {"count": rep.to_json_dict()})
         return EXIT_OK
     # sweep: c_observed across mu values, CSV on stdout or to --csv
-    blocks = int_rows(_read(args.parts), "vertex-set")
     spec = MultipartiteSpec(tuple(_parse_ints(args.sizes, "sizes")))
     rows = ["mu,total,compatible,c_observed"]
     for mu_text in args.mus.split(","):

@@ -28,7 +28,7 @@ from .errors import SizeCapError, ValidationError
 from .graphs import (Graph, MultipartiteSpec, VertexPartition, complement_components,
                      complete_multipartite)
 from .incompat import IncompatibilitySystem
-from .lattice import GeneratedLattice, mask_index_vector
+from .lattice import mask_index_vector, obstruction
 from .util import bits, frac_ceil, frac_floor, format_fraction
 
 KOMLOS = "komlos"
@@ -71,17 +71,17 @@ def _factor_exists(pattern: Graph, sizes) -> bool:
     With chi parts each copy puts the classes of a proper chi-colouring
     into distinct parts, and the vertices of a part are interchangeable, so
     a factor exists iff ``sizes`` is a sum of permuted colouring profiles.
-    Sizes outside the lattice of those vectors have none; otherwise a
-    depth-first search over sorted remainders (the vector set is closed
-    under permutation) subtracts vectors in ascending order, which puts
-    the largest class on the largest part.  It drops a remainder with a
-    part outside [k*low, k*high], where k copies are left and low, high
-    are the smallest and largest class sizes: each copy puts one class
-    into every part.
+    Sizes that ``obstruction`` refutes over those vectors have none;
+    otherwise a depth-first search over sorted remainders (the vector set
+    is closed under permutation) subtracts vectors in ascending order,
+    which puts the largest class on the largest part.  It drops a
+    remainder with a part outside [k*low, k*high], where k copies are left
+    and low, high are the smallest and largest class sizes: each copy puts
+    one class into every part.
     """
     vectors = sorted({v for prof in enumerate_coloring_profiles(pattern, len(sizes))
                       for v in permutations(prof)})
-    if not GeneratedLattice(vectors).membership(sizes)[0]:
+    if obstruction(vectors, sizes) is not None:
         return False
     h, low, high = pattern.n, min(map(min, vectors)), max(map(max, vectors))
     stack = [tuple(sorted(sizes))]

@@ -43,7 +43,7 @@ from typing import NamedTuple
 from .errors import BudgetExceeded, ConsistencyError, ValidationError
 from .graphs import Graph, MultipartiteSpec, complement_components, complete_multipartite
 from .incompat import IncompatibilitySystem, edge_key
-from .lattice import GeneratedLattice
+from .lattice import obstruction
 from .util import bits, mask_of
 
 FOUND = "found"
@@ -758,57 +758,24 @@ def _pack(full: int, rows: list, row_masks: list, n: int, work: _Work, h: int,
             chosen.pop()
 
 
-def _two_part_member(row_masks: list, p0: int, s0: int, t: int) -> bool:
-    """Whether sizes (s0, s1) lie in the lattice of the index vectors over
-    two parts, the first with mask ``p0``, of rows that all have h
-    vertices, with s0 + s1 = t * h.
-
-    Every vector is (a, h - a), and a combination reaching the sizes takes
-    t of them counted with sign, so the sizes are a member exactly when
-    s0 - t * a0 is a multiple of the gcd d of the differences a - a0, a0
-    the first row's a.  d only shrinks as rows come in, so the first rows
-    usually settle it.
-    """
-    a0 = (row_masks[0] & p0).bit_count()
-    rest = s0 - t * a0
-    if not rest:
-        return True
-    d = 0
-    for m in row_masks:
-        d = math.gcd(d, (m & p0).bit_count() - a0)
-        if d and not rest % d:
-            return True
-    return False
-
-
-def _lattice_refutation(g: Graph, full: int, row_masks: list, h: int):
-    """(parts, y) when the part sizes of the pool ``full`` lie outside the
-    lattice generated by the index vectors of ``row_masks``, rows of ``h``
-    vertices each, else None.
+def _lattice_refutation(g: Graph, full: int, row_masks: list):
+    """(parts, y) when ``lattice.obstruction`` finds the part sizes of the
+    pool ``full`` outside the lattice of the index vectors of
+    ``row_masks``, else None.
 
     The parts are the components of the complement of g[full], with the
     singletons (vertices adjacent to the rest of the pool) merged into one
-    last part: on a complete multipartite host they are its parts, and any
-    partition is sound, since a factor's copies have index vectors summing
-    to the part sizes over every one.
+    last part: on a complete multipartite host they are its parts, and the
+    obstruction is sound over any partition.
     With fewer than two parts every copy's vector is a multiple of the
-    sizes, and there is nothing to test; with two, ``_two_part_member``
-    settles membership, because building a ``GeneratedLattice`` costs more
-    than a tiny cover search (15-35 us on 2-vectors; without the fork the
-    median search-exact tiny query was 14% slower, a third of those
-    queries having two parts).  The test is left to the cover search when
-    some vertex lies in no row, since the search then ends at its root.
-    y is the dual certificate ``GeneratedLattice.membership`` gives, and
-    checks, over the distinct vectors.
+    sizes, and there is nothing to test.  The test is left to the cover
+    search when some vertex lies in no row, since the search then ends at
+    its root.
     """
     comps = complement_components(g, full)
     singles = sum(c for c in comps if not c & (c - 1))  # disjoint masks: the sum is the union
     parts = [c for c in comps if c & (c - 1)] + ([singles] if singles else [])
-    if len(parts) < 2 or not row_masks:
-        return None
-    sizes = [p.bit_count() for p in parts]
-    if len(parts) == 2 and _two_part_member(row_masks, parts[0], sizes[0],
-                                            full.bit_count() // h):
+    if len(parts) < 2:
         return None
     covered = 0
     for m in row_masks:
@@ -816,8 +783,8 @@ def _lattice_refutation(g: Graph, full: int, row_masks: list, h: int):
     if covered != full:
         return None
     columns = [[(m & p).bit_count() for m in row_masks] for p in parts]
-    member, y = GeneratedLattice(sorted(set(zip(*columns))), len(parts)).membership(sizes)
-    return None if member else (tuple(tuple(bits(p)) for p in parts), y)
+    y = obstruction(zip(*columns), [p.bit_count() for p in parts])
+    return None if y is None else (tuple(tuple(bits(p)) for p in parts), y)
 
 
 def find_compatible_factor(pattern: Graph, g: Graph,
@@ -873,7 +840,7 @@ def find_compatible_factor(pattern: Graph, g: Graph,
     else:
         indices, masks = copies.inside(full)
     if not copies.truncated:  # a partial row set refutes nothing
-        refuted = _lattice_refutation(g, full, masks, pattern.n)
+        refuted = _lattice_refutation(g, full, masks)
         if refuted is not None:
             return FactorResult(NONE, reason="lattice", expansions=spent,
                                 copies_considered=len(masks), parts=refuted[0],

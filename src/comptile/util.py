@@ -43,8 +43,8 @@ def int_rows(text: str, what: str, width: int = None, sep: str = None) -> list:
     """One tuple of ints per line of ``text``; blank and '#' lines are skipped.
 
     Tokens are separated by whitespace, and by ``sep`` too when given.  A
-    non-integer token, or a row whose length is not ``width`` when one is
-    given, raises FormatError quoting the line.
+    non-integer token, an empty ``sep`` field, or a row whose length is
+    not ``width`` when one is given, raises FormatError quoting the line.
     """
     rows = []
     for ln in text.splitlines():
@@ -52,6 +52,8 @@ def int_rows(text: str, what: str, width: int = None, sep: str = None) -> list:
         if not ln or ln[0] == "#":
             continue
         try:
+            if sep and not all(map(str.strip, ln.split(sep))):
+                raise ValueError
             row = tuple(map(int, (ln.replace(sep, " ") if sep else ln).split()))
             if width is not None and len(row) != width:
                 raise ValueError

@@ -550,6 +550,47 @@ def test_malformed_integer_flags_are_usage_errors(files, capsys, argv, flag, tok
     assert report == {"error": "usage", "detail": f"--{flag}: not an integer: {token!r}"}
 
 
+@pytest.mark.parametrize("line", ["1,,2", "1,2,", ",1,2", "1, ,2"],
+                         ids=["inner", "trailing", "leading", "blank"])
+def test_an_empty_generator_field_is_a_parse_error(files, capsys, line):
+    path = files["tmp"] / "holes.txt"
+    path.write_text(f"2,1\n{line}\n", encoding="ascii")
+    code, out, err = run_cli(["lattice", "--generators", str(path), "--target", "3,3"],
+                             capsys)
+    assert code == 65 and out == ""
+    assert json.loads(err) == {"error": "parse", "detail": f"bad vector line {line!r}"}
+
+
+@pytest.mark.parametrize("argv, flag, text", [
+    (["lattice", "--generators", "{gens}", "--target", "4,,6"], "target", "4,,6"),
+    (["lattice", "--generators", "{gens}", "--target", "4,6,"], "target", "4,6,"),
+    (["regcount", "count", "--graph", "{k6}", "--parts", "{parts}", "--sizes", "1,,1"],
+     "sizes", "1,,1"),
+    (["regcount", "count", "--graph", "{k6}", "--parts", "{parts}", "--sizes", ",1,1"],
+     "sizes", ",1,1"),
+], ids=["target-inner", "target-trailing", "sizes-inner", "sizes-leading"])
+def test_an_empty_flag_field_is_a_usage_error(files, capsys, argv, flag, text):
+    parts = files["tmp"] / "parts.txt"
+    parts.write_text("0 1\n2 3\n4 5\n", encoding="ascii")
+    code, out, err = run_cli([a.format(parts=parts, **files) for a in argv], capsys)
+    assert code == 64 and out == ""
+    assert json.loads(err) == {"error": "usage",
+                               "detail": f"--{flag}: empty field between commas: {text!r}"}
+
+
+def test_spaces_around_commas_stay_valid(files, capsys):
+    path = files["tmp"] / "spaced.txt"
+    path.write_text(" 1, 2\n2 ,1 \n", encoding="ascii")
+    code, out, _ = run_cli(["lattice", "--generators", str(path), "--target", " 1, -1 "],
+                           capsys)
+    assert code == 0 and json.loads(out)["coefficients"] == [-1, 1]
+    parts = files["tmp"] / "parts.txt"
+    parts.write_text("0 1\n2 3\n", encoding="ascii")
+    code, out, _ = run_cli(["regcount", "count", "--graph", files["k6"], "--parts", str(parts),
+                            "--sizes", "1, 1"], capsys)
+    assert code == 0 and json.loads(out)["count"]["total"] == 4
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--mode", "greedy", "--graph", "{k6}"],
     ["absorb", "verify", "--kind", "absorbing-set", "--graph", "{k6}", "--a", "0,1",

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from comptile.errors import ValidationError
 from comptile.graphs import VertexPartition
 from comptile.lattice import (GeneratedLattice, _hnf_with_transform, find_transferral,
-                              index_vector, refutes, unit_vector)
+                              index_vector, obstruction, refutes, unit_vector)
 from comptile.oracles import bounded_combination_membership
 
 from .helpers import combination
@@ -219,6 +219,54 @@ def test_non_membership_certificates_separate():
         moved = tuple(a - frac / target[c] if i == c else a for i, a in enumerate(cert))
         assert not refutes(moved, gens, target)
     assert refuted >= 100, refuted
+
+
+def test_obstruction_reads_two_parts_by_gcd_only_where_sound():
+    # (a, h - a) vectors: (1, 2) and (0, 3) span every (x, y) with 3 | x + y
+    assert obstruction([(1, 2), (0, 3), (1, 2)], (7, 11)) is None
+    assert obstruction([(1, 2), (3, 0)], (2, 4)) is None
+    # gcd of the differences is 2: (1, 3) + (3, 1) reach (4, 4), not (5, 3)
+    assert obstruction([(1, 3), (3, 1)], (4, 4)) is None
+    assert refutes(obstruction([(1, 3), (3, 1)], (5, 3)), [(1, 3), (3, 1)], (5, 3))
+    # h = 2 does not divide the size sum 3, so the HNF decides
+    assert obstruction([(1, 1)], (1, 2)) == (Fraction(-1, 2), Fraction(1, 2))
+    assert not GeneratedLattice([(1, 1)]).membership((1, 2))[0]
+    # vectors of different orders are not (a, h - a) either: (1, 2) - (0, 2)
+    # = (1, 0) and (0, 2) span no (1, 1), whatever the gcd of the a's says
+    assert refutes(obstruction([(0, 2), (1, 2)], (1, 1)), [(0, 2), (1, 2)], (1, 1))
+    assert obstruction([], (0, 0)) is None
+    assert obstruction([], (1, 0)) == (Fraction(1, 2), 0)
+
+
+def test_obstruction_agrees_with_membership():
+    # random vectors of one order h, repeats included; targets in the
+    # lattice, next to it, and in a box, with sums h divides and does not
+    rng = random.Random(23)
+    seen = set()
+    for _ in range(600):
+        dim, h = rng.randint(1, 4), rng.randint(1, 5)
+        vectors = []
+        for _ in range(rng.randint(1, 5)):
+            cuts = sorted(rng.randint(0, h) for _ in range(dim - 1))
+            vectors.append(tuple(b - a for a, b in zip([0] + cuts, cuts + [h])))
+        vectors += rng.choices(vectors, k=rng.randint(0, 3))
+        combo = combination([rng.randint(-2, 3) for _ in vectors], vectors, dim)
+        shifted = list(combo)
+        shifted[rng.randrange(dim)] += rng.choice((-1, 1))
+        moved = list(combo)
+        moved[0] += 1
+        moved[-1] -= 1
+        for target in (combo, shifted, moved,
+                       [rng.randint(0, 3 * h) for _ in range(dim)]):
+            member = GeneratedLattice(vectors, dim).membership(target)[0]
+            y = obstruction(vectors, target)
+            assert (y is None) == member, (vectors, target)
+            if y is not None:
+                assert refutes(y, vectors, target)
+            seen.add((dim == 2, member, sum(target) % h == 0))
+    # a member's sum is h times its coefficient sum, so h always divides it
+    assert seen == {(two, member, member or divides) for two in (False, True)
+                    for member in (False, True) for divides in (False, True)}, seen
 
 
 def test_transferral_examples():
