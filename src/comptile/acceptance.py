@@ -527,19 +527,25 @@ def criterion_a10(seed: int = 0, first_pass=None) -> CriterionResult:
                            time.perf_counter() - t0)
 
 
+# every criterion id, in the order the full battery runs them
+CRITERION_IDS = (*sorted(_CRITERIA), "A10")
+
+
 def run_battery(selectors=None, seed: int = 0, verbose: bool = False) -> list:
-    """Run the selected criteria (all by default) and return their results."""
-    wanted = sorted(_CRITERIA) + ["A10"] if selectors is None else selectors
+    """Run the selected criteria (all by default) and return their results.
+    An unknown id is refused before any criterion runs."""
+    wanted = CRITERION_IDS if selectors is None else selectors
+    for cid in wanted:
+        if cid not in CRITERION_IDS:
+            raise ComptileError(f"unknown criterion {cid!r}")
     results = []
     for cid in wanted:
         if cid == "A10":
             prior = [r for r in results if r.cid in _CRITERIA]
             res = criterion_a10(
                 seed, first_pass=prior if len(prior) == len(_CRITERIA) else None)
-        elif cid in _CRITERIA:
-            res = _CRITERIA[cid](seed)
         else:
-            raise ComptileError(f"unknown criterion {cid!r}")
+            res = _CRITERIA[cid](seed)
         results.append(res)
         if verbose:
             state = "PASS" if res.passed else "FAIL"

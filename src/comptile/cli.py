@@ -16,6 +16,7 @@ import argparse
 import functools
 import sys
 import traceback
+from fractions import Fraction
 from pathlib import Path
 
 from . import absorb, construct, solver
@@ -27,7 +28,7 @@ from .graphs import (Graph, MultipartiteSpec, format_graph, format_partition,
 from .incompat import (IncompatibilitySystem, parse_system, random_bounded_system,
                        system_blocks, system_to_json)
 from .lattice import GeneratedLattice, find_transferral
-from .util import canonical_json, format_fraction, int_rows, parse_fraction
+from .util import canonical_json, format_fraction, int_rows
 
 EXIT_OK = 0
 EXIT_NONE = 1
@@ -84,19 +85,32 @@ def _emit(args, payload: dict):
     sys.stdout.write(_report(args, payload))
 
 
-def _parse_ints(text: str, flag: str) -> list:
-    """Comma- or space-separated integers of a command-line flag; a comma
+def _flag_tokens(text: str, flag: str) -> list:
+    """Comma- or space-separated tokens of a command-line flag; a comma
     needs a token on both sides."""
     fields = text.split(",")
     if len(fields) > 1 and not all(map(str.strip, fields)):
         raise _UsageError(f"--{flag}: empty field between commas: {text!r}")
+    return " ".join(fields).split()
+
+
+def _parse_ints(text: str, flag: str) -> list:
     ints = []
-    for tok in " ".join(fields).split():
+    for tok in _flag_tokens(text, flag):
         try:
             ints.append(int(tok))
         except ValueError:
             raise _UsageError(f"--{flag}: not an integer: {tok!r}") from None
     return ints
+
+
+def _parse_fraction(text: str, flag: str) -> Fraction:
+    """A rational flag, e.g. 1/6 or 0.25; one that does not parse is a usage
+    error, as an integer flag's is."""
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        raise _UsageError(f"--{flag}: not a rational number: {text!r}") from None
 
 
 def _cmd_invariants(args) -> int:
@@ -109,7 +123,7 @@ def _cmd_invariants(args) -> int:
 def _cmd_construct(args) -> int:
     pattern_graph = _load_graph(args.pattern)
     spec_sizes = detect_multipartite(pattern_graph)
-    spec = construct.ConstructionSpec(spec_sizes, args.n, parse_fraction(args.mu),
+    spec = construct.ConstructionSpec(spec_sizes, args.n, _parse_fraction(args.mu, "mu"),
                                       base=args.base)
     inst = construct.augment_and_incompat(spec)
     out = Path(args.out)
@@ -206,7 +220,7 @@ def _cmd_absorb(args) -> int:
                                           args.u, args.v, args.t, budget=args.budget)
         else:
             rep = absorb.verify_absorbing_set(g, f, pattern, _parse_ints(args.a, "a"),
-                                              parse_fraction(args.xi),
+                                              _parse_fraction(args.xi, "xi"),
                                               samples=args.samples, seed=args.seed,
                                               budget=args.budget)
             _emit(args, {"verify": args.kind, "verdict": rep.verdict,
@@ -238,8 +252,8 @@ def _cmd_regcount(args) -> int:
         return EXIT_OK
     if args.action == "regular":
         rep = regularity.is_eps_regular_exhaustive(
-            g, _parse_ints(args.x, "x"), _parse_ints(args.y, "y"), parse_fraction(args.eps),
-            d_min=None if args.d is None else parse_fraction(args.d))
+            g, _parse_ints(args.x, "x"), _parse_ints(args.y, "y"), _parse_fraction(args.eps, "eps"),
+            d_min=None if args.d is None else _parse_fraction(args.d, "d"))
         _emit(args, {"regular": rep.to_json_dict()})
         return EXIT_OK if rep.regular else EXIT_NONE
     if args.parts is None:
@@ -249,7 +263,8 @@ def _cmd_regcount(args) -> int:
             raise _UsageError("regcount reduced needs --d")
         part = parse_partition(_read(args.parts), g.n)
         red = regularity.reduced_graph(g, [list(b) for b in part.blocks],
-                                       parse_fraction(args.eps), parse_fraction(args.d))
+                                       _parse_fraction(args.eps, "eps"),
+                                       _parse_fraction(args.d, "d"))
         _emit(args, {"reduced": {"k": red.k, "edges": [list(e) for e in red.edges]}})
         return EXIT_OK
     blocks = int_rows(_read(args.parts), "vertex-set")
@@ -262,9 +277,11 @@ def _cmd_regcount(args) -> int:
         return EXIT_OK
     # sweep: c_observed across mu values, CSV on stdout or to --csv
     spec = MultipartiteSpec(tuple(_parse_ints(args.sizes, "sizes")))
+    mus = [_parse_fraction(tok, "mus") for tok in _flag_tokens(args.mus, "mus")]
+    if not mus:
+        raise _UsageError("--mus needs at least one value")
     rows = ["mu,total,compatible,c_observed"]
-    for mu_text in args.mus.split(","):
-        mu = parse_fraction(mu_text)
+    for mu in mus:
         f = random_bounded_system(g, mu, args.seed)
         rep = regularity.counting_experiment(g, f, blocks[:spec.r],
                                              spec, budget=args.budget)
@@ -282,7 +299,13 @@ def _cmd_regcount(args) -> int:
 def _cmd_acceptance(args) -> int:
     from . import acceptance   # reaches numpy through the oracles
 
-    selectors = None if not args.only else [s.strip().upper() for s in args.only.split(",")]
+    selectors = None
+    if args.only is not None:  # every selector is checked before any criterion runs
+        selectors = [s.strip().upper() for s in args.only.split(",")]
+        for cid in selectors:
+            if cid not in acceptance.CRITERION_IDS:
+                raise _UsageError(f"--only: empty criterion id in {args.only!r}" if not cid
+                                  else f"--only: unknown criterion {cid!r}")
     matrix = acceptance.run_battery(selectors=selectors, seed=args.seed, verbose=True)
     text = acceptance.matrix_json(matrix)
     if args.out:

@@ -151,17 +151,26 @@ def count_bad_pairs_at(f: IncompatibilitySystem, v: int) -> int:
     v1v2 is an edge and vv1 is incompatible with v1v2 at v1, or the same
     with the roles of v1 and v2 swapped.  The union of the three events
     is what blocks {v, v1, v2} from being a compatible triangle through
-    an incompatibility involving v's edges.
+    an incompatibility involving v's edges.  The masks are walked inline,
+    as in ``triples``.
     """
+    inc = f.inc
     near = f.graph.adj[v]
-    bad = dict(f.inc.get(v, {}))  # v1 -> v2 with {v1, v2} bad; kept symmetric
-    for v1 in bits(near):
-        row = f.inc.get(v1)
+    bad = dict(inc.get(v, {}))  # v1 -> v2 with {v1, v2} bad; kept symmetric
+    rest = near
+    while rest:
+        bit1 = rest & -rest
+        rest ^= bit1
+        v1 = bit1.bit_length() - 1
+        row = inc.get(v1)
         cross = row.get(v, 0) & near if row else 0  # event (2) at v1
         if cross:
             bad[v1] = bad.get(v1, 0) | cross
-            for v2 in bits(cross):
-                bad[v2] = bad.get(v2, 0) | 1 << v1
+            while cross:
+                bit2 = cross & -cross
+                cross ^= bit2
+                v2 = bit2.bit_length() - 1
+                bad[v2] = bad.get(v2, 0) | bit1
     return sum(m.bit_count() for m in bad.values()) // 2
 
 
@@ -191,6 +200,7 @@ def random_bounded_system(g: Graph, mu, seed: int) -> IncompatibilitySystem:
         raise ValidationError("mu must be non-negative")
     q = math.floor(mu * n)
     triples = []
+    append = triples.append
     if q > 0:
         draws = _ShuffleDraws(random.Random(seed))
         for v in range(n):
@@ -210,7 +220,12 @@ def random_bounded_system(g: Graph, mu, seed: int) -> IncompatibilitySystem:
                         continue
                     row[a] = row.get(a, 0) | 1 << b
                     row[b] = row.get(b, 0) | 1 << a
-            triples.extend((v, a, b) for a, m in row.items() for b in bits(m) if a < b)
+            for a, m in row.items():
+                partners = m >> a + 1    # the partners b > a, bit b - a - 1, as in triples()
+                while partners:
+                    low = partners & -partners
+                    append((v, a, a + low.bit_length()))
+                    partners ^= low
     return IncompatibilitySystem(g, triples)
 
 

@@ -304,72 +304,98 @@ def _embed(g: Graph, f: IncompatibilitySystem, plan: _Plan, allowed: list,
     with an image edge x-y (c in inc[x][y]), or two new edges c-x, c-y
     are incompatible at c (y in inc[c][x]).  Two edges can only clash at
     a shared vertex, so this covers every new pair.
+
+    A step's untried candidates are an int mask whose lowest bit is popped
+    off inline (``low = m & -m``), as are the predecessor neighbourhoods
+    the refusals are read from: a ``bits`` generator per mask costs more
+    than the search it drives.  Ranked, they are a list sorted by
+    descending rank and popped from its end.  One loop tries the
+    candidates of the step at hand, with that step's state in locals: it
+    descends past a candidate that passes, saving the state, and restores
+    the state of the step before when the candidates run out.  The last
+    step's candidates all run in that loop, one yield each, with no trip
+    through the step stack per candidate.
     """
     k = len(plan.preds)
+    last = k - 1
     adj, inc, preds = g.adj, f.inc, plan.preds
+    ranked = rank is not None
     img = [0] * k
-    near = [0] * k       # image neighbours of img[i]
-    new_near = [0] * k   # images of preds[i]: step i's neighbours once placed
-    blocked = [0] * k    # candidates refused by an image edge at a predecessor
-    todo = [None] * k    # untried candidates per step
+    near = [0] * k      # image neighbours of img[i]
+    saved = [None] * k  # per placed step: its untried candidates, nn, block, xs
 
-    def open_step(i: int, used: int):
-        cands = allowed[i] & ~used
-        nn = block = 0
+    spent, budget = work.spent, work.budget
+    i = used = 0
+    while True:
+        cands = allowed[i] & ~used  # open step i
+        nn = block = 0  # the images of preds[i], and the candidates an image edge refuses
         for p in preds[i]:
             x = img[p]
             cands &= adj[x]
             nn |= 1 << x
             row = inc.get(x)
-            if row and near[p]:
-                for y in bits(near[p]):
-                    block |= row.get(y, 0)
+            if row:
+                m = near[p]
+                while m:
+                    low = m & -m
+                    block |= row.get(low.bit_length() - 1, 0)
+                    m ^= low
         for j in below[i]:
             cands &= -1 << (img[j] + 1)
-        new_near[i], blocked[i] = nn, block
-        todo[i] = bits(cands) if rank is None else \
-            iter(sorted(bits(cands), key=rank.__getitem__))
-
-    spent, budget = work.spent, work.budget
-    i = used = 0
-    open_step(0, 0)
-    while i >= 0:
-        c = next(todo[i], None)
-        if c is None:
-            i -= 1
-            if i >= 0:
-                used &= ~(1 << img[i])
+        if ranked:
+            cands = sorted(bits(cands), key=rank.__getitem__, reverse=True)
+        # a clash at c pairs two image neighbours x, y of c; the rows are
+        # symmetric, so testing every x but the last meets each pair
+        xs = [img[p] for p in preds[i][:-1]]
+        while True:  # step i's candidates, and on backtracking an earlier step's
+            while cands:
+                if ranked:
+                    c = cands.pop()
+                    low = 1 << c
+                else:
+                    low = cands & -cands
+                    cands ^= low
+                    c = low.bit_length() - 1
+                spent += 1
+                if spent > budget:
+                    work.spent = spent
+                    raise BudgetExceeded()
+                if block & low:
+                    continue
+                if xs:
+                    row = inc.get(c)
+                    if row:
+                        clash = 0
+                        for x in xs:
+                            clash = row.get(x, 0) & nn
+                            if clash:
+                                break
+                        if clash:
+                            continue
+                img[i] = c
+                if i == last:
+                    work.spent = spent
+                    yield img
+                    continue
+                saved[i] = cands, nn, block, xs
+                used |= low
+                near[i] = nn
                 for p in preds[i]:
-                    near[p] &= ~(1 << img[i])
-            continue
-        spent += 1
-        if spent > budget:
-            work.spent = spent
-            raise BudgetExceeded()
-        if blocked[i] >> c & 1:
-            continue
-        nn = new_near[i]
-        row = inc.get(c)
-        clash = 0
-        if row and nn & (nn - 1):
-            for p in preds[i]:
-                clash = row.get(img[p], 0) & nn
-                if clash:
-                    break
-        if clash:
-            continue
-        img[i] = c
-        if i + 1 == k:
-            work.spent = spent
-            yield img
-            continue
-        used |= 1 << c
-        near[i] = nn
-        for p in preds[i]:
-            near[p] |= 1 << c
-        i += 1
-        open_step(i, used)
-    work.spent = spent
+                    near[p] |= low
+                i += 1
+                break  # open the next step
+            else:  # step i is spent: back to the one before it
+                if not i:
+                    work.spent = spent
+                    return
+                i -= 1
+                bit = 1 << img[i]
+                used &= ~bit
+                for p in preds[i]:
+                    near[p] &= ~bit
+                cands, nn, block, xs = saved[i]
+                continue
+            break
 
 
 def _symmetry_conditions(pattern: Graph, plan: _Plan, order: list, work: _Work) -> tuple:
@@ -688,7 +714,8 @@ def _pack(full: int, rows: list, row_masks: list, n: int, work: _Work, h: int,
         return best, True
     trail = []
     chosen = []       # rows taken on the path, None for a skip branch
-    stack = []        # (alive, uncovered, skipped, trail mark, v or -1, untried rows)
+    stack = []        # (alive, uncovered, skipped, trail mark, v or -1)
+    untried = []      # per open node, the mask of its untried rows
     alive = (1 << len(row_masks)) - 1
     while True:
         for b in buckets:
@@ -696,9 +723,10 @@ def _pack(full: int, rows: list, row_masks: list, n: int, work: _Work, h: int,
             if b:
                 break
         v = (b & -b).bit_length() - 1
-        stack.append((alive, uncovered, skipped, len(trail), v, bits(rows_at[v] & alive)))
+        stack.append((alive, uncovered, skipped, len(trail), v))
+        untried.append(rows_at[v] & alive)
         while True:  # the next branch of the deepest open node
-            alive, uncovered, skipped, mark, v, untried = stack[-1]
+            alive, uncovered, skipped, mark, v = stack[-1]
             while len(trail) > mark:
                 w, old = trail.pop()
                 bit = 1 << w
@@ -706,20 +734,25 @@ def _pack(full: int, rows: list, row_masks: list, n: int, work: _Work, h: int,
                 buckets[old] |= bit
                 count[w] = old
             # a node that an incumbent found below it has cut takes no more branches
-            r = next(untried, None) if skipped <= slack else None
-            if r is None:
+            rows_left = untried[-1] if skipped <= slack else 0
+            if not rows_left:
                 if v < 0 or skipped >= slack:
                     stack.pop()
+                    untried.pop()
                     if not stack:
                         work.spent = spent
                         return best, True
                     chosen.pop()
                     continue
-                stack[-1] = (alive, uncovered, skipped, mark, -1, untried)
+                stack[-1] = (alive, uncovered, skipped, mark, -1)
+                r = None
                 skipped += 1  # the skip branch
                 uncovered ^= 1 << v
                 kill, touched = rows_at[v], reach[v]
             else:
+                low = rows_left & -rows_left
+                untried[-1] = rows_left ^ low
+                r = low.bit_length() - 1
                 uncovered ^= row_masks[r]
                 kill = touched = 0
                 for u in rows[r]:
@@ -731,17 +764,20 @@ def _pack(full: int, rows: list, row_masks: list, n: int, work: _Work, h: int,
                 return best, False
             chosen.append(r)
             alive &= ~kill
-            for w in bits(touched & uncovered):
+            recount = touched & uncovered
+            while recount:
+                bit = recount & -recount
+                recount ^= bit
+                w = bit.bit_length() - 1
                 c = (rows_at[w] & alive).bit_count()
                 if not c:  # a forced skip
                     skipped += 1
                     if skipped > slack:
                         break
-                    uncovered ^= 1 << w
+                    uncovered ^= bit
                     continue
                 old = count[w]
                 if c != old:
-                    bit = 1 << w
                     buckets[old] ^= bit
                     buckets[c] |= bit
                     trail.append((w, old))

@@ -10,7 +10,13 @@ from .errors import FormatError
 
 
 def bits(mask: int):
-    """Yield the indices of set bits of ``mask`` in ascending order."""
+    """Yield the indices of set bits of ``mask`` in ascending order.
+
+    For cold paths.  Opening a generator and resuming it per bit costs more
+    than the loop body of a hot search, so the embedder, the packing search,
+    seeded systems and bad-pair counts pop the lowest bit off the mask
+    inline instead: ``low = m & -m; m ^= low``.
+    """
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -30,13 +36,6 @@ def frac_floor(x: Fraction) -> int:
 
 def frac_ceil(x: Fraction) -> int:
     return -((-x.numerator) // x.denominator)
-
-
-def parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise FormatError(f"not a rational number: {text!r}") from exc
 
 
 def int_rows(text: str, what: str, width: int = None, sep: str = None) -> list:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import comptile
 from comptile import cli
 from comptile.absorb import verify_connector
-from comptile.errors import ValidationError
+from comptile.errors import ComptileError, ValidationError
 from comptile.graphs import Graph, complete_graph, complete_multipartite, cycle_graph
 from comptile.graphs import (MultipartiteSpec, empty_graph, format_graph, parse_graph,
                              parse_partition)
@@ -404,7 +404,7 @@ def test_regcount_cli_fuzz(tmp_path, capsys, data):
     if action in ("reduced", "count", "sweep") and not with_parts:
         assert code == 64
     if action in ("density", "regular") and not all(0 <= v < g.n for v in x + y):
-        assert code in {64, 65}     # 65 when --eps fails to parse first
+        assert code == 64           # so is an --eps that does not parse
     if action == "regular" and eps == "1/1000001":
         assert code == 64           # eps denominator above the int64-exactness cap
     if code >= 64:
@@ -720,6 +720,67 @@ def test_regcount_without_parts_is_a_usage_error(files, capsys, action):
                               "--sizes", "1,1", "--d", "1/2"], capsys)
     assert code == 64 and out == ""
     assert json.loads(err) == {"error": "usage", "detail": f"regcount {action} needs --parts"}
+
+
+@pytest.mark.parametrize("argv, flag, text", [
+    (["construct", "--pattern", "{k111}", "--n", "12", "--mu", "1/", "--out", "{tmp}/x"],
+     "mu", "1/"),
+    (["absorb", "verify", "--kind", "absorbing-set", "--graph", "{k6}", "--pattern", "{k2}",
+      "--a", "0,1", "--xi", "abc"], "xi", "abc"),
+    (["regcount", "regular", "--graph", "{k6}", "--x", "0", "--y", "1", "--eps", "abc"],
+     "eps", "abc"),
+    (["regcount", "regular", "--graph", "{k6}", "--x", "0", "--y", "1", "--d", "1/0"],
+     "d", "1/0"),
+    (["regcount", "reduced", "--graph", "{k6}", "--parts", "{parts}", "--d", ""], "d", ""),
+    (["regcount", "sweep", "--graph", "{k6}", "--parts", "{parts}", "--sizes", "1,1",
+      "--mus", "1/100,abc"], "mus", "abc"),
+], ids=["construct-mu", "absorb-xi", "regular-eps", "regular-d", "reduced-d", "sweep-mus"])
+def test_a_malformed_rational_flag_is_a_usage_error(files, capsys, argv, flag, text):
+    parts = files["tmp"] / "parts.txt"
+    parts.write_text("0 1 2\n3 4 5\n", encoding="ascii")
+    code, out, err = run_cli([a.format(parts=parts, **files) for a in argv], capsys)
+    assert code == 64 and out == ""
+    assert json.loads(err) == {"error": "usage",
+                               "detail": f"--{flag}: not a rational number: {text!r}"}
+
+
+@pytest.mark.parametrize("mus, detail", [
+    ("1/100,,1/50", "--mus: empty field between commas: '1/100,,1/50'"),
+    ("1/100,", "--mus: empty field between commas: '1/100,'"),
+    ("1/100,abc", "--mus: not a rational number: 'abc'"),
+    ("", "--mus needs at least one value"),
+])
+def test_sweep_parses_every_mu_before_computing_a_row(files, capsys, monkeypatch, mus, detail):
+    from comptile import regularity
+    rows = []
+    monkeypatch.setattr(regularity, "counting_experiment", lambda *a, **k: rows.append(a))
+    parts = files["tmp"] / "parts.txt"
+    parts.write_text("0 1 2\n3 4 5\n", encoding="ascii")
+    csv_path = files["tmp"] / "sweep.csv"
+    code, out, err = run_cli(["regcount", "sweep", "--graph", files["k6"], "--parts", str(parts),
+                              "--sizes", "1,1", "--mus", mus, "--csv", str(csv_path)], capsys)
+    assert (code, out, rows, csv_path.exists()) == (64, "", [], False)
+    assert json.loads(err) == {"error": "usage", "detail": detail}
+
+
+@pytest.mark.parametrize("only, detail", [
+    ("A1,,A8", "--only: empty criterion id in 'A1,,A8'"),
+    ("A1,", "--only: empty criterion id in 'A1,'"),
+    ("", "--only: empty criterion id in ''"),
+    ("  ", "--only: empty criterion id in '  '"),
+    ("A1,Z9", "--only: unknown criterion 'Z9'"),
+])
+def test_acceptance_refuses_a_bad_selector_before_running_any(capsys, monkeypatch, only, detail):
+    from comptile import acceptance
+    ran = []
+    for cid in acceptance._CRITERIA:
+        monkeypatch.setitem(acceptance._CRITERIA, cid, lambda seed, cid=cid: ran.append(cid))
+    code, out, err = run_cli(["acceptance", "--only", only], capsys)
+    assert (code, out, ran) == (64, "", [])
+    assert json.loads(err) == {"error": "usage", "detail": detail}
+    with pytest.raises(ComptileError, match="unknown criterion 'Z9'"):
+        acceptance.run_battery(["A1", "Z9"])
+    assert ran == []
 
 
 # A child's address-space cap: room for the interpreter and numpy with one

@@ -133,18 +133,28 @@ def test_budget_bounds_the_symmetry_rule_whatever_the_cache_holds():
 @pytest.mark.parametrize("seed", [3, 8, 21])
 def test_every_budget_cuts_the_enumeration_where_the_full_run_spends_it(seed):
     # the embedder counts its expansions in a local: every cut must still
-    # fall on the expansion that exceeds the budget, whatever the budget
+    # fall on the expansion that exceeds the budget, whatever the budget.
+    # A one-vertex pattern's first step is also its last; a transversal
+    # enumeration derives no rule and draws each step from its own part.
     rng = random.Random(seed)
     host = random_graph(9, 0.7, rng.getrandbits(30))
     f = random_system(host, rng.randint(2, 10), rng.getrandbits(30))
     pool = mask_of(v for v in range(host.n) if rng.random() < 0.8)
-    for pattern, within in ((complete_graph(3), None), (path_graph(3), None),
-                            (cycle_graph(4), None), (complete_graph(3), pool)):
-        full = enumerate_compatible_copies(pattern, host, f, pool=within)
-        assert not full.truncated
-        rule_cost = solver._plans[pattern][2]
+    searches = [(pattern, lambda budget, pattern=pattern, within=within:
+                 enumerate_compatible_copies(pattern, host, f, budget=budget, pool=within))
+                for pattern, within in ((complete_graph(3), None), (path_graph(3), None),
+                                        (cycle_graph(4), None), (complete_graph(3), pool),
+                                        (empty_graph(1), None), (empty_graph(1), pool))]
+    for sizes, parts in (((1, 1, 1), [[0, 3, 6], [1, 4, 7], [2, 5, 8]]),
+                         ((1, 2), [[0, 1, 2, 3], [4, 5, 6, 7, 8]])):
+        searches.append((None, lambda budget, spec=MultipartiteSpec(sizes), parts=parts:
+                         enumerate_transversal_copies(spec, host, f, parts, budget=budget)))
+    for pattern, search in searches:
+        full = search(solver.DEFAULT_BUDGET)
+        assert not full.truncated and full.expansions
+        rule_cost = 0 if pattern is None else solver._plans[pattern][2]
         for budget in range(full.expansions + 2):
-            cut = enumerate_compatible_copies(pattern, host, f, budget=budget, pool=within)
+            cut = search(budget)
             assert cut.truncated == (max(full.expansions, rule_cost) > budget), budget
             if cut.truncated:
                 assert cut.expansions == budget + 1
@@ -847,15 +857,31 @@ def test_greedy_tiling_maximal_and_seeded():
     assert len(t0) == 0 and (((1 << 6) - 1) & ~t0.covered()).bit_count() == 6
 
 
-@pytest.mark.parametrize("pattern, seed, phis", [
-    (complete_graph(3), 3, [(11, 12, 6), (10, 4, 1), (13, 0, 7)]),
-    (complete_graph(3), 11, [(10, 5, 1), (0, 12, 7), (9, 4, 3), (6, 11, 8)]),
-    (path_graph(3), 3, [(12, 11, 6), (4, 10, 1), (0, 13, 7), (5, 8, 9)]),
-    (path_graph(3), 11, [(5, 10, 1), (12, 0, 13), (4, 9, 6), (3, 2, 7)]),
-], ids=["K3-seed3", "K3-seed11", "P3-seed3", "P3-seed11"])
-def test_greedy_tiling_is_pinned(pattern, seed, phis):
-    g = random_graph(14, 0.6, 5)
-    f = random_system(g, 12, 5)
+def _greedy_host(name):
+    g = random_graph(14, 0.6, 5) if name == "random" else random_graph(16, 0.7, 9)
+    f = random_system(g, 12, 5) if name == "random" else \
+        random_bounded_system(g, Fraction(1, 4), 4)
+    return g, f
+
+
+# greedy tries candidates by rank, not by id: the tilings pin that order
+# under systems whose clashes refuse candidates
+@pytest.mark.parametrize("pattern, host, seed, phis", [
+    (complete_graph(3), "random", 3, [(11, 12, 6), (10, 4, 1), (13, 0, 7)]),
+    (complete_graph(3), "random", 11, [(10, 5, 1), (0, 12, 7), (9, 4, 3), (6, 11, 8)]),
+    (path_graph(3), "random", 3, [(12, 11, 6), (4, 10, 1), (0, 13, 7), (5, 8, 9)]),
+    (path_graph(3), "random", 11, [(5, 10, 1), (12, 0, 13), (4, 9, 6), (3, 2, 7)]),
+    (complete_graph(3), "bounded", 0, [(10, 14, 3), (5, 1, 2), (9, 11, 0), (13, 7, 12)]),
+    (complete_graph(3), "bounded", 1, [(2, 14, 8), (10, 7, 13), (0, 6, 3), (5, 15, 4)]),
+    (complete_graph(3), "bounded", 2, [(12, 7, 13), (11, 0, 9), (6, 3, 2), (8, 4, 10)]),
+    (cycle_graph(4), "bounded", 0, [(10, 14, 0, 11), (5, 1, 13, 2), (9, 7, 8, 4)]),
+    (cycle_graph(4), "bounded", 1, [(2, 0, 10, 6), (14, 3, 5, 8), (7, 15, 1, 13)]),
+    (cycle_graph(4), "bounded", 2, [(12, 11, 13, 7), (6, 0, 3, 8), (4, 2, 5, 1)]),
+], ids=["K3-seed3", "K3-seed11", "P3-seed3", "P3-seed11", "K3-bounded-seed0",
+        "K3-bounded-seed1", "K3-bounded-seed2", "C4-bounded-seed0", "C4-bounded-seed1",
+        "C4-bounded-seed2"])
+def test_greedy_tiling_is_pinned(pattern, host, seed, phis):
+    g, f = _greedy_host(host)
     tiling = greedy_almost_tiling(pattern, g, f, seed=seed)
     assert [e.phi for e in tiling.embeddings] == phis
 
