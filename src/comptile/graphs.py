@@ -96,23 +96,6 @@ class Graph:
     def min_degree(self) -> int:
         return min((self.degree(v) for v in range(self.n)), default=0)
 
-    def induced(self, vertices) -> tuple:
-        """Induced subgraph on ``vertices``; returns (graph, old_ids).
-
-        ``old_ids[i]`` is the original id of new vertex i; ``vertices`` may
-        arrive in any order and is sorted first, so the relabeling is
-        canonical.
-        """
-        old = sorted(set(vertices))
-        pos = {v: i for i, v in enumerate(old)}
-        rows = [0] * len(old)
-        for i, v in enumerate(old):
-            for u in bits(self.adj[v]):
-                j = pos.get(u)
-                if j is not None:
-                    rows[i] |= 1 << j
-        return Graph(len(old), rows), tuple(old)
-
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 

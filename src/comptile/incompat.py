@@ -189,9 +189,11 @@ def random_bounded_system(g: Graph, mu, seed: int) -> IncompatibilitySystem:
     (ascending) for every vertex v and every neighbour a of v, both in
     ascending order, and each (v, a) takes its partners from the front of
     its shuffled list.  ``oracles.raw_bounded_system`` is that generator
-    written out with literal ``rng.shuffle`` calls.  Here the shuffles'
-    draws are replayed from words drawn in bulk (``_ShuffleDraws``), so
-    each seed gives the same system, byte for byte, for any seed
+    written out with literal ``rng.shuffle`` calls, the reference.  Here
+    the shuffle is inlined: for i from len - 1 down to 1 it draws j as
+    ``Random._randbelow(i + 1)`` does, ``getrandbits(k)`` with
+    k = (i + 1).bit_length(), retried while j > i, and swaps items i and
+    j.  So each seed gives the same system, byte for byte, for any seed
     ``random.Random`` accepts.
     """
     mu = Fraction(mu)
@@ -202,17 +204,19 @@ def random_bounded_system(g: Graph, mu, seed: int) -> IncompatibilitySystem:
     triples = []
     append = triples.append
     if q > 0:
-        draws = _ShuffleDraws(random.Random(seed))
+        getrandbits = random.Random(seed).getrandbits
         for v in range(n):
             nbrs = list(bits(g.adj[v]))
             row = {}  # a -> partners of va at v so far
             for a in nbrs:
-                if row.get(a, 0).bit_count() >= q:
-                    draws.skip(len(nbrs) - 1)  # va is full: its shuffle only advances the stream
-                    continue
                 cands = nbrs.copy()
                 cands.remove(a)
-                draws.shuffle(cands)
+                for i in range(len(cands) - 1, 0, -1):  # rng.shuffle(cands)
+                    k = (i + 1).bit_length()
+                    j = getrandbits(k)
+                    while j > i:
+                        j = getrandbits(k)
+                    cands[i], cands[j] = cands[j], cands[i]
                 for b in cands:
                     if row.get(a, 0).bit_count() >= q:
                         break
@@ -227,103 +231,6 @@ def random_bounded_system(g: Graph, mu, seed: int) -> IncompatibilitySystem:
                     append((v, a, a + low.bit_length()))
                     partners ^= low
     return IncompatibilitySystem(g, triples)
-
-
-# ``random.Random.shuffle(x)`` draws j = _randbelow(i + 1) for i = len(x)-1
-# down to 1, and ``_randbelow(m)`` takes one 32-bit Mersenne Twister word w
-# per try: r = w >> (32 - k) with k = m.bit_length(), retried while r >= m.
-# ``getrandbits(32*K)`` returns the next K words, least significant first.
-# For m <= 255 a try depends only on w's top byte t: it is refused iff
-# t >= m << (8 - k), and else gives j = t >> (8 - k).
-# Words drawn per top-up: an 8 KiB buffer, not the whole system's.  At least
-# 255, so that one top-up holds a word for each draw of a shuffle.
-_WORDS = 2048
-# (i, first refused top byte, shift) of the draw j = _randbelow(i + 1), for
-# i = 254 down to 1: the draws of a shuffle of top + 1 items are _DRAWS[254 - top:]
-_DRAWS = [(i, (i + 1) << (8 - (i + 1).bit_length()), 8 - (i + 1).bit_length())
-          for i in range(254, 0, -1)]
-_REFUSED = bytes(refused for _, refused, _ in _DRAWS)
-
-
-class _ShuffleDraws:
-    """``rng.shuffle``'s draws, replayed from words drawn in bulk.
-
-    After ``shuffle(x)`` or ``skip(len(x))`` the stream stands where
-    ``rng.shuffle(x)`` would leave it, and ``shuffle`` permutes x as
-    ``rng.shuffle`` would.  ``rng`` itself runs ahead by the buffered
-    words, so it must not be drawn from directly meanwhile.
-    """
-
-    __slots__ = ("rng", "words", "tops", "pos")
-
-    def __init__(self, rng: random.Random):
-        self.rng = rng
-        self.words = b""  # buffered words, 4 little-endian bytes each
-        self.tops = b""   # their top bytes
-        self.pos = 0      # index of the next unused word
-
-    def _top_up(self, pos: int) -> bytes:
-        """Drop the words before ``pos``, append fresh ones; the next unused
-        word is then at 0."""
-        raw = self.rng.getrandbits(32 * _WORDS).to_bytes(4 * _WORDS, "little")
-        self.words = self.words[4 * pos:] + raw
-        self.tops = self.tops[pos:] + raw[3::4]
-        self.pos = 0
-        return self.tops
-
-    def _below(self, m: int) -> int:
-        """``_randbelow(m)`` from whole words, for m > 255."""
-        k = m.bit_length()
-        while True:
-            if self.pos == len(self.tops):
-                self._top_up(self.pos)
-            p = self.pos
-            self.pos = p + 1
-            r = int.from_bytes(self.words[4 * p:4 * p + 4], "little") >> (32 - k)
-            if r < m:
-                return r
-
-    def _reserve(self, p: int, top: int):
-        """(buffer, p, guard): from p on the buffer holds a word for each of
-        ``top`` draws, and still does after refused tries while p <= guard."""
-        tops = self.tops
-        if len(tops) - p < top:
-            tops, p = self._top_up(p), 0
-        return tops, p, len(tops) - top
-
-    def shuffle(self, x: list):
-        top = len(x) - 1
-        while top > 254:  # draws of m > 255 need more than the top byte
-            j = self._below(top + 1)
-            x[top], x[j] = x[j], x[top]
-            top -= 1
-        tops, p, guard = self._reserve(self.pos, top)
-        for i, refused, shift in _DRAWS[254 - top:]:
-            t = tops[p]
-            p += 1
-            while t >= refused:
-                if p > guard:
-                    tops, p, guard = self._reserve(p, top)
-                t = tops[p]
-                p += 1
-            j = t >> shift
-            x[i], x[j] = x[j], x[i]
-        self.pos = p
-
-    def skip(self, length: int):
-        for m in range(length, 255, -1):
-            self._below(m)
-        top = min(length, 255) - 1
-        tops, p, guard = self._reserve(self.pos, top)
-        for refused in _REFUSED[254 - top:]:
-            t = tops[p]
-            p += 1
-            while t >= refused:
-                if p > guard:
-                    tops, p, guard = self._reserve(p, top)
-                t = tops[p]
-                p += 1
-        self.pos = p
 
 
 # ---------------------------------------------------------------------------

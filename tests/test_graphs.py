@@ -7,7 +7,7 @@ from comptile.graphs import (MAX_VERTICES, Graph, MultipartiteSpec, VertexPartit
                              complement_components, complete_graph,
                              complete_multipartite, components,
                              disjoint_union, empty_graph, format_graph, format_partition,
-                             parse_graph, parse_partition, path_graph)
+                             parse_graph, parse_partition)
 from comptile.util import bits, mask_of
 
 from .helpers import random_graph
@@ -137,10 +137,3 @@ def test_multipartite_spec_validation():
         MultipartiteSpec(())
     with pytest.raises(ValidationError):
         MultipartiteSpec((1, 0))
-
-
-def test_induced_subgraph_relabels():
-    g = path_graph(5)
-    sub, old = g.induced([4, 2, 3])
-    assert old == (2, 3, 4)
-    assert sub.edges() == [(0, 1), (1, 2)]

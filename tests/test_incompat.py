@@ -171,7 +171,7 @@ def test_random_bounded_system_replays_the_literal_shuffles():
              lambda: -1 - rng.getrandbits(40))
     cases = [(complete_graph(n), Fraction(rng.randint(1, 6), 40), seeds[n % 3]())
              for n in (2, 3, 8, 16, 24, 32, 40, 48)]
-    # the star's 299-candidate rows draw past what one top byte decides
+    # the star's 299-candidate rows draw more than 8 bits at a time
     cases += [(_star(300), Fraction(1, 100), 7), (_star(300), Fraction(1, 2), -5)]
     for i in range(300):
         g = random_graph(rng.randint(0, 20), rng.choice((0.1, 0.3, 0.6, 0.9)), rng.getrandbits(30))
@@ -192,14 +192,13 @@ def test_random_bounded_system_replays_the_literal_shuffles():
     assert covered == {0, 1, 2, "mu=0", "seed>=2^32", "seed<0", "K48", "q>=degree", "row>255"}
 
 
-def test_random_bounded_system_tops_up_inside_shuffles(monkeypatch):
-    # the smallest buffer allowed runs out inside a shuffle every few rows
-    monkeypatch.setattr(incompat, "_WORDS", 255)
+def test_random_bounded_system_tops_up_inside_shuffles():
+    # long rows and thousands of short shuffles back to back, against the literal shuffles
     rng = random.Random(5)
     cases = [(complete_graph(n), Fraction(1, rng.randint(3, 40)), rng.getrandbits(40))
              for n in (20, 40, 60)]
     cases += [(_star(300), Fraction(1, 100), 3), (_star(300), Fraction(1, 3), 4)]
-    # thousands of one- to three-draw shuffles: some start on the buffer's last words
+    # thousands of one- to three-draw shuffles, from the 4- and 5-cliques
     cliques = Graph.from_edges(300, [(b + u, b + v) for b in range(0, 300, 5)
                                      for u in range(4 + b % 2) for v in range(u + 1, 4 + b % 2)])
     cases += [(cliques, Fraction(k, 300), seed) for k in (1, 4) for seed in range(6)]
@@ -207,8 +206,8 @@ def test_random_bounded_system_tops_up_inside_shuffles(monkeypatch):
         assert _rows(random_bounded_system(g, mu, seed)) == _rows(raw_bounded_system(g, mu, seed))
 
 
-# sha256 of format_system for systems drawn before the shuffles were
-# replayed in bulk; a changed oracle cannot hide a drift of the stream
+# sha256 of format_system, recorded from earlier generators; a changed
+# oracle cannot hide a drift of the stream
 PINNED_STREAM = [
     (complete_graph(30), Fraction(1, 20), 171,
      "a12c05c384c401703a9e34cb7949f0f73140b956c90663055604cf192e550a09"),
@@ -239,7 +238,8 @@ def test_random_bounded_system_draws_in_bounded_chunks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the literal shuffles peak at about 246 KiB; all of the system's words at once take ~2 MB
+    # the inline draws peak at about 246 KiB, as the literal shuffles do; drawing
+    # all of the system's words at once would take ~2 MB
     assert peak < 512 << 10
 
 
