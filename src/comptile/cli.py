@@ -22,7 +22,7 @@ from pathlib import Path
 from . import absorb, construct, solver
 from .coloring import chi_star
 from .construct import detect_multipartite
-from .errors import ComptileError, ConsistencyError, FormatError
+from .errors import BudgetExceeded, ComptileError, ConsistencyError, FormatError
 from .graphs import (Graph, MultipartiteSpec, format_graph, format_partition,
                      parse_graph, parse_partition)
 from .incompat import (IncompatibilitySystem, parse_system, random_bounded_system,
@@ -172,12 +172,18 @@ def _cmd_solve(args) -> int:
                      "truncated": enum.truncated, "expansions": enum.expansions})
         return EXIT_INDETERMINATE if enum.truncated else EXIT_OK
     if args.mode == "greedy":
-        tiling = solver.greedy_almost_tiling(pattern, g, f, seed=args.seed)
-        _emit(args, {"mode": "greedy", "copies": len(tiling),
-                     "covered": tiling.covered_count(),
-                     "uncovered": g.n - tiling.covered_count(),
-                     "tiling": [list(e.vertices) for e in tiling.embeddings]})
-        return EXIT_OK
+        payload = {"mode": "greedy"}
+        try:
+            tiling = solver.greedy_almost_tiling(pattern, g, f, seed=args.seed,
+                                                 budget=args.budget)
+        except BudgetExceeded as cut:  # the copies taken so far, not maximal
+            tiling = cut.partial
+            payload.update(status=solver.INDETERMINATE, reason="budget")
+        payload.update(copies=len(tiling), covered=tiling.covered_count(),
+                       uncovered=g.n - tiling.covered_count(),
+                       tiling=[list(e.vertices) for e in tiling.embeddings])
+        _emit(args, payload)
+        return EXIT_INDETERMINATE if "status" in payload else EXIT_OK
     res = solver.max_compatible_tiling(pattern, g, f, budget=args.budget)
     _emit(args, {"mode": "max", "copies": len(res.tiling), "optimal": res.optimal,
                  "expansions": res.expansions,

@@ -21,8 +21,12 @@ class BudgetExceeded(ComptileError, RuntimeError):
     """A search ran out of its node-expansion budget.
 
     Callers that expose an INDETERMINATE result catch this internally;
-    it escapes only from low-level enumeration entry points.
+    it escapes only from low-level enumeration entry points and from
+    ``solver.greedy_almost_tiling``, which sets ``partial`` to the tiling
+    it had taken when the budget ran out.
     """
+
+    partial = None
 
 
 class ConsistencyError(ComptileError, RuntimeError):

@@ -118,9 +118,12 @@ class IncompatibilitySystem:
     def is_compatible_subgraph(self, edges) -> tuple:
         """(ok, witness): witness is the first incompatible pair, else None.
 
-        Only pairs sharing a vertex are inspected; disjoint pairs are
-        compatible by definition.  Vertices are scanned in ascending order,
-        and at each vertex its edges in ascending order of the other end.
+        The witness API, for any edge list.  Only pairs sharing a vertex
+        are inspected; disjoint pairs are compatible by definition.
+        Vertices are scanned in ascending order, and at each vertex its
+        edges in ascending order of the other end.  The solver's
+        re-verification of copies (``solver.verify_tiling``) does not call
+        it: it tests each copy on its image's neighbour masks directly.
         """
         inc = self.inc
         near = {}  # v -> mask of the subgraph's neighbours of v

@@ -33,7 +33,6 @@ cross-copy check is needed or performed.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -42,7 +41,7 @@ from typing import NamedTuple
 
 from .errors import BudgetExceeded, ConsistencyError, ValidationError
 from .graphs import Graph, MultipartiteSpec, complement_components, complete_multipartite
-from .incompat import IncompatibilitySystem, edge_key
+from .incompat import IncompatibilitySystem
 from .lattice import obstruction
 from .util import bits, mask_of
 
@@ -602,36 +601,91 @@ def enumerate_transversal_copies(spec: MultipartiteSpec, g: Graph,
     return _copies(g, f, _Plan(pattern, list(range(pattern.n))), below, allowed, budget, 0, asked)
 
 
+def _verify_copies(g: Graph, f: IncompatibilitySystem, pattern: Graph, embeddings) -> bool:
+    """True when ``embeddings`` are vertex-disjoint compatible copies of
+    ``pattern`` in g under f, each image derived from its ``phi``.
+
+    The pattern's edges and neighbour lists are read off its masks once,
+    popping bits inline as ``_embed`` does.  Each copy is then checked in
+    this order: k = |V(pattern)| images; stored ``vertices`` equal to the
+    sorted images; every image a vertex of g; k distinct images (the
+    popcount of the summed bits is k: a repeated bit carries and loses
+    one) off the copies before; every image of a pattern edge a host
+    edge; stored ``edges`` equal to the sorted image edges; no two image
+    edges at one image vertex incompatible there.  The images are
+    distinct, so the image edges at phi[u] are the images of u's pattern
+    edges: each image neighbour y of phi[u] is tested against the ones
+    before it (the rows are symmetric), and only for a u with two
+    neighbours or more.  Nothing is built per copy but its image edge
+    list.
+    """
+    k, n = pattern.n, g.n
+    adj, inc = g.adj, f.inc
+    pattern_edges, centres = [], []   # the edges (u, w), u < w; (u, its neighbours)
+    for u, m in enumerate(pattern.adj):
+        ws = []
+        while m:
+            low = m & -m
+            w = low.bit_length() - 1
+            ws.append(w)
+            if w > u:
+                pattern_edges.append((u, w))
+            m ^= low
+        if len(ws) > 1:
+            centres.append((u, ws))
+    used = 0
+    for phi, vertices, edges in embeddings:
+        if len(phi) != k or vertices != tuple(sorted(phi)):
+            return False
+        if vertices and (vertices[0] < 0 or vertices[-1] >= n):
+            return False
+        mask = sum(map(_BIT, phi))
+        if mask.bit_count() != k or mask & used:
+            return False
+        used |= mask
+        image = []
+        for a, b in pattern_edges:
+            x, y = phi[a], phi[b]
+            if not adj[x] >> y & 1:
+                return False
+            image.append((x, y) if x < y else (y, x))
+        image.sort()
+        if edges != tuple(image):
+            return False
+        for u, ws in centres:
+            row = inc.get(phi[u])
+            if row:
+                seen = 0
+                for w in ws:
+                    y = phi[w]
+                    if row.get(y, 0) & seen:
+                        return False
+                    seen |= 1 << y
+    return True
+
+
 def verify_embedding(g: Graph, f: IncompatibilitySystem, pattern: Graph,
                      emb: Embedding) -> bool:
     """Injective, adjacency-preserving, image compatible; the image is
     derived from ``phi`` and the pattern, and an ``emb`` whose stored
     ``vertices`` or ``edges`` differ from it is refused."""
-    phi = emb.phi
-    vertices = tuple(sorted(phi))
-    if len(phi) != pattern.n or len(set(phi)) != pattern.n or emb.vertices != vertices:
-        return False
-    if vertices and (vertices[0] < 0 or vertices[-1] >= g.n):
-        return False
-    adj = g.adj
-    edges = sorted([edge_key(phi[u], phi[v]) for u, v in pattern.edges()])
-    if emb.edges != tuple(edges) or any(not adj[a] >> b & 1 for a, b in edges):
-        return False
-    ok, _ = f.is_compatible_subgraph(edges)
-    return ok
+    return _verify_copies(g, f, pattern, (emb,))
 
 
 def verify_tiling(g: Graph, f: IncompatibilitySystem, pattern: Graph,
                   tiling: Tiling) -> bool:
-    used = 0
-    for emb in tiling.embeddings:
-        if not verify_embedding(g, f, pattern, emb):
-            return False
-        mask = emb.mask
-        if used & mask:
-            return False
-        used |= mask
-    return True
+    """Every copy passes ``verify_embedding``, and no two share a vertex."""
+    return _verify_copies(g, f, pattern, tiling.embeddings)
+
+
+def _verified(g: Graph, f: IncompatibilitySystem, pattern: Graph, embeddings,
+              what: str) -> Tiling:
+    """The Tiling of ``embeddings``; ConsistencyError when ``verify_tiling``
+    refuses it."""
+    tiling = Tiling(tuple(embeddings))
+    if not verify_tiling(g, f, pattern, tiling):
+        raise ConsistencyError(f"{what} failed re-verification")
+    return tiling
 
 
 def _full_pool(g: Graph, pool) -> int:
@@ -905,7 +959,8 @@ def find_compatible_factor(pattern: Graph, g: Graph,
 
 def greedy_almost_tiling(pattern: Graph, g: Graph,
                          f: IncompatibilitySystem = None,
-                         seed: int = 0) -> Tiling:
+                         seed: int = 0,
+                         budget: int = DEFAULT_BUDGET) -> Tiling:
     """Maximal-by-inclusion tiling: repeatedly take the first compatible
     copy found through the next anchor in a seed-shuffled vertex order.
 
@@ -914,8 +969,13 @@ def greedy_almost_tiling(pattern: Graph, g: Graph,
     unknown.  An anchor with no copy inside the current uncovered set can
     never be covered later (the uncovered set only shrinks), so it is
     marked dead; when every vertex is covered or dead the tiling is
-    maximal.
+    maximal.  ``budget`` bounds the candidates tried over the whole run;
+    past it BudgetExceeded is raised, carrying in ``partial`` the tiling
+    taken so far, which need not be maximal.  Either tiling is
+    re-verified first.
     """
+    if budget < 0:
+        raise ValidationError(f"budget must be >= 0, got {budget}")
     f = _system_on(g, f, pattern)
     rng = random.Random(seed)
     priority = list(range(g.n))
@@ -925,26 +985,30 @@ def greedy_almost_tiling(pattern: Graph, g: Graph,
         rank[v] = i
     plan = _Plan(pattern, _pattern_order(pattern))
     unconditioned = [()] * pattern.n
-    work = _Work(math.inf)
+    work = _Work(budget)
     pool = (1 << g.n) - 1
     embs = []
-    for anchor in priority:
-        if not pool >> anchor & 1:
-            continue
-        img = None
-        for step in range(pattern.n):
-            allowed = [pool & ~(1 << anchor)] * pattern.n
-            allowed[step] = 1 << anchor
-            img = next(_embed(g, f, plan, allowed, unconditioned, work, rank), None)
-            if img is not None:
-                break
-        if img is None:
-            pool &= ~(1 << anchor)  # dead: no copy through it can appear later
-            continue
-        emb = plan.copy(img)
-        embs.append(emb)
-        pool &= ~emb.mask
-    return Tiling(tuple(embs))
+    try:
+        for anchor in priority:
+            if not pool >> anchor & 1:
+                continue
+            img = None
+            for step in range(pattern.n):
+                allowed = [pool & ~(1 << anchor)] * pattern.n
+                allowed[step] = 1 << anchor
+                img = next(_embed(g, f, plan, allowed, unconditioned, work, rank), None)
+                if img is not None:
+                    break
+            if img is None:
+                pool &= ~(1 << anchor)  # dead: no copy through it can appear later
+                continue
+            emb = plan.copy(img)
+            embs.append(emb)
+            pool &= ~emb.mask
+    except BudgetExceeded as cut:
+        cut.partial = _verified(g, f, pattern, embs, "greedy tiling")
+        raise
+    return _verified(g, f, pattern, embs, "greedy tiling")
 
 
 def max_compatible_tiling(pattern: Graph, g: Graph,
@@ -955,12 +1019,12 @@ def max_compatible_tiling(pattern: Graph, g: Graph,
 
     The optimality flag is True only when enumeration and search both
     completed in budget; a budget cut returns the largest tiling found
-    so far.
+    so far.  The tiling is re-verified before it is returned.
     """
     f = _system_on(g, f, pattern)
     enum = enumerate_compatible_copies(pattern, g, f, budget=budget)
     work = _Work(budget, enum.expansions)
     chosen, exhausted = _pack((1 << g.n) - 1, enum.images, enum.masks, g.n, work, pattern.n,
                               g.n)
-    return MaxTilingResult(Tiling(tuple(map(enum.embedding, chosen))),
-                           exhausted and not enum.truncated, work.spent)
+    tiling = _verified(g, f, pattern, map(enum.embedding, chosen), "maximum tiling")
+    return MaxTilingResult(tiling, exhausted and not enum.truncated, work.spent)

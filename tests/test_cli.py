@@ -139,6 +139,28 @@ def test_solve_modes(files, capsys):
     assert code == 0 and body["copies"] == 2 and body["optimal"]
 
 
+def test_solve_greedy_honours_the_budget(files, capsys):
+    # C_9 is odd, so K_{14,14} has no copy, and the search for one is long
+    c9, k1414 = files["tmp"] / "c9.graph", files["tmp"] / "k1414.graph"
+    c9.write_text(format_graph(cycle_graph(9)), encoding="ascii")
+    k1414.write_text(format_graph(complete_multipartite(MultipartiteSpec((14, 14)))[0]),
+                     encoding="ascii")
+    code, out, _ = run_cli(["solve", "--pattern", str(c9), "--graph", str(k1414),
+                            "--mode", "greedy", "--budget", "1000"], capsys)
+    body = json.loads(out)
+    assert code == 2 and (body["status"], body["reason"]) == ("indeterminate", "budget")
+    assert (body["copies"], body["uncovered"], body["tiling"]) == (0, 28, [])
+    # a cut after some copies were taken reports them
+    code, out, _ = run_cli(["solve", "--pattern", files["k2"], "--graph", files["k6"],
+                            "--mode", "greedy", "--budget", "2"], capsys)
+    body = json.loads(out)
+    assert code == 2 and body["status"] == "indeterminate"
+    assert body["copies"] == len(body["tiling"]) == 1 and body["covered"] == 2
+    code, out, _ = run_cli(["solve", "--pattern", files["k2"], "--graph", files["k6"],
+                            "--mode", "greedy"], capsys)
+    assert code == 0 and "status" not in json.loads(out)
+
+
 def test_lattice_cli(files, capsys):
     code, out, _ = run_cli(["lattice", "--generators", files["gens"],
                             "--target", "1,-1"], capsys)

@@ -3,20 +3,20 @@ import math
 import random
 from dataclasses import replace
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from comptile import construct, lattice, oracles, solver
-from comptile.errors import ConsistencyError, ValidationError
+from comptile.errors import BudgetExceeded, ConsistencyError, ValidationError
 from comptile.graphs import (Graph, MultipartiteSpec, complete_graph,
                              complete_multipartite, cycle_graph, disjoint_union,
                              empty_graph, path_graph)
 from comptile.incompat import IncompatibilitySystem, edge_key, random_bounded_system
 from comptile.lattice import GeneratedLattice, refutes
-from comptile.solver import (FOUND, INDETERMINATE, NONE, Embedding,
+from comptile.solver import (FOUND, INDETERMINATE, NONE, Embedding, Tiling,
                              enumerate_compatible_copies, enumerate_transversal_copies,
                              find_compatible_factor, greedy_almost_tiling,
                              max_compatible_tiling, verify_embedding, verify_tiling)
@@ -560,6 +560,18 @@ def test_a_factor_failing_re_verification_is_a_consistency_error(monkeypatch):
         find_compatible_factor(complete_graph(3), complete_graph(6))
 
 
+def test_a_maximum_tiling_failing_re_verification_is_a_consistency_error(monkeypatch):
+    monkeypatch.setattr(solver, "verify_tiling", lambda *a: False)
+    with pytest.raises(ConsistencyError, match="maximum tiling failed re-verification"):
+        max_compatible_tiling(complete_graph(3), complete_graph(6))
+
+
+def test_a_greedy_tiling_failing_re_verification_is_a_consistency_error(monkeypatch):
+    monkeypatch.setattr(solver, "verify_tiling", lambda *a: False)
+    with pytest.raises(ConsistencyError, match="greedy tiling failed re-verification"):
+        greedy_almost_tiling(complete_graph(3), complete_graph(6))
+
+
 def _planted_host(rng):
     """A random host, a third of the time with an independent set planted
     (every triangle then puts at most one vertex in it), a third of the
@@ -732,6 +744,110 @@ def test_verify_embedding_refuses_a_copy_with_one_stored_field_changed(seed, fie
     assert not verify_embedding(host, f, pattern, forged)
 
 
+def _is_compatible_tiling(g, f, pattern, embeddings) -> bool:
+    """The definition, written out: each copy's fields derived from an
+    injective phi into g, every image edge a host edge, every two image
+    edges compatible, and no two copies sharing a vertex."""
+    for emb in embeddings:
+        phi = emb.phi
+        if len(phi) != pattern.n or len(set(phi)) != pattern.n:
+            return False
+        if any(not 0 <= v < g.n for v in phi) or emb.vertices != tuple(sorted(phi)):
+            return False
+        image = sorted(edge_key(phi[a], phi[b]) for a, b in pattern.edges())
+        if emb.edges != tuple(image) or not all(g.has_edge(*e) for e in image):
+            return False
+        if not all(f.are_compatible(e1, e2) for e1, e2 in combinations(image, 2)):
+            return False
+    return all(not set(a.phi) & set(b.phi) for a, b in combinations(embeddings, 2))
+
+
+_FORGERIES = ("moved", "out-of-range", "repeated", "wrong-length", "overlap", "non-edge",
+              "dropped-edge", "added-edge", "clash")
+
+
+def _forge(rng, g, f, pattern, tiling, copies, kind):
+    """(embeddings, system) with one copy of ``tiling`` forged by ``kind``
+    so that it is no compatible tiling, or None when this tiling leaves
+    no room for ``kind``."""
+    i = rng.randrange(len(tiling))
+    emb = tiling[i]
+    phi = list(emb.phi)
+    j = rng.randrange(len(phi))
+    forged = None
+    if kind == "moved":           # phi changed, the stored fields kept
+        phi[j] = rng.choice([v for v in range(g.n) if v != phi[j]])
+        forged = emb._replace(phi=tuple(phi))
+    elif kind == "out-of-range":  # the fields derived from phi, as a copy's are
+        phi[j] = rng.choice([-1, g.n, g.n + 3])
+        forged = Embedding.from_phi(pattern, tuple(phi))
+    elif kind == "repeated":      # two pattern vertices on one host vertex, apart if any are
+        pairs = list(permutations(range(len(phi)), 2))
+        apart = [(a, b) for a, b in pairs if not pattern.has_edge(a, b)]
+        if pairs:
+            a, b = rng.choice(apart or pairs)
+            phi[a] = phi[b]
+            forged = Embedding.from_phi(pattern, tuple(phi))
+    elif kind == "wrong-length":  # one image too few or too many, vertices kept sorted
+        phi = phi[:-1] if rng.random() < 0.5 else phi + [rng.randrange(g.n)]
+        forged = Embedding(tuple(phi), tuple(sorted(phi)), emb.edges)
+    elif kind == "overlap":       # another copy meeting the tiling, or a repeat
+        used = mask_of(v for e in tiling for v in e.vertices)
+        return tiling + [rng.choice([c for c in copies if c.mask & used])], f
+    elif kind == "non-edge":
+        moves = [(j, v) for j in range(len(phi)) for v in range(g.n) if v not in phi
+                 and any(not g.has_edge(*[v if x == j else phi[x] for x in (a, b)])
+                         for a, b in pattern.edges() if j in (a, b))]
+        if moves:
+            j, v = rng.choice(moves)
+            phi[j] = v
+            forged = Embedding.from_phi(pattern, tuple(phi))
+    elif kind == "dropped-edge":
+        if emb.edges:
+            edges = list(emb.edges)
+            del edges[rng.randrange(len(edges))]
+            forged = emb._replace(edges=tuple(edges))
+    elif kind == "added-edge":
+        extra = [e for e in combinations(range(g.n), 2) if e not in emb.edges]
+        if extra:
+            forged = emb._replace(edges=tuple(sorted(emb.edges + (rng.choice(extra),))))
+    else:                         # a clash at an image vertex of degree two or more
+        centres = [u for u in range(pattern.n) if pattern.degree(u) > 1]
+        if centres:
+            u = rng.choice(centres)
+            a, b = rng.sample(pattern.neighbors(u), 2)
+            clash = (emb.phi[u], emb.phi[a], emb.phi[b])
+            return tiling, IncompatibilitySystem(g, f.triples() + [clash])
+    if forged is None:
+        return None
+    return tiling[:i] + [forged] + tiling[i + 1:], f
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2**30),
+       forge=st.one_of(st.none(), st.sampled_from(_FORGERIES)))
+def test_verify_tiling_matches_the_definition(seed, forge):
+    rng = random.Random(seed)
+    pattern = random_graph(rng.randint(1, 4), 0.7, rng.getrandbits(30))
+    host = random_graph(rng.randint(4, 10), 0.7, rng.getrandbits(30))
+    f = random_system(host, rng.randint(0, 12), rng.getrandbits(30))
+    copies = enumerate_compatible_copies(pattern, host, f).copies
+    tiling, used = [], 0
+    for emb in rng.sample(copies, len(copies)):
+        if not emb.mask & used and rng.random() < 0.7:
+            tiling.append(emb)
+            used |= emb.mask
+    if forge is not None and tiling:
+        tiling, f = (_forge(rng, host, f, pattern, tiling, copies, forge)
+                     or _forge(rng, host, f, pattern, tiling, copies, "moved"))
+    expected = _is_compatible_tiling(host, f, pattern, tiling)
+    assert expected == (forge is None or not tiling)
+    assert verify_tiling(host, f, pattern, Tiling(tuple(tiling))) == expected
+    for emb in tiling:
+        assert verify_embedding(host, f, pattern, emb) == _is_compatible_tiling(
+            host, f, pattern, [emb])
+
+
 def test_monotone_in_system():
     rng = random.Random(31)
     k3 = complete_graph(3)
@@ -885,6 +1001,33 @@ def test_greedy_tiling_is_pinned(pattern, host, seed, phis):
     g, f = _greedy_host(host)
     tiling = greedy_almost_tiling(pattern, g, f, seed=seed)
     assert [e.phi for e in tiling.embeddings] == phis
+
+
+def test_greedy_budget_cut_raises_with_the_copies_taken_so_far():
+    # C_9 is odd, so K_{14,14} has no copy, and the search for one is long
+    c9 = cycle_graph(9)
+    k1414 = complete_multipartite(MultipartiteSpec((14, 14)))[0]
+    with pytest.raises(BudgetExceeded) as cut:
+        greedy_almost_tiling(c9, k1414, budget=1_000)
+    assert len(cut.value.partial) == 0
+    # a cut keeps a prefix of the tiling an ample budget gives, and it verifies
+    g, f = _greedy_host("bounded")
+    k3 = complete_graph(3)
+    full = greedy_almost_tiling(k3, g, f, seed=1)
+    prefixes = set()
+    for budget in (0, 5, 20, 40, 80, 160, 320):
+        try:
+            tiling = greedy_almost_tiling(k3, g, f, seed=1, budget=budget)
+        except BudgetExceeded as exc:
+            tiling = exc.partial
+        else:
+            assert tiling == full
+        assert tiling.embeddings == full.embeddings[:len(tiling)]
+        assert verify_tiling(g, f, k3, tiling)
+        prefixes.add(len(tiling))
+    assert len(prefixes) > 2
+    with pytest.raises(ValidationError, match="budget must be >= 0"):
+        greedy_almost_tiling(k3, g, f, budget=-1)
 
 
 def test_entry_points_reject_a_system_bound_to_another_graph():
