@@ -139,9 +139,15 @@ def _factor_gate(g: Graph, f: IncompatibilitySystem, pattern: Graph,
 def verify_absorber(g: Graph, f: IncompatibilitySystem, pattern: Graph,
                     s_set, a_set, t: int,
                     budget: int = solver.DEFAULT_BUDGET) -> VerifyResult:
-    """Size bound |A| <= h^2*t plus the two factor conditions, solver-checked."""
+    """Size bound |A| <= h^2*t plus the two factor conditions, solver-checked.
+
+    t < 1 is a usage error, as for a connector: no A fits |A| <= h^2*t
+    then, so a refutation would claim an absence no search established.
+    """
     s_set, a_set = sorted(set(s_set)), sorted(set(a_set))
     _check_inputs(g, pattern, s_set + a_set)
+    if t < 1:
+        raise ValidationError(f"absorber size parameter t must be >= 1, got {t}")
     h = pattern.n
     if set(s_set) & set(a_set):
         return VerifyResult(False, REFUTED, "A intersects S")
@@ -162,15 +168,14 @@ def verify_connector(g: Graph, f: IncompatibilitySystem, pattern: Graph,
     Both factor searches take their copies from one enumeration of
     G[S u {u, v}], or from ``copies``, an enumeration of the same
     pattern, g and f over a superset of it (``find_connector`` passes
-    its own); ``budget`` covers what ``_factor_gate`` says.
+    its own); ``budget`` covers what ``_factor_gate`` says.  t < 1 and
+    u == v are usage errors, as for ``find_connector``.
     """
     s_set = sorted(set(s_set))
-    _check_inputs(g, pattern, s_set + [u, v])
+    _check_connector_inputs(g, pattern, u, v, t, s_set)
     h = pattern.n
     if u in s_set or v in s_set:
         return VerifyResult(False, REFUTED, "S must avoid its endpoints")
-    if u == v:
-        return VerifyResult(False, REFUTED, "endpoints must differ")
     if len(s_set) > h * t - 1:
         return VerifyResult(False, REFUTED,
                             f"|S| = {len(s_set)} exceeds h*t - 1 = {h * t - 1}")
@@ -197,9 +202,10 @@ class ConnectorSearch:
     expansions: int = 0
 
 
-def _check_connector_inputs(g: Graph, pattern: Graph, u: int, v: int, t: int, w_set=()):
-    """Usage errors of a connector search, rejected before it starts."""
-    _check_inputs(g, pattern, (u, v, *w_set))
+def _check_connector_inputs(g: Graph, pattern: Graph, u: int, v: int, t: int, others=()):
+    """Usage errors of a connector search or check, rejected before it
+    starts; ``others`` are further vertices that must lie in the graph."""
+    _check_inputs(g, pattern, (u, v, *others))
     if t < 1:
         raise ValidationError(f"connector size parameter t must be >= 1, got {t}")
     if u == v:
@@ -233,30 +239,36 @@ def find_connector(g: Graph, f: IncompatibilitySystem, pattern: Graph,
     enum = solver.enumerate_compatible_copies(pattern, g, f, budget=budget, pool=pool)
     if enum.truncated:
         return ConnectorSearch(solver.INDETERMINATE, None, enum.expansions)
-    return _search_connector(g, f, pattern, u, v, t, enum,
-                             [msk for msk in enum.masks if not msk >> v & 1],
+    masks = [msk for msk in enum.masks if not msk >> v & 1]
+    return _search_connector(g, f, pattern, u, v, t, enum, masks,
+                             [msk for msk in masks if msk >> u & 1], 0,
                              enum.expansions, budget, {})
 
 
 def _search_connector(g: Graph, f: IncompatibilitySystem, pattern: Graph,
                       u: int, v: int, t: int, copies: solver.CopyEnumeration,
-                      masks: list, spent: int, budget: int,
-                      verdicts: dict) -> ConnectorSearch:
+                      masks: list, through_u: list, avoid: int, spent: int,
+                      budget: int, verdicts: dict) -> ConnectorSearch:
     """``find_connector``'s candidate loop over the copy masks ``masks``
-    (canonical order, none containing v or meeting W), after ``spent``
-    expansions; each candidate is verified on ``copies``, a complete
-    enumeration over a pool that holds every candidate and u and v.
+    (canonical order, none containing v) and ``through_u``, those of them
+    that contain u, after ``spent`` expansions; each candidate is verified
+    on ``copies``, a complete enumeration over a pool that holds every
+    candidate and u and v.
+
+    ``avoid`` is the vertex mask of W: a copy that meets it is skipped, so
+    the loop runs as it would over the copies that miss W, without a
+    filtered list per W.  It seeds the union of the copies taken and is
+    taken out of each candidate again.
 
     ``verdicts`` maps each candidate S already verified, as a vertex mask,
     to whether it is a connector for u, v; such an S is not verified again
     and costs nothing.  A verification cut by the budget is not stored.
     """
     expansions = spent
-    through_u = [msk for msk in masks if msk >> u & 1]
     for j in range(1, t + 1):
         # explicit stack: todo[d] holds the untried candidates for copy d,
-        # unions[d] the union of copies 0..d-1
-        todo, unions = [iter(through_u)], [0]
+        # unions[d] W plus the union of copies 0..d-1
+        todo, unions = [iter(through_u)], [avoid]
         while todo:
             msk = next(todo[-1], None)
             if msk is None:
@@ -270,7 +282,7 @@ def _search_connector(g: Graph, f: IncompatibilitySystem, pattern: Graph,
                 todo.append(iter(masks))
                 unions.append(used)
                 continue
-            s_mask = used & ~(1 << u)
+            s_mask = (used ^ avoid) & ~(1 << u)
             if s_mask not in verdicts:
                 check = verify_connector(g, f, pattern, tuple(bits(s_mask)), u, v, t,
                                          budget=budget - expansions, copies=copies)
@@ -285,7 +297,9 @@ def _search_connector(g: Graph, f: IncompatibilitySystem, pattern: Graph,
 
 
 def _for_every(exhaustive: bool, every, draw, samples: int, holds) -> tuple:
-    """Quantify 'holds(W) for every W': (verdict, checked, witness).
+    """Quantify 'holds(W) for every W': (verdict, checked, witness), the
+    W one at a time; reachability and absorbing sets use it, and robust
+    vectors when they sample.
 
     Exhaustive runs over the iterable ``every`` and can PROVE; otherwise
     ``samples`` calls of ``draw`` can at best SUPPORT.  ``holds`` answers
@@ -328,15 +342,17 @@ def reachability_estimate(g: Graph, f: IncompatibilitySystem, pattern: Graph,
     requires the inner connector search to have exhausted its space, so
     the witness is genuine; inner budget blowups surface as INDETERMINATE.
 
-    The host is enumerated once per call: the copies of G - W are
-    exactly the host copies that miss W, so each W runs
-    ``find_connector``'s candidate loop over the host copies that miss W
-    and v, in the same canonical order, and verifies each candidate on
-    the host enumeration; it gets the same answer as its own search
-    would.  The loops share one table of verdicts, so each candidate S is
-    verified at most once per call, and ``budget`` bounds the whole call:
-    the enumeration plus those checks.  So a budget under which every W's
-    own ``find_connector`` decides can leave the call INDETERMINATE.
+    The host is enumerated once per call, at the first W, and its copies
+    that miss v, and those of them through u, are listed once then.  The
+    copies of G - W are exactly the host copies that miss W, so each W
+    runs ``find_connector``'s candidate loop over those two lists with W
+    as the mask to avoid, in the same canonical order, and verifies each
+    candidate on the host enumeration; it gets the same answer as its own
+    search would.  The loops share one table of verdicts, so each
+    candidate S is verified at most once per call, and ``budget`` bounds
+    the whole call: the enumeration plus those checks.  So a budget under
+    which every W's own ``find_connector`` decides can leave the call
+    INDETERMINATE.
     """
     _check_connector_inputs(g, pattern, u, v, t)
     if m < 0:
@@ -347,21 +363,21 @@ def reachability_estimate(g: Graph, f: IncompatibilitySystem, pattern: Graph,
     population = math.comb(len(others), m)
     exhaustive = population <= DEFAULT_EXHAUSTIVE_CAP
     rng = random.Random(seed)
-    enum = spent = None
+    enum = spent = masks = through_u = None
     verdicts = {}
 
     def has_connector(w_set):
-        nonlocal enum, spent
+        nonlocal enum, spent, masks, through_u
         if enum is None:
             # made at the first W, so _for_every rejects bad samples before any search
             enum = solver.enumerate_compatible_copies(pattern, g, f, budget=budget)
             spent = enum.expansions
+            masks = [msk for msk in enum.masks if not msk >> v & 1]
+            through_u = [msk for msk in masks if msk >> u & 1]
         if enum.truncated:
             return None
-        avoid = mask_of(w_set) | 1 << v
-        res = _search_connector(g, f, pattern, u, v, t, enum,
-                                [msk for msk in enum.masks if not msk & avoid],
-                                spent, budget, verdicts)
+        res = _search_connector(g, f, pattern, u, v, t, enum, masks, through_u,
+                                mask_of(w_set), spent, budget, verdicts)
         spent = res.expansions
         return None if res.status == solver.INDETERMINATE else res.status == solver.FOUND
 
@@ -442,6 +458,56 @@ def assemble_absorber(g: Graph, f: IncompatibilitySystem, pattern: Graph,
     return Absorber(tuple(sorted(s_set)), a_set, t_cap)
 
 
+def _first_hitting_set(masks, n: int, w: int):
+    """The first W of ``combinations(range(n), w)`` that meets every mask
+    of ``masks``, or None.
+
+    Walks the prefix tree of ``combinations`` in its order, on an explicit
+    stack (w may be close to n).  At a prefix C with next vertex x and r
+    slots left it keeps the masks C misses, and skips the child C + (x,)
+    only when no completion can meet all of them: a mask missed by C + (x,)
+    has no vertex above x (then no later x helps either), or the masks it
+    misses, cut to the vertices above x, hold more than r - 1 pairwise
+    disjoint ones (greedily packed), each needing a vertex of its own.  So
+    it reaches the same first W and visits no node the plain walk does
+    not.  Once nothing is missed, the first completion, C + (x, x+1, ...),
+    is the answer.
+    """
+    if w == 0:
+        return None if masks else ()
+    prefixes, missed, todo = [()], [list(masks)], [iter(range(n - w + 1))]
+    while todo:
+        x = next(todo[-1], None)
+        if x is None:
+            prefixes.pop()
+            missed.pop()
+            todo.pop()
+            continue
+        prefix = prefixes[-1]
+        left = w - len(prefix) - 1        # slots after x
+        rest, used, disjoint = [], 0, 0
+        for msk in missed[-1]:
+            if msk >> x & 1:
+                continue
+            above = msk >> x + 1
+            if not above:                 # no vertex from x on: the prefix is dead
+                todo[-1] = iter(())
+                break
+            if not above & used:
+                used |= above
+                disjoint += 1
+                if disjoint > left:
+                    break
+            rest.append(msk)
+        else:
+            if not rest:
+                return prefix + tuple(range(x, x + left + 1))
+            prefixes.append(prefix + (x,))
+            missed.append(rest)
+            todo.append(iter(range(x + 1, n - left + 1)))
+    return None
+
+
 @dataclass
 class VectorReport:
     vector: tuple
@@ -468,11 +534,14 @@ def robust_vectors(g: Graph, f: IncompatibilitySystem, pattern: Graph,
 
     Candidate vectors are those realized by some compatible copy.  A
     vector with more than floor(beta*n) pairwise disjoint realizing
-    copies is PROVEN robust outright (no W can hit them all).  Otherwise
-    the W-space is exhausted when it fits the cap, else sampled; the
-    verdict label records which.  A W that hits every copy found proves
-    the vector not robust only when the enumeration was complete; after
-    a truncated one the vector is INDETERMINATE, without a witness.
+    copies is PROVEN robust outright (no W can hit them all).  Otherwise,
+    when the W-space fits the cap, ``_first_hitting_set`` walks it in
+    ``combinations`` order, pruning the prefixes that no completion can
+    extend to a W meeting every copy, and finds the first such W (or
+    proves there is none); past the cap W is sampled.  The verdict label
+    records which.  A W that hits every copy found proves the vector not
+    robust only when the enumeration was complete; after a truncated one
+    the vector is INDETERMINATE, without a witness.
     Testing |W| = floor(beta*n) exactly covers all smaller W too
     (supersets only make deletion harder).
     """
@@ -507,13 +576,17 @@ def robust_vectors(g: Graph, f: IncompatibilitySystem, pattern: Graph,
             reports[vec] = VectorReport(vec, True, PROVEN, disjoint_copies=taken)
             continue
 
-        def survives(w_set):
-            w_mask = mask_of(w_set)
-            return not all(msk & w_mask for msk in masks)
+        if population <= DEFAULT_EXHAUSTIVE_CAP:
+            killer = _first_hitting_set(masks, g.n, w)
+            verdict = PROVEN
+        else:
+            def survives(w_set):
+                w_mask = mask_of(w_set)
+                return not all(msk & w_mask for msk in masks)
 
-        verdict, _, killer = _for_every(
-            population <= DEFAULT_EXHAUSTIVE_CAP, combinations(range(g.n), w),
-            lambda: tuple(sorted(rng.sample(range(g.n), w))), samples, survives)
+            verdict, _, killer = _for_every(
+                False, None, lambda: tuple(sorted(rng.sample(range(g.n), w))),
+                samples, survives)
         if killer is None:
             reports[vec] = VectorReport(vec, True, verdict)
         elif enum.truncated:    # a copy the enumeration did not reach may miss the killer

@@ -1,10 +1,14 @@
 import math
 import random
+import time
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from comptile import absorb, solver
 from comptile.absorb import (Connector, assemble_absorber, concatenate_connectors,
@@ -14,6 +18,7 @@ from comptile.absorb import (Connector, assemble_absorber, concatenate_connector
 from comptile.errors import ValidationError
 from comptile.graphs import Graph, VertexPartition, complete_graph
 from comptile.incompat import IncompatibilitySystem, random_bounded_system
+from comptile.oracles import raw_compatible_copies
 from comptile.solver import Embedding
 from comptile.util import mask_of
 
@@ -23,6 +28,7 @@ DEFAULT_CAP = absorb.DEFAULT_EXHAUSTIVE_CAP
 
 K2 = complete_graph(2)
 K3 = complete_graph(3)
+P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
 
 
 def empty(g):
@@ -43,7 +49,8 @@ def test_verify_connector_examples():
 def test_verify_absorber_examples():
     g = Graph.from_edges(4, [(0, 1), (2, 3), (0, 2), (1, 3)])
     assert verify_absorber(g, empty(g), K2, [0, 1], [2, 3], 1).ok
-    res = verify_absorber(g, empty(g), K2, [0, 1], [2, 3], 0)
+    k7 = complete_graph(7)
+    res = verify_absorber(k7, empty(k7), K2, [0, 1], [2, 3, 4, 5, 6], 1)   # |A| = 5 > 4
     assert not res.ok and "h^2*t" in res.reason
     # A empty: S itself spans a copy, the empty factor covers G[A]
     assert verify_absorber(g, empty(g), K2, [0, 1], [], 1).ok
@@ -205,6 +212,20 @@ def test_reachability_matches_a_find_connector_per_w(monkeypatch):
         verdicts[rep.verdict] += 1
     # both regimes, and REFUTED witnesses, are exercised
     assert min(verdicts[v] for v in (absorb.PROVEN, absorb.SUPPORTED, absorb.REFUTED)) >= 5
+
+
+@given(seed=st.integers(0, 2**30))
+def test_reachability_matches_the_definition_when_exhaustive(seed):
+    rng = random.Random(seed)
+    n = rng.randint(4, 10)
+    g = random_graph(n, rng.choice([.5, .7, .9]), rng.getrandbits(30))
+    f = random_bounded_system(g, rng.choice(["0", "1/8", "1/4"]), rng.getrandbits(30))
+    pattern, t = rng.choice([K2, K3, P3]), rng.choice([1, 2])
+    u, v = rng.sample(range(n), 2)
+    m = rng.randint(0, min(4, n - 2))
+    assert math.comb(n - 2, m) <= DEFAULT_CAP
+    want = _reach_by_find_connector(g, f, pattern, u, v, m, t, 1, 0, DEFAULT_CAP)
+    assert reachability_estimate(g, f, pattern, u, v, m, t) == want
 
 
 def test_reachability_verifies_each_candidate_once(monkeypatch):
@@ -397,6 +418,60 @@ def test_robust_vectors_claim_no_refutation_from_a_truncated_enumeration():
         assert (rep.robust, rep.verdict, rep.witness) == (False, absorb.INDETERMINATE, None)
 
 
+def _first_hitting_set_by_brute_force(masks, n, w):
+    for w_set in combinations(range(n), w):
+        w_mask = mask_of(w_set)
+        if all(msk & w_mask for msk in masks):
+            return w_set
+    return None
+
+
+@settings(max_examples=300)
+@given(n=st.integers(0, 11), data=st.data())
+def test_first_hitting_set_matches_brute_force(n, data):
+    small = st.sets(st.integers(0, n - 1), max_size=4).map(mask_of) if n else st.just(0)
+    masks = data.draw(st.lists(st.one_of(small, st.integers(0, (1 << n) - 1)), max_size=12))
+    for w in range(n + 1):
+        assert absorb._first_hitting_set(masks, n, w) == \
+            _first_hitting_set_by_brute_force(masks, n, w), (masks, w)
+
+
+def test_first_hitting_set_prunes_the_walk():
+    # every 27-set of K_30 misses a triangle and every 28-set meets all of them;
+    # branching on a missed triangle instead ran for over a minute on the first
+    triangles = [mask_of(c) for c in combinations(range(30), 3)]
+    assert len(triangles) == 4060
+    start = time.process_time()
+    assert absorb._first_hitting_set(triangles, 30, 27) is None
+    assert absorb._first_hitting_set(triangles, 30, 28) == tuple(range(28))
+    assert time.process_time() - start < 5
+
+
+@given(seed=st.integers(0, 2**30))
+def test_robust_vectors_match_a_walk_over_every_w(seed):
+    rng = random.Random(seed)
+    n = rng.randint(3, 10)
+    g = random_graph(n, rng.choice([.4, .7, 1.]), rng.getrandbits(30))
+    f = random_bounded_system(g, rng.choice(["0", "1/4"]), rng.getrandbits(30))
+    pattern = rng.choice([K2, K3, P3])
+    order = rng.sample(range(n), n)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, 2)))
+    p = VertexPartition(n, tuple(tuple(order[a:b]) for a, b in zip([0, *cuts], [*cuts, n])))
+    beta = Fraction(rng.randint(0, n), n)
+    rep = robust_vectors(g, f, pattern, p, beta)
+    w = math.floor(beta * n)
+    by_vector = {}
+    for vertices, _ in raw_compatible_copies(pattern, g, f):
+        vec = tuple(sum(x in blk for x in vertices) for blk in p.blocks)
+        by_vector.setdefault(vec, []).append(mask_of(vertices))
+    assert (rep.w_size, rep.enumeration_truncated) == (w, False)
+    assert sorted(rep.vectors) == sorted(by_vector)
+    for vec, masks in by_vector.items():
+        killer = _first_hitting_set_by_brute_force(masks, n, w)
+        got = rep.vectors[vec]
+        assert (got.robust, got.verdict, got.witness) == (killer is None, absorb.PROVEN, killer)
+
+
 @pytest.mark.parametrize("beta", [2, "-1/3"])
 def test_robust_vectors_reject_beta_outside_the_unit_interval(beta):
     # beta=2 asks for |W| = 12 > n and used to prove every vector robust vacuously
@@ -425,6 +500,22 @@ def test_verifiers_reject_vertices_outside_the_graph(kind, s_set, a_set, u, v):
             verify_absorber(k6, empty(k6), K3, s_set, a_set, 1)
         else:
             verify_connector(k6, empty(k6), K3, s_set, u, v, 1)
+
+
+@pytest.mark.parametrize("kind, u, v, t, match", [
+    ("absorber", 0, 1, 0, "t must be >= 1"), ("absorber", 0, 1, -1, "t must be >= 1"),
+    ("connector", 0, 1, 0, "t must be >= 1"), ("connector", 0, 1, -1, "t must be >= 1"),
+    ("connector", 0, 0, 1, "endpoints must differ"),
+], ids=["absorber-t-zero", "absorber-t-negative", "connector-t-zero",
+        "connector-t-negative", "connector-u-equals-v"])
+def test_verifiers_reject_bad_parameters(kind, u, v, t, match):
+    # a refutation here would claim a proven absence; find_connector rejects the same input
+    k6 = complete_graph(6)
+    with pytest.raises(ValidationError, match=match):
+        if kind == "absorber":
+            verify_absorber(k6, empty(k6), K2, [0, 1], [2, 3], t)
+        else:
+            verify_connector(k6, empty(k6), K2, [2], u, v, t)
 
 
 def test_absorbing_set_residuals_never_outgrow_the_outside():
