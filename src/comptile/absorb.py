@@ -19,6 +19,10 @@ certificate applies), SUPPORTED(k/k) when sampled, REFUTED with a
 witness, INDETERMINATE when a budget ran out.  Sampling never upgrades
 itself to proof, and it takes at least one sample.
 
+``find_connector`` and ``reachability_estimate`` share one connector
+search; its candidates meet the size and endpoint laws by construction
+and go straight to the factor gate that ``verify_connector`` runs.
+
 Every Absorber/Connector returned by an assembly operation has already
 re-passed its own verifier; a verification failure inside an assembly is
 a ConsistencyError, because the defining factor tilings of the pieces
@@ -83,14 +87,6 @@ def _check_inputs(g: Graph, pattern: Graph, vertices):
         raise ValidationError("vertices must lie in the graph")
 
 
-def _factor_on(g: Graph, f: IncompatibilitySystem, pattern: Graph,
-               vertices, budget: int, copies=None) -> solver.FactorResult:
-    """Compatible-factor decision on G[vertices], host-id tiling; rows
-    from ``copies`` when given (see ``solver.find_compatible_factor``)."""
-    return solver.find_compatible_factor(pattern, g, f, budget=budget,
-                                         pool=mask_of(vertices), copies=copies)
-
-
 def _factor_gate(g: Graph, f: IncompatibilitySystem, pattern: Graph,
                  named_sets, budget: int, copies=None) -> VerifyResult:
     """PROVEN when every G[vertices] of ``named_sets`` has a compatible factor.
@@ -124,7 +120,8 @@ def _factor_gate(g: Graph, f: IncompatibilitySystem, pattern: Graph,
                                 + " hit budget", expansions=spent)
     tilings = []
     for name, vertices in named_sets:
-        res = _factor_on(g, f, pattern, vertices, budget - spent, copies)
+        res = solver.find_compatible_factor(pattern, g, f, budget=budget - spent,
+                                            pool=mask_of(vertices), copies=copies)
         spent += res.expansions
         if res.status == solver.INDETERMINATE:
             return VerifyResult(False, INDETERMINATE,
@@ -162,14 +159,12 @@ def verify_absorber(g: Graph, f: IncompatibilitySystem, pattern: Graph,
 
 def verify_connector(g: Graph, f: IncompatibilitySystem, pattern: Graph,
                      s_set, u: int, v: int, t: int,
-                     budget: int = solver.DEFAULT_BUDGET, copies=None) -> VerifyResult:
+                     budget: int = solver.DEFAULT_BUDGET) -> VerifyResult:
     """Size bound |S| <= h*t - 1 plus factors of G[S u {u}] and G[S u {v}].
 
     Both factor searches take their copies from one enumeration of
-    G[S u {u, v}], or from ``copies``, an enumeration of the same
-    pattern, g and f over a superset of it (``find_connector`` passes
-    its own); ``budget`` covers what ``_factor_gate`` says.  t < 1 and
-    u == v are usage errors, as for ``find_connector``.
+    G[S u {u, v}]; ``budget`` covers what ``_factor_gate`` says.  t < 1
+    and u == v are usage errors, as for ``find_connector``.
     """
     s_set = sorted(set(s_set))
     _check_connector_inputs(g, pattern, u, v, t, s_set)
@@ -180,7 +175,7 @@ def verify_connector(g: Graph, f: IncompatibilitySystem, pattern: Graph,
         return VerifyResult(False, REFUTED,
                             f"|S| = {len(s_set)} exceeds h*t - 1 = {h * t - 1}")
     return _factor_gate(g, f, pattern,
-                        (("S u {u}", s_set + [u]), ("S u {v}", s_set + [v])), budget, copies)
+                        (("S u {u}", s_set + [u]), ("S u {v}", s_set + [v])), budget)
 
 
 def _reverified(check: VerifyResult, during: str, what: str):
@@ -221,11 +216,9 @@ def find_connector(g: Graph, f: IncompatibilitySystem, pattern: Graph,
     exactly the unions of j vertex-disjoint compatible copies through u
     minus u itself (any valid S tiles S u {u} that way), found in
     deterministic order; each candidate is accepted once G[S u {v}]
-    factors as well.  G - W is enumerated once: the candidates are built
-    from its copies that miss v, the first copy of a union one through
-    u, each later one a copy disjoint from the union so far, both in
-    canonical order; and every candidate's two factor searches take
-    their copies from the same enumeration.
+    factors as well.  G - W is enumerated once, and ``_connector_search``
+    builds the candidates from its copies and decides every candidate's
+    two factor searches on them.
 
     ``expansions`` counts the enumeration plus every candidate's factor
     searches, which share what the enumeration left of ``budget``; a
@@ -236,64 +229,71 @@ def find_connector(g: Graph, f: IncompatibilitySystem, pattern: Graph,
     if w_mask >> u & 1 or w_mask >> v & 1:
         raise ValidationError("W must avoid the endpoints")
     pool = ((1 << g.n) - 1) & ~w_mask
-    enum = solver.enumerate_compatible_copies(pattern, g, f, budget=budget, pool=pool)
-    if enum.truncated:
-        return ConnectorSearch(solver.INDETERMINATE, None, enum.expansions)
-    masks = [msk for msk in enum.masks if not msk >> v & 1]
-    return _search_connector(g, f, pattern, u, v, t, enum, masks,
-                             [msk for msk in masks if msk >> u & 1], 0,
-                             enum.expansions, budget, {})
+    return _connector_search(g, f, pattern, u, v, t, budget, pool)(0)
 
 
-def _search_connector(g: Graph, f: IncompatibilitySystem, pattern: Graph,
-                      u: int, v: int, t: int, copies: solver.CopyEnumeration,
-                      masks: list, through_u: list, avoid: int, spent: int,
-                      budget: int, verdicts: dict) -> ConnectorSearch:
-    """``find_connector``'s candidate loop over the copy masks ``masks``
-    (canonical order, none containing v) and ``through_u``, those of them
-    that contain u, after ``spent`` expansions; each candidate is verified
-    on ``copies``, a complete enumeration over a pool that holds every
-    candidate and u and v.
+def _connector_search(g: Graph, f: IncompatibilitySystem, pattern: Graph,
+                      u: int, v: int, t: int, budget: int, pool=None):
+    """Enumerate G[pool] (the host when ``pool`` is None) now, and return
+    ``search(avoid)``: the smallest connector for u, v inside the pool
+    that avoids W, whose vertex mask is ``avoid``, as a ConnectorSearch.
 
-    ``avoid`` is the vertex mask of W: a copy that meets it is skipped, so
-    the loop runs as it would over the copies that miss W, without a
-    filtered list per W.  It seeds the union of the copies taken and is
-    taken out of each candidate again.
+    The candidates are built from the copies that miss v: the first copy
+    of a union one through u, each later one a copy disjoint from the
+    union so far, both in canonical order.  A copy that meets W is
+    skipped, so the loop runs as it would over the copies of G[pool] - W.
+    A candidate S, the union minus u, meets |S| <= h*t - 1 and avoids u
+    and v by construction, so it goes straight to ``_factor_gate`` on the
+    one enumeration.
 
-    ``verdicts`` maps each candidate S already verified, as a vertex mask,
-    to whether it is a connector for u, v; such an S is not verified again
-    and costs nothing.  A verification cut by the budget is not stored.
+    The calls to ``search`` share one table of verdicts, so each S is
+    checked at most once, and one count of expansions: the enumeration
+    plus every check, each check getting ``budget`` less that count.  A
+    check cut by the budget is not stored.
     """
-    expansions = spent
-    for j in range(1, t + 1):
-        # explicit stack: todo[d] holds the untried candidates for copy d,
-        # unions[d] W plus the union of copies 0..d-1
-        todo, unions = [iter(through_u)], [avoid]
-        while todo:
-            msk = next(todo[-1], None)
-            if msk is None:
-                todo.pop()
-                unions.pop()
-                continue
-            if msk & unions[-1]:
-                continue
-            used = unions[-1] | msk
-            if len(todo) < j:
-                todo.append(iter(masks))
-                unions.append(used)
-                continue
-            s_mask = (used ^ avoid) & ~(1 << u)
-            if s_mask not in verdicts:
-                check = verify_connector(g, f, pattern, tuple(bits(s_mask)), u, v, t,
-                                         budget=budget - expansions, copies=copies)
-                expansions += check.expansions
-                if check.status == INDETERMINATE:
-                    return ConnectorSearch(solver.INDETERMINATE, None, expansions)
-                verdicts[s_mask] = check.ok
-            if verdicts[s_mask]:
-                return ConnectorSearch(solver.FOUND, Connector(u, v, tuple(bits(s_mask)), t),
-                                       expansions)
-    return ConnectorSearch(solver.NONE, None, expansions)
+    enum = solver.enumerate_compatible_copies(pattern, g, f, budget=budget, pool=pool)
+    masks = [msk for msk in enum.masks if not msk >> v & 1]
+    through_u = [msk for msk in masks if msk >> u & 1]
+    verdicts = {}
+    spent = enum.expansions
+
+    def search(avoid: int) -> ConnectorSearch:
+        nonlocal spent
+        if enum.truncated:
+            return ConnectorSearch(solver.INDETERMINATE, None, spent)
+        for j in range(1, t + 1):
+            # explicit stack: todo[d] holds the untried candidates for copy d,
+            # unions[d] W plus the union of copies 0..d-1
+            todo, unions = [iter(through_u)], [avoid]
+            while todo:
+                msk = next(todo[-1], None)
+                if msk is None:
+                    todo.pop()
+                    unions.pop()
+                    continue
+                if msk & unions[-1]:
+                    continue
+                used = unions[-1] | msk
+                if len(todo) < j:
+                    todo.append(iter(masks))
+                    unions.append(used)
+                    continue
+                s_mask = (used ^ avoid) & ~(1 << u)
+                if s_mask not in verdicts:
+                    s_set = list(bits(s_mask))
+                    check = _factor_gate(g, f, pattern,
+                                         (("S u {u}", s_set + [u]), ("S u {v}", s_set + [v])),
+                                         budget - spent, enum)
+                    spent += check.expansions
+                    if check.status == INDETERMINATE:
+                        return ConnectorSearch(solver.INDETERMINATE, None, spent)
+                    verdicts[s_mask] = check.ok
+                if verdicts[s_mask]:
+                    return ConnectorSearch(solver.FOUND,
+                                           Connector(u, v, tuple(bits(s_mask)), t), spent)
+        return ConnectorSearch(solver.NONE, None, spent)
+
+    return search
 
 
 def _for_every(exhaustive: bool, every, draw, samples: int, holds) -> tuple:
@@ -342,17 +342,15 @@ def reachability_estimate(g: Graph, f: IncompatibilitySystem, pattern: Graph,
     requires the inner connector search to have exhausted its space, so
     the witness is genuine; inner budget blowups surface as INDETERMINATE.
 
-    The host is enumerated once per call, at the first W, and its copies
-    that miss v, and those of them through u, are listed once then.  The
-    copies of G - W are exactly the host copies that miss W, so each W
-    runs ``find_connector``'s candidate loop over those two lists with W
-    as the mask to avoid, in the same canonical order, and verifies each
-    candidate on the host enumeration; it gets the same answer as its own
-    search would.  The loops share one table of verdicts, so each
-    candidate S is verified at most once per call, and ``budget`` bounds
-    the whole call: the enumeration plus those checks.  So a budget under
-    which every W's own ``find_connector`` decides can leave the call
-    INDETERMINATE.
+    The host is enumerated once per call, before the first W, so a
+    sampled call with ``samples`` < 1 enumerates before it raises, as
+    ``robust_vectors`` does; one ``_connector_search`` over it answers
+    every W.  The copies of G - W are exactly the host copies that miss W,
+    so each W gets the answer its own ``find_connector`` would.  The W
+    share one table of verdicts, so each candidate S is checked at most
+    once per call, and ``budget`` bounds the whole call: the enumeration
+    plus those checks.  So a budget under which every W's own
+    ``find_connector`` decides can leave the call INDETERMINATE.
     """
     _check_connector_inputs(g, pattern, u, v, t)
     if m < 0:
@@ -363,23 +361,11 @@ def reachability_estimate(g: Graph, f: IncompatibilitySystem, pattern: Graph,
     population = math.comb(len(others), m)
     exhaustive = population <= DEFAULT_EXHAUSTIVE_CAP
     rng = random.Random(seed)
-    enum = spent = masks = through_u = None
-    verdicts = {}
+    search = _connector_search(g, f, pattern, u, v, t, budget)
 
     def has_connector(w_set):
-        nonlocal enum, spent, masks, through_u
-        if enum is None:
-            # made at the first W, so _for_every rejects bad samples before any search
-            enum = solver.enumerate_compatible_copies(pattern, g, f, budget=budget)
-            spent = enum.expansions
-            masks = [msk for msk in enum.masks if not msk >> v & 1]
-            through_u = [msk for msk in masks if msk >> u & 1]
-        if enum.truncated:
-            return None
-        res = _search_connector(g, f, pattern, u, v, t, enum, masks, through_u,
-                                mask_of(w_set), spent, budget, verdicts)
-        spent = res.expansions
-        return None if res.status == solver.INDETERMINATE else res.status == solver.FOUND
+        status = search(mask_of(w_set)).status
+        return None if status == solver.INDETERMINATE else status == solver.FOUND
 
     verdict, checked, witness = _for_every(
         exhaustive, combinations(others, m),
@@ -446,7 +432,8 @@ def assemble_absorber(g: Graph, f: IncompatibilitySystem, pattern: Graph,
         for j in range(i + 1, len(pieces)):
             if pieces[i] & pieces[j]:
                 raise ValidationError("absorber pieces are not pairwise disjoint")
-    if _factor_on(g, f, pattern, t_copy, budget).status != solver.FOUND:
+    if solver.find_compatible_factor(pattern, g, f, budget=budget,
+                                     pool=mask_of(t_copy)).status != solver.FOUND:
         raise ValidationError("T does not span a compatible copy")
     t_cap = max(c.t for c in connectors)
     a_set = tuple(sorted(set(t_copy) | {x for c in connectors for x in c.s}))
@@ -548,13 +535,10 @@ def robust_vectors(g: Graph, f: IncompatibilitySystem, pattern: Graph,
     beta = Fraction(beta)
     if not 0 <= beta <= 1:   # |W| > n would leave no W to check: a vacuous proof
         raise ValidationError(f"beta must lie in [0, 1], got {beta}")
+    if p.n != g.n:
+        raise ValidationError(f"the partition covers {p.n} vertices, the graph has {g.n}")
     w = frac_floor(beta * g.n)
     enum = solver.enumerate_compatible_copies(pattern, g, f, budget=budget)
-    covered = 0
-    for msk in enum.masks:
-        covered |= msk
-    if covered >> p.n:
-        raise ValidationError("vertex outside the partition's ground set")
     by_vector = {}
     for msk in enum.masks:
         by_vector.setdefault(mask_index_vector(msk, p), []).append(msk)
@@ -651,7 +635,9 @@ def verify_absorbing_set(g: Graph, f: IncompatibilitySystem, pattern: Graph,
             if shared.truncated:
                 return None
             left -= shared.expansions
-        status = _factor_on(g, f, pattern, a_set + list(r_set), left, shared).status
+        status = solver.find_compatible_factor(pattern, g, f, budget=left,
+                                               pool=mask_of(a_set + list(r_set)),
+                                               copies=shared).status
         return None if status == solver.INDETERMINATE else status == solver.FOUND
 
     verdict, checked, witness = _for_every(
@@ -670,8 +656,9 @@ def merge_via_transferral(g: Graph, f: IncompatibilitySystem, pattern: Graph,
     fam_p / fam_q map index vectors to lists of pairwise disjoint
     compatible copies (multiplicities p_vec / q_vec from a coefficient
     split of u_i - u_j, where x sits in block i and y in block j).  The
-    copy vertices pair up block-by-block: x_1 from fam_p in block i, y_1
-    from fam_q in block j, the rest within common blocks.  Respecting
+    copy vertices pair up block-by-block: x_1 the least of fam_p in block
+    i, y_1 the least of fam_q in block j, the rest in order within common
+    blocks.  Respecting
     that pairing, connectors S_0 (x, x_1), S_1 (y, y_1) and S_l (x_l,
     y_l) are found by find_connector with the already-used vertex set as
     the forbidden W, and their union with the family vertices is the
@@ -680,6 +667,9 @@ def merge_via_transferral(g: Graph, f: IncompatibilitySystem, pattern: Graph,
     Diagnostics name the failing piece; a verification failure after all
     pieces were found is a ConsistencyError.
     """
+    _check_inputs(g, pattern, (x, y))
+    if p.n != g.n:
+        raise ValidationError(f"the partition covers {p.n} vertices, the graph has {g.n}")
     h = pattern.n
     i_blk, j_blk = p.block_of(x), p.block_of(y)
     if i_blk == j_blk:
@@ -703,7 +693,7 @@ def merge_via_transferral(g: Graph, f: IncompatibilitySystem, pattern: Graph,
             raise ValidationError(f"no direct connector found for ({x}, {y})")
         _reverified(verify_connector(g, f, pattern, conn.s, x, y, t, budget=budget),
                     "merging", "direct connector")
-        return Connector(x, y, tuple(sorted(conn.s)), t)
+        return conn
 
     used = {x, y}
     for fam, name in ((fam_p, "p"), (fam_q, "q")):
@@ -729,32 +719,20 @@ def merge_via_transferral(g: Graph, f: IncompatibilitySystem, pattern: Graph,
     if lhs != rhs:
         raise ValidationError("index balance fails: families do not realize a transferral")
 
-    def pop_min(pool: list, blk: int) -> int:
-        for idx, vert in enumerate(pool):
-            if p.block_of(vert) == blk:
-                return pool.pop(idx)
-        raise ValidationError(f"no family vertex left in block {blk}")
-
-    vp_pool, vq_pool = list(vp), list(vq)
-    pairs = [(pop_min(vp_pool, i_blk), pop_min(vq_pool, j_blk))]
-    by_block = {}
-    for vert in vq_pool:
-        by_block.setdefault(p.block_of(vert), []).append(vert)
-    for x_l in vp_pool:
-        blk = p.block_of(x_l)
-        if not by_block.get(blk):
-            raise ValidationError(f"pairing failed in block {blk}")
-        pairs.append((x_l, by_block[blk].pop(0)))
+    # the balance leaves vp a vertex in block i, vq one in block j, and
+    # equally many of the rest in every block; vp and vq are sorted, so a
+    # stable sort by block lines the rest up by (block, vertex)
+    x_1 = min(vert for vert in vp if p.block_of(vert) == i_blk)
+    y_1 = min(vert for vert in vq if p.block_of(vert) == j_blk)
+    rest = zip(sorted((vert for vert in vp if vert != x_1), key=p.block_of),
+               sorted((vert for vert in vq if vert != y_1), key=p.block_of))
 
     connectors = []
-    endpoint_pairs = [(x, pairs[0][0]), (y, pairs[0][1])] + pairs[1:]
-    for a, b in endpoint_pairs:
+    for a, b in [(x, x_1), (y, y_1)] + sorted(rest):
         forbidden = set(used) - {a, b}
         conn = connect(a, b, forbidden)
         if conn is None:
             raise ValidationError(f"no connector found for ({a}, {b}) avoiding the build")
-        if set(conn.s) & forbidden or set(conn.s) & {a, b}:
-            raise ValidationError(f"connector for ({a}, {b}) reuses forbidden vertices")
         connectors.append(conn)
         used |= set(conn.s)
 

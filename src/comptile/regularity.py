@@ -213,8 +213,12 @@ def counting_experiment(g: Graph, f: IncompatibilitySystem,
 
     c_observed = compatible / prod |U_i|^{h_i} is the empirical constant
     of the counting bound; total is the F-free count over the same parts.
+    An empty part is a usage error: it would make that constant 0/0.
     """
     parts = [sorted(set(u)) for u in parts]
+    for i, u in enumerate(parts):
+        if not u:
+            raise ValidationError(f"part {i} is empty")
     free = solver.enumerate_transversal_copies(spec, g, None, parts, budget=budget)
     cons = solver.enumerate_transversal_copies(spec, g, f, parts, budget=budget)
     if free.truncated or cons.truncated:

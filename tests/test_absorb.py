@@ -145,6 +145,29 @@ def test_find_connector_charges_its_factor_searches(monkeypatch, u, v, budget):
     assert charged(res.expansions - 1).status == solver.INDETERMINATE
 
 
+def test_find_connector_enumerates_g_minus_w(monkeypatch):
+    g = random_graph(14, .6, 18)
+    f = random_bounded_system(g, "1/4", 18)
+    u, v, w_set = 0, 1, (3, 5, 6)
+    enumeration = solver.enumerate_compatible_copies(
+        K3, g, f, pool=((1 << g.n) - 1) & ~mask_of(w_set))
+    spent = []
+    real = solver.find_compatible_factor
+
+    def recorded(*args, **kwargs):
+        res = real(*args, **kwargs)
+        spent.append(res.expansions)
+        return res
+
+    monkeypatch.setattr(solver, "find_compatible_factor", recorded)
+    res = find_connector(g, f, K3, u, v, w_set, 2)
+    assert res.status == solver.FOUND and not set(res.connector.s) & set(w_set)
+    # the one enumeration is of G - W, not of the host, plus the candidates' searches
+    assert res.expansions == enumeration.expansions + sum(spent) == 102
+    assert enumeration.expansions < solver.enumerate_compatible_copies(K3, g, f).expansions
+    assert find_connector(g, f, K3, u, v, w_set, 2, budget=101).status == solver.INDETERMINATE
+
+
 def test_reachability_ladder(monkeypatch):
     k6 = complete_graph(6)
     assert reachability_estimate(k6, empty(k6), K2, 0, 1, 0, 1).verdict == absorb.PROVEN
@@ -231,17 +254,18 @@ def test_reachability_matches_the_definition_when_exhaustive(seed):
 def test_reachability_verifies_each_candidate_once(monkeypatch):
     k8 = complete_graph(8)
     calls = []
-    real = absorb.verify_connector
+    real = absorb._factor_gate
 
-    def recorded(g, f, pattern, s_set, *args, **kwargs):
-        calls.append(tuple(s_set))
-        return real(g, f, pattern, s_set, *args, **kwargs)
+    def recorded(g, f, pattern, named_sets, *args):
+        calls.append(tuple(tuple(sorted(vertices)) for _, vertices in named_sets))
+        return real(g, f, pattern, named_sets, *args)
 
-    monkeypatch.setattr(absorb, "verify_connector", recorded)
+    monkeypatch.setattr(absorb, "_factor_gate", recorded)
     rep = reachability_estimate(k8, empty(k8), K2, 0, 1, 2, 1)
     assert (rep.verdict, rep.checked) == (absorb.PROVEN, 15)
-    # 15 W, but only the interiors {2}, {3} and {4} are ever first to avoid one
-    assert sorted(calls) == [(2,), (3,), (4,)]
+    # 15 W, but only the interiors {2}, {3} and {4} are ever first to avoid
+    # one; each goes to the gate once, as S u {u} and S u {v}
+    assert sorted(calls) == [((0, 2), (1, 2)), ((0, 3), (1, 3)), ((0, 4), (1, 4))]
 
 
 def test_reachability_budget_covers_the_whole_call():
@@ -284,11 +308,14 @@ def test_factor_gate_budget_covers_one_enumeration_and_both_searches():
         "copy enumeration of the union of G[S u {u}], G[S u {v}] hit budget", 9)
     # an enumeration handed in is the caller's to charge: the budget covers the searches
     host = solver.enumerate_compatible_copies(K3, k6, f)
-    shared = verify_connector(k6, f, K3, [2, 3], 0, 1, 1, budget=2, copies=host)
+    sets = (("S u {u}", [2, 3, 0]), ("S u {v}", [2, 3, 1]))
+    shared = absorb._factor_gate(k6, f, K3, sets, 2, host)
     assert replace(shared, expansions=16) == verify_connector(k6, f, K3, [2, 3], 0, 1, 1)
+    assert (shared.status, shared.expansions) == (absorb.PROVEN, 2)
+    assert absorb._factor_gate(k6, f, K3, sets, 1, host).status == absorb.INDETERMINATE
     too_small = solver.enumerate_compatible_copies(K3, k6, f, pool=mask_of([0, 2, 3]))
     with pytest.raises(ValidationError, match="misses vertices"):
-        verify_connector(k6, f, K3, [2, 3], 0, 1, 1, copies=too_small)
+        absorb._factor_gate(k6, f, K3, sets, solver.DEFAULT_BUDGET, too_small)
 
 
 def test_a_decided_gate_spends_at_most_its_budget():
@@ -382,6 +409,38 @@ def test_merge_via_transferral_two_block_gadget():
         merge_via_transferral(k4, empty(k4), K2, p4, 0, 1, fam_p, {}, t=1)
 
 
+def test_merge_pairs_the_family_vertices_block_by_block(monkeypatch):
+    k16 = complete_graph(16)
+    p = VertexPartition(16, ((0, 1, 2, 3, 12, 13), (4, 5, 6, 7, 14), (8, 9, 10, 11, 15)))
+    fam_p = {(1, 0, 1): [Embedding.from_phi(K2, (1, 8))],
+             (0, 1, 1): [Embedding.from_phi(K2, (9, 14))]}
+    fam_q = {(0, 1, 1): [Embedding.from_phi(K2, (6, 10)), Embedding.from_phi(K2, (7, 11))]}
+    calls = []
+    real = absorb.find_connector
+
+    def recorded(g, f, pattern, a, b, *args, **kwargs):
+        calls.append((a, b))
+        return real(g, f, pattern, a, b, *args, **kwargs)
+
+    monkeypatch.setattr(absorb, "find_connector", recorded)
+    conn = merge_via_transferral(k16, empty(k16), K2, p, 0, 4, fam_p, fam_q, t=1)
+    assert conn == Connector(0, 4, (1, 2, 3, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14), 1 + 2 + 4)
+    # x to x_1 (fam_p's least in x's block), y to y_1 (fam_q's least in y's),
+    # then the rest of fam_p in order, each to fam_q's next in its block
+    assert calls == [(0, 1), (4, 6), (8, 10), (9, 11), (14, 7)]
+
+
+@pytest.mark.parametrize("n, x, y, match", [
+    (8, 0, 1, "partition"), (6, 0, 9, "lie in the graph"), (6, -1, 0, "lie in the graph"),
+], ids=["partition-of-8", "y-high", "x-negative"])
+def test_merge_rejects_a_partition_or_endpoint_off_the_graph(n, x, y, match):
+    # y = 9 used to escape as a bare IndexError from the partition lookup
+    k6 = complete_graph(6)
+    p = VertexPartition(n, (tuple(range(0, n, 2)), tuple(range(1, n, 2))))
+    with pytest.raises(ValidationError, match=match):
+        merge_via_transferral(k6, empty(k6), K2, p, x, y, {}, {}, t=1)
+
+
 def test_merge_rejects_overlapping_families():
     k4 = complete_graph(4)
     p4 = VertexPartition(4, ((0, 2), (1, 3)))
@@ -472,6 +531,15 @@ def test_robust_vectors_match_a_walk_over_every_w(seed):
         assert (got.robust, got.verdict, got.witness) == (killer is None, absorb.PROVEN, killer)
 
 
+@pytest.mark.parametrize("n", [3, 8])
+def test_robust_vectors_reject_a_partition_of_another_ground_set(n):
+    # with n = 3 this used to answer whenever no copy reached vertex 3 or above
+    g = Graph.from_edges(6, [(0, 1), (1, 2)])
+    p = VertexPartition(n, (tuple(range(n)),))
+    with pytest.raises(ValidationError, match="partition"):
+        robust_vectors(g, empty(g), K2, p, 0)
+
+
 @pytest.mark.parametrize("beta", [2, "-1/3"])
 def test_robust_vectors_reject_beta_outside_the_unit_interval(beta):
     # beta=2 asks for |W| = 12 > n and used to prove every vector robust vacuously
@@ -516,6 +584,18 @@ def test_verifiers_reject_bad_parameters(kind, u, v, t, match):
             verify_absorber(k6, empty(k6), K2, [0, 1], [2, 3], t)
         else:
             verify_connector(k6, empty(k6), K2, [2], u, v, t)
+
+
+def test_absorbing_set_without_admissible_residual_holds_vacuously(monkeypatch):
+    # |A| = 1 and xi*n = 0: the only residual, R empty, leaves 1 vertex, which
+    # h = 3 does not divide, so no R is admissible and nothing is enumerated
+    def no_search(*args, **kwargs):
+        raise AssertionError("enumerated with no residual to check")
+
+    monkeypatch.setattr(solver, "enumerate_compatible_copies", no_search)
+    k6 = complete_graph(6)
+    rep = verify_absorbing_set(k6, empty(k6), K3, [0], 0)
+    assert (rep.verdict, rep.checked, rep.witness) == (absorb.PROVEN, 0, None)
 
 
 def test_absorbing_set_residuals_never_outgrow_the_outside():

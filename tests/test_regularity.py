@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from comptile.errors import SizeCapError, ValidationError
-from comptile.graphs import Graph, MultipartiteSpec, complete_multipartite, cycle_graph
+from comptile.graphs import (Graph, MultipartiteSpec, complete_graph, complete_multipartite,
+                             cycle_graph)
 from comptile.incompat import IncompatibilitySystem, random_bounded_system
 from comptile.oracles import raw_is_eps_regular
 from comptile.regularity import (counting_experiment, density, is_eps_regular_exhaustive,
@@ -185,6 +186,14 @@ def test_counting_experiment():
     f_more = IncompatibilitySystem(g, f.triples() + random_system(g, 20, 4).triples())
     rep3 = counting_experiment(g, f_more, blocks, spec)
     assert rep3.compatible <= rep2.compatible
+
+
+def test_counting_experiment_rejects_an_empty_part():
+    # an empty part made the observed constant Fraction(0, 0)
+    k4 = complete_graph(4)
+    with pytest.raises(ValidationError, match="part 0 is empty"):
+        counting_experiment(k4, IncompatibilitySystem.empty(k4), [[], [1]],
+                            MultipartiteSpec((1, 1)))
 
 
 def test_counting_experiment_random_tripartite():
