@@ -71,11 +71,14 @@ class Absorber:
 
 @dataclass
 class VerifyResult:
-    ok: bool
     status: str                 # proven / refuted / indeterminate
     reason: str = ""
     tilings: tuple = ()         # witness tilings in host ids when ok
     expansions: int = 0         # spent by the factor searches
+
+    @property
+    def ok(self) -> bool:
+        return self.status == PROVEN
 
 
 def _check_inputs(g: Graph, pattern: Graph, vertices):
@@ -105,7 +108,7 @@ def _factor_gate(g: Graph, f: IncompatibilitySystem, pattern: Graph,
     """
     for name, vertices in named_sets:
         if len(vertices) % pattern.n:
-            return VerifyResult(False, REFUTED, f"G[{name}] has no compatible factor")
+            return VerifyResult(REFUTED, f"G[{name}] has no compatible factor")
     spent = 0
     if copies is None:
         union = 0
@@ -114,7 +117,7 @@ def _factor_gate(g: Graph, f: IncompatibilitySystem, pattern: Graph,
         copies = solver.enumerate_compatible_copies(pattern, g, f, budget=budget, pool=union)
         spent = copies.expansions
         if copies.truncated:
-            return VerifyResult(False, INDETERMINATE,
+            return VerifyResult(INDETERMINATE,
                                 "copy enumeration of the union of "
                                 + ", ".join(f"G[{name}]" for name, _ in named_sets)
                                 + " hit budget", expansions=spent)
@@ -124,13 +127,13 @@ def _factor_gate(g: Graph, f: IncompatibilitySystem, pattern: Graph,
                                             pool=mask_of(vertices), copies=copies)
         spent += res.expansions
         if res.status == solver.INDETERMINATE:
-            return VerifyResult(False, INDETERMINATE,
+            return VerifyResult(INDETERMINATE,
                                 f"G[{name}] factor search hit budget", expansions=spent)
         if res.status == solver.NONE:
-            return VerifyResult(False, REFUTED, f"G[{name}] has no compatible factor",
+            return VerifyResult(REFUTED, f"G[{name}] has no compatible factor",
                                 expansions=spent)
         tilings.append(tuple(emb.vertices for emb in res.tiling.embeddings))
-    return VerifyResult(True, PROVEN, tilings=tuple(tilings), expansions=spent)
+    return VerifyResult(PROVEN, tilings=tuple(tilings), expansions=spent)
 
 
 def verify_absorber(g: Graph, f: IncompatibilitySystem, pattern: Graph,
@@ -147,11 +150,11 @@ def verify_absorber(g: Graph, f: IncompatibilitySystem, pattern: Graph,
         raise ValidationError(f"absorber size parameter t must be >= 1, got {t}")
     h = pattern.n
     if set(s_set) & set(a_set):
-        return VerifyResult(False, REFUTED, "A intersects S")
+        return VerifyResult(REFUTED, "A intersects S")
     if len(s_set) != h:
-        return VerifyResult(False, REFUTED, f"|S| = {len(s_set)} != h = {h}")
+        return VerifyResult(REFUTED, f"|S| = {len(s_set)} != h = {h}")
     if len(a_set) > h * h * t:
-        return VerifyResult(False, REFUTED,
+        return VerifyResult(REFUTED,
                             f"|A| = {len(a_set)} exceeds h^2*t = {h * h * t}")
     return _factor_gate(g, f, pattern, (("A", a_set), ("A u S", s_set + a_set)),
                         budget)
@@ -170,9 +173,9 @@ def verify_connector(g: Graph, f: IncompatibilitySystem, pattern: Graph,
     _check_connector_inputs(g, pattern, u, v, t, s_set)
     h = pattern.n
     if u in s_set or v in s_set:
-        return VerifyResult(False, REFUTED, "S must avoid its endpoints")
+        return VerifyResult(REFUTED, "S must avoid its endpoints")
     if len(s_set) > h * t - 1:
-        return VerifyResult(False, REFUTED,
+        return VerifyResult(REFUTED,
                             f"|S| = {len(s_set)} exceeds h*t - 1 = {h * t - 1}")
     return _factor_gate(g, f, pattern,
                         (("S u {u}", s_set + [u]), ("S u {v}", s_set + [v])), budget)
@@ -737,10 +740,8 @@ def merge_via_transferral(g: Graph, f: IncompatibilitySystem, pattern: Graph,
         used |= set(conn.s)
 
     s_hat = sorted((set(vp) | set(vq) | {v for c in connectors for v in c.s}))
+    # |S_hat| <= 2hC + (hC + 1)(ht - 1) = h*t' - 1, so the law holds by construction
     t_new = t + c_mass + t * h * c_mass
-    if len(s_hat) > h * t_new - 1:
-        raise ValidationError(
-            f"size law violated: |S| = {len(s_hat)} > h*t' - 1 = {h * t_new - 1}")
     _reverified(verify_connector(g, f, pattern, s_hat, x, y, t_new, budget=budget),
                 "merging", "merged connector")
     return Connector(x, y, tuple(s_hat), t_new)

@@ -1,4 +1,4 @@
-"""Incompatibility systems: storage, the Delta-bound, queries, generation.
+"""Incompatibility systems: storage, the Delta-bound, generation.
 
 A system F over a graph G assigns to each vertex v a family F_v of
 unordered pairs {e, e'} of edges whose intersection is exactly {v}.  Two
@@ -26,10 +26,6 @@ from fractions import Fraction
 from .errors import FormatError, ValidationError
 from .graphs import Graph
 from .util import bits, int_rows
-
-
-def edge_key(u: int, v: int) -> tuple:
-    return (u, v) if u < v else (v, u)
 
 
 class IncompatibilitySystem:
@@ -93,52 +89,6 @@ class IncompatibilitySystem:
     @property
     def total_pairs(self) -> int:
         return sum(m.bit_count() for row in self.inc.values() for m in row.values()) // 2
-
-    def _check_edge(self, e: tuple):
-        if not (0 <= e[0] < self.graph.n and 0 <= e[1] < self.graph.n) \
-                or not self.graph.has_edge(*e):
-            raise ValidationError(f"{e} is not an edge of the bound graph")
-
-    def are_compatible(self, e: tuple, f: tuple) -> bool:
-        """False iff e and f share a vertex v and {e, f} lies in F_v."""
-        e = edge_key(*e)
-        f = edge_key(*f)
-        self._check_edge(e)
-        self._check_edge(f)
-        if e == f:
-            return True
-        shared = set(e) & set(f)
-        if not shared:
-            return True
-        v = shared.pop()
-        a = e[0] + e[1] - v
-        b = f[0] + f[1] - v
-        return not self.inc.get(v, {}).get(a, 0) >> b & 1
-
-    def is_compatible_subgraph(self, edges) -> tuple:
-        """(ok, witness): witness is the first incompatible pair, else None.
-
-        The witness API, for any edge list.  Only pairs sharing a vertex
-        are inspected; disjoint pairs are compatible by definition.
-        Vertices are scanned in ascending order, and at each vertex its
-        edges in ascending order of the other end.  The solver's
-        re-verification of copies (``solver.verify_tiling``) does not call
-        it: it tests each copy on its image's neighbour masks directly.
-        """
-        inc = self.inc
-        near = {}  # v -> mask of the subgraph's neighbours of v
-        for e in sorted({edge_key(*e) for e in edges}):
-            self._check_edge(e)
-            u, v = e
-            near[u] = near.get(u, 0) | 1 << v
-            near[v] = near.get(v, 0) | 1 << u
-        for v in sorted(near.keys() & inc.keys()):
-            row, nv = inc[v], near[v]
-            for a in bits(nv):
-                hit = row.get(a, 0) & nv & (-1 << (a + 1))
-                if hit:
-                    return False, (edge_key(v, a), edge_key(v, next(bits(hit))))
-        return True, None
 
     @property
     def delta(self) -> int:

@@ -18,7 +18,7 @@ import numpy as np
 from .coloring import INFINITY
 from .errors import ValidationError
 from .graphs import Graph, components
-from .incompat import IncompatibilitySystem, edge_key
+from .incompat import IncompatibilitySystem
 from .util import bits
 
 
@@ -76,11 +76,17 @@ def raw_chromatic_profile(g: Graph) -> dict:
     }
 
 
-def _image_compatible(f: IncompatibilitySystem, image_edges) -> bool:
-    edges = sorted(set(image_edges))
-    for i in range(len(edges)):
-        for j in range(i + 1, len(edges)):
-            if not f.are_compatible(edges[i], edges[j]):
+def edge_key(u: int, v: int) -> tuple:
+    return (u, v) if u < v else (v, u)
+
+
+def _image_compatible(triples: set, image_edges) -> bool:
+    """No two image edges meet at a vertex v, as va and vb, with
+    (v, min(a, b), max(a, b)) in ``triples`` (a set of ``f.triples()``)."""
+    for e1, e2 in combinations(sorted(set(image_edges)), 2):
+        for v in set(e1) & set(e2):   # distinct edges share at most one vertex
+            a, b = sorted(x for x in e1 + e2 if x != v)
+            if (v, a, b) in triples:
                 return False
     return True
 
@@ -92,13 +98,14 @@ def raw_compatible_copies(pattern: Graph, g: Graph,
     """
     if f is None:
         f = IncompatibilitySystem.empty(g)
+    triples = set(f.triples())
     pat_edges = pattern.edges()
     out = set()
     for phi in permutations(range(g.n), pattern.n):
         if any(not g.has_edge(phi[u], phi[v]) for u, v in pat_edges):
             continue
         image = tuple(sorted(edge_key(phi[u], phi[v]) for u, v in pat_edges))
-        if not _image_compatible(f, image):
+        if not _image_compatible(triples, image):
             continue
         out.add((tuple(sorted(phi)), image))
     return out
@@ -182,6 +189,7 @@ def raw_transversal_count(spec_sizes, g: Graph, f: IncompatibilitySystem,
     """Transversal copy count by brute combination choice per part."""
     if f is None:
         f = IncompatibilitySystem.empty(g)
+    triples = set(f.triples())
     parts = [sorted(set(u)) for u in parts]
     count = 0
 
@@ -196,7 +204,7 @@ def raw_transversal_count(spec_sizes, g: Graph, f: IncompatibilitySystem,
                             if not g.has_edge(a, b):
                                 return
                             edges.append(edge_key(a, b))
-            if _image_compatible(f, edges):
+            if _image_compatible(triples, edges):
                 count += 1
             return
         for combo in combinations(parts[idx], spec_sizes[idx]):

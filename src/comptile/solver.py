@@ -942,11 +942,11 @@ def find_compatible_factor(pattern: Graph, g: Graph,
         covered = 0
         for r in chosen:
             covered |= masks[r]
+        if covered != full:
+            raise ConsistencyError("factor failed re-verification")
         if indices is not None:
             chosen = [indices[r] for r in chosen]
-        tiling = Tiling(tuple(map(copies.embedding, chosen)))
-        if not verify_tiling(g, f, pattern, tiling) or covered != full:
-            raise ConsistencyError("factor failed re-verification")
+        tiling = _verified(g, f, pattern, map(copies.embedding, chosen), "factor")
         return FactorResult(FOUND, tiling=tiling,
                             expansions=work.spent, copies_considered=len(masks))
     if not exhausted or copies.truncated:

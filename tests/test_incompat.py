@@ -2,16 +2,18 @@ import hashlib
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 from comptile.errors import FormatError, ValidationError
-from comptile.graphs import Graph, complete_graph, cycle_graph
-from comptile import incompat
+from comptile.graphs import Graph, complete_graph, cycle_graph, disjoint_union, path_graph
+from comptile import incompat, oracles
 from comptile.incompat import (IncompatibilitySystem, count_bad_pairs_at, format_system,
                                parse_system, random_bounded_system, system_blocks,
                                system_to_json)
 from comptile.oracles import raw_bounded_system
+from comptile.solver import Embedding, enumerate_compatible_copies, verify_embedding
 
 from .helpers import random_graph, random_system
 
@@ -72,59 +74,31 @@ def test_triples_follow_the_plain_definition():
         assert f.triples() == sorted({(v, min(a, b), max(a, b)) for v, a, b in given})
 
 
-def test_are_compatible_semantics():
+def test_compatibility_semantics_on_copies():
+    # F = {(0, 1, 2)}: {01, 02} lies in F_0, so no copy may hold both edges
     k4 = complete_graph(4)
     f = IncompatibilitySystem(k4, [(0, 1, 2)])
-    assert not f.are_compatible((0, 1), (0, 2))
-    assert not f.are_compatible((2, 0), (1, 0))     # orientation-insensitive
-    assert f.are_compatible((0, 1), (0, 3))
-    assert f.are_compatible((0, 1), (2, 3))         # disjoint edges always compatible
-    assert f.are_compatible((1, 2), (0, 2))         # the pair lives at 0, not at 2
+    k3, p3 = complete_graph(3), path_graph(3)     # p3: centre 1, ends 0 and 2
+    assert {e.vertices for e in enumerate_compatible_copies(k3, k4, f).copies} == \
+        {(0, 1, 3), (0, 2, 3), (1, 2, 3)}
+    for phi in ((1, 0, 2), (2, 0, 1)):            # centred at 0, ends 1 and 2
+        assert not verify_embedding(k4, f, p3, Embedding.from_phi(p3, phi))
+    for phi in ((1, 2, 0), (0, 2, 1)):            # centred at 2: the pair lives at 0
+        assert verify_embedding(k4, f, p3, Embedding.from_phi(p3, phi))
     empty = IncompatibilitySystem.empty(k4)
-    assert empty.are_compatible((0, 1), (0, 2))
-    with pytest.raises(ValidationError):
-        f.are_compatible((0, 1), (4, 5))
-
-
-def test_is_compatible_subgraph_and_witness():
-    k4 = complete_graph(4)
-    f = IncompatibilitySystem(k4, [(0, 1, 2)])
-    ok, wit = f.is_compatible_subgraph([(0, 1), (0, 2), (1, 2)])
-    assert not ok and set(wit) == {(0, 1), (0, 2)}
-    ok, wit = f.is_compatible_subgraph([(0, 1), (2, 3)])
-    assert ok and wit is None
-    assert f.is_compatible_subgraph([])[0]
-
-
-def test_subgraph_check_equals_pairwise_oracle():
-    rng = random.Random(2)
-    for _ in range(60):
-        g = random_graph(7, 0.7, rng.getrandbits(30))
-        if g.m < 2:
-            continue
-        f = random_system(g, rng.randint(0, 10), rng.getrandbits(30))
-        edges = rng.sample(g.edges(), min(g.m, rng.randint(2, 8)))
-        ok, _ = f.is_compatible_subgraph(edges)
-        pairwise = all(f.are_compatible(e1, e2)
-                       for i, e1 in enumerate(edges) for e2 in edges[i + 1:])
-        assert ok == pairwise
-
-
-def test_every_matching_is_compatible():
-    rng = random.Random(3)
-    for _ in range(1000):
-        g = random_graph(rng.randint(2, 10), 0.6, rng.getrandbits(30))
-        f = random_system(g, rng.randint(0, 12), rng.getrandbits(30))
-        # greedy matching over shuffled edges
-        edges = g.edges()
-        rng.shuffle(edges)
-        used = 0
-        matching = []
-        for u, v in edges:
-            if not (used >> u & 1 or used >> v & 1):
-                matching.append((u, v))
-                used |= 1 << u | 1 << v
-        assert f.is_compatible_subgraph(matching)[0]
+    matching = disjoint_union(complete_graph(2), complete_graph(2))
+    for pattern in (k3, p3, matching):
+        for system in (f, empty):
+            raw = oracles.raw_compatible_copies(pattern, k4, system)
+            enumerated = {(e.vertices, e.edges)
+                          for e in enumerate_compatible_copies(pattern, k4, system).copies}
+            assert enumerated == raw
+            for phi in permutations(range(4), pattern.n):
+                for image in (phi, phi[::-1]):
+                    emb = Embedding.from_phi(pattern, image)
+                    assert verify_embedding(k4, system, pattern, emb) == \
+                        ((emb.vertices, emb.edges) in raw)
+    assert len(oracles.raw_compatible_copies(matching, k4, f)) == 3  # disjoint edges
 
 
 def test_bound_report_examples():

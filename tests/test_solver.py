@@ -14,8 +14,9 @@ from comptile.errors import BudgetExceeded, ConsistencyError, ValidationError
 from comptile.graphs import (Graph, MultipartiteSpec, complete_graph,
                              complete_multipartite, cycle_graph, disjoint_union,
                              empty_graph, path_graph)
-from comptile.incompat import IncompatibilitySystem, edge_key, random_bounded_system
+from comptile.incompat import IncompatibilitySystem, random_bounded_system
 from comptile.lattice import GeneratedLattice, refutes
+from comptile.oracles import edge_key
 from comptile.solver import (FOUND, INDETERMINATE, NONE, Embedding, Tiling,
                              enumerate_compatible_copies, enumerate_transversal_copies,
                              find_compatible_factor, greedy_almost_tiling,
@@ -747,7 +748,9 @@ def test_verify_embedding_refuses_a_copy_with_one_stored_field_changed(seed, fie
 def _is_compatible_tiling(g, f, pattern, embeddings) -> bool:
     """The definition, written out: each copy's fields derived from an
     injective phi into g, every image edge a host edge, every two image
-    edges compatible, and no two copies sharing a vertex."""
+    edges compatible (no two meet at a v, as va and vb, with (v, a, b) in
+    ``f.triples()``, a < b), and no two copies sharing a vertex."""
+    triples = set(f.triples())
     for emb in embeddings:
         phi = emb.phi
         if len(phi) != pattern.n or len(set(phi)) != pattern.n:
@@ -757,8 +760,10 @@ def _is_compatible_tiling(g, f, pattern, embeddings) -> bool:
         image = sorted(edge_key(phi[a], phi[b]) for a, b in pattern.edges())
         if emb.edges != tuple(image) or not all(g.has_edge(*e) for e in image):
             return False
-        if not all(f.are_compatible(e1, e2) for e1, e2 in combinations(image, 2)):
-            return False
+        for e1, e2 in combinations(image, 2):
+            for v in set(e1) & set(e2):
+                if (v, *sorted(set(e1 + e2) - {v})) in triples:
+                    return False
     return all(not set(a.phi) & set(b.phi) for a, b in combinations(embeddings, 2))
 
 
