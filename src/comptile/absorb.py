@@ -42,7 +42,7 @@ from .errors import ConsistencyError, ValidationError
 from .graphs import Graph, VertexPartition
 from .incompat import IncompatibilitySystem
 from .lattice import index_vector, mask_index_vector
-from .util import bits, frac_floor, mask_of
+from .util import bits, mask_of
 
 PROVEN = "proven"
 SUPPORTED = "supported"
@@ -540,7 +540,7 @@ def robust_vectors(g: Graph, f: IncompatibilitySystem, pattern: Graph,
         raise ValidationError(f"beta must lie in [0, 1], got {beta}")
     if p.n != g.n:
         raise ValidationError(f"the partition covers {p.n} vertices, the graph has {g.n}")
-    w = frac_floor(beta * g.n)
+    w = math.floor(beta * g.n)
     enum = solver.enumerate_compatible_copies(pattern, g, f, budget=budget)
     by_vector = {}
     for msk in enum.masks:
@@ -615,7 +615,7 @@ def verify_absorbing_set(g: Graph, f: IncompatibilitySystem, pattern: Graph,
         raise ValidationError(f"xi must be >= 0, got {xi}")
     h = pattern.n
     outside = [v for v in range(g.n) if v not in inside]
-    r_cap = min(frac_floor(xi * g.n), len(outside))   # R lies outside A
+    r_cap = min(math.floor(xi * g.n), len(outside))   # R lies outside A
     sizes = [s for s in range(0, r_cap + 1) if (len(a_set) + s) % h == 0]
     population = sum(math.comb(len(outside), s) for s in sizes)
     rng = random.Random(seed)

@@ -428,8 +428,10 @@ def main(argv=None) -> int:
     except ComptileError as exc:
         sys.stderr.write(canonical_json(
             {"error": type(exc).__name__, "detail": str(exc)}))
-        # a failed postcondition is a bug, not bad input
-        return EXIT_SOFTWARE if isinstance(exc, ConsistencyError) else EXIT_USAGE
+        # a failed postcondition is a bug; a budget cut leaves the answer open
+        if isinstance(exc, ConsistencyError):
+            return EXIT_SOFTWARE
+        return EXIT_INDETERMINATE if isinstance(exc, BudgetExceeded) else EXIT_USAGE
     except Exception as exc:  # last resort: a bug must not pass for an answer
         where = traceback.extract_tb(exc.__traceback__)[-1]
         sys.stderr.write(canonical_json(

@@ -22,8 +22,7 @@ colorings that use all k colors.
 Enumeration prunes color permutations by only introducing a new color when
 all smaller color indices already appear (canonical set partitions); class
 size multisets are invariant under color permutation, so no profile is
-lost.  The default size cap keeps |C(H)| from exploding; override it
-explicitly when you mean it.
+lost.  The size cap keeps |C(H)| from exploding.
 """
 
 from __future__ import annotations
@@ -56,6 +55,7 @@ class ChromaticProfile:
     hcf_is_one: bool
     chi_cr: Fraction
     chi_star: Fraction
+    profiles: frozenset  # sorted class sizes of every proper chi-coloring
 
     def to_json_dict(self) -> dict:
         return {
@@ -132,13 +132,17 @@ def _colorings(g: Graph, k: int):
 def chromatic_number(g: Graph) -> int:
     if g.n == 0:
         raise ValidationError("chromatic number of the empty graph is undefined")
-    if g.m == 0:
-        return 1
-    lo = max(2, _greedy_clique(g))
-    for k in range(lo, g.n + 1):
+    # a lone vertex is a clique, so k starts at 1 or more; k = n always succeeds
+    for k in range(_greedy_clique(g), g.n + 1):
         if next(_colorings(g, k), None) is not None:
             return k
-    return g.n  # unreachable; K_n colorable with n colors
+
+
+def _check_cap(g: Graph) -> None:
+    if g.n > COLORING_CAP:
+        raise SizeCapError(
+            f"coloring enumeration capped at {COLORING_CAP} vertices "
+            f"(graph has {g.n})")
 
 
 def enumerate_coloring_profiles(g: Graph, k: int) -> frozenset:
@@ -147,30 +151,19 @@ def enumerate_coloring_profiles(g: Graph, k: int) -> frozenset:
     Returns the empty set when k < chi(g) (no proper k-coloring exists);
     at k = chi(g) the result is never empty.
     """
-    if g.n > COLORING_CAP:
-        raise SizeCapError(
-            f"coloring enumeration capped at {COLORING_CAP} vertices "
-            f"(graph has {g.n})")
+    _check_cap(g)
     if k < 1:
         raise ValidationError("need k >= 1")
     return frozenset(tuple(sorted(sizes)) for sizes in _colorings(g, k))
 
 
-def gcd_ignoring_zeros(values) -> object:
-    """gcd of the non-zero values; INFINITY when every value is zero.
-
-    gcd(0, x) = x makes zeros vacuous, so they are dropped unless nothing
-    else remains.  An empty input also maps to INFINITY (no gaps at all).
-    """
-    nz = [abs(v) for v in values if v != 0]
-    if not nz:
-        return INFINITY
-    return math.gcd(*nz)
-
-
 @lru_cache(maxsize=CHI_STAR_CACHE_SIZE)
 def chi_star(g: Graph) -> ChromaticProfile:
-    """Fully populated chromatic profile of g, all rationals exact."""
+    """Fully populated chromatic profile of g, all rationals exact.
+
+    A graph over the coloring cap is refused before any search starts.
+    """
+    _check_cap(g)
     chi = chromatic_number(g)
     profs = enumerate_coloring_profiles(g, chi)
     sig = min(p[0] for p in profs)
@@ -178,7 +171,7 @@ def chi_star(g: Graph) -> ChromaticProfile:
     for p in profs:
         gaps.update(p[i + 1] - p[i] for i in range(len(p) - 1))
     dset = frozenset(gaps)
-    hcf_chi = gcd_ignoring_zeros(dset)
+    hcf_chi = math.gcd(*dset) or INFINITY   # gcd ignores zeros; D(H) = {0} gives 0
     hcf_c = math.gcd(*(len(c) for c in components(g)))
     if chi > 2:
         one = hcf_chi == 1
@@ -193,7 +186,7 @@ def chi_star(g: Graph) -> ChromaticProfile:
     else:
         cr = Fraction((chi - 1) * g.n, g.n - sig)
     star = cr if one else Fraction(chi)
-    return ChromaticProfile(chi, sig, dset, hcf_chi, hcf_c, one, cr, star)
+    return ChromaticProfile(chi, sig, dset, hcf_chi, hcf_c, one, cr, star, profs)
 
 
 def bottle_graph(h: Graph) -> tuple:

@@ -18,18 +18,19 @@ checked numerically before the instance is returned.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, permutations, repeat
 
 from . import solver
-from .coloring import chi_star, enumerate_coloring_profiles
+from .coloring import chi_star
 from .errors import SizeCapError, ValidationError
 from .graphs import (Graph, MultipartiteSpec, VertexPartition, complement_components,
                      complete_multipartite)
 from .incompat import IncompatibilitySystem
 from .lattice import mask_index_vector, obstruction
-from .util import bits, frac_ceil, frac_floor, format_fraction
+from .util import bits, format_fraction
 
 KOMLOS = "komlos"
 KUHN_OSTHUS = "ko"
@@ -79,8 +80,7 @@ def _factor_exists(pattern: Graph, sizes) -> bool:
     and low, high are the smallest and largest class sizes: each copy puts
     one class into every part.
     """
-    vectors = sorted({v for prof in enumerate_coloring_profiles(pattern, len(sizes))
-                      for v in permutations(prof)})
+    vectors = sorted({v for prof in chi_star(pattern).profiles for v in permutations(prof)})
     if obstruction(vectors, sizes) is not None:
         return False
     h, low, high = pattern.n, min(map(min, vectors)), max(map(max, vectors))
@@ -138,7 +138,7 @@ def _komlos_sizes(pattern: Graph, prof, n: int) -> tuple:
     if n % pattern.n != 0:
         raise ValidationError(f"n = {n} is not divisible by |H| = {pattern.n}")
     cr = prof.chi_cr
-    big = frac_ceil(Fraction(n) / cr) + 1
+    big = math.ceil(Fraction(n) / cr) + 1
     rest = n - big
     if rest < r - 1:
         raise ValidationError(
@@ -146,7 +146,7 @@ def _komlos_sizes(pattern: Graph, prof, n: int) -> tuple:
             f"for {r - 1} non-empty parts")
     base, extra = divmod(rest, r - 1)
     sizes = [big] + [base + (1 if i < extra else 0) for i in range(r - 1)]
-    return tuple(sizes), (cr + 1 - r) / r * n, big, frac_floor((1 - 1 / cr) * n) - 1
+    return tuple(sizes), (cr + 1 - r) / r * n, big, math.floor((1 - 1 / cr) * n) - 1
 
 
 def kuhn_osthus_base(pattern: Graph, n: int) -> BaseInstance:
@@ -169,14 +169,11 @@ def _ko_sizes(pattern: Graph, prof, n: int) -> tuple:
         raise ValidationError(f"precondition n divisible by |H| failed ({n} % {pattern.n})")
     lo, hi = n // r, -(-n // r)
     sizes = [lo + 1, hi - 1]
-    rest = n - sum(sizes)
-    base, extra = divmod(rest, r - 2)
+    # the r - 2 tail parts share n - lo - hi, so each gets lo or hi
+    base, extra = divmod(n - sum(sizes), r - 2)
     for i in range(r - 2):
         sizes.append(base + (1 if i < extra else 0))
-    for s in sizes[2:]:
-        if not lo <= s <= hi:
-            raise ValidationError(f"balanced tail size {s} escaped [{lo}, {hi}]")
-    return tuple(sizes), Fraction(lo), hi, frac_ceil(Fraction((r - 1) * n, r)) - 1
+    return tuple(sizes), Fraction(lo), hi, math.ceil(Fraction((r - 1) * n, r)) - 1
 
 
 _BASE_SIZES = {KOMLOS: _komlos_sizes, KUHN_OSTHUS: _ko_sizes}
@@ -297,7 +294,7 @@ def augment_and_incompat(spec: ConstructionSpec) -> ExtremalInstance:
     """
     pattern = spec.pattern()
     n, mu = spec.n, spec.mu
-    d = frac_ceil(mu * n / 2) + 1
+    d = math.ceil(mu * n / 2) + 1
     # part j's circulant has ceil(s_j/2)*d edges, each incompatible at
     # every vertex outside the part
     triples = sum(-(-s // 2) * d * (n - s) for s in spec.base_sizes[0])
@@ -348,7 +345,7 @@ def augment_and_incompat(spec: ConstructionSpec) -> ExtremalInstance:
         internal_max_bound=max_bound,
         parts_bipartite=tuple(_is_bipartite(graph, set(b)) for b in blocks),
         f_delta=system.delta,
-        f_delta_bound=frac_floor(mu * n),
+        f_delta_bound=math.floor(mu * n),
     )
     if not certs.all_hold():
         raise ValidationError(f"certificate inequalities failed: {certs.to_json_dict()}")

@@ -21,9 +21,10 @@ class BudgetExceeded(ComptileError, RuntimeError):
     """A search ran out of its node-expansion budget.
 
     Callers that expose an INDETERMINATE result catch this internally;
-    it escapes only from low-level enumeration entry points and from
+    it escapes only from low-level enumeration entry points, from
+    ``regularity.counting_experiment`` and from
     ``solver.greedy_almost_tiling``, which sets ``partial`` to the tiling
-    it had taken when the budget ran out.
+    it had taken when the budget ran out.  The CLI reports it with exit 2.
     """
 
     partial = None

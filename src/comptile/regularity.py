@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import solver
-from .errors import ConsistencyError, SizeCapError, ValidationError
+from .errors import BudgetExceeded, ConsistencyError, SizeCapError, ValidationError
 from .graphs import Graph, MultipartiteSpec
 from .incompat import IncompatibilitySystem
 from .util import bits, format_fraction, mask_of
@@ -214,6 +214,7 @@ def counting_experiment(g: Graph, f: IncompatibilitySystem,
     c_observed = compatible / prod |U_i|^{h_i} is the empirical constant
     of the counting bound; total is the F-free count over the same parts.
     An empty part is a usage error: it would make that constant 0/0.
+    Either count running out of ``budget`` raises BudgetExceeded.
     """
     parts = [sorted(set(u)) for u in parts]
     for i, u in enumerate(parts):
@@ -222,7 +223,7 @@ def counting_experiment(g: Graph, f: IncompatibilitySystem,
     free = solver.enumerate_transversal_copies(spec, g, None, parts, budget=budget)
     cons = solver.enumerate_transversal_copies(spec, g, f, parts, budget=budget)
     if free.truncated or cons.truncated:
-        raise SizeCapError("transversal enumeration exceeded its budget")
+        raise BudgetExceeded("transversal enumeration exceeded its budget")
     product = 1
     for u, h_i in zip(parts, spec.sizes):
         product *= len(u) ** h_i

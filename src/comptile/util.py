@@ -30,14 +30,6 @@ def mask_of(vertices) -> int:
     return m
 
 
-def frac_floor(x: Fraction) -> int:
-    return x.numerator // x.denominator
-
-
-def frac_ceil(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
 def int_rows(text: str, what: str, width: int = None, sep: str = None) -> list:
     """One tuple of ints per line of ``text``; blank and '#' lines are skipped.
 

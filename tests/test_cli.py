@@ -13,9 +13,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import comptile
-from comptile import cli
+from comptile import cli, coloring
 from comptile.absorb import verify_connector
-from comptile.errors import ComptileError, ValidationError
+from comptile.errors import ComptileError, SizeCapError, ValidationError
 from comptile.graphs import Graph, complete_graph, complete_multipartite, cycle_graph
 from comptile.graphs import (MultipartiteSpec, empty_graph, format_graph, parse_graph,
                              parse_partition)
@@ -691,12 +691,64 @@ def test_absorbing_set_sampling_without_samples_is_usage_error(files, capsys, sa
 
 
 def test_invariants_on_a_long_cycle_stop_at_the_size_cap(files, capsys):
-    # chi needs no recursion; the profile enumeration then hits its cap
+    # the coloring cap refuses the cycle before chi or any profile is searched
     c2100 = files["tmp"] / "c2100.graph"
     c2100.write_text(format_graph(cycle_graph(2100)), encoding="ascii")
     code, out, err = run_cli(["invariants", str(c2100)], capsys)
     assert code == 64 and out == ""
     assert json.loads(err)["error"] == "SizeCapError"
+
+
+def test_invariants_refuse_an_oversized_graph_before_any_search(files, capsys, monkeypatch):
+    def no_search(g, k):
+        raise AssertionError("a coloring search started")
+
+    monkeypatch.setattr(coloring, "_colorings", no_search)
+    c13 = cycle_graph(13)
+    with pytest.raises(SizeCapError):
+        coloring.chi_star(c13)
+    path = files["tmp"] / "c13.graph"
+    path.write_text(format_graph(c13), encoding="ascii")
+    code, out, err = run_cli(["invariants", str(path)], capsys)
+    assert code == 64 and out == ""
+    assert json.loads(err)["error"] == "SizeCapError"
+
+
+def test_regcount_budget_cut_is_indeterminate(files, capsys):
+    # exit 2, as solve reports a cut on the same host
+    parts = files["tmp"] / "parts.txt"
+    parts.write_text("0 1\n2 3\n4 5\n", encoding="ascii")
+    common = ["--graph", files["k6"], "--parts", str(parts), "--sizes", "1,1,1", "--budget", "3"]
+    for argv in (["regcount", "count", *common],
+                 ["regcount", "sweep", *common, "--mus", "1/10"]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "BudgetExceeded"
+    code, _, _ = run_cli(["solve", "--pattern", files["k3"], "--graph", files["k6"],
+                          "--mode", "count", "--budget", "3"], capsys)
+    assert code == 2
+
+
+@pytest.mark.parametrize("edges, d, code", [
+    ([(a, b) for a in range(3) for b in range(3, 6)], "1/2", 0),   # K_{3,3}: regular
+    ([(0, 3), (0, 4), (0, 5)], None, 1),                           # a star: irregular
+    ([(0, 3), (0, 4), (0, 5)], "1/2", 1),                          # density 1/3 < d
+], ids=["regular", "irregular", "below-d"])
+def test_regcount_regular_report_matches_the_oracle(files, capsys, edges, d, code):
+    g = Graph.from_edges(6, edges)
+    path = files["tmp"] / "pair.graph"
+    path.write_text(format_graph(g), encoding="ascii")
+    argv = ["regcount", "regular", "--graph", str(path), "--x", "0,1,2", "--y", "3,4,5",
+            "--eps", "1/4"] + ([] if d is None else ["--d", d])
+    got, out, _ = run_cli(argv, capsys)
+    rep = json.loads(out)["regular"]
+    regular, witness = raw_is_eps_regular(g, [0, 1, 2], [3, 4, 5], Fraction(1, 4),
+                                          None if d is None else Fraction(d))
+    assert got == code and rep["regular"] == regular == (code == 0)
+    assert rep.get("witness") == (None if witness is None else list(map(list, witness)))
+    assert rep["density"] == format_fraction(Fraction(len(edges), 9))
+    assert rep["eps"] == "1/4" and rep.get("d_min") == (None if d is None else d)
+    assert (witness is not None) == (code == 1 and d is None)
 
 
 def test_regcount_cli(files, capsys):

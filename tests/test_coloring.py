@@ -90,6 +90,7 @@ def test_profiles_match_raw_oracle_around_chi():
         n = rng.randint(2, 7)
         g = random_graph(n, rng.uniform(0.2, 0.8), rng.getrandbits(30))
         chi = chromatic_number(g)
+        assert chi_star(g).profiles == oracles.raw_coloring_profiles(g, chi)
         for k in range(max(1, chi - 1), chi + 2):
             assert enumerate_coloring_profiles(g, k) == oracles.raw_coloring_profiles(g, k)
 

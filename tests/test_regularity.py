@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from comptile.errors import SizeCapError, ValidationError
+from comptile.errors import BudgetExceeded, SizeCapError, ValidationError
 from comptile.graphs import (Graph, MultipartiteSpec, complete_graph, complete_multipartite,
                              cycle_graph)
 from comptile.incompat import IncompatibilitySystem, random_bounded_system
@@ -194,6 +194,14 @@ def test_counting_experiment_rejects_an_empty_part():
     with pytest.raises(ValidationError, match="part 0 is empty"):
         counting_experiment(k4, IncompatibilitySystem.empty(k4), [[], [1]],
                             MultipartiteSpec((1, 1)))
+
+
+def test_counting_experiment_budget_cut_raises_budget_exceeded():
+    # a cut leaves the counts open: indeterminate, not an oversized input
+    g = complete_graph(6)
+    with pytest.raises(BudgetExceeded):
+        counting_experiment(g, IncompatibilitySystem.empty(g), [[0, 1], [2, 3], [4, 5]],
+                            MultipartiteSpec((1, 1, 1)), budget=3)
 
 
 def test_counting_experiment_random_tripartite():

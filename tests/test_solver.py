@@ -63,6 +63,9 @@ _SYMMETRIC_PATTERNS = {
     "C5": cycle_graph(5), "K23": complete_multipartite(MultipartiteSpec((2, 3)))[0],
     "2K2": disjoint_union(complete_graph(2), complete_graph(2)),
     "P3+2K1": disjoint_union(path_graph(3), empty_graph(2)),
+    # triangle 0-1-2 with the path 2-3-4: some candidates pass the degree
+    # tests, yet no automorphism reaches them, and only the search says so
+    "tadpole": Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)]),
 }
 
 
