@@ -7,7 +7,7 @@ compatible-tiling solvers, absorption primitives, and regularity
 checks, all backed by brute-force oracles.
 """
 
-from .coloring import ChromaticProfile, bottle_graph, chi_star, chromatic_number
+from .coloring import ChromaticProfile, bottle_graph, chi_star
 from .construct import (ConstructionSpec, ExtremalInstance, augment_and_incompat,
                         komlos_base, kuhn_osthus_base, verify_index_vector_claim)
 from .graphs import (Graph, MultipartiteSpec, VertexPartition, complete_graph,
@@ -25,7 +25,7 @@ __all__ = [
     "ChromaticProfile", "ConstructionSpec", "Embedding", "ExtremalInstance",
     "GeneratedLattice", "Graph", "IncompatibilitySystem", "MultipartiteSpec",
     "Tiling", "VertexPartition", "augment_and_incompat", "bottle_graph",
-    "chi_star", "chromatic_number", "complete_graph", "complete_multipartite",
+    "chi_star", "complete_graph", "complete_multipartite",
     "components", "cycle_graph", "disjoint_union", "empty_graph",
     "enumerate_compatible_copies", "enumerate_transversal_copies",
     "find_compatible_factor", "find_transferral", "greedy_almost_tiling",

@@ -219,9 +219,12 @@ def find_connector(g: Graph, f: IncompatibilitySystem, pattern: Graph,
     exactly the unions of j vertex-disjoint compatible copies through u
     minus u itself (any valid S tiles S u {u} that way), found in
     deterministic order; each candidate is accepted once G[S u {v}]
-    factors as well.  G - W is enumerated once, and ``_connector_search``
-    builds the candidates from its copies and decides every candidate's
-    two factor searches on them.
+    factors as well.  The size ladder stops at j = t, or at the first j
+    with no union of j such copies, since every union of j + 1 copies
+    holds one of j; so a huge t costs no more than the largest union.
+    G - W is enumerated once, and ``_connector_search`` builds the
+    candidates from its copies and decides every candidate's two factor
+    searches on them.
 
     ``expansions`` counts the enumeration plus every candidate's factor
     searches, which share what the enumeration left of ``budget``; a
@@ -268,6 +271,7 @@ def _connector_search(g: Graph, f: IncompatibilitySystem, pattern: Graph,
             # explicit stack: todo[d] holds the untried candidates for copy d,
             # unions[d] W plus the union of copies 0..d-1
             todo, unions = [iter(through_u)], [avoid]
+            full = False    # some union of j disjoint copies exists
             while todo:
                 msk = next(todo[-1], None)
                 if msk is None:
@@ -281,6 +285,7 @@ def _connector_search(g: Graph, f: IncompatibilitySystem, pattern: Graph,
                     todo.append(iter(masks))
                     unions.append(used)
                     continue
+                full = True
                 s_mask = (used ^ avoid) & ~(1 << u)
                 if s_mask not in verdicts:
                     s_set = list(bits(s_mask))
@@ -294,6 +299,8 @@ def _connector_search(g: Graph, f: IncompatibilitySystem, pattern: Graph,
                 if verdicts[s_mask]:
                     return ConnectorSearch(solver.FOUND,
                                            Connector(u, v, tuple(bits(s_mask)), t), spent)
+            if not full:
+                break   # every union of j + 1 copies holds one of j
         return ConnectorSearch(solver.NONE, None, spent)
 
     return search

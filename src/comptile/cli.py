@@ -28,7 +28,7 @@ from .graphs import (Graph, MultipartiteSpec, format_graph, format_partition,
 from .incompat import (IncompatibilitySystem, parse_system, random_bounded_system,
                        system_blocks, system_to_json)
 from .lattice import GeneratedLattice, find_transferral
-from .util import canonical_json, format_fraction, int_rows
+from .util import canonical_json, format_fraction, int_rows, mask_of
 
 EXIT_OK = 0
 EXIT_NONE = 1
@@ -66,6 +66,22 @@ def _read(path: str) -> str:
 
 def _load_graph(path: str) -> Graph:
     return parse_graph(_read(path))
+
+
+def _load_vertex_sets(path: str, graph: Graph) -> list:
+    """The rows of a count or sweep --parts file: sets of the graph's
+    vertices, pairwise disjoint, not necessarily covering it."""
+    sets = int_rows(_read(path), "vertex-set")
+    seen = 0
+    for row in sets:
+        line = " ".join(map(str, row))
+        if not all(0 <= x < graph.n for x in row):
+            raise FormatError(f"vertex set {line!r} names a vertex outside 0..{graph.n - 1}")
+        msk = mask_of(row)
+        if msk & seen:
+            raise FormatError(f"vertex set {line!r} shares a vertex with an earlier set")
+        seen |= msk
+    return sets
 
 
 def _load_system(path, graph: Graph) -> IncompatibilitySystem:
@@ -192,8 +208,12 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
-    vecs = int_rows(_read(args.generators), "vector", sep=",")
-    if not vecs and args.dim is None:
+    text = _read(args.generators)
+    vecs = int_rows(text, "vector", sep=",")
+    if vecs:
+        # the first vector's width is the file's; the first line off it is quoted
+        vecs = int_rows(text, "vector", len(vecs[0]), sep=",")
+    elif args.dim is None:
         raise FormatError("empty generator file needs --dim")
     lat = GeneratedLattice(vecs, dim=args.dim)
     if args.transferral:
@@ -273,7 +293,7 @@ def _cmd_regcount(args) -> int:
                                        _parse_fraction(args.d, "d"))
         _emit(args, {"reduced": {"k": red.k, "edges": [list(e) for e in red.edges]}})
         return EXIT_OK
-    blocks = int_rows(_read(args.parts), "vertex-set")
+    blocks = _load_vertex_sets(args.parts, g)
     if args.action == "count":
         f = _load_system(args.incompat, g)
         spec = MultipartiteSpec(tuple(_parse_ints(args.sizes, "sizes")))

@@ -16,8 +16,7 @@ exact rational arithmetic.  The invariants of a pattern graph H:
     chi*      chi_cr if hcf=1 else chi
 
 A proper chi-coloring necessarily uses all chi colors (otherwise chi would
-be smaller); at any other k the profile enumeration keeps only the
-colorings that use all k colors.
+be smaller).
 
 Enumeration prunes color permutations by only introducing a new color when
 all smaller color indices already appear (canonical set partitions); class
@@ -129,43 +128,25 @@ def _colorings(g: Graph, k: int):
         i += 1
 
 
-def chromatic_number(g: Graph) -> int:
-    if g.n == 0:
-        raise ValidationError("chromatic number of the empty graph is undefined")
-    # a lone vertex is a clique, so k starts at 1 or more; k = n always succeeds
-    for k in range(_greedy_clique(g), g.n + 1):
-        if next(_colorings(g, k), None) is not None:
-            return k
-
-
-def _check_cap(g: Graph) -> None:
-    if g.n > COLORING_CAP:
-        raise SizeCapError(
-            f"coloring enumeration capped at {COLORING_CAP} vertices "
-            f"(graph has {g.n})")
-
-
-def enumerate_coloring_profiles(g: Graph, k: int) -> frozenset:
-    """Distinct sorted class-size multisets over proper k-colorings of g.
-
-    Returns the empty set when k < chi(g) (no proper k-coloring exists);
-    at k = chi(g) the result is never empty.
-    """
-    _check_cap(g)
-    if k < 1:
-        raise ValidationError("need k >= 1")
-    return frozenset(tuple(sorted(sizes)) for sizes in _colorings(g, k))
-
-
 @lru_cache(maxsize=CHI_STAR_CACHE_SIZE)
 def chi_star(g: Graph) -> ChromaticProfile:
     """Fully populated chromatic profile of g, all rationals exact.
 
     A graph over the coloring cap is refused before any search starts.
+    Each k from the greedy clique bound up is walked to the end once; the
+    first k with a proper coloring is chi, and its walk gives the profiles.
     """
-    _check_cap(g)
-    chi = chromatic_number(g)
-    profs = enumerate_coloring_profiles(g, chi)
+    if g.n > COLORING_CAP:
+        raise SizeCapError(
+            f"coloring enumeration capped at {COLORING_CAP} vertices "
+            f"(graph has {g.n})")
+    if g.n == 0:
+        raise ValidationError("chromatic number of the empty graph is undefined")
+    # a lone vertex is a clique, so k starts at 1 or more; k = n always succeeds
+    for chi in range(_greedy_clique(g), g.n + 1):
+        profs = frozenset(tuple(sorted(sizes)) for sizes in _colorings(g, chi))
+        if profs:
+            break
     sig = min(p[0] for p in profs)
     gaps = set()
     for p in profs:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .coloring import INFINITY
 from .errors import ValidationError
-from .graphs import Graph, components
+from .graphs import Graph
 from .incompat import IncompatibilitySystem
 from .util import bits
 
@@ -49,6 +49,20 @@ def raw_chromatic_number(g: Graph) -> int:
     raise AssertionError("every graph is n-colorable")
 
 
+def raw_component_orders(g: Graph) -> list:
+    """Orders of the connected components: every edge gives both ends the
+    smaller of their labels until no edge changes one."""
+    label = list(range(g.n))
+    changed = True
+    while changed:
+        changed = False
+        for u, v in g.edges():
+            if label[u] != label[v]:
+                label[u] = label[v] = min(label[u], label[v])
+                changed = True
+    return [label.count(x) for x in set(label)]
+
+
 def raw_chromatic_profile(g: Graph) -> dict:
     """Profile dict computed from scratch: raw chi, raw enumeration, exact
     rationals.  Mirrors the documented invariant definitions directly.
@@ -61,7 +75,7 @@ def raw_chromatic_profile(g: Graph) -> dict:
         gaps.update(p[i + 1] - p[i] for i in range(len(p) - 1))
     nonzero = [x for x in gaps if x]
     hcf_chi = math.gcd(*nonzero) if nonzero else INFINITY
-    hcf_c = math.gcd(*(len(c) for c in components(g)))
+    hcf_c = math.gcd(*raw_component_orders(g))
     if chi > 2:
         one = hcf_chi == 1
     elif chi == 2:

@@ -1,5 +1,6 @@
 import math
 import random
+import signal
 import time
 from collections import Counter
 from dataclasses import replace
@@ -143,6 +144,27 @@ def test_find_connector_charges_its_factor_searches(monkeypatch, u, v, budget):
     assert res.status != solver.INDETERMINATE
     assert res.expansions == {(0, 1): 240, (3, 7): 219}[u, v] <= budget
     assert charged(res.expansions - 1).status == solver.INDETERMINATE
+
+
+def test_connector_ladder_stops_at_the_largest_union():
+    # no two disjoint edges of 0-1-2-3 miss 3, so the size ladder ends at
+    # j = 2 whatever t is; it used to climb all the way to t
+    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+
+    def too_slow(signum, frame):
+        raise TimeoutError("the connector size ladder climbed towards t")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(10)
+    try:
+        res = find_connector(g, empty(g), K2, 0, 3, t=10**9, budget=100)
+        rep = reachability_estimate(g, empty(g), K2, 0, 3, 0, 10**9, budget=100)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert res == find_connector(g, empty(g), K2, 0, 3, t=1, budget=100)
+    assert (res.status, res.expansions) == (solver.NONE, 8)
+    assert (rep.verdict, rep.witness) == (absorb.REFUTED, ())
 
 
 def test_find_connector_enumerates_g_minus_w(monkeypatch):

@@ -178,6 +178,16 @@ def test_lattice_cli(files, capsys):
         assert code == 64 and out == "" and json.loads(err)["detail"] == detail
 
 
+def test_generator_file_of_mixed_widths_is_a_parse_error(files, capsys):
+    path = files["tmp"] / "mixed.txt"
+    path.write_text("1,2\n# 1\n\n2,1\n1,2,3\n1\n", encoding="ascii")
+    for extra in ([], ["--dim", "2"], ["--dim", "3"]):
+        code, out, err = run_cli(["lattice", "--generators", str(path), "--target", "1,2",
+                                  *extra], capsys)
+        assert code == 65 and out == ""
+        assert json.loads(err) == {"error": "parse", "detail": "bad vector line '1,2,3'"}
+
+
 def _written_vectors(text):
     vecs = []
     for ln in text.splitlines():
@@ -712,6 +722,25 @@ def test_invariants_refuse_an_oversized_graph_before_any_search(files, capsys, m
     code, out, err = run_cli(["invariants", str(path)], capsys)
     assert code == 64 and out == ""
     assert json.loads(err)["error"] == "SizeCapError"
+
+
+@pytest.mark.parametrize("rows, detail", [
+    ("0 1\n2 3\n4 9\n", "vertex set '4 9' names a vertex outside 0..5"),
+    ("0 1\n-1 3\n4 5\n", "vertex set '-1 3' names a vertex outside 0..5"),
+    ("0 1\n1 3\n4 5\n", "vertex set '1 3' shares a vertex with an earlier set"),
+], ids=["outside", "negative", "overlapping"])
+def test_bad_vertex_sets_are_a_parse_error_in_every_regcount_action(files, capsys, rows,
+                                                                     detail):
+    parts = files["tmp"] / "parts.txt"
+    parts.write_text(rows, encoding="ascii")
+    common = ["--graph", files["k6"], "--parts", str(parts), "--sizes", "1,1,1"]
+    for argv in (["regcount", "count", *common],
+                 ["regcount", "sweep", *common, "--mus", "1/10"]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 65 and out == "", argv
+        assert json.loads(err) == {"error": "parse", "detail": detail}, argv
+    code, out, err = run_cli(["regcount", "reduced", *common, "--d", "1/2"], capsys)
+    assert code == 65 and out == "" and json.loads(err)["error"] == "parse"
 
 
 def test_regcount_budget_cut_is_indeterminate(files, capsys):

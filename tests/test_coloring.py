@@ -3,9 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from comptile import oracles, solver
-from comptile.coloring import (INFINITY, bottle_graph, chi_star, chromatic_number,
-                               enumerate_coloring_profiles)
+from comptile import coloring, oracles, solver
+from comptile.coloring import INFINITY, _colorings, bottle_graph, chi_star
 from comptile.errors import SizeCapError
 from comptile.graphs import (MultipartiteSpec, complete_graph, complete_multipartite,
                              cycle_graph, disjoint_union, path_graph)
@@ -14,17 +13,32 @@ from .helpers import random_graph
 
 
 def test_chromatic_number_examples():
-    assert chromatic_number(complete_graph(3)) == 3
-    assert chromatic_number(cycle_graph(5)) == 3
-    assert chromatic_number(disjoint_union(complete_graph(2), complete_graph(2))) == 2
+    assert chi_star(complete_graph(3)).chi == 3
+    assert chi_star(cycle_graph(5)).chi == 3
+    assert chi_star(disjoint_union(complete_graph(2), complete_graph(2))).chi == 2
 
 
 def test_profile_examples():
-    assert enumerate_coloring_profiles(path_graph(3), 2) == {(1, 2)}
-    assert enumerate_coloring_profiles(complete_graph(3), 3) == {(1, 1, 1)}
-    assert enumerate_coloring_profiles(cycle_graph(4), 2) == {(2, 2)}
-    # below chi: empty set is the distinct signal
-    assert enumerate_coloring_profiles(complete_graph(3), 2) == frozenset()
+    assert chi_star(path_graph(3)).profiles == {(1, 2)}
+    assert chi_star(complete_graph(3)).profiles == {(1, 1, 1)}
+    assert chi_star(cycle_graph(4)).profiles == {(2, 2)}
+
+
+def test_chi_star_walks_each_k_once(monkeypatch):
+    # C_5: the clique bound is 2, which has no coloring; k = 3 is walked
+    # once, to the end, and gives both chi and the profiles
+    walked = []
+
+    def recording(g, k):
+        walked.append(k)
+        return _colorings(g, k)
+
+    monkeypatch.setattr(coloring, "_colorings", recording)
+    assert chi_star.__wrapped__(cycle_graph(5)).profiles == {(1, 2, 2)}
+    assert walked == [2, 3]
+    walked.clear()
+    assert chi_star.__wrapped__(complete_graph(4)).profiles == {(1, 1, 1, 1)}
+    assert walked == [4]
 
 
 def test_sigma_and_d_set_examples():
@@ -84,20 +98,19 @@ def test_profiles_match_raw_oracle_on_random_graphs():
 
 
 def test_profiles_match_raw_oracle_around_chi():
-    # k != chi: only colorings using all k colors count
     rng = random.Random(9)
     for _ in range(20):
         n = rng.randint(2, 7)
         g = random_graph(n, rng.uniform(0.2, 0.8), rng.getrandbits(30))
-        chi = chromatic_number(g)
-        assert chi_star(g).profiles == oracles.raw_coloring_profiles(g, chi)
-        for k in range(max(1, chi - 1), chi + 2):
-            assert enumerate_coloring_profiles(g, k) == oracles.raw_coloring_profiles(g, k)
+        prof = chi_star(g)
+        assert prof.chi == oracles.raw_chromatic_number(g)
+        assert prof.profiles == oracles.raw_coloring_profiles(g, prof.chi)
 
 
 def test_chromatic_number_runs_without_recursion_on_long_cycles():
-    assert chromatic_number(cycle_graph(2100)) == 2
-    assert chromatic_number(cycle_graph(2101)) == 3
+    assert next(_colorings(cycle_graph(2100), 2), None) is not None
+    assert next(_colorings(cycle_graph(2101), 2), None) is None
+    assert next(_colorings(cycle_graph(2101), 3), None) is not None
 
 
 def test_rational_bound_chi_minus_one_lt_cr_le_chi(corpus):
@@ -143,4 +156,4 @@ def test_multipartite_d_set_is_part_size_gap_set():
 def test_coloring_cap():
     big = complete_graph(13)
     with pytest.raises(SizeCapError):
-        enumerate_coloring_profiles(big, 13)
+        chi_star(big)
