@@ -297,8 +297,7 @@ def _cmd_regcount(args) -> int:
     if args.action == "count":
         f = _load_system(args.incompat, g)
         spec = MultipartiteSpec(tuple(_parse_ints(args.sizes, "sizes")))
-        rep = regularity.counting_experiment(g, f, blocks[:spec.r],
-                                             spec, budget=args.budget)
+        rep = regularity.counting_experiment(g, f, blocks, spec, budget=args.budget)
         _emit(args, {"count": rep.to_json_dict()})
         return EXIT_OK
     # sweep: c_observed across mu values, CSV on stdout or to --csv
@@ -309,8 +308,7 @@ def _cmd_regcount(args) -> int:
     rows = ["mu,total,compatible,c_observed"]
     for mu in mus:
         f = random_bounded_system(g, mu, args.seed)
-        rep = regularity.counting_experiment(g, f, blocks[:spec.r],
-                                             spec, budget=args.budget)
+        rep = regularity.counting_experiment(g, f, blocks, spec, budget=args.budget)
         rows.append(f"{format_fraction(mu)},{rep.total},{rep.compatible},"
                     f"{format_fraction(rep.c_observed)}")
     csv_text = "\n".join(rows) + "\n"

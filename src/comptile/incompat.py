@@ -146,9 +146,18 @@ def random_bounded_system(g: Graph, mu, seed: int) -> IncompatibilitySystem:
     the shuffle is inlined: for i from len - 1 down to 1 it draws j as
     ``Random._randbelow(i + 1)`` does, ``getrandbits(k)`` with
     k = (i + 1).bit_length(), retried while j > i, and swaps items i and
-    j.  So each seed gives the same system, byte for byte, for any seed
-    ``random.Random`` accepts.
+    j.  An edge that is already full at its turn draws its shuffle's
+    values, rejections included, but moves no item, since it takes no
+    partner; the stream is unchanged.  So each seed gives the same
+    system, byte for byte, for any seed ``random.Random`` accepts.
+
+    ``mu`` is a Fraction, an int or a string such as ``"3/10"``.  A float
+    is refused: it would be read at its binary value, and
+    ``floor(Fraction(0.3) * 10)`` is 2, not 3.
     """
+    if isinstance(mu, float):
+        raise ValidationError(f"mu {mu!r} is a float and would be read at its binary value; "
+                              "give a Fraction, an int or a string such as \"3/10\"")
     mu = Fraction(mu)
     n = g.n
     if mu < 0:
@@ -158,26 +167,38 @@ def random_bounded_system(g: Graph, mu, seed: int) -> IncompatibilitySystem:
     append = triples.append
     if q > 0:
         getrandbits = random.Random(seed).getrandbits
+        count = [0] * n  # partners of va at the current v, by a; zeroed after each v
         for v in range(n):
             nbrs = list(bits(g.adj[v]))
+            # rng.shuffle of a list of len(nbrs) - 1 items: (i, k) for i from len - 1 down to 1
+            slots = [(i, (i + 1).bit_length()) for i in range(len(nbrs) - 2, 0, -1)]
             row = {}  # a -> partners of va at v so far
-            for a in nbrs:
+            for pos, a in enumerate(nbrs):
+                if count[a] >= q:  # va is full: draw its shuffle, move nothing
+                    for i, k in slots:
+                        while getrandbits(k) > i:
+                            pass
+                    continue
                 cands = nbrs.copy()
-                cands.remove(a)
-                for i in range(len(cands) - 1, 0, -1):  # rng.shuffle(cands)
-                    k = (i + 1).bit_length()
+                del cands[pos]
+                for i, k in slots:
                     j = getrandbits(k)
                     while j > i:
                         j = getrandbits(k)
                     cands[i], cands[j] = cands[j], cands[i]
+                mask, c = row.get(a, 0), count[a]
                 for b in cands:
-                    if row.get(a, 0).bit_count() >= q:
-                        break
-                    if row.get(b, 0).bit_count() >= q or row.get(a, 0) >> b & 1:
-                        continue
-                    row[a] = row.get(a, 0) | 1 << b
-                    row[b] = row.get(b, 0) | 1 << a
+                    if count[b] < q and not mask >> b & 1:
+                        mask |= 1 << b
+                        row[a] = mask  # row[a] before row[b]: inc keeps this order
+                        row[b] = row.get(b, 0) | 1 << a
+                        count[b] += 1
+                        c += 1
+                        if c == q:
+                            break
+                count[a] = c
             for a, m in row.items():
+                count[a] = 0
                 partners = m >> a + 1    # the partners b > a, bit b - a - 1, as in triples()
                 while partners:
                     low = partners & -partners

@@ -506,7 +506,8 @@ def _copies(g: Graph, f: IncompatibilitySystem, plan: _Plan, below, allowed: lis
     is the descending order of the bit-reversed masks (vertex v as bit
     n-1-v), since the lowest vertex where two sets differ decides both.
     Copies on one vertex set, which only a non-clique pattern has, keep
-    the tie order of their sorted edges.
+    the tie order of their sorted edges, compared as sorted integer codes
+    x*n + y (x < y), which order as the edge tuples do and build none.
     """
     work = _Work(budget)
     images = []
@@ -524,11 +525,18 @@ def _copies(g: Graph, f: IncompatibilitySystem, plan: _Plan, below, allowed: lis
         images = [images[i] for i in order]
         if not plan.clique:
             keys = [keys[i] for i in order]
+            n, edges = g.n, plan.edges
+
+            def edge_codes(img):
+                # edge (x, y), x < y, as x*n + y: sorted codes order as sorted edge tuples
+                return sorted([img[i] * n + img[p] if img[i] < img[p] else img[p] * n + img[i]
+                               for i, p in edges])
+
             start = 0
             for end in range(1, len(images) + 1):
                 if end == len(images) or keys[end] != keys[start]:
                     if end - start > 1:
-                        images[start:end] = sorted(images[start:end], key=plan.image_edges)
+                        images[start:end] = sorted(images[start:end], key=edge_codes)
                     start = end
     return CopyEnumeration(images, truncated, work.spent, pool, *asked, plan)
 

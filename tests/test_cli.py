@@ -804,6 +804,18 @@ def test_regcount_cli(files, capsys):
     assert lines[0] == "mu,total,compatible,c_observed" and len(lines) == 3
 
 
+@pytest.mark.parametrize("action", ["count", "sweep"])
+def test_regcount_refuses_more_vertex_sets_than_parts(files, capsys, action):
+    # a fourth set is refused as a missing one is, not dropped
+    parts = files["tmp"] / "four_sets.txt"
+    parts.write_text("0\n1\n2\n3\n", encoding="ascii")
+    code, out, err = run_cli(["regcount", action, "--graph", files["k6"], "--parts", str(parts),
+                              "--sizes", "1,1,1", "--mus", "1/6"], capsys)
+    assert code == 64 and out == ""
+    assert json.loads(err) == {"error": "ValidationError",
+                               "detail": "need one vertex set per pattern part"}
+
+
 def test_regcount_sweep_csv_is_pinned(files, capsys):
     # the CSV printed before the system generator replayed its shuffles in bulk
     k12 = files["tmp"] / "k12.graph"

@@ -180,6 +180,42 @@ def test_random_bounded_system_tops_up_inside_shuffles():
         assert _rows(random_bounded_system(g, mu, seed)) == _rows(raw_bounded_system(g, mu, seed))
 
 
+class _RecordedRandom(random.Random):
+    """random.Random that logs every getrandbits(k) call as (k, value)."""
+    log = None
+
+    def getrandbits(self, k):
+        value = super().getrandbits(k)
+        self.log.append((k, value))
+        return value
+
+
+@pytest.mark.parametrize("mu", [Fraction(1, 12), Fraction(0), Fraction(1)],
+                         ids=["q=1", "mu=0", "q>=degree"])
+def test_random_bounded_system_draws_what_the_literal_shuffles_draw(monkeypatch, mu):
+    # at q = 1 on K_12 an edge picked by an earlier one is full at its turn and
+    # draws without moving (60 of the 132 edges at seed 29); at mu = 0 nothing
+    # draws, and at q >= 11 no edge fills
+    monkeypatch.setattr(random, "Random", _RecordedRandom)
+    k12 = complete_graph(12)
+    logs = []
+    for build in (random_bounded_system, raw_bounded_system):
+        monkeypatch.setattr(_RecordedRandom, "log", [])
+        build(k12, mu, 29)
+        logs.append(_RecordedRandom.log)
+    assert logs[0] == logs[1]
+    # the raw shuffles draw at least once per slot: 12 vertices x 11 edges x 9 slots
+    assert len(logs[0]) >= 12 * 11 * 9 if mu else logs[0] == []
+
+
+def test_random_bounded_system_refuses_a_float_mu():
+    k10 = complete_graph(10)
+    assert random_bounded_system(k10, "3/10", 1).delta == 3
+    # Fraction(0.3) is a little below 3/10, so 0.3 would floor to q = 2
+    with pytest.raises(ValidationError, match=r"mu 0\.3 is a float.*\"3/10\""):
+        random_bounded_system(k10, 0.3, 1)
+
+
 # sha256 of format_system, recorded from earlier generators; a changed
 # oracle cannot hide a drift of the stream
 PINNED_STREAM = [
