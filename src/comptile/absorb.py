@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from . import solver
@@ -42,7 +41,7 @@ from .errors import ConsistencyError, ValidationError
 from .graphs import Graph, VertexPartition
 from .incompat import IncompatibilitySystem
 from .lattice import index_vector, mask_index_vector
-from .util import bits, mask_of
+from .util import bits, mask_of, rational
 
 PROVEN = "proven"
 SUPPORTED = "supported"
@@ -542,7 +541,7 @@ def robust_vectors(g: Graph, f: IncompatibilitySystem, pattern: Graph,
     Testing |W| = floor(beta*n) exactly covers all smaller W too
     (supersets only make deletion harder).
     """
-    beta = Fraction(beta)
+    beta = rational(beta, "beta")
     if not 0 <= beta <= 1:   # |W| > n would leave no W to check: a vacuous proof
         raise ValidationError(f"beta must lie in [0, 1], got {beta}")
     if p.n != g.n:
@@ -617,7 +616,7 @@ def verify_absorbing_set(g: Graph, f: IncompatibilitySystem, pattern: Graph,
     inside = set(a_set)
     a_set = sorted(inside)
     _check_inputs(g, pattern, a_set)
-    xi = Fraction(xi)
+    xi = rational(xi, "xi")
     if xi < 0:
         raise ValidationError(f"xi must be >= 0, got {xi}")
     h = pattern.n

@@ -30,7 +30,7 @@ from .graphs import (Graph, MultipartiteSpec, VertexPartition, complement_compon
                      complete_multipartite)
 from .incompat import IncompatibilitySystem
 from .lattice import mask_index_vector, obstruction
-from .util import bits, format_fraction
+from .util import bits, format_fraction, rational
 
 KOMLOS = "komlos"
 KUHN_OSTHUS = "ko"
@@ -191,7 +191,7 @@ class ConstructionSpec:
     base_sizes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "mu", Fraction(self.mu))
+        object.__setattr__(self, "mu", rational(self.mu, "mu"))
         sizes_of = _BASE_SIZES.get(self.base)
         if sizes_of is None:
             raise ValidationError(f"unknown base {self.base!r}")

@@ -21,11 +21,10 @@ from __future__ import annotations
 import json
 import math
 import random
-from fractions import Fraction
 
 from .errors import FormatError, ValidationError
 from .graphs import Graph
-from .util import bits, int_rows
+from .util import bits, int_rows, rational
 
 
 class IncompatibilitySystem:
@@ -151,14 +150,10 @@ def random_bounded_system(g: Graph, mu, seed: int) -> IncompatibilitySystem:
     partner; the stream is unchanged.  So each seed gives the same
     system, byte for byte, for any seed ``random.Random`` accepts.
 
-    ``mu`` is a Fraction, an int or a string such as ``"3/10"``.  A float
-    is refused: it would be read at its binary value, and
-    ``floor(Fraction(0.3) * 10)`` is 2, not 3.
+    ``mu`` is a Fraction, an int or a string such as ``"3/10"``; a float
+    is refused (see ``util.rational``).
     """
-    if isinstance(mu, float):
-        raise ValidationError(f"mu {mu!r} is a float and would be read at its binary value; "
-                              "give a Fraction, an int or a string such as \"3/10\"")
-    mu = Fraction(mu)
+    mu = rational(mu, "mu")
     n = g.n
     if mu < 0:
         raise ValidationError("mu must be non-negative")

@@ -47,6 +47,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 from math import gcd, lcm
+from operator import index
 
 from .errors import ConsistencyError, ValidationError
 from .graphs import VertexPartition
@@ -134,6 +135,16 @@ def _hnf_with_transform(rows: list, dim: int) -> tuple:
     return h, u, pivots
 
 
+def _integers(vector, what: str) -> tuple:
+    """The entries of ``vector`` as ints; an entry that is not an integer
+    (1.5, "2", Fraction(1, 2)) raises ValidationError naming ``what``,
+    where ``int`` would have truncated it."""
+    try:
+        return tuple(map(index, vector))
+    except TypeError:
+        raise ValidationError(f"{what} has an entry that is not an integer") from None
+
+
 class GeneratedLattice:
     """Integer span of a generator list, with HNF basis cached.
 
@@ -145,8 +156,8 @@ class GeneratedLattice:
     def __init__(self, generators, dim: int = None):
         first = {}    # distinct generator -> index of its first occurrence
         gens = []     # a repeated generator is the tuple of its first occurrence
-        for g in generators:
-            g = tuple(map(int, g))
+        for pos, g in enumerate(generators):
+            g = _integers(g, f"generator {pos}")
             i = first.setdefault(g, len(gens))
             gens.append(gens[i] if i < len(gens) else g)
         if dim is None:
@@ -170,7 +181,7 @@ class GeneratedLattice:
         """(True, coefficients over the original generators) or (False, y),
         y a rational vector with y.g an integer for every generator g and
         y.x not; either certificate is checked before it is returned."""
-        x = [int(v) for v in x]
+        x = list(_integers(x, "target"))
         if len(x) != self.dim:
             raise ValidationError(f"vector has dimension {len(x)}, lattice has {self.dim}")
         quotients, y = _reduce(self._hnf, self._pivots, x)

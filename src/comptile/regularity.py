@@ -4,25 +4,41 @@ Regularity of a pair (X, Y) quantifies over ALL sub-pairs (A, B) with
 |A| >= eps|X|, |B| >= eps|Y|, so it can only be certified exhaustively;
 nothing here ever labels a pair "regular" from a sample.  Deciding it is
 co-NP-complete (Alon, Duke, Lefmann, Rodl and Yuster, "The algorithmic
-aspects of the regularity lemma", 1994), so the scan visits every A, and
-sides are hard-capped at 14 vertices (2^14 subsets each).
+aspects of the regularity lemma", 1994), so sides are hard-capped at 20
+vertices.
 
-The scan need not visit every B.  For fixed A and |B| = b,
-e(A, B) = sum of deg_A(y) over y in B, so over all B of size b it runs
-exactly from the sum of the b smallest degrees into A to the sum of the
-b largest, both attained.  The deviation |e / (|A| b) - d(X, Y)| is
-convex in e, so some B of size b fails iff one of those two extremes
-fails.  The scan therefore sorts one degree row per A, vectorized over
-blocks of A-subsets, and compares both extremes for every admissible b.
+Two averaging facts confine the scan to the smallest admissible
+sub-pairs, of a_min and b_min vertices (the least sizes above the eps
+thresholds):
+
+1. For fixed A, e(A, B) is the sum of deg_A(y) over y in B.  The mean of
+   the b smallest degrees into A never falls as b grows, and the mean of
+   the b largest never rises, so over every admissible B the density
+   d(A, B) is least on the b_min smallest degrees and greatest on the
+   b_min largest.  As |d - d(X, Y)| >= eps holds below one threshold and
+   above another, some B fails iff one of those two extremes fails.
+2. d(A, B) is the mean of d(A', B) over the a_min-subsets A' of A (each
+   vertex of A lies in equally many), so if (A, B) fails, so does some
+   (A', B) with |A'| = a_min; likewise for B and its b_min-subsets.
+
+The scan therefore visits only the C(|X|, a_min) sets A of exactly a_min
+vertices and compares two degree sums for each.  The witness is
+unchanged from a scan of every A and every B: the first failing pair in
+ascending subset-mask order, A-mask first.  A failing A contains a
+failing a_min-subset, whose mask is no larger, so the first failing A
+has exactly a_min vertices, and the first failing B for it has b_min.
 
 All threshold comparisons are exact rational cross-multiplications in
-int64; no floats touch a decision.
+int64; no floats touch a decision.  With the eps denominator capped at
+10^6 every compared product is at most |X|^2 |Y|^2 10^6, about 1.6e11 at
+side 20, far inside int64 (see ``_deviates``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,9 +46,9 @@ from . import solver
 from .errors import BudgetExceeded, ConsistencyError, SizeCapError, ValidationError
 from .graphs import Graph, MultipartiteSpec
 from .incompat import IncompatibilitySystem
-from .util import bits, format_fraction, mask_of
+from .util import bits, format_fraction, mask_of, rational
 
-SIDE_CAP = 14
+SIDE_CAP = 20
 
 
 def _sides(g: Graph, x_side, y_side) -> tuple:
@@ -76,7 +92,7 @@ class RegularityReport:
         return out
 
 
-# the low bits of an A-mask index the rows of one vectorized block
+# the low bits of a subset mask index the rows of one vectorized block
 _BLOCK_BITS = 10
 
 
@@ -92,8 +108,43 @@ def _subset_sums(items) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=_BLOCK_BITS + 1)
+def _masks_by_size(n_bits: int) -> tuple:
+    """by_size[s] = the masks of n_bits bits with s bits set, ascending.
+
+    Cached, so every scan shares the arrays; they are made read-only.
+    """
+    size = _subset_sums([1] * n_bits)
+    by_size = tuple(np.flatnonzero(size == s) for s in range(n_bits + 1))
+    for masks in by_size:
+        masks.flags.writeable = False
+    return by_size
+
+
+def _subsets_of_size(items, s: int):
+    """Yield (base, low, sums) over the s-subsets of range(len(items)).
+
+    One block per pattern of the bits above the low ``_BLOCK_BITS``, in
+    ascending order, so the masks base | low[i] ascend over the whole
+    walk, and no block holds more than C(10, 5) = 252 sums.  sums[i] is
+    the sum of items over the set bits of base | low[i].
+    """
+    lo_bits = min(len(items), _BLOCK_BITS)
+    lo_sums, hi_sums = _subset_sums(items[:lo_bits]), _subset_sums(items[lo_bits:])
+    by_size = _masks_by_size(lo_bits)
+    for hi in range(len(hi_sums)):
+        lo = s - hi.bit_count()
+        if 0 <= lo <= lo_bits:
+            yield hi << lo_bits, by_size[lo], lo_sums[by_size[lo]] + hi_sums[hi]
+
+
 def _deviates(e, ab, d: Fraction, eps: Fraction) -> np.ndarray:
-    """|e / ab - d| >= eps elementwise, by exact integer cross-multiplication."""
+    """|e / ab - d| >= eps elementwise, by exact integer cross-multiplication.
+
+    With 0 <= e <= ab <= |X| |Y|, d.denominator <= |X| |Y| (d is a pair
+    density), eps <= 1 and eps.denominator <= 10^6, both sides are at most
+    (|X| |Y|)^2 10^6, 1.6e11 at side 20: exact in int64.
+    """
     return (np.abs(e * d.denominator - d.numerator * ab) * eps.denominator
             >= eps.numerator * ab * d.denominator)
 
@@ -106,15 +157,18 @@ def is_eps_regular_exhaustive(g: Graph, x_side, y_side, eps,
     thresholds; with d_min given, also requires d(X, Y) >= d_min.  The
     witness is the first failing pair in ascending subset-mask order.
 
-    Per block of 2^10 A-masks the degree rows deg_A(y) are the sum of a
-    low-bit table and one high-bit row; sorted and summed cumulatively
-    they give, for every admissible b, the least and greatest e(A, B)
-    over |B| = b, and a B of size b fails iff one of the two does (see
-    the module docstring).  Only the first failing A has its 2^|Y|
-    B-subsets enumerated, to find the first failing B-mask.
+    By the two averaging facts of the module docstring, only the A of
+    exactly a_min vertices are scanned, in ascending mask order, one
+    block per pattern of high bits: each block's degree rows deg_A(y) are
+    sorted, and the sums of their b_min smallest and b_min largest
+    entries are compared with the thresholds.  The first failing A is the
+    witness A; the b_min-subsets of Y are then walked, in ascending mask
+    order and in the same blocks, for the first failing B.  ``eps``,
+    ``d_min`` are Fractions, ints or strings such as "1/5"; a float is
+    refused.
     """
     xs, ys = _sides(g, x_side, y_side)
-    eps = Fraction(eps)
+    eps = rational(eps, "eps")
     if not 0 < eps:
         raise ValidationError("eps must be positive")
     if eps.denominator > 10**6:
@@ -126,7 +180,7 @@ def is_eps_regular_exhaustive(g: Graph, x_side, y_side, eps,
             f"got {len(xs)} and {len(ys)}")
     d_xy = density(g, xs, ys)
     if d_min is not None:
-        d_min = Fraction(d_min)
+        d_min = rational(d_min, "d_min")
         if d_xy < d_min:
             return RegularityReport(False, d_xy, eps, d_min,
                                     reason=f"density {d_xy} below d = {d_min}")
@@ -137,32 +191,26 @@ def is_eps_regular_exhaustive(g: Graph, x_side, y_side, eps,
     b_min = max(1, -(-eps.numerator * ny // eps.denominator))
     if a_min > nx or b_min > ny:
         return passed      # eps > 1: nothing to check, and eps.num may not fit int64
-    b = np.arange(b_min, ny + 1)
+    ab = a_min * b_min
     adj = np.array([[g.adj[x] >> y & 1 for y in ys] for x in xs], dtype=np.int64)
-    lo_bits = min(nx, _BLOCK_BITS)
-    lo_deg, hi_deg = _subset_sums(adj[:lo_bits]), _subset_sums(adj[lo_bits:])
-    lo_size, hi_size = _subset_sums([1] * lo_bits), _subset_sums([1] * (nx - lo_bits))
-    zero = np.zeros((len(lo_deg), 1), dtype=np.int64)
-    for hi in range(len(hi_deg)):
-        a = lo_size + hi_size[hi]
-        # least[:, k] = sum of the k smallest degrees into A, for k = 0..|Y|
-        least = np.cumsum(np.hstack([zero, np.sort(lo_deg + hi_deg[hi], axis=1)]), axis=1)
-        ab = a[:, None] * b
-        bad = (_deviates(least[:, b], ab, d_xy, eps)
-               | _deviates(least[:, -1:] - least[:, ny - b], ab, d_xy, eps))
-        bad = bad.any(axis=1) & (a >= a_min)
+    for base, low, deg in _subsets_of_size(adj, a_min):
+        deg.sort(axis=1)
+        bad = (_deviates(deg[:, :b_min].sum(axis=1), ab, d_xy, eps)
+               | _deviates(deg[:, -b_min:].sum(axis=1), ab, d_xy, eps))
         if bad.any():
-            a_mask = hi << lo_bits | int(np.argmax(bad))
+            a_mask = base | int(low[np.argmax(bad)])
             break
     else:
         return passed
     a_host = mask_of(xs[i] for i in bits(a_mask))
-    e_ab = _subset_sums([(g.adj[y] & a_host).bit_count() for y in ys])
-    b_size = _subset_sums([1] * ny)
-    bad = (b_size >= b_min) & _deviates(e_ab, a_mask.bit_count() * b_size, d_xy, eps)
-    if not bad.any():
+    deg_a = [(g.adj[y] & a_host).bit_count() for y in ys]
+    for base, low, e in _subsets_of_size(deg_a, b_min):
+        bad = _deviates(e, ab, d_xy, eps)
+        if bad.any():
+            b_mask = base | int(low[np.argmax(bad)])
+            break
+    else:
         raise ConsistencyError("degree-sum scan flagged an A with no failing B")
-    b_mask = int(np.argmax(bad))
     witness = (tuple(xs[i] for i in bits(a_mask)), tuple(ys[i] for i in bits(b_mask)))
     return RegularityReport(False, d_xy, eps, d_min, witness,
                             reason="sub-pair density deviates by >= eps")
@@ -180,7 +228,7 @@ def reduced_graph(g: Graph, blocks, eps, d) -> ReducedGraph:
     """One vertex per cluster; an edge exactly where the pair verified
     (eps, d)-regular by the exhaustive test (regularity is never assumed).
     """
-    eps, d = Fraction(eps), Fraction(d)
+    eps, d = rational(eps, "eps"), rational(d, "d")
     blocks = [sorted(set(b)) for b in blocks]
     for i, b in enumerate(blocks):
         if len(b) > SIDE_CAP:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .errors import FormatError
+from .errors import FormatError, ValidationError
 
 
 def bits(mask: int):
@@ -52,6 +52,19 @@ def int_rows(text: str, what: str, width: int = None, sep: str = None) -> list:
             raise FormatError(f"bad {what} line {ln!r}") from None
         rows.append(row)
     return rows
+
+
+def rational(value, name: str) -> Fraction:
+    """A user-given rational parameter as an exact Fraction.
+
+    Fractions, ints and strings such as "3/10" are read exactly.  A float
+    is refused with a ValidationError naming the parameter: it would be
+    read at its binary value, and ``floor(Fraction(0.3) * 10)`` is 2, not 3.
+    """
+    if isinstance(value, float):
+        raise ValidationError(f"{name} {value!r} is a float and would be read at its binary "
+                              "value; give a Fraction, an int or a string such as \"3/10\"")
+    return Fraction(value)
 
 
 def format_fraction(x: Fraction) -> str:

@@ -780,6 +780,22 @@ def test_regcount_regular_report_matches_the_oracle(files, capsys, edges, d, cod
     assert (witness is not None) == (code == 1 and d is None)
 
 
+@pytest.mark.parametrize("side, code", [(20, 0), (21, 64)])
+def test_regcount_regular_side_cap_is_20(files, capsys, side, code):
+    k = Graph.from_edges(2 * side, [(a, side + b) for a in range(side) for b in range(side)])
+    path = files["tmp"] / "kss.graph"
+    path.write_text(format_graph(k), encoding="ascii")
+    got, out, err = run_cli(["regcount", "regular", "--graph", str(path),
+                             "--x", ",".join(map(str, range(side))),
+                             "--y", ",".join(map(str, range(side, 2 * side))),
+                             "--eps", "1/10"], capsys)
+    assert got == code
+    if code:
+        assert out == "" and json.loads(err)["error"] == "SizeCapError"
+    else:
+        assert json.loads(out)["regular"]["regular"] is True
+
+
 def test_regcount_cli(files, capsys):
     code, out, _ = run_cli(["regcount", "density", "--graph", files["c4"],
                             "--x", "0,2", "--y", "1,3"], capsys)

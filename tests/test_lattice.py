@@ -62,6 +62,19 @@ def test_membership_empty_and_degenerate():
         GeneratedLattice([(1, 2)]).membership((1, 2, 3))
 
 
+def test_non_integer_entries_are_refused():
+    # int() truncated them: (1.5, 0) became (1, 0) and answered (1, 0) as a
+    # member; the target (1.5, 0) was answered as (1, 0)
+    with pytest.raises(ValidationError, match="generator 0 has an entry that is not an integer"):
+        GeneratedLattice([(1.5, 0), (0, 1)]).membership([1, 0])
+    with pytest.raises(ValidationError, match="generator 1 has an entry"):
+        GeneratedLattice([(1, 0), (0, Fraction(1, 2))])
+    lat = GeneratedLattice([(2, 0), (0, 2)])
+    with pytest.raises(ValidationError, match="target has an entry that is not an integer"):
+        lat.membership([1.5, 0])
+    assert lat.membership([True, 0])[0] is False     # a bool is an integer
+
+
 def test_certificates_are_pinned():
     # recorded with the dense m x m transform; the sparse rows must give the same
     lat = GeneratedLattice([(0, -1, 2), (1, 2, -1), (-2, 0, -3), (-1, 0, -1), (2, 3, 0),

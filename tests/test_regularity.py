@@ -1,4 +1,7 @@
+import hashlib
+import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -8,9 +11,11 @@ from comptile.errors import BudgetExceeded, SizeCapError, ValidationError
 from comptile.graphs import (Graph, MultipartiteSpec, complete_graph, complete_multipartite,
                              cycle_graph)
 from comptile.incompat import IncompatibilitySystem, random_bounded_system
+from comptile import regularity
 from comptile.oracles import raw_is_eps_regular
 from comptile.regularity import (counting_experiment, density, is_eps_regular_exhaustive,
                                  reduced_graph)
+from comptile.util import canonical_json
 
 from .helpers import random_graph, random_system
 
@@ -75,9 +80,9 @@ def test_regular_d_min_gate():
 
 
 def test_regular_cap():
-    g = random_graph(30, 0.5, 1)
+    g = random_graph(42, 0.5, 1)
     with pytest.raises(SizeCapError):
-        is_eps_regular_exhaustive(g, list(range(15)), list(range(15, 30)),
+        is_eps_regular_exhaustive(g, list(range(21)), list(range(21, 42)),
                                   Fraction(1, 4))
 
 
@@ -124,8 +129,8 @@ def test_scan_witness_is_pinned(side, seed, eps, dens, witness):
 
 
 def test_full_scan_memory_stays_small():
-    # the 2^14 A-masks are scanned in blocks: all of them at once would
-    # hold about 16 MB of degree rows
+    # the A are scanned in blocks of at most C(10, 5) = 252 degree rows;
+    # the rows of all 2^14 A-masks at once would hold about 16 MB
     g = random_graph(28, 0.5, 14)
     tracemalloc.start()
     try:
@@ -133,8 +138,64 @@ def test_full_scan_memory_stays_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rep.regular                  # no early exit: every A-mask was visited
+    assert rep.regular                  # no early exit: every 7-vertex A was visited
     assert peak < 4 * 2**20, peak
+
+
+def test_scan_reports_are_pinned():
+    # 240 reports on sides 12-14 (99 irregular, 93 regular, 48 below d_min),
+    # recorded by the scan that enumerated every A and, for the first
+    # failing A, every B; the oracle cannot reach these sizes
+    lines = []
+    for seed in range(30):
+        side = 12 + seed % 3
+        g = random_graph(2 * side, (0.3, 0.5, 0.7)[seed // 3 % 3], seed)
+        for eps in (Fraction(1, 5), Fraction(1, 3), Fraction(2, 5), Fraction(1, 2)):
+            for d_min in (None, Fraction(2, 5)):
+                rep = is_eps_regular_exhaustive(g, range(side), range(side, 2 * side), eps,
+                                                d_min=d_min)
+                lines.append(canonical_json(rep.to_json_dict()))
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == "188296be593c0798c203df74f5bfaf0e7838a518a3036dbf530f2649462547d2"
+
+
+def test_regular_scan_compares_two_extremes_per_minimum_size_a(monkeypatch):
+    # at eps = 1/2 on sides of 14, a_min = 7: a regular pair costs one low
+    # and one high comparison for each of the C(14, 7) = 3,432 A of 7 vertices
+    compared = []
+    deviates = regularity._deviates
+
+    def counting(e, *args):
+        compared.append(e.size)
+        return deviates(e, *args)
+
+    monkeypatch.setattr(regularity, "_deviates", counting)
+    g = random_graph(28, 0.5, 14)
+    assert is_eps_regular_exhaustive(g, range(14), range(14, 28), Fraction(1, 2)).regular
+    assert sum(compared) == 2 * math.comb(14, 7) == 6864
+
+
+def test_side_20_scans_stay_small():
+    # the witness step walks the B of b_min vertices in blocks; a table of
+    # all 2^20 B-subsets peaked at about 42 MB
+    g = random_graph(40, 0.5, 3)
+    tracemalloc.start()
+    try:
+        rep = is_eps_regular_exhaustive(g, range(20), range(20, 40), Fraction(1, 5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not rep.regular and abs(density(g, *rep.witness) - rep.density) >= rep.eps
+    assert peak < 4 * 2**20, peak
+    start = time.process_time()
+    tracemalloc.start()
+    try:
+        rep = is_eps_regular_exhaustive(g, range(20), range(20, 40), Fraction(1, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.regular and peak < 4 * 2**20, peak
+    assert time.process_time() - start < 5   # 0.12 s on a 2-vCPU VM
 
 
 def test_regularity_antitone_in_eps():
