@@ -97,9 +97,10 @@ def _factor_gate(g: Graph, f: IncompatibilitySystem, pattern: Graph,
     (REFUTED) or whose search hit the budget (INDETERMINATE) is named in
     the reason.  A set whose size h does not divide refutes the gate
     before anything is enumerated, at no expansions.  Otherwise the union
-    of the sets is enumerated once, and each search takes the copies
-    inside its set from that enumeration; an enumeration cut by the
-    budget makes the gate INDETERMINATE at once.  ``budget`` covers the
+    of the sets is enumerated once, and each search reads that
+    enumeration's rows through the mask of those inside its set
+    (``CopyEnumeration.live``); an enumeration cut by the budget makes the
+    gate INDETERMINATE at once.  ``budget`` covers the
     enumeration and the searches, so a gate that ends PROVEN or REFUTED
     spent at most ``budget`` expansions.  ``copies``, a complete
     enumeration over a superset of the union, replaces the gate's own;
@@ -606,11 +607,12 @@ def verify_absorbing_set(g: Graph, f: IncompatibilitySystem, pattern: Graph,
     admissible R when the count fits the cap, else sampled per size.
 
     The exhaustive check enumerates A and the vertices its R can use
-    (the host, when some R is non-empty) once, at the first R, and each
-    R's search takes the copies inside A u R from it with ``budget`` less
-    that enumeration, so each check spends at most ``budget``; a budget
-    under which every R's own search decides can then end INDETERMINATE,
-    as does a cut enumeration.  A sampled check enumerates each sample's
+    (the host, when some R is non-empty) once, at the first R.  Each R's
+    search reads that enumeration's rows through the mask of the copies
+    inside A u R (``CopyEnumeration.live``, over a row index built once),
+    with ``budget`` less the enumeration, so each check spends at most
+    ``budget``; a budget under which every R's own search decides can then
+    end INDETERMINATE, as does a cut enumeration.  A sampled check enumerates each sample's
     A u R, since a hundred small samples can cover far less than the host.
     """
     inside = set(a_set)

@@ -108,13 +108,14 @@ class CopyEnumeration:
     for (``system`` None for the empty one).
 
     A copy travels as its image, the host vertex of each plan step
-    (``images``), and its vertex mask (``masks``); the factor decision,
-    the maximum tiling and the lattice test read only those.  ``copies``,
-    the Embeddings, is built at its first read, and ``embedding(i)``
-    builds one copy, e.g. a row of a tiling.  ``masks`` and ``copies``
-    are plain lazily filled fields, not ``functools.cached_property``: on
-    Python 3.11 its first read takes a lock, 1.6 us, over 1% of a tiny
-    factor decision.
+    (``images``), its vertex mask (``masks``) and its index, its bit in
+    the masks of live rows that restrict a search to a vertex subset
+    (``live``); the factor decision, the maximum tiling and the lattice
+    test read only those.  ``copies``, the Embeddings, is built at its
+    first read, and ``embedding(i)`` builds one copy, e.g. a row of a
+    tiling.  ``masks``, ``copies`` and the row index are plain lazily
+    filled fields, not ``functools.cached_property``: on Python 3.11 its
+    first read takes a lock, 1.6 us, over 1% of a tiny factor decision.
     """
 
     images: list = field(repr=False)
@@ -127,7 +128,7 @@ class CopyEnumeration:
     _plan: "_Plan" = field(repr=False, compare=False)
     _masks: list = field(default=None, init=False, repr=False, compare=False)
     _copies: list = field(default=None, init=False, repr=False, compare=False)
-    _runs: dict = field(default=None, init=False, repr=False, compare=False)
+    _index: tuple = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def masks(self) -> list:
@@ -148,39 +149,33 @@ class CopyEnumeration:
         """The i-th copy as an Embedding."""
         return self._plan.copy(self.images[i])
 
-    def inside(self, pool: int) -> tuple:
-        """(indices, masks) of the listed copies inside the vertex mask
-        ``pool``, in canonical order.
+    def index(self) -> tuple:
+        """(rows_at, reach), built at the first call: ``rows_at[v]`` is the
+        bitmask of the indices of the copies through vertex v, ``reach[v]``
+        the union of their vertex masks."""
+        if self._index is None:
+            rows_at = [0] * self.graph.n
+            reach = [0] * self.graph.n
+            for i, (img, mask) in enumerate(zip(self.images, self.masks)):
+                bit = 1 << i
+                for v in img:
+                    rows_at[v] |= bit
+                    reach[v] |= mask
+            self._index = rows_at, reach
+        return self._index
 
-        Canonical order sorts by the sorted image, so the copies whose two
-        lowest vertices are v < w (v alone for a one-vertex pattern) form
-        one run; the runs are indexed once, at the first call, by the mask
-        of those vertices.  A call walks the runs of the pairs inside
-        ``pool`` in order and keeps the copies whose other vertices lie in
-        it too, so it reads only copies that start with two pool vertices,
-        not every copy of the host.
-        """
-        masks = self.masks
-        if self._runs is None:
-            # a run ends where its key is last seen, and the keys come in order;
-            # m & (m - 1) drops m's lowest bit, so the key keeps its two lowest
-            ends = {m ^ ((rest := m & (m - 1)) & (rest - 1)): i for i, m in enumerate(masks, 1)}
-            self._runs = dict(zip(ends, zip((0, *ends.values()), ends.values())))
-        runs = self._runs
-        if self.pattern.n == 1:
-            keys = [1 << v for v in bits(pool)]
-        else:
-            keys = [1 << v | 1 << w for v in bits(pool) for w in bits(pool >> v + 1 << v + 1)]
-        outside = ~pool
-        indices, row_masks = [], []
-        for key in keys:
-            run = runs.get(key)
-            if run is not None:
-                for i in range(*run):
-                    if not masks[i] & outside:
-                        indices.append(i)
-                        row_masks.append(masks[i])
-        return indices, row_masks
+    def live(self, pool: int) -> int:
+        """The bitmask of the indices of the copies inside ``pool``, a
+        subset of this pool: all but those through a vertex it drops.
+        The whole pool builds no index."""
+        every = (1 << len(self.images)) - 1
+        if pool == self.pool:
+            return every
+        rows_at = self.index()[0]
+        dead = 0
+        for v in bits(self.pool & ~pool):
+            dead |= rows_at[v]
+        return every & ~dead
 
 
 @dataclass
@@ -706,16 +701,16 @@ def _full_pool(g: Graph, pool) -> int:
     return pool
 
 
-def _pack(full: int, rows: list, row_masks: list, n: int, work: _Work, h: int,
+def _pack(full: int, enum: CopyEnumeration, alive: int, work: _Work, h: int,
           slack: int) -> tuple:
-    """(indices of disjoint ``rows``, tuples of vertices whose vertex masks
-    are ``row_masks``, inside the vertex mask ``full`` that leave the
-    fewest of its vertices uncovered, exhausted).  The packing is None
+    """(indices of disjoint copies of ``enum`` among the rows ``alive`` (a
+    bitmask of copy indices, all inside the vertex mask ``full``) that
+    leave the fewest of ``full`` uncovered, exhausted).  The packing is None
     unless one leaves at most ``slack`` vertices uncovered; with slack 0
-    this is exact cover.  ``n`` bounds the vertex ids and every row has
-    ``h`` vertices; ``slack`` is at least |full| or differs from it by a
-    multiple of h.  ``exhausted`` is False when ``work``'s budget
-    cut the search short, and the packing is then the best found so far.
+    this is exact cover.  Every row has ``h`` vertices; ``slack`` is at
+    least |full| or differs from it by a multiple of h.  ``exhausted`` is
+    False when ``work``'s budget cut the search short, and the packing is
+    then the best found so far.
 
     Depth-first with an explicit stack; each node branches on its
     uncovered vertex v with the fewest admissible rows (the lowest such
@@ -734,36 +729,36 @@ def _pack(full: int, rows: list, row_masks: list, n: int, work: _Work, h: int,
     Slack and popcount(uncovered) + skipped differ from |full| by
     multiples of h, so that cut is simply skipped > slack.
 
-    Each open node keeps ``alive``, the bitmask of the rows disjoint from
-    everything covered or skipped so far.  Each uncovered vertex v keeps
-    its admissible count ``count[v] = popcount(rows_at[v] & alive)`` and
-    sits in ``buckets[count[v]]``, so the branch vertex is the lowest
-    uncovered bit of the first bucket that has one.  A branch does
-    ``alive &= ~(rows_at[u] | ...)`` over the vertices u it takes and
-    recounts only the uncovered vertices in their ``reach``, the only
-    ones a killed row passes through.  Each changed count goes on a flat
-    trail of (vertex, old count), which backtracking pops back to the
-    node's mark.  A covered or skipped vertex keeps its last count and
-    bucket untouched until backtracking uncovers it, which is why bucket
-    reads mask by ``uncovered``.
+    The rows are read in place, by global index, through the index of
+    ``enum`` (``CopyEnumeration.index``), so they are tried in canonical
+    order.  Each open node keeps ``alive``, the bitmask of the rows
+    disjoint from everything covered or skipped so far (the caller's at
+    the root).  Each uncovered vertex v keeps its admissible count
+    ``count[v] = popcount(rows_at[v] & alive)`` and sits in
+    ``buckets[count[v]]``, so the branch vertex is the lowest uncovered
+    bit of the first bucket that has one.  A branch does ``alive &=
+    ~(rows_at[u] | ...)`` over the vertices u it takes and recounts only
+    the uncovered vertices in their ``reach``, the only ones a killed row
+    passes through.  That ``reach`` is the whole enumeration's: a vertex
+    it adds shares no row alive at the root with u, so its recount finds
+    its count unchanged, and the counts stay exact.  Each changed count
+    goes on a flat trail of (vertex, old count), which backtracking pops
+    back to the node's mark.  A covered or skipped vertex keeps its last
+    count and bucket untouched until backtracking uncovers it, which is
+    why bucket reads mask by ``uncovered``.
     """
-    rows_at = [0] * n   # rows_at[v]: bitmask of the indices of the rows through v
-    reach = [0] * n     # reach[v]: union of those rows' vertex masks
-    for i, (row, mask) in enumerate(zip(rows, row_masks)):
-        bit = 1 << i
-        for v in row:
-            rows_at[v] |= bit
-            reach[v] |= mask
+    rows, row_masks = enum.images, enum.masks
+    rows_at, reach = enum.index()
     spent, budget = work.spent, work.budget
     size = full.bit_count()
     best = None
     if size <= slack:
         best, slack = [], size - h
-    count = [0] * n
+    count = [0] * len(rows_at)
     buckets = []      # buckets[c]: uncovered vertices with c admissible rows
     uncovered, skipped = full, 0  # the node to open
     for v in bits(full):
-        c = rows_at[v].bit_count()
+        c = (rows_at[v] & alive).bit_count()
         if not c:
             uncovered ^= 1 << v
             skipped += 1
@@ -778,7 +773,6 @@ def _pack(full: int, rows: list, row_masks: list, n: int, work: _Work, h: int,
     chosen = []       # rows taken on the path, None for a skip branch
     stack = []        # (alive, uncovered, skipped, trail mark, v or -1)
     untried = []      # per open node, the mask of its untried rows
-    alive = (1 << len(row_masks)) - 1
     while True:
         for b in buckets:
             b &= uncovered
@@ -856,25 +850,29 @@ def _pack(full: int, rows: list, row_masks: list, n: int, work: _Work, h: int,
             chosen.pop()
 
 
-def _lattice_refutation(g: Graph, full: int, row_masks: list):
+def _lattice_refutation(g: Graph, full: int, copies: CopyEnumeration, alive: int):
     """(parts, y) when ``lattice.obstruction`` finds the part sizes of the
-    pool ``full`` outside the lattice of the index vectors of
-    ``row_masks``, else None.
+    pool ``full`` outside the lattice of the index vectors of the copies
+    of ``copies`` whose indices are the bits of ``alive``, else None.
 
     The parts are the components of the complement of g[full], with the
     singletons (vertices adjacent to the rest of the pool) merged into one
     last part: on a complete multipartite host they are its parts, and the
     obstruction is sound over any partition.
     With fewer than two parts every copy's vector is a multiple of the
-    sizes, and there is nothing to test.  The test is left to the cover
-    search when some vertex lies in no row, since the search then ends at
-    its root.
+    sizes, and there is nothing to test, so the live masks are gathered
+    only past that check (the enumeration's own list when ``full`` is its
+    pool).  The test is left to the cover search when some vertex lies in
+    no row, since the search then ends at its root.
     """
     comps = complement_components(g, full)
     singles = sum(c for c in comps if not c & (c - 1))  # disjoint masks: the sum is the union
     parts = [c for c in comps if c & (c - 1)] + ([singles] if singles else [])
     if len(parts) < 2:
         return None
+    row_masks = copies.masks
+    if full != copies.pool:
+        row_masks = [row_masks[i] for i in bits(alive)]
     covered = 0
     for m in row_masks:
         covered |= m
@@ -905,13 +903,14 @@ def find_compatible_factor(pattern: Graph, g: Graph,
     ``copies``, an enumeration of this ``pattern``, ``g`` and ``f`` (the
     same objects) over a superset of ``pool``, is used instead of
     enumerating the pool: the copies of g[pool] are exactly the host
-    copies inside it, and ``CopyEnumeration.inside`` gives them in
-    canonical order, the rows enumerating the pool would give, so every
-    field of the result but ``expansions`` is the same.  ``budget`` and
-    ``expansions`` then cover the search alone; the enumeration is the
-    caller's to charge.  A truncated ``copies`` can still give FOUND,
-    never NONE but by divisibility.  A ``copies`` made for other objects,
-    or whose pool misses a vertex of this one, is refused.
+    copies inside it, ``CopyEnumeration.live`` masks the others out, and
+    the search reads the survivors in canonical order, as it would read
+    the rows enumerating the pool gives, so every field of the result but
+    ``expansions`` is the same.  ``budget`` and ``expansions`` then cover
+    the search alone; the enumeration is the caller's to charge.  A
+    truncated ``copies`` can still give FOUND, never NONE but by
+    divisibility.  A ``copies`` made for other objects, or whose pool
+    misses a vertex of this one, is refused.
     """
     if budget < 0:
         raise ValidationError(f"budget must be >= 0, got {budget}")
@@ -933,36 +932,31 @@ def find_compatible_factor(pattern: Graph, g: Graph,
         spent = copies.expansions
     else:
         spent = 0
-    if copies.pool == full:
-        indices, masks = None, copies.masks
-    else:
-        indices, masks = copies.inside(full)
+    alive = copies.live(full)
+    considered = alive.bit_count()
     if not copies.truncated:  # a partial row set refutes nothing
-        refuted = _lattice_refutation(g, full, masks)
+        refuted = _lattice_refutation(g, full, copies, alive)
         if refuted is not None:
             return FactorResult(NONE, reason="lattice", expansions=spent,
-                                copies_considered=len(masks), parts=refuted[0],
+                                copies_considered=considered, parts=refuted[0],
                                 certificate=refuted[1])
-    rows = copies.images if indices is None else list(map(copies.images.__getitem__, indices))
     work = _Work(budget, spent)
-    chosen, exhausted = _pack(full, rows, masks, g.n, work, pattern.n, 0)
+    chosen, exhausted = _pack(full, copies, alive, work, pattern.n, 0)
     if chosen is not None:
         covered = 0
         for r in chosen:
-            covered |= masks[r]
+            covered |= copies.masks[r]
         if covered != full:
             raise ConsistencyError("factor failed re-verification")
-        if indices is not None:
-            chosen = [indices[r] for r in chosen]
         tiling = _verified(g, f, pattern, map(copies.embedding, chosen), "factor")
         return FactorResult(FOUND, tiling=tiling,
-                            expansions=work.spent, copies_considered=len(masks))
+                            expansions=work.spent, copies_considered=considered)
     if not exhausted or copies.truncated:
         # absence over a truncated row set proves nothing
         return FactorResult(INDETERMINATE, reason="budget",
-                            expansions=work.spent, copies_considered=len(masks))
+                            expansions=work.spent, copies_considered=considered)
     return FactorResult(NONE, reason="exhausted",
-                        expansions=work.spent, copies_considered=len(masks))
+                        expansions=work.spent, copies_considered=considered)
 
 
 def greedy_almost_tiling(pattern: Graph, g: Graph,
@@ -1032,7 +1026,6 @@ def max_compatible_tiling(pattern: Graph, g: Graph,
     f = _system_on(g, f, pattern)
     enum = enumerate_compatible_copies(pattern, g, f, budget=budget)
     work = _Work(budget, enum.expansions)
-    chosen, exhausted = _pack((1 << g.n) - 1, enum.images, enum.masks, g.n, work, pattern.n,
-                              g.n)
+    chosen, exhausted = _pack(enum.pool, enum, enum.live(enum.pool), work, pattern.n, g.n)
     tiling = _verified(g, f, pattern, map(enum.embedding, chosen), "maximum tiling")
     return MaxTilingResult(tiling, exhausted and not enum.truncated, work.spent)

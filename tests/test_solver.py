@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -402,8 +403,7 @@ def _cover_search(pattern, g, f=None, budget=solver.DEFAULT_BUDGET):
     enumerates, without the lattice test that runs before it."""
     enum = enumerate_compatible_copies(pattern, g, f, budget=budget)
     work = solver._Work(budget, enum.expansions)
-    chosen, exhausted = solver._pack((1 << g.n) - 1, enum.images, enum.masks, g.n, work,
-                                     pattern.n, 0)
+    chosen, exhausted = solver._pack(enum.pool, enum, enum.live(enum.pool), work, pattern.n, 0)
     status = FOUND if chosen is not None else NONE if exhausted else INDETERMINATE
     return solver.FactorResult(status, expansions=work.spent)
 
@@ -682,22 +682,108 @@ def test_copies_made_for_other_objects_are_refused():
         find_compatible_factor(k3, host, pool=0, copies=across)
 
 
-def test_inside_gathers_the_copies_of_a_pool_in_canonical_order():
-    # the runs by two lowest vertices give what a scan of every copy gives
+def test_pool_searches_in_one_large_enumeration_are_pinned():
+    # 96 pools of 6, 18 and 57 vertices inside one K_3 enumeration of a
+    # 60-vertex host, far past any oracle; recorded before pool searches
+    # read the enumeration's row index through a live mask
+    k3, host = complete_graph(3), random_graph(60, 0.8, 36)
+    f = random_bounded_system(host, Fraction(1, 10), 36)
+    enum = enumerate_compatible_copies(k3, host, f)
+    assert (len(enum.images), enum.truncated) == (10_897, False)
+    rng = random.Random(36)
+    out = []
+    for size, budget in [(6, 20)] * 48 + [(18, 7)] * 36 + [(57, 20)] * 12:
+        pool = mask_of(rng.sample(range(host.n), size))
+        res = find_compatible_factor(k3, host, f, budget=budget, pool=pool, copies=enum)
+        out.append((res.status, res.reason, res.expansions, res.copies_considered))
+    assert Counter(o[:2] for o in out) == {
+        (FOUND, ""): 66, (NONE, "exhausted"): 25, (NONE, "lattice"): 1,
+        (INDETERMINATE, "budget"): 4}
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == \
+        "d84bacdd5933b819f0aac08bd8ed97e93268e3ed61e0e62dc5c7c56877886a89"
+
+
+def _relabelled(host, f, perm):
+    """host and f with vertex v renamed perm[v], without the library's help."""
+    moved = Graph.from_edges(host.n, [(perm[u], perm[v]) for u, v in host.edges()])
+    return moved, IncompatibilitySystem(moved, [(perm[v], perm[a], perm[b])
+                                                for v, a, b in f.triples()])
+
+
+def _lattice_rechecks(res, enum, pool):
+    # the certificate over the index vectors of the enumeration's copies
+    # inside the pool, gathered without ``live``
+    vectors = [tuple(len(set(e.vertices) & set(p)) for p in res.parts)
+               for e in enum.copies if not e.mask & ~pool]
+    return refutes(res.certificate, vectors, [len(p) for p in res.parts])
+
+
+@settings(max_examples=40)
+@given(n=st.integers(3, 40), multipartite=st.booleans(),
+       pattern=st.sampled_from([complete_graph(2), complete_graph(3), path_graph(3)]),
+       seed=st.integers(0, 2**30), data=st.data())
+def test_pool_searches_survive_relabelling(n, multipartite, pattern, seed, data):
+    # renaming the host's vertices, with its system, keeps what a pool
+    # search through a shared enumeration decides; expansions, and so a
+    # budget cut, depend on the labels, and so does the certificate's y
+    rng = random.Random(seed)
+    if multipartite:
+        cuts = sorted(rng.sample(range(1, n), min(n - 1, rng.randint(1, 3))))
+        sizes = tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))
+        host = complete_multipartite(MultipartiteSpec(sizes))[0]
+    else:
+        host = random_graph(n, rng.uniform(0.5, 1.0), rng.getrandbits(30))
+    f = random_system(host, rng.randint(0, 3 * n), rng.getrandbits(30))
+    perm = data.draw(st.permutations(range(n)))
+    moved, moved_f = _relabelled(host, f, perm)
+    enum = enumerate_compatible_copies(pattern, host, f)
+    moved_enum = enumerate_compatible_copies(pattern, moved, moved_f)
+    assert len(moved_enum.images) == len(enum.images)
+    for _ in range(3):
+        s = [v for v, keep in enumerate(data.draw(st.lists(st.booleans(), min_size=n,
+                                                           max_size=n))) if keep]
+        pool = mask_of(s[:len(s) - len(s) % pattern.n])
+        res = find_compatible_factor(pattern, host, f, budget=5_000, pool=pool, copies=enum)
+        moved_pool = mask_of(perm[v] for v in bits(pool))
+        moved_res = find_compatible_factor(pattern, moved, moved_f, budget=5_000,
+                                           pool=moved_pool, copies=moved_enum)
+        assert moved_res.copies_considered == res.copies_considered
+        if INDETERMINATE not in (res.status, moved_res.status):
+            assert (moved_res.status, moved_res.reason) == (res.status, res.reason)
+        if res.reason == "lattice":
+            assert _lattice_rechecks(res, enum, pool)
+        if moved_res.reason == "lattice":
+            assert _lattice_rechecks(moved_res, moved_enum, moved_pool)
+
+
+def test_live_masks_the_copies_of_a_pool_in_canonical_order():
+    # the live rows of a pool are the oracle's copies of the induced
+    # subgraph, mapped back to host ids, at ascending indices; a cut
+    # enumeration keeps those of its copies that lie inside the pool
     rng = random.Random(61)
     for _ in range(200):
-        host = random_graph(rng.randint(1, 12), rng.uniform(0.3, 1.0), rng.getrandbits(30))
+        host = random_graph(rng.randint(1, 9), rng.uniform(0.3, 1.0), rng.getrandbits(30))
         pattern = rng.choice([complete_graph(1), complete_graph(2), complete_graph(3),
                               path_graph(3), cycle_graph(4)])
         f = random_system(host, rng.randint(0, 6), rng.getrandbits(30))
         enum = enumerate_compatible_copies(pattern, host, f)
+        cut = enumerate_compatible_copies(pattern, host, f,
+                                          budget=rng.randrange(enum.expansions + 1))
         for _ in range(5):
             pool = rng.getrandbits(host.n)
-            want = [(e, m) for e, m in zip(enum.copies, enum.masks) if not m & ~pool]
-            indices, masks = enum.inside(pool)
-            rows = [enum.copies[i] for i in indices]
-            assert list(zip(rows, masks)) == want
-            assert rows == enumerate_compatible_copies(pattern, host, f, pool=pool).copies
+            s = list(bits(pool))
+            sub, sub_f = _induced_by_hand(host, f, s)
+            want = {(tuple(s[x] for x in vertices), tuple((s[x], s[y]) for x, y in edges))
+                    for vertices, edges in oracles.raw_compatible_copies(pattern, sub, sub_f)}
+            live = list(bits(enum.live(pool)))
+            assert {(enum.copies[i].vertices, enum.copies[i].edges) for i in live} == want
+            assert len(live) == len(want)
+            # bits() ascends, so the rows come in the order enumerating the pool gives
+            assert [enum.copies[i] for i in live] == \
+                enumerate_compatible_copies(pattern, host, f, pool=pool).copies
+            assert [cut.copies[i] for i in bits(cut.live(pool))] == \
+                [e for e in cut.copies if not e.mask & ~pool]
+        assert enum.live(enum.pool) == (1 << len(enum.images)) - 1
 
 
 def test_k112_construction_keeps_its_factor_and_stays_undecided_on_budget():
