@@ -184,6 +184,9 @@ class FactorResult:
     tiling: object = None            # Tiling when found
     # none: divisibility / lattice / exhausted; indeterminate: budget
     reason: str = ""
+    # the enumeration's (unless the copies were passed in) plus the cover
+    # search's branches; for lattice, those up to its first dead end, at
+    # most the budget
     expansions: int = 0
     copies_considered: int = 0
     # lattice: the partition (sorted vertex tuples) and the rational y with
@@ -702,15 +705,20 @@ def _full_pool(g: Graph, pool) -> int:
 
 
 def _pack(full: int, enum: CopyEnumeration, alive: int, work: _Work, h: int,
-          slack: int) -> tuple:
+          slack: int, stop=None) -> tuple:
     """(indices of disjoint copies of ``enum`` among the rows ``alive`` (a
     bitmask of copy indices, all inside the vertex mask ``full``) that
     leave the fewest of ``full`` uncovered, exhausted).  The packing is None
     unless one leaves at most ``slack`` vertices uncovered; with slack 0
     this is exact cover.  Every row has ``h`` vertices; ``slack`` is at
     least |full| or differs from it by a multiple of h.  ``exhausted`` is
-    False when ``work``'s budget cut the search short, and the packing is
-    then the best found so far.
+    False when ``work``'s budget or ``stop`` cut the search short, and the
+    packing is then the best found so far.
+
+    ``stop``, for a slack-0 search, is called once, at its first dead end
+    (the first branch that leaves a vertex with no admissible row), and
+    ends the search when it returns true.  A search whose first descent is
+    a cover never calls it.
 
     Depth-first with an explicit stack; each node branches on its
     uncovered vertex v with the fewest admissible rows (the lowest such
@@ -829,6 +837,11 @@ def _pack(full: int, enum: CopyEnumeration, alive: int, work: _Work, h: int,
                 if not c:  # a forced skip
                     skipped += 1
                     if skipped > slack:
+                        if stop is not None:  # the first dead end
+                            if stop():
+                                work.spent = spent
+                                return best, False
+                            stop = None
                         break
                     uncovered ^= bit
                     continue
@@ -862,8 +875,8 @@ def _lattice_refutation(g: Graph, full: int, copies: CopyEnumeration, alive: int
     With fewer than two parts every copy's vector is a multiple of the
     sizes, and there is nothing to test, so the live masks are gathered
     only past that check (the enumeration's own list when ``full`` is its
-    pool).  The test is left to the cover search when some vertex lies in
-    no row, since the search then ends at its root.
+    pool).  The factor search runs the test only once its cover search
+    has passed its root, so every vertex of ``full`` lies in a live row.
     """
     comps = complement_components(g, full)
     singles = sum(c for c in comps if not c & (c - 1))  # disjoint masks: the sum is the union
@@ -873,11 +886,6 @@ def _lattice_refutation(g: Graph, full: int, copies: CopyEnumeration, alive: int
     row_masks = copies.masks
     if full != copies.pool:
         row_masks = [row_masks[i] for i in bits(alive)]
-    covered = 0
-    for m in row_masks:
-        covered |= m
-    if covered != full:
-        return None
     columns = [[(m & p).bit_count() for m in row_masks] for p in parts]
     y = obstruction(zip(*columns), [p.bit_count() for p in parts])
     return None if y is None else (tuple(tuple(bits(p)) for p in parts), y)
@@ -888,17 +896,26 @@ def find_compatible_factor(pattern: Graph, g: Graph,
                            budget: int = DEFAULT_BUDGET,
                            pool: int = None,
                            copies: CopyEnumeration = None) -> FactorResult:
-    """Exact compatible-factor decision: a lattice test, then exact-cover
-    search.
+    """Exact compatible-factor decision: exact-cover search, with a lattice
+    test at its first dead end.
 
     ``pool`` (a vertex bitmask, all of g by default) asks for a factor of
     the induced subgraph g[pool] under f restricted to it; the tiling
     keeps host vertex ids.  NONE carries reason "divisibility" (|pool|
     not divisible by |H|), "lattice" (the copy enumeration completed and
     ``_lattice_refutation`` found a certificate, carried in ``parts`` and
-    ``certificate``; no search ran) or "exhausted" (complete search).
+    ``certificate``) or "exhausted" (complete search).
     INDETERMINATE only ever means the budget ran out, either during copy
     enumeration or during the cover search.
+
+    A cover proves the part sizes lie in the lattice, so the test waits
+    for the cover search's first dead end, and a refutation ends the
+    search there; a search that the budget cuts before any dead end runs
+    the test afterwards.  So the answer is the one that testing first
+    would give, at any budget, and only ``expansions`` of a "lattice"
+    answer counts the branches searched before it (never more than
+    ``budget``).  A vertex in no row ends the search at its root, before
+    any test: the answer is "exhausted".
 
     ``copies``, an enumeration of this ``pattern``, ``g`` and ``f`` (the
     same objects) over a superset of ``pool``, is used instead of
@@ -934,14 +951,23 @@ def find_compatible_factor(pattern: Graph, g: Graph,
         spent = 0
     alive = copies.live(full)
     considered = alive.bit_count()
-    if not copies.truncated:  # a partial row set refutes nothing
-        refuted = _lattice_refutation(g, full, copies, alive)
-        if refuted is not None:
-            return FactorResult(NONE, reason="lattice", expansions=spent,
-                                copies_considered=considered, parts=refuted[0],
-                                certificate=refuted[1])
+    tested = []       # the lattice test's answer, once it has run
+
+    def refuted() -> bool:
+        tested.append(_lattice_refutation(g, full, copies, alive))
+        return tested[0] is not None
+
     work = _Work(budget, spent)
-    chosen, exhausted = _pack(full, copies, alive, work, pattern.n, 0)
+    # a partial row set refutes nothing
+    stop = None if copies.truncated else refuted
+    chosen, exhausted = _pack(full, copies, alive, work, pattern.n, 0, stop)
+    if stop is not None and not exhausted and not tested:  # a budget cut before any dead end
+        refuted()
+    if tested and tested[0] is not None:
+        # the branch a budget cut stopped at was not taken
+        return FactorResult(NONE, reason="lattice", expansions=min(work.spent, budget),
+                            copies_considered=considered, parts=tested[0][0],
+                            certificate=tested[0][1])
     if chosen is not None:
         covered = 0
         for r in chosen:

@@ -260,13 +260,15 @@ def _tiling_record():
 
 def test_factor_and_max_tilings_are_pinned():
     # recorded while the packing search still took Embedding rows: reading
-    # masks and building Embeddings only for the chosen rows changes nothing
+    # masks and building Embeddings only for the chosen rows changes nothing.
+    # Re-pinned when the lattice test moved to the cover search's first dead
+    # end: only the factor expansions of "lattice" answers moved
     out = _tiling_record()
     statuses = {(o[0], o[1]) for o in out}
     assert statuses == {(FOUND, ""), (NONE, "exhausted"), (NONE, "lattice"),
                         (INDETERMINATE, "budget")}
     assert hashlib.sha256(repr(out).encode()).hexdigest() == \
-        "42fc7e1a8bc2e6f56d9d8f3fa0ab4d38d94c3a86987ea7dee8d99f2fc3293ac2"
+        "a41cd0997bd4f10926e5b2c3f4aba6a924abd8b3a2bc85408bbd1a16ce3721c8"
 
 
 def test_enumerated_copies_are_well_formed_named_tuples():
@@ -400,7 +402,7 @@ def _sparse_host(seed):
 
 def _cover_search(pattern, g, f=None, budget=solver.DEFAULT_BUDGET):
     """The exact-cover search of ``find_compatible_factor`` on the rows it
-    enumerates, without the lattice test that runs before it."""
+    enumerates, without the lattice test at its first dead end."""
     enum = enumerate_compatible_copies(pattern, g, f, budget=budget)
     work = solver._Work(budget, enum.expansions)
     chosen, exhausted = solver._pack(enum.pool, enum, enum.live(enum.pool), work, pattern.n, 0)
@@ -415,9 +417,9 @@ def _cover_search(pattern, g, f=None, budget=solver.DEFAULT_BUDGET):
     (max_compatible_tiling, complete_graph(3), _sparse_host(3), None, (9, True), 342),
     (max_compatible_tiling, complete_graph(3), _sparse_host(4), None, (8, True), 1_366),
     (max_compatible_tiling, complete_graph(3), _sparse_host(4), 1_000, (8, False), 1_001),
-    # the lattice refutes both ko bases after the enumeration alone
-    (find_compatible_factor, complete_graph(3), (_ko_base(15), None), None, NONE, 209),
-    (find_compatible_factor, complete_graph(3), (_ko_base(21), None), 50_000, NONE, 503),
+    # the lattice test refutes both ko bases at the search's first dead end
+    (find_compatible_factor, complete_graph(3), (_ko_base(15), None), None, NONE, 213),
+    (find_compatible_factor, complete_graph(3), (_ko_base(21), None), 50_000, NONE, 509),
 ], ids=["ko-base-15", "ko-base-21-capped", "cycle-800", "max-g40-3", "max-g40-4",
         "max-g40-4-capped", "ko-base-15-lattice", "ko-base-21-capped-lattice"])
 def test_cover_search_effort_is_pinned(search, pattern, host, budget, outcome, expansions):
@@ -538,13 +540,54 @@ def test_lattice_answers_agree_with_membership_and_oracle():
 
 @pytest.mark.parametrize("n", [6, 9, 12])
 def test_truncated_enumeration_never_refutes_by_lattice(n):
-    # the partial rows of a cut enumeration would refute these bases too
-    k3 = complete_graph(3)
-    full = find_compatible_factor(k3, _ko_base(n))
+    # the partial rows of a cut enumeration would refute these bases too;
+    # once the enumeration completes, a budget that cuts the cover search
+    # before its first dead end still gets the test, run after the cut
+    k3, host = complete_graph(3), _ko_base(n)
+    full = find_compatible_factor(k3, host)
     assert (full.status, full.reason) == (NONE, "lattice")
-    for budget in range(full.expansions):
-        cut = find_compatible_factor(k3, _ko_base(n), budget=budget)
+    enum = enumerate_compatible_copies(k3, host)
+    assert full.expansions > enum.expansions
+    for budget in range(enum.expansions):
+        cut = find_compatible_factor(k3, host, budget=budget)
         assert (cut.status, cut.reason) == (INDETERMINATE, "budget"), budget
+    for budget in range(enum.expansions, full.expansions + 1):
+        cut = find_compatible_factor(k3, host, budget=budget)
+        assert (cut.status, cut.reason, cut.expansions) == (NONE, "lattice", budget), budget
+        assert _lattice_rechecks(cut, enum, (1 << n) - 1)
+
+
+def test_lattice_test_runs_only_at_the_first_dead_end(monkeypatch):
+    # a cover proves the sizes lie in the lattice, so a search whose first
+    # descent covers the pool never runs the test, and a refuted one runs it once
+    calls = []
+    real = solver._lattice_refutation
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(solver, "_lattice_refutation", counted)
+
+    def decide(*args, **kwargs):
+        calls.clear()
+        res = find_compatible_factor(*args, **kwargs)
+        return res.status, res.reason, len(calls)
+
+    k3 = complete_graph(3)
+    assert decide(k3, complete_graph(9)) == (FOUND, "", 0)
+    # one residual R of an absorbing set A = {0..5}, through the enumeration
+    # A and its residuals share
+    host = random_graph(15, 0.9, 5)
+    f = random_system(host, 4, 5)
+    shared = enumerate_compatible_copies(k3, host, f)
+    assert decide(k3, host, f, pool=mask_of([0, 1, 2, 3, 4, 5, 7, 9, 12]),
+                  copies=shared) == (FOUND, "", 0)
+    base = _ko_base(12)
+    assert decide(k3, base) == (NONE, "lattice", 1)
+    cut = enumerate_compatible_copies(k3, base, budget=30)
+    assert cut.truncated
+    assert decide(k3, base, copies=cut) == (INDETERMINATE, "budget", 0)
 
 
 def test_a_forged_lattice_certificate_is_refused(monkeypatch):
@@ -685,7 +728,9 @@ def test_copies_made_for_other_objects_are_refused():
 def test_pool_searches_in_one_large_enumeration_are_pinned():
     # 96 pools of 6, 18 and 57 vertices inside one K_3 enumeration of a
     # 60-vertex host, far past any oracle; recorded before pool searches
-    # read the enumeration's row index through a live mask
+    # read the enumeration's row index through a live mask, and re-pinned
+    # when the lattice answer's expansions came to count the search's first
+    # descent
     k3, host = complete_graph(3), random_graph(60, 0.8, 36)
     f = random_bounded_system(host, Fraction(1, 10), 36)
     enum = enumerate_compatible_copies(k3, host, f)
@@ -700,7 +745,7 @@ def test_pool_searches_in_one_large_enumeration_are_pinned():
         (FOUND, ""): 66, (NONE, "exhausted"): 25, (NONE, "lattice"): 1,
         (INDETERMINATE, "budget"): 4}
     assert hashlib.sha256(repr(out).encode()).hexdigest() == \
-        "d84bacdd5933b819f0aac08bd8ed97e93268e3ed61e0e62dc5c7c56877886a89"
+        "9fdb776dba4c02ffce7e00e5842cb314822555a9e9541555d39650089d15ef64"
 
 
 def _relabelled(host, f, perm):
@@ -754,6 +799,62 @@ def test_pool_searches_survive_relabelling(n, multipartite, pattern, seed, data)
             assert _lattice_rechecks(res, enum, pool)
         if moved_res.reason == "lattice":
             assert _lattice_rechecks(moved_res, moved_enum, moved_pool)
+
+
+@settings(max_examples=40)
+@given(n=st.integers(6, 40), multipartite=st.booleans(),
+       pattern=st.sampled_from([complete_graph(2), complete_graph(3), path_graph(3)]),
+       seed=st.integers(0, 2**30), data=st.data())
+def test_pool_searches_are_monotone_in_system_and_host(n, multipartite, pattern, seed, data):
+    # an added incompatible pair or a deleted host edge only removes copies:
+    # no factor appears and no copy is added.  An added pair keeps the graph,
+    # so the parts, and its rows span a sublattice that the old certificate
+    # still separates; a deleted edge can merge parts, so it claims nothing there
+    rng = random.Random(seed)
+    if multipartite:
+        cuts = sorted(rng.sample(range(1, n), min(n - 1, rng.randint(1, 3))))
+        sizes = tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))
+        host = complete_multipartite(MultipartiteSpec(sizes))[0]
+    else:
+        host = random_graph(n, rng.uniform(0.5, 1.0), rng.getrandbits(30))
+    f = random_system(host, rng.randint(0, 3 * n), rng.getrandbits(30))
+    pairs = [(v, a, b) for v in range(n) for a, b in combinations(host.neighbors(v), 2)]
+    edges = host.edges()
+    if not pairs:
+        return
+    v, a, b = data.draw(st.sampled_from(pairs))
+    x, y = data.draw(st.sampled_from(edges))
+    tighter = IncompatibilitySystem(host, f.triples() + [(v, a, b)])
+    thinner = Graph.from_edges(n, [e for e in edges if e != (x, y)])
+    thinner_f = IncompatibilitySystem(thinner, [t for t in f.triples()
+                                                if {x, y} not in ({t[0], t[1]}, {t[0], t[2]})])
+    enum = enumerate_compatible_copies(pattern, host, f)
+    tighter_enum = enumerate_compatible_copies(pattern, host, tighter)
+    thinner_enum = enumerate_compatible_copies(pattern, thinner, thinner_f)
+    for _ in range(3):
+        s = [u for u, keep in enumerate(data.draw(st.lists(st.booleans(), min_size=n,
+                                                           max_size=n))) if keep]
+        pool = mask_of(s[:len(s) - len(s) % pattern.n])
+        res, tight, thin = (
+            find_compatible_factor(pattern, g, sub_f, budget=5_000, pool=pool, copies=sub_enum)
+            for g, sub_f, sub_enum in ((host, f, enum), (host, tighter, tighter_enum),
+                                       (thinner, thinner_f, thinner_enum)))
+        for less in (tight, thin):
+            assert less.copies_considered <= res.copies_considered
+            if res.status == NONE:
+                assert less.status != FOUND
+        if res.reason != "lattice":
+            continue
+        covered = 0
+        for m in tighter_enum.masks:
+            if not m & ~pool:
+                covered |= m
+        # a vertex left in no row stops the search at its root
+        assert tight.reason == ("lattice" if covered == pool else "exhausted")
+        assert _lattice_rechecks(res, tighter_enum, pool)
+        if tight.reason == "lattice":
+            assert tight.parts == res.parts
+            assert _lattice_rechecks(tight, tighter_enum, pool)
 
 
 def test_live_masks_the_copies_of_a_pool_in_canonical_order():
