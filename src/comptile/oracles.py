@@ -13,8 +13,6 @@ import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-import numpy as np
-
 from .coloring import INFINITY
 from .errors import ValidationError
 from .graphs import Graph
@@ -179,10 +177,12 @@ def raw_max_tiling(pattern: Graph, g: Graph,
 def bounded_combination_membership(generators, target, bound: int = 4):
     """Is target a sum of generators with every |coefficient| <= bound?
 
-    Enumerates the full coefficient grid with numpy; returns (found,
-    coefficients or None).  This under-approximates lattice membership:
-    a miss only proves no SMALL certificate exists.
+    Enumerates the full coefficient grid with numpy, which the first call
+    imports; returns (found, coefficients or None).  This under-approximates
+    lattice membership: a miss only proves no SMALL certificate exists.
     """
+    import numpy as np
+
     gens = np.asarray(list(generators), dtype=np.int64)
     tgt = np.asarray(list(target), dtype=np.int64)
     if gens.size == 0:

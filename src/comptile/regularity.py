@@ -32,6 +32,10 @@ All threshold comparisons are exact rational cross-multiplications in
 int64; no floats touch a decision.  With the eps denominator capped at
 10^6 every compared product is at most |X|^2 |Y|^2 10^6, about 1.6e11 at
 side 20, far inside int64 (see ``_deviates``).
+
+Only the scan of ``is_eps_regular_exhaustive`` uses numpy, and it imports
+numpy when it builds its first array.  Loading this module, ``density``
+and ``counting_experiment`` leave numpy unloaded.
 """
 
 from __future__ import annotations
@@ -39,8 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 from . import solver
 from .errors import BudgetExceeded, ConsistencyError, SizeCapError, ValidationError
@@ -96,11 +98,13 @@ class RegularityReport:
 _BLOCK_BITS = 10
 
 
-def _subset_sums(items) -> np.ndarray:
+def _subset_sums(items):
     """sums[mask] = sum of items[i] over set bits of mask, via doubling.
 
     Items are numbers or equal-length rows (then sums has one row per mask).
     """
+    import numpy as np
+
     items = np.asarray(items, dtype=np.int64)
     table = np.zeros((1,) + items.shape[1:], dtype=np.int64)
     for item in items:
@@ -114,6 +118,8 @@ def _masks_by_size(n_bits: int) -> tuple:
 
     Cached, so every scan shares the arrays; they are made read-only.
     """
+    import numpy as np
+
     size = _subset_sums([1] * n_bits)
     by_size = tuple(np.flatnonzero(size == s) for s in range(n_bits + 1))
     for masks in by_size:
@@ -138,14 +144,14 @@ def _subsets_of_size(items, s: int):
             yield hi << lo_bits, by_size[lo], lo_sums[by_size[lo]] + hi_sums[hi]
 
 
-def _deviates(e, ab, d: Fraction, eps: Fraction) -> np.ndarray:
+def _deviates(e, ab, d: Fraction, eps: Fraction):
     """|e / ab - d| >= eps elementwise, by exact integer cross-multiplication.
 
     With 0 <= e <= ab <= |X| |Y|, d.denominator <= |X| |Y| (d is a pair
     density), eps <= 1 and eps.denominator <= 10^6, both sides are at most
     (|X| |Y|)^2 10^6, 1.6e11 at side 20: exact in int64.
     """
-    return (np.abs(e * d.denominator - d.numerator * ab) * eps.denominator
+    return (abs(e * d.denominator - d.numerator * ab) * eps.denominator
             >= eps.numerator * ab * d.denominator)
 
 
@@ -191,6 +197,8 @@ def is_eps_regular_exhaustive(g: Graph, x_side, y_side, eps,
     b_min = max(1, -(-eps.numerator * ny // eps.denominator))
     if a_min > nx or b_min > ny:
         return passed      # eps > 1: nothing to check, and eps.num may not fit int64
+    import numpy as np
+
     ab = a_min * b_min
     adj = np.array([[g.adj[x] >> y & 1 for y in ys] for x in xs], dtype=np.int64)
     for base, low, deg in _subsets_of_size(adj, a_min):

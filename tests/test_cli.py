@@ -549,15 +549,57 @@ def test_invariants_cli_fuzz(tmp_path, capsys, g, mangle):
         assert chi == raw_chromatic_number(g)
 
 
-def test_cli_import_leaves_numpy_out():
-    # only regcount and acceptance need numpy; they import it when they run
+# Runs in a fresh interpreter: imports every module of the package, then
+# the calls that need no numpy, then one exhaustive scan, which does.
+_NUMPY_PROBE = """
+import importlib, json, pkgutil, sys
+from fractions import Fraction
+import comptile
+from comptile import cli, regularity
+from comptile.graphs import MultipartiteSpec, complete_graph, cycle_graph
+from comptile.incompat import random_bounded_system
+
+steps = {"modules": sorted(m.name for m in pkgutil.iter_modules(comptile.__path__))}
+for name in steps["modules"]:
+    importlib.import_module("comptile." + name)
+steps["import"] = "numpy" in sys.modules
+k6 = complete_graph(6)
+regularity.density(k6, [0, 1, 2], [3, 4, 5])
+steps["density"] = "numpy" in sys.modules
+regularity.counting_experiment(k6, random_bounded_system(k6, Fraction(1, 5), 0),
+                               [[0, 1], [2, 3]], MultipartiteSpec((1, 1)))
+steps["counting"] = "numpy" in sys.modules
+steps["regcount_exit"] = cli.main(["regcount", "count", "--graph", sys.argv[1],
+                                   "--parts", sys.argv[2], "--sizes", "1,1"])
+steps["regcount"] = "numpy" in sys.modules
+rep = regularity.is_eps_regular_exhaustive(cycle_graph(6), [0, 2, 4], [1, 3, 5], "1/3")
+steps["report"] = rep.to_json_dict()
+steps["scan"] = "numpy" in sys.modules
+print(json.dumps(steps))
+"""
+
+
+def test_library_import_leaves_numpy_out(files):
+    # numpy loads at the first exhaustive regularity scan (or oracle
+    # bounded_combination_membership call), never when a module loads
     src_dir = Path(comptile.__file__).resolve().parents[1]
+    parts = files["tmp"] / "parts.txt"
+    parts.write_text("0 1\n2 3\n", encoding="ascii")
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, comptile.cli; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", _NUMPY_PROBE, files["k6"], str(parts)],
         capture_output=True, text=True,
         env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(src_dir)})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    steps = json.loads(proc.stdout.splitlines()[-1])
+    package = Path(comptile.__file__).parent
+    assert steps.pop("modules") == sorted(p.stem for p in package.glob("*.py")
+                                          if p.stem != "__init__")
+    assert steps == {"import": False, "density": False, "counting": False,
+                     "regcount_exit": 0, "regcount": False,
+                     "report": {"density": "2/3", "eps": "1/3", "regular": False,
+                                "reason": "sub-pair density deviates by >= eps",
+                                "witness": [[0], [1]]},
+                     "scan": True}
 
 
 @pytest.mark.parametrize("argv, flag, token", [

@@ -6,6 +6,8 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from comptile.errors import BudgetExceeded, SizeCapError, ValidationError
 from comptile.graphs import (Graph, MultipartiteSpec, complete_graph, complete_multipartite,
@@ -128,10 +130,17 @@ def test_scan_witness_is_pinned(side, seed, eps, dens, witness):
     assert abs(density(g, *witness) - dens) >= eps
 
 
+def _load_numpy():
+    # the first scan imports numpy, whose import allocates more than the
+    # bounds below; a 2x2 scan pays it before a tracemalloc window opens
+    is_eps_regular_exhaustive(complete_graph(4), (0, 1), (2, 3), Fraction(1, 2))
+
+
 def test_full_scan_memory_stays_small():
     # the A are scanned in blocks of at most C(10, 5) = 252 degree rows;
     # the rows of all 2^14 A-masks at once would hold about 16 MB
     g = random_graph(28, 0.5, 14)
+    _load_numpy()
     tracemalloc.start()
     try:
         rep = is_eps_regular_exhaustive(g, range(14), range(14, 28), Fraction(1, 2))
@@ -179,6 +188,7 @@ def test_side_20_scans_stay_small():
     # the witness step walks the B of b_min vertices in blocks; a table of
     # all 2^20 B-subsets peaked at about 42 MB
     g = random_graph(40, 0.5, 3)
+    _load_numpy()
     tracemalloc.start()
     try:
         rep = is_eps_regular_exhaustive(g, range(20), range(20, 40), Fraction(1, 5))
@@ -207,6 +217,25 @@ def test_regularity_antitone_in_eps():
         e2 = e1 + Fraction(rng.randint(1, 4), 10)
         if is_eps_regular_exhaustive(g, xs, ys, e1).regular:
             assert is_eps_regular_exhaustive(g, xs, ys, e2).regular
+
+
+@settings(max_examples=40)
+@given(nx=st.integers(1, 10), ny=st.integers(1, 10),
+       eps=st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)]),
+       d_min=st.sampled_from([None, Fraction(1, 3), Fraction(1, 2)]),
+       seed=st.integers(0, 2**30), data=st.data())
+def test_scan_survives_relabelling_within_sides_and_a_side_swap(nx, ny, eps, d_min, seed,
+                                                                 data):
+    # renaming vertices within X and within Y, or swapping X with Y, keeps
+    # regular and the density; the witness may change with the labels
+    g = random_graph(nx + ny, random.Random(seed).uniform(0.2, 0.9), seed)
+    xs, ys = list(range(nx)), list(range(nx, nx + ny))
+    perm = data.draw(st.permutations(xs)) + data.draw(st.permutations(ys))
+    moved = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    rep = is_eps_regular_exhaustive(g, xs, ys, eps, d_min=d_min)
+    for other in (is_eps_regular_exhaustive(moved, xs, ys, eps, d_min=d_min),
+                  is_eps_regular_exhaustive(g, ys, xs, eps, d_min=d_min)):
+        assert (other.regular, other.density) == (rep.regular, rep.density)
 
 
 def test_reduced_graph_examples():

@@ -857,6 +857,34 @@ def test_pool_searches_are_monotone_in_system_and_host(n, multipartite, pattern,
             assert _lattice_rechecks(tight, tighter_enum, pool)
 
 
+def _seeded_part(pattern, rng):
+    """A host of 3-30 vertices, mostly of a size |pattern| divides, and a system."""
+    n = rng.randint(3, 30)
+    if rng.random() < 0.75:
+        n = max(3, n - n % pattern.n)
+    host = random_graph(n, rng.uniform(0.5, 1.0), rng.getrandbits(30))
+    return host, random_system(host, rng.randint(0, 2 * n), rng.getrandbits(30))
+
+
+@settings(max_examples=40)
+@given(pattern=st.sampled_from([complete_graph(2), complete_graph(3), path_graph(3)]),
+       seed=st.integers(0, 2**30))
+def test_factors_and_copies_add_over_a_disjoint_union(pattern, seed):
+    # a connected pattern's copy lies inside one part, so G + G' has a
+    # factor iff both parts do, and its copies are the two parts' copies
+    rng = random.Random(seed)
+    (g, f), (h, f_h) = _seeded_part(pattern, rng), _seeded_part(pattern, rng)
+    union = disjoint_union(g, h)
+    union_f = IncompatibilitySystem(union, f.triples() + [(v + g.n, a + g.n, b + g.n)
+                                                          for v, a, b in f_h.triples()])
+    hosts = ((g, f), (h, f_h), (union, union_f))
+    counts = [len(enumerate_compatible_copies(pattern, *host).images) for host in hosts]
+    assert counts[2] == counts[0] + counts[1]
+    statuses = [find_compatible_factor(pattern, *host, budget=5_000).status for host in hosts]
+    if INDETERMINATE not in statuses:
+        assert (statuses[2] == FOUND) == (statuses[0] == statuses[1] == FOUND)
+
+
 def test_live_masks_the_copies_of_a_pool_in_canonical_order():
     # the live rows of a pool are the oracle's copies of the induced
     # subgraph, mapped back to host ids, at ascending indices; a cut
