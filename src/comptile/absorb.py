@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from itertools import combinations
 
 from . import solver
@@ -41,7 +40,7 @@ from .errors import ConsistencyError, ValidationError
 from .graphs import Graph, VertexPartition
 from .incompat import IncompatibilitySystem
 from .lattice import index_vector, mask_index_vector
-from .util import bits, mask_of, rational
+from .util import FrozenRecord, Record, bits, mask_of, rational
 
 PROVEN = "proven"
 SUPPORTED = "supported"
@@ -53,27 +52,38 @@ INDETERMINATE = "indeterminate"
 DEFAULT_EXHAUSTIVE_CAP = 20_000
 
 
-@dataclass(frozen=True)
-class Connector:
-    u: int
-    v: int
-    s: tuple   # sorted, disjoint from {u, v}
-    t: int
+class Connector(FrozenRecord):
+    # s: sorted, disjoint from {u, v}
+    __slots__ = _fields = ("u", "v", "s", "t")
+
+    def __init__(self, u: int, v: int, s: tuple, t: int):
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "t", t)
 
 
-@dataclass(frozen=True)
-class Absorber:
-    s_set: tuple
-    a_set: tuple
-    t: int
+class Absorber(FrozenRecord):
+    __slots__ = _fields = ("s_set", "a_set", "t")
+
+    def __init__(self, s_set: tuple, a_set: tuple, t: int):
+        object.__setattr__(self, "s_set", s_set)
+        object.__setattr__(self, "a_set", a_set)
+        object.__setattr__(self, "t", t)
 
 
-@dataclass
-class VerifyResult:
-    status: str                 # proven / refuted / indeterminate
-    reason: str = ""
-    tilings: tuple = ()         # witness tilings in host ids when ok
-    expansions: int = 0         # spent by the factor searches
+class VerifyResult(Record):
+    # status: proven / refuted / indeterminate
+    # tilings: the witness tilings in host ids when ok
+    # expansions: spent by the factor searches
+    __slots__ = _fields = ("status", "reason", "tilings", "expansions")
+
+    def __init__(self, status: str, reason: str = "", tilings: tuple = (),
+                 expansions: int = 0):
+        self.status = status
+        self.reason = reason
+        self.tilings = tilings
+        self.expansions = expansions
 
     @property
     def ok(self) -> bool:
@@ -193,11 +203,14 @@ def _reverified(check: VerifyResult, during: str, what: str):
         raise ConsistencyError(f"{what} failed verification: {check.reason}")
 
 
-@dataclass
-class ConnectorSearch:
-    status: str                # found / none / indeterminate
-    connector: object = None
-    expansions: int = 0
+class ConnectorSearch(Record):
+    # status: found / none / indeterminate
+    __slots__ = _fields = ("status", "connector", "expansions")
+
+    def __init__(self, status: str, connector: object = None, expansions: int = 0):
+        self.status = status
+        self.connector = connector
+        self.expansions = expansions
 
 
 def _check_connector_inputs(g: Graph, pattern: Graph, u: int, v: int, t: int, others=()):
@@ -333,12 +346,18 @@ def _for_every(exhaustive: bool, every, draw, samples: int, holds) -> tuple:
     return (PROVEN if exhaustive else SUPPORTED), checked, None
 
 
-@dataclass
-class ReachReport:
-    verdict: str               # proven / supported / refuted / indeterminate
-    checked: int
-    total: object = None       # population size when exhaustive
-    witness: tuple = None      # failing W on refuted
+class ReachReport(Record):
+    # verdict: proven / supported / refuted / indeterminate
+    # total: the population size when exhaustive; witness: the failing W
+    # when refuted
+    __slots__ = _fields = ("verdict", "checked", "total", "witness")
+
+    def __init__(self, verdict: str, checked: int, total: object = None,
+                 witness: tuple = None):
+        self.verdict = verdict
+        self.checked = checked
+        self.total = total
+        self.witness = witness
 
 
 def reachability_estimate(g: Graph, f: IncompatibilitySystem, pattern: Graph,
@@ -505,20 +524,27 @@ def _first_hitting_set(masks, n: int, w: int):
     return None
 
 
-@dataclass
-class VectorReport:
-    vector: tuple
-    robust: bool
-    verdict: str            # proven / supported / indeterminate (truncated enumeration)
-    witness: tuple = None
-    disjoint_copies: int = 0
+class VectorReport(Record):
+    # verdict: proven / supported / indeterminate (truncated enumeration)
+    __slots__ = _fields = ("vector", "robust", "verdict", "witness", "disjoint_copies")
+
+    def __init__(self, vector: tuple, robust: bool, verdict: str, witness: tuple = None,
+                 disjoint_copies: int = 0):
+        self.vector = vector
+        self.robust = robust
+        self.verdict = verdict
+        self.witness = witness
+        self.disjoint_copies = disjoint_copies
 
 
-@dataclass
-class RobustReport:
-    w_size: int
-    vectors: dict           # vector -> VectorReport
-    enumeration_truncated: bool
+class RobustReport(Record):
+    # vectors: vector -> VectorReport
+    __slots__ = _fields = ("w_size", "vectors", "enumeration_truncated")
+
+    def __init__(self, w_size: int, vectors: dict, enumeration_truncated: bool):
+        self.w_size = w_size
+        self.vectors = vectors
+        self.enumeration_truncated = enumeration_truncated
 
     def robust_vectors(self) -> list:
         return sorted(v for v, rep in self.vectors.items() if rep.robust)
@@ -590,11 +616,15 @@ def robust_vectors(g: Graph, f: IncompatibilitySystem, pattern: Graph,
     return RobustReport(w, reports, enum.truncated)
 
 
-@dataclass
-class AbsorbingSetReport:
-    verdict: str            # proven / supported / refuted / indeterminate
-    checked: int
-    witness: tuple = None   # failing residual R
+class AbsorbingSetReport(Record):
+    # verdict: proven / supported / refuted / indeterminate
+    # witness: a failing residual R
+    __slots__ = _fields = ("verdict", "checked", "witness")
+
+    def __init__(self, verdict: str, checked: int, witness: tuple = None):
+        self.verdict = verdict
+        self.checked = checked
+        self.witness = witness
 
 
 def verify_absorbing_set(g: Graph, f: IncompatibilitySystem, pattern: Graph,

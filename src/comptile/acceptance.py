@@ -21,7 +21,6 @@ import random
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,15 +31,17 @@ from .graphs import (Graph, MultipartiteSpec, VertexPartition, complete_graph,
                      complete_multipartite, cycle_graph, disjoint_union, path_graph)
 from .incompat import IncompatibilitySystem, count_bad_pairs_at, random_bounded_system
 from .lattice import GeneratedLattice, find_transferral, mask_index_vector, refutes, unit_vector
-from .util import canonical_json, format_fraction
+from .util import Record, canonical_json, format_fraction
 
 
-@dataclass
-class CriterionResult:
-    cid: str
-    passed: bool
-    details: dict = field(default_factory=dict)
-    duration: float = 0.0
+class CriterionResult(Record):
+    __slots__ = _fields = ("cid", "passed", "details", "duration")
+
+    def __init__(self, cid: str, passed: bool, details: dict = None, duration: float = 0.0):
+        self.cid = cid
+        self.passed = passed
+        self.details = {} if details is None else details
+        self.duration = duration
 
 
 def corpus() -> dict:

@@ -19,7 +19,7 @@ import traceback
 from fractions import Fraction
 from pathlib import Path
 
-from . import absorb, construct, solver
+from . import absorb, construct, regularity, solver
 from .coloring import chi_star
 from .construct import detect_multipartite
 from .errors import BudgetExceeded, ComptileError, ConsistencyError, FormatError
@@ -269,8 +269,6 @@ def _cmd_absorb(args) -> int:
 
 
 def _cmd_regcount(args) -> int:
-    from . import regularity   # its dataclasses cost 2-3 ms at import; only regcount pays
-
     g = _load_graph(args.graph)
     if args.action == "density":
         d = regularity.density(g, _parse_ints(args.x, "x"), _parse_ints(args.y, "y"))

@@ -27,13 +27,12 @@ lost.  The size cap keeps |C(H)| from exploding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import SizeCapError, ValidationError
 from .graphs import Graph, MultipartiteSpec, complete_multipartite, components
-from .util import bits, format_fraction
+from .util import FrozenRecord, bits, format_fraction
 
 INFINITY = float("inf")
 
@@ -44,17 +43,23 @@ COLORING_CAP = 12
 CHI_STAR_CACHE_SIZE = 256
 
 
-@dataclass(frozen=True)
-class ChromaticProfile:
-    chi: int
-    sigma: int
-    d_set: frozenset
-    hcf_chi: object  # positive int, or INFINITY when D(H) == {0}
-    hcf_c: int
-    hcf_is_one: bool
-    chi_cr: Fraction
-    chi_star: Fraction
-    profiles: frozenset  # sorted class sizes of every proper chi-coloring
+class ChromaticProfile(FrozenRecord):
+    # hcf_chi: a positive int, or INFINITY when D(H) == {0}
+    # profiles: the sorted class sizes of every proper chi-coloring
+    __slots__ = _fields = ("chi", "sigma", "d_set", "hcf_chi", "hcf_c", "hcf_is_one",
+                           "chi_cr", "chi_star", "profiles")
+
+    def __init__(self, chi: int, sigma: int, d_set: frozenset, hcf_chi: object, hcf_c: int,
+                 hcf_is_one: bool, chi_cr: Fraction, chi_star: Fraction, profiles: frozenset):
+        object.__setattr__(self, "chi", chi)
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "d_set", d_set)
+        object.__setattr__(self, "hcf_chi", hcf_chi)
+        object.__setattr__(self, "hcf_c", hcf_c)
+        object.__setattr__(self, "hcf_is_one", hcf_is_one)
+        object.__setattr__(self, "chi_cr", chi_cr)
+        object.__setattr__(self, "chi_star", chi_star)
+        object.__setattr__(self, "profiles", profiles)
 
     def to_json_dict(self) -> dict:
         return {

@@ -19,7 +19,6 @@ checked numerically before the instance is returned.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, permutations, repeat
 
@@ -30,7 +29,7 @@ from .graphs import (Graph, MultipartiteSpec, VertexPartition, complement_compon
                      complete_multipartite)
 from .incompat import IncompatibilitySystem
 from .lattice import mask_index_vector, obstruction
-from .util import bits, format_fraction, rational
+from .util import FrozenRecord, bits, format_fraction, rational
 
 KOMLOS = "komlos"
 KUHN_OSTHUS = "ko"
@@ -39,16 +38,25 @@ CONFIRMED_ABSENT = "confirmed_absent"
 FACTOR_EXISTS = "factor_exists"
 
 
-@dataclass(frozen=True)
-class BaseInstance:
-    graph: Graph
-    partition: VertexPartition
-    sizes: tuple
-    min_degree: int
-    window_low: Fraction          # observed lower bound (chi_cr+1-r)/r * n
-    window_high: int              # ceil(n/chi_cr) + 1
-    parts_in_window: tuple        # per-part boolean report, not a gate
-    factor_status: str            # confirmed_absent / factor_exists
+class BaseInstance(FrozenRecord):
+    # window_low: the observed lower bound (chi_cr+1-r)/r * n
+    # window_high: ceil(n/chi_cr) + 1
+    # parts_in_window: a per-part boolean report, not a gate
+    # factor_status: confirmed_absent / factor_exists
+    __slots__ = _fields = ("graph", "partition", "sizes", "min_degree", "window_low",
+                           "window_high", "parts_in_window", "factor_status")
+
+    def __init__(self, graph: Graph, partition: VertexPartition, sizes: tuple,
+                 min_degree: int, window_low: Fraction, window_high: int,
+                 parts_in_window: tuple, factor_status: str):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "partition", partition)
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "min_degree", min_degree)
+        object.__setattr__(self, "window_low", window_low)
+        object.__setattr__(self, "window_high", window_high)
+        object.__setattr__(self, "parts_in_window", parts_in_window)
+        object.__setattr__(self, "factor_status", factor_status)
 
     def to_json_dict(self) -> dict:
         return {
@@ -179,19 +187,20 @@ def _ko_sizes(pattern: Graph, prof, n: int) -> tuple:
 _BASE_SIZES = {KOMLOS: _komlos_sizes, KUHN_OSTHUS: _ko_sizes}
 
 
-@dataclass(frozen=True)
-class ConstructionSpec:
+class ConstructionSpec(FrozenRecord):
     """Parameters of a full lower-bound instance for K_r(h_1..h_r)."""
 
-    pattern_spec: MultipartiteSpec
-    n: int
-    mu: Fraction
-    base: str = KOMLOS
-    # the base's (part sizes, window low, window high, min degree), derived once
-    base_sizes: tuple = field(init=False, repr=False, compare=False)
+    # base_sizes: the base's (part sizes, window low, window high, min
+    # degree), derived once; neither compared nor shown
+    __slots__ = ("pattern_spec", "n", "mu", "base", "base_sizes")
+    _fields = ("pattern_spec", "n", "mu", "base")
 
-    def __post_init__(self):
-        object.__setattr__(self, "mu", rational(self.mu, "mu"))
+    def __init__(self, pattern_spec: MultipartiteSpec, n: int, mu: Fraction,
+                 base: str = KOMLOS):
+        object.__setattr__(self, "pattern_spec", pattern_spec)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "mu", rational(mu, "mu"))
+        object.__setattr__(self, "base", base)
         sizes_of = _BASE_SIZES.get(self.base)
         if sizes_of is None:
             raise ValidationError(f"unknown base {self.base!r}")
@@ -209,16 +218,26 @@ class ConstructionSpec:
         return complete_multipartite(self.pattern_spec)[0]
 
 
-@dataclass(frozen=True)
-class Certificates:
-    min_degree: int
-    min_degree_bound: Fraction
-    part_internal_degrees: tuple   # (min, max) per part
-    internal_min_bound: Fraction   # mu*n/2 + 1
-    internal_max_bound: Fraction   # mu*n
-    parts_bipartite: tuple
-    f_delta: int
-    f_delta_bound: int             # floor(mu*n)
+class Certificates(FrozenRecord):
+    # part_internal_degrees: (min, max) per part
+    # internal_min_bound: mu*n/2 + 1; internal_max_bound: mu*n
+    # f_delta_bound: floor(mu*n)
+    __slots__ = _fields = ("min_degree", "min_degree_bound", "part_internal_degrees",
+                           "internal_min_bound", "internal_max_bound", "parts_bipartite",
+                           "f_delta", "f_delta_bound")
+
+    def __init__(self, min_degree: int, min_degree_bound: Fraction,
+                 part_internal_degrees: tuple, internal_min_bound: Fraction,
+                 internal_max_bound: Fraction, parts_bipartite: tuple, f_delta: int,
+                 f_delta_bound: int):
+        object.__setattr__(self, "min_degree", min_degree)
+        object.__setattr__(self, "min_degree_bound", min_degree_bound)
+        object.__setattr__(self, "part_internal_degrees", part_internal_degrees)
+        object.__setattr__(self, "internal_min_bound", internal_min_bound)
+        object.__setattr__(self, "internal_max_bound", internal_max_bound)
+        object.__setattr__(self, "parts_bipartite", parts_bipartite)
+        object.__setattr__(self, "f_delta", f_delta)
+        object.__setattr__(self, "f_delta_bound", f_delta_bound)
 
     def all_hold(self) -> bool:
         return (self.min_degree >= self.min_degree_bound
@@ -241,14 +260,17 @@ class Certificates:
         }
 
 
-@dataclass(frozen=True)
-class ExtremalInstance:
-    spec: ConstructionSpec
-    graph: Graph
-    partition: VertexPartition
-    system: IncompatibilitySystem
-    base: BaseInstance
-    certificates: Certificates
+class ExtremalInstance(FrozenRecord):
+    __slots__ = _fields = ("spec", "graph", "partition", "system", "base", "certificates")
+
+    def __init__(self, spec: ConstructionSpec, graph: Graph, partition: VertexPartition,
+                 system: IncompatibilitySystem, base: BaseInstance, certificates: Certificates):
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "partition", partition)
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "certificates", certificates)
 
 
 def _bipartite_circulant(block: tuple, d: int) -> list:
@@ -352,11 +374,15 @@ def augment_and_incompat(spec: ConstructionSpec) -> ExtremalInstance:
     return ExtremalInstance(spec, graph, base.partition, system, base, certs)
 
 
-@dataclass(frozen=True)
-class ClaimReport:
-    status: str            # true / false / indeterminate
-    copies_checked: int
-    witness: object = None  # violating Embedding when status == "false"
+class ClaimReport(FrozenRecord):
+    # status: true / false / indeterminate
+    # witness: the violating Embedding when status == "false"
+    __slots__ = _fields = ("status", "copies_checked", "witness")
+
+    def __init__(self, status: str, copies_checked: int, witness: object = None):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "copies_checked", copies_checked)
+        object.__setattr__(self, "witness", witness)
 
 
 def verify_index_vector_claim(inst: ExtremalInstance,

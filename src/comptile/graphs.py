@@ -14,10 +14,8 @@ Text formats (ASCII, LF-terminated; blank and '#' lines are skipped):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import FormatError, ValidationError
-from .util import bits, int_rows, mask_of
+from .util import FrozenRecord, bits, int_rows, mask_of
 
 # Desk-scale contract: refuse graphs beyond this order at construction.
 MAX_VERTICES = 1 << 16
@@ -29,10 +27,12 @@ def _check_order(n: int):
         raise ValidationError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
 
 
-class Graph:
-    """Immutable undirected simple graph on vertices 0..n-1."""
+class Graph(FrozenRecord):
+    """Immutable undirected simple graph on vertices 0..n-1; equal graphs
+    have the same order and adjacency rows."""
 
     __slots__ = ("n", "adj", "_m")
+    _fields = ("n", "adj")
 
     def __init__(self, n: int, adj):
         _check_order(n)
@@ -54,9 +54,6 @@ class Graph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", adj)
         object.__setattr__(self, "_m", m2 // 2)
-
-    def __setattr__(self, *_):
-        raise AttributeError("Graph is immutable")
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -96,24 +93,17 @@ class Graph:
     def min_degree(self) -> int:
         return min((self.degree(v) for v in range(self.n)), default=0)
 
-    def __eq__(self, other):
-        return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
-
-    def __hash__(self):
-        return hash((self.n, self.adj))
-
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class MultipartiteSpec:
+class MultipartiteSpec(FrozenRecord):
     """Part sizes h_1..h_r of a complete multipartite pattern."""
 
-    sizes: tuple
+    __slots__ = _fields = ("sizes",)
 
-    def __post_init__(self):
-        sizes = tuple(int(s) for s in self.sizes)
+    def __init__(self, sizes: tuple):
+        sizes = tuple(int(s) for s in sizes)
         object.__setattr__(self, "sizes", sizes)
         if len(sizes) < 1:
             raise ValidationError("need at least one part")
@@ -129,15 +119,15 @@ class MultipartiteSpec:
         return sum(self.sizes)
 
 
-@dataclass(frozen=True)
-class VertexPartition:
+class VertexPartition(FrozenRecord):
     """Ordered partition of {0..n-1} into non-empty disjoint blocks."""
 
-    n: int
-    blocks: tuple
+    __slots__ = ("n", "blocks", "_block_of", "block_masks")
+    _fields = ("n", "blocks")
 
-    def __post_init__(self):
-        blocks = tuple(tuple(sorted(b)) for b in self.blocks)
+    def __init__(self, n: int, blocks: tuple):
+        object.__setattr__(self, "n", n)
+        blocks = tuple(tuple(sorted(b)) for b in blocks)
         object.__setattr__(self, "blocks", blocks)
         seen = 0
         masks = []

@@ -40,7 +40,6 @@ and ``counting_experiment`` leave numpy unloaded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -48,7 +47,7 @@ from . import solver
 from .errors import BudgetExceeded, ConsistencyError, SizeCapError, ValidationError
 from .graphs import Graph, MultipartiteSpec
 from .incompat import IncompatibilitySystem
-from .util import bits, format_fraction, mask_of, rational
+from .util import FrozenRecord, bits, format_fraction, mask_of, rational
 
 SIDE_CAP = 20
 
@@ -73,14 +72,18 @@ def density(g: Graph, x_side, y_side) -> Fraction:
     return Fraction(e, len(xs) * len(ys))
 
 
-@dataclass(frozen=True)
-class RegularityReport:
-    regular: bool
-    density: Fraction
-    eps: Fraction
-    d_min: object                  # Fraction or None
-    witness: object = None         # (A, B) tuple of tuples on failure
-    reason: str = ""
+class RegularityReport(FrozenRecord):
+    # d_min: a Fraction or None; witness: (A, B), a tuple of tuples, on failure
+    __slots__ = _fields = ("regular", "density", "eps", "d_min", "witness", "reason")
+
+    def __init__(self, regular: bool, density: Fraction, eps: Fraction, d_min: object,
+                 witness: object = None, reason: str = ""):
+        object.__setattr__(self, "regular", regular)
+        object.__setattr__(self, "density", density)
+        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "d_min", d_min)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "reason", reason)
 
     def to_json_dict(self) -> dict:
         out = {"regular": self.regular,
@@ -224,12 +227,15 @@ def is_eps_regular_exhaustive(g: Graph, x_side, y_side, eps,
                             reason="sub-pair density deviates by >= eps")
 
 
-@dataclass(frozen=True)
-class ReducedGraph:
-    k: int
-    eps: Fraction
-    d: Fraction
-    edges: tuple               # sorted (i, j) cluster pairs that verified regular
+class ReducedGraph(FrozenRecord):
+    # edges: the sorted (i, j) cluster pairs that verified regular
+    __slots__ = _fields = ("k", "eps", "d", "edges")
+
+    def __init__(self, k: int, eps: Fraction, d: Fraction, edges: tuple):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "edges", edges)
 
 
 def reduced_graph(g: Graph, blocks, eps, d) -> ReducedGraph:
@@ -249,12 +255,14 @@ def reduced_graph(g: Graph, blocks, eps, d) -> ReducedGraph:
     return ReducedGraph(len(blocks), eps, d, tuple(edges))
 
 
-@dataclass(frozen=True)
-class CountingReport:
-    total: int
-    compatible: int
-    c_observed: Fraction
-    product: int
+class CountingReport(FrozenRecord):
+    __slots__ = _fields = ("total", "compatible", "c_observed", "product")
+
+    def __init__(self, total: int, compatible: int, c_observed: Fraction, product: int):
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "compatible", compatible)
+        object.__setattr__(self, "c_observed", c_observed)
+        object.__setattr__(self, "product", product)
 
     def to_json_dict(self) -> dict:
         return {"total": self.total, "compatible": self.compatible,

@@ -34,7 +34,6 @@ cross-copy check is needed or performed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from itertools import combinations
 from operator import itemgetter
 from typing import NamedTuple
@@ -43,7 +42,7 @@ from .errors import BudgetExceeded, ConsistencyError, ValidationError
 from .graphs import Graph, MultipartiteSpec, complement_components, complete_multipartite
 from .incompat import IncompatibilitySystem
 from .lattice import obstruction
-from .util import bits, mask_of
+from .util import FrozenRecord, Record, bits, mask_of
 
 FOUND = "found"
 NONE = "none"
@@ -62,8 +61,8 @@ class Embedding(NamedTuple):
     """Injective pattern-to-host map with its image subgraph.
 
     A named tuple, so the fields are immutable and a copy costs one tuple
-    to build.  Unlike a dataclass, an Embedding compares equal to the
-    plain tuple (phi, vertices, edges) and unpacks like one.
+    to build.  Unlike a Record, an Embedding compares equal to the plain
+    tuple (phi, vertices, edges) and unpacks like one.
     """
 
     phi: tuple            # phi[i] = host vertex of pattern vertex i
@@ -79,11 +78,13 @@ class Embedding(NamedTuple):
         return mask_of(self.vertices)
 
 
-@dataclass(frozen=True)
-class Tiling:
+class Tiling(FrozenRecord):
     """Vertex-disjoint copies; covered() is the union of their images."""
 
-    embeddings: tuple
+    __slots__ = _fields = ("embeddings",)
+
+    def __init__(self, embeddings: tuple):
+        object.__setattr__(self, "embeddings", embeddings)
 
     def covered(self) -> int:
         m = 0
@@ -98,8 +99,7 @@ class Tiling:
         return len(self.embeddings)
 
 
-@dataclass
-class CopyEnumeration:
+class CopyEnumeration(Record):
     """Copies in canonical order: sorted image vertices, then sorted image
     edges.  ``pool`` is the vertex mask enumerated: when not truncated,
     every compatible copy inside it is listed.  A transversal enumeration
@@ -114,21 +114,30 @@ class CopyEnumeration:
     test read only those.  ``copies``, the Embeddings, is built at its
     first read, and ``embedding(i)`` builds one copy, e.g. a row of a
     tiling.  ``masks``, ``copies`` and the row index are plain lazily
-    filled fields, not ``functools.cached_property``: on Python 3.11 its
+    filled slots, not ``functools.cached_property``: on Python 3.11 its
     first read takes a lock, 1.6 us, over 1% of a tiny factor decision.
+    Equality reads the images, ``truncated``, ``expansions`` and ``pool``;
+    ``repr`` shows the last three.
     """
 
-    images: list = field(repr=False)
-    truncated: bool
-    expansions: int
-    pool: int
-    pattern: Graph = field(repr=False, compare=False)
-    graph: Graph = field(repr=False, compare=False)
-    system: IncompatibilitySystem = field(repr=False, compare=False)
-    _plan: "_Plan" = field(repr=False, compare=False)
-    _masks: list = field(default=None, init=False, repr=False, compare=False)
-    _copies: list = field(default=None, init=False, repr=False, compare=False)
-    _index: tuple = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("images", "truncated", "expansions", "pool", "pattern", "graph", "system",
+                 "_plan", "_masks", "_copies", "_index")
+    _fields = ("images", "truncated", "expansions", "pool")
+    _unshown = ("images",)
+
+    def __init__(self, images: list, truncated: bool, expansions: int, pool: int,
+                 pattern: Graph, graph: Graph, system: IncompatibilitySystem, _plan: "_Plan"):
+        self.images = images
+        self.truncated = truncated
+        self.expansions = expansions
+        self.pool = pool
+        self.pattern = pattern
+        self.graph = graph
+        self.system = system
+        self._plan = _plan
+        self._masks = None
+        self._copies = None
+        self._index = None
 
     @property
     def masks(self) -> list:
@@ -178,28 +187,38 @@ class CopyEnumeration:
         return every & ~dead
 
 
-@dataclass
-class FactorResult:
-    status: str                      # found / none / indeterminate
-    tiling: object = None            # Tiling when found
-    # none: divisibility / lattice / exhausted; indeterminate: budget
-    reason: str = ""
-    # the enumeration's (unless the copies were passed in) plus the cover
-    # search's branches; for lattice, those up to its first dead end, at
-    # most the budget
-    expansions: int = 0
-    copies_considered: int = 0
-    # lattice: the partition (sorted vertex tuples) and the rational y with
-    # y.v an integer for every copy's index vector v over it, y.sizes not
-    parts: tuple = ()
-    certificate: tuple = None
+class FactorResult(Record):
+    # status: found / none / indeterminate; tiling: a Tiling when found
+    # reason: divisibility / lattice / exhausted when none, budget when
+    # indeterminate
+    # expansions: the enumeration's (unless the copies were passed in) plus
+    # the cover search's branches; for lattice, those up to its first dead
+    # end, at most the budget
+    # parts, certificate (lattice): the partition (sorted vertex tuples) and
+    # the rational y with y.v an integer for every copy's index vector v
+    # over it, y.sizes not
+    __slots__ = _fields = ("status", "tiling", "reason", "expansions", "copies_considered",
+                           "parts", "certificate")
+
+    def __init__(self, status: str, tiling: object = None, reason: str = "",
+                 expansions: int = 0, copies_considered: int = 0, parts: tuple = (),
+                 certificate: tuple = None):
+        self.status = status
+        self.tiling = tiling
+        self.reason = reason
+        self.expansions = expansions
+        self.copies_considered = copies_considered
+        self.parts = parts
+        self.certificate = certificate
 
 
-@dataclass
-class MaxTilingResult:
-    tiling: Tiling
-    optimal: bool
-    expansions: int
+class MaxTilingResult(Record):
+    __slots__ = _fields = ("tiling", "optimal", "expansions")
+
+    def __init__(self, tiling: Tiling, optimal: bool, expansions: int):
+        self.tiling = tiling
+        self.optimal = optimal
+        self.expansions = expansions
 
 
 def _pattern_order(h: Graph) -> list:

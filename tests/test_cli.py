@@ -1,5 +1,6 @@
 import hashlib
 import json
+import pkgutil
 import resource
 import shutil
 import subprocess
@@ -549,20 +550,24 @@ def test_invariants_cli_fuzz(tmp_path, capsys, g, mangle):
         assert chi == raw_chromatic_number(g)
 
 
-# Runs in a fresh interpreter: imports every module of the package, then
-# the calls that need no numpy, then one exhaustive scan, which does.
+# Runs in a fresh interpreter: imports the modules named after the two
+# file arguments, then the calls that need no numpy, then one exhaustive
+# scan, which does.  The module names are listed by the caller: pkgutil's
+# listing itself imports inspect.
 _NUMPY_PROBE = """
-import importlib, json, pkgutil, sys
+import importlib, json, sys
 from fractions import Fraction
 import comptile
 from comptile import cli, regularity
 from comptile.graphs import MultipartiteSpec, complete_graph, cycle_graph
 from comptile.incompat import random_bounded_system
 
-steps = {"modules": sorted(m.name for m in pkgutil.iter_modules(comptile.__path__))}
-for name in steps["modules"]:
+steps = {}
+for name in sys.argv[3:]:
     importlib.import_module("comptile." + name)
 steps["import"] = "numpy" in sys.modules
+# the records are plain classes: no dataclasses, nor the inspect it loads
+steps["stdlib"] = sorted({"dataclasses", "inspect"} & set(sys.modules))
 k6 = complete_graph(6)
 regularity.density(k6, [0, 1, 2], [3, 4, 5])
 steps["density"] = "numpy" in sys.modules
@@ -581,20 +586,21 @@ print(json.dumps(steps))
 
 def test_library_import_leaves_numpy_out(files):
     # numpy loads at the first exhaustive regularity scan (or oracle
-    # bounded_combination_membership call), never when a module loads
+    # bounded_combination_membership call), never when a module loads;
+    # dataclasses and inspect never load
     src_dir = Path(comptile.__file__).resolve().parents[1]
+    package = Path(comptile.__file__).parent
+    modules = sorted(m.name for m in pkgutil.iter_modules(comptile.__path__))
+    assert modules == sorted(p.stem for p in package.glob("*.py") if p.stem != "__init__")
     parts = files["tmp"] / "parts.txt"
     parts.write_text("0 1\n2 3\n", encoding="ascii")
     proc = subprocess.run(
-        [sys.executable, "-c", _NUMPY_PROBE, files["k6"], str(parts)],
+        [sys.executable, "-c", _NUMPY_PROBE, files["k6"], str(parts), *modules],
         capture_output=True, text=True,
         env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(src_dir)})
     assert proc.returncode == 0, proc.stderr
     steps = json.loads(proc.stdout.splitlines()[-1])
-    package = Path(comptile.__file__).parent
-    assert steps.pop("modules") == sorted(p.stem for p in package.glob("*.py")
-                                          if p.stem != "__init__")
-    assert steps == {"import": False, "density": False, "counting": False,
+    assert steps == {"import": False, "stdlib": [], "density": False, "counting": False,
                      "regcount_exit": 0, "regcount": False,
                      "report": {"density": "2/3", "eps": "1/3", "regular": False,
                                 "reason": "sub-pair density deviates by >= eps",

@@ -2,7 +2,6 @@ import hashlib
 import math
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -653,7 +652,10 @@ def test_copies_give_the_answer_of_enumerating_the_pool():
             pool = mask_of(v for v in range(host.n) if outer >> v & 1 and rng.random() < 0.8)
             alone = find_compatible_factor(pattern, host, f, pool=pool)
             shared = find_compatible_factor(pattern, host, f, pool=pool, copies=enum)
-            assert replace(shared, expansions=alone.expansions) == alone
+            assert ((shared.status, shared.tiling, shared.reason, shared.copies_considered,
+                     shared.parts, shared.certificate)
+                    == (alone.status, alone.tiling, alone.reason, alone.copies_considered,
+                        alone.parts, alone.certificate))
             if alone.reason not in ("divisibility", ""):
                 search = alone.expansions - enumerate_compatible_copies(
                     pattern, host, f, pool=pool).expansions
