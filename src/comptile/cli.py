@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-import traceback
 from fractions import Fraction
 from pathlib import Path
 
@@ -449,6 +448,7 @@ def main(argv=None) -> int:
             return EXIT_SOFTWARE
         return EXIT_INDETERMINATE if isinstance(exc, BudgetExceeded) else EXIT_USAGE
     except Exception as exc:  # last resort: a bug must not pass for an answer
+        import traceback   # with textwrap, 2.5 ms of every start; only a bug pays
         where = traceback.extract_tb(exc.__traceback__)[-1]
         sys.stderr.write(canonical_json(
             {"error": "internal", "detail": f"{type(exc).__name__}: {exc}",

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain, permutations, repeat
+from itertools import permutations
 
 from . import solver
 from .coloring import chi_star
@@ -327,15 +327,12 @@ def augment_and_incompat(spec: ConstructionSpec) -> ExtremalInstance:
     blocks = base.partition.blocks
 
     rows = list(base.graph.adj)
-    circulants = []  # per part, its edges (x, y); x < y, as xs precede ys in the sorted block
     for pi, block in enumerate(blocks):
         if len(block) < 2 * d:
             raise ValidationError(
                 f"part {pi} (size {len(block)}) too small for mu = {mu}: "
                 f"needs size >= 2*(ceil(mu*n/2)+1) = {2 * d}")
-        edges = _bipartite_circulant(block, d)
-        circulants.append(edges)
-        for u, v in edges:
+        for u, v in _bipartite_circulant(block, d):
             rows[u] |= 1 << v
             rows[v] |= 1 << u
     graph = Graph(n, rows)
@@ -351,13 +348,14 @@ def augment_and_incompat(spec: ConstructionSpec) -> ExtremalInstance:
                 f"(odd part sizes push one side to d+1)")
         part_windows.append((lo, hi))
 
-    # xy is incompatible with vx and vy at every v outside the part of xy;
-    # the triples go straight into the system, one zip per edge
-    outside = [[v for pi, vblock in enumerate(blocks) if pi != pj for v in vblock]
-               for pj in range(len(blocks))]
-    system = IncompatibilitySystem(graph, chain.from_iterable(
-        zip(vs, repeat(x), repeat(y)) for edges, vs in zip(circulants, outside)
-        for x, y in edges))
+    # xy is incompatible with vx and vy at every v outside xy's part: v's row maps each
+    # x outside v's part to its circulant neighbours, one read-only row per part
+    part, masks = base.partition, base.partition.block_masks
+    inner = [graph.adj[x] & masks[part.block_of(x)] for x in range(n)]
+    part_rows = [{x: m for x, m in enumerate(inner) if m and not mask >> x & 1}
+                 for mask in masks]
+    system = IncompatibilitySystem._of_rows(graph, {
+        v: part_rows[part.block_of(v)] for v in range(n) if part_rows[part.block_of(v)]})
 
     certs = Certificates(
         min_degree=graph.min_degree(),

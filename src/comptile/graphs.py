@@ -66,7 +66,12 @@ class Graph(FrozenRecord):
                 raise ValidationError(f"edge ({u},{v}) outside vertex range 0..{n - 1}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return cls(n, rows)
+        # symmetric, loop-free and in range as built: __init__'s checks would repeat these
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", tuple(rows))
+        object.__setattr__(g, "_m", sum(map(int.bit_count, rows)) // 2)
+        return g
 
     @property
     def m(self) -> int:

@@ -33,13 +33,14 @@ class IncompatibilitySystem:
     ``inc[v][a]`` is the bitmask of the neighbours b of v with {va, vb} in
     F_v; a vertex or neighbour without partners has no entry, and the rows
     are symmetric (b is in ``inc[v][a]`` iff a is in ``inc[v][b]``).  The
-    rows are read-only.
+    rows are read-only and canonical: ``inc`` holds its vertices in
+    ascending order, and each row its keys in ascending order.
     """
 
     __slots__ = ("graph", "inc")
 
     def __init__(self, graph: Graph, triples):
-        """Build from (v, a, b) triples meaning {va, vb} in F_v."""
+        """Build from (v, a, b) triples meaning {va, vb} in F_v, each checked."""
         adj, n = graph.adj, graph.n
         inc = {}
         for v, a, b in triples:
@@ -56,7 +57,16 @@ class IncompatibilitySystem:
             row[a] = row.get(a, 0) | 1 << b
             row[b] = row.get(b, 0) | 1 << a
         object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "inc", inc)
+        object.__setattr__(self, "inc", {v: dict(sorted(inc[v].items())) for v in sorted(inc)})
+
+    @classmethod
+    def _of_rows(cls, graph: Graph, inc: dict) -> "IncompatibilitySystem":
+        """The system of ``inc`` as it stands, unchecked: for builders whose
+        rows are symmetric, on edges of ``graph`` and canonical by design."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "graph", graph)
+        object.__setattr__(f, "inc", inc)
+        return f
 
     def __setattr__(self, *_):
         raise AttributeError("IncompatibilitySystem is immutable")
@@ -68,17 +78,15 @@ class IncompatibilitySystem:
     def triples(self) -> list:
         """Canonical (v, a, b) list with a < b, sorted.
 
-        The rows are read in sorted order and each partner mask is walked
-        inline from its lowest bit, so the list comes out sorted; a
-        ``bits`` generator per row, and a sort, cost more than the walk.
+        The rows are canonical and each partner mask is walked inline from
+        its lowest bit, so the list comes out sorted; a ``bits`` generator
+        per row, and a sort, cost more than the walk.
         """
         out = []
         append = out.append
-        inc = self.inc
-        for v in sorted(inc):
-            row = inc[v]
-            for a in sorted(row):
-                partners = row[a] >> a + 1    # the partners b > a, bit b - a - 1
+        for v, row in self.inc.items():
+            for a, m in row.items():
+                partners = m >> a + 1    # the partners b > a, bit b - a - 1
                 while partners:
                     low = partners & -partners
                     append((v, a, a + low.bit_length()))
@@ -148,7 +156,8 @@ def random_bounded_system(g: Graph, mu, seed: int) -> IncompatibilitySystem:
     j.  An edge that is already full at its turn draws its shuffle's
     values, rejections included, but moves no item, since it takes no
     partner; the stream is unchanged.  So each seed gives the same
-    system, byte for byte, for any seed ``random.Random`` accepts.
+    system, byte for byte, for any seed ``random.Random`` accepts.  Each
+    row is stored as drawn, sorted: no round trip through triples.
 
     ``mu`` is a Fraction, an int or a string such as ``"3/10"``; a float
     is refused (see ``util.rational``).
@@ -158,8 +167,7 @@ def random_bounded_system(g: Graph, mu, seed: int) -> IncompatibilitySystem:
     if mu < 0:
         raise ValidationError("mu must be non-negative")
     q = math.floor(mu * n)
-    triples = []
-    append = triples.append
+    inc = {}
     if q > 0:
         getrandbits = random.Random(seed).getrandbits
         count = [0] * n  # partners of va at the current v, by a; zeroed after each v
@@ -185,21 +193,18 @@ def random_bounded_system(g: Graph, mu, seed: int) -> IncompatibilitySystem:
                 for b in cands:
                     if count[b] < q and not mask >> b & 1:
                         mask |= 1 << b
-                        row[a] = mask  # row[a] before row[b]: inc keeps this order
+                        row[a] = mask
                         row[b] = row.get(b, 0) | 1 << a
                         count[b] += 1
                         c += 1
                         if c == q:
                             break
                 count[a] = c
-            for a, m in row.items():
-                count[a] = 0
-                partners = m >> a + 1    # the partners b > a, bit b - a - 1, as in triples()
-                while partners:
-                    low = partners & -partners
-                    append((v, a, a + low.bit_length()))
-                    partners ^= low
-    return IncompatibilitySystem(g, triples)
+            if row:
+                for a in row:
+                    count[a] = 0
+                inc[v] = dict(sorted(row.items()))
+    return IncompatibilitySystem._of_rows(g, inc)
 
 
 # ---------------------------------------------------------------------------

@@ -34,12 +34,13 @@ cross-copy check is needed or performed.
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, pairwise
 from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import BudgetExceeded, ConsistencyError, ValidationError
-from .graphs import Graph, MultipartiteSpec, complement_components, complete_multipartite
+from .graphs import (Graph, MultipartiteSpec, complement_components, complete_graph,
+                     complete_multipartite)
 from .incompat import IncompatibilitySystem
 from .lattice import obstruction
 from .util import FrozenRecord, Record, bits, mask_of
@@ -250,8 +251,8 @@ def _pattern_order(h: Graph) -> list:
 class _Plan:
     """A pattern placed one vertex per step in ``order``.
 
-    ``preds[i]`` lists the earlier steps whose pattern vertices are
-    adjacent to step i's; every pattern edge appears once as (i, p) in
+    ``preds[i]`` is the tuple of the earlier steps whose pattern vertices
+    are adjacent to step i's; every pattern edge appears once as (i, p) in
     ``edges``, so copies are built without re-reading the pattern.
     """
 
@@ -261,8 +262,8 @@ class _Plan:
         for i, v in enumerate(order):
             pos[v] = i
         self.pos = pos
-        self.preds = [[pos[u] for u in pattern.neighbors(v) if pos[u] < i]
-                      for i, v in enumerate(order)]
+        self.preds = tuple(tuple([pos[u] for u in pattern.neighbors(v) if pos[u] < i])
+                           for i, v in enumerate(order))
         self.edges = [(i, p) for i, ps in enumerate(self.preds) for p in ps]
         # phi is img reordered, or img itself in plan order (tuple() of a
         # tuple is that tuple); itemgetter of one index would return the item
@@ -279,6 +280,16 @@ class _Plan:
         edges = tuple(combinations(vertices, 2)) if self.clique else self.image_edges(img)
         # tuple.__new__ skips the named tuple's Python-level __new__
         return tuple.__new__(Embedding, (phi, vertices, edges))
+
+    def edge_codes(self, n: int):
+        """The tie key on an n-vertex host: the sorted image edges (x, y),
+        x < y, as codes x*n + y, which order as the edge tuples do."""
+        edges = self.edges
+
+        def codes(img):
+            return sorted([img[i] * n + img[p] if img[i] < img[p] else img[p] * n + img[i]
+                           for i, p in edges])
+        return codes
 
     def image_edges(self, img) -> tuple:
         """The sorted image edges of the copy whose step i sits on img[i]."""
@@ -496,6 +507,35 @@ def _search_plan(pattern: Graph, budget):
     return None if cost > budget else (plan, below)
 
 
+# the proof walks up to k! images on K_k; past this many steps it is not tried (False)
+TIE_PROOF_STEPS = 7
+# (plan.preds, below) -> whether _embed yields ties in order, oldest first
+_tie_proofs = {}
+
+
+def _ties_in_order(plan: _Plan, below) -> bool:
+    """Does ``_embed`` yield the copies on one vertex set in the order of
+    their sorted edges, on every host?  Both orders depend only on how the
+    image vertices compare, so by rank the copies on one k-set of a host
+    are an ordered subsequence of those on K_k, and K_k settles it.  Keyed
+    by value: a transversal enumeration builds a new plan per call."""
+    key = plan.preds, tuple(below)
+    proof = _tie_proofs.get(key)
+    if proof is None:
+        k = len(plan.preds)
+        proof = k <= TIE_PROOF_STEPS
+        if proof:
+            kk = complete_graph(k)
+            codes = map(plan.edge_codes(k), _embed(
+                kk, IncompatibilitySystem.empty(kk), plan, [(1 << k) - 1] * k, below,
+                _Work(float("inf"))))
+            proof = all(a <= b for a, b in pairwise(codes))
+        if len(_tie_proofs) >= PLAN_CACHE_SIZE:
+            del _tie_proofs[next(iter(_tie_proofs))]
+        _tie_proofs[key] = proof
+    return proof
+
+
 def _system_on(g: Graph, f: IncompatibilitySystem, pattern: Graph) -> IncompatibilitySystem:
     """``f``, or the empty system on g when None, for a non-empty ``pattern``."""
     if f is None:
@@ -523,8 +563,8 @@ def _copies(g: Graph, f: IncompatibilitySystem, plan: _Plan, below, allowed: lis
     is the descending order of the bit-reversed masks (vertex v as bit
     n-1-v), since the lowest vertex where two sets differ decides both.
     Copies on one vertex set, which only a non-clique pattern has, keep
-    the tie order of their sorted edges, compared as sorted integer codes
-    x*n + y (x < y), which order as the edge tuples do and build none.
+    the tie order of their sorted edges (``_Plan.edge_codes``); the stable
+    sort leaves the embedder's order where ``_ties_in_order`` proves it so.
     """
     work = _Work(budget)
     images = []
@@ -540,15 +580,9 @@ def _copies(g: Graph, f: IncompatibilitySystem, plan: _Plan, below, allowed: lis
         keys = [sum(map(reversed_bit, img)) for img in images]
         order = sorted(range(len(images)), key=keys.__getitem__, reverse=True)
         images = [images[i] for i in order]
-        if not plan.clique:
+        if not plan.clique and not _ties_in_order(plan, below):
             keys = [keys[i] for i in order]
-            n, edges = g.n, plan.edges
-
-            def edge_codes(img):
-                # edge (x, y), x < y, as x*n + y: sorted codes order as sorted edge tuples
-                return sorted([img[i] * n + img[p] if img[i] < img[p] else img[p] * n + img[i]
-                               for i, p in edges])
-
+            edge_codes = plan.edge_codes(g.n)
             start = 0
             for end in range(1, len(images) + 1):
                 if end == len(images) or keys[end] != keys[start]:

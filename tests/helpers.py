@@ -25,6 +25,17 @@ def random_system(g: Graph, pairs: int, seed: int) -> IncompatibilitySystem:
     return IncompatibilitySystem(g, cand[:pairs])
 
 
+def assert_canonical(f: IncompatibilitySystem):
+    """``f`` holds the rows the checking constructor folds from its triples,
+    in the same order at both levels: vertices, and each row's keys,
+    ascending."""
+    assert list(f.inc) == sorted(f.inc)
+    assert all(list(row) == sorted(row) for row in f.inc.values())
+    rebuilt = IncompatibilitySystem(f.graph, f.triples())
+    assert [(v, list(row.items())) for v, row in f.inc.items()] \
+        == [(v, list(row.items())) for v, row in rebuilt.inc.items()]
+
+
 def combination(coeffs, gens, dim: int) -> list:
     """sum_i coeffs[i] * gens[i] as a list of `dim` integers."""
     return [sum(a * g[c] for a, g in zip(coeffs, gens)) for c in range(dim)]

@@ -566,8 +566,9 @@ steps = {}
 for name in sys.argv[3:]:
     importlib.import_module("comptile." + name)
 steps["import"] = "numpy" in sys.modules
-# the records are plain classes: no dataclasses, nor the inspect it loads
-steps["stdlib"] = sorted({"dataclasses", "inspect"} & set(sys.modules))
+# the records are plain classes: no dataclasses, nor the inspect it loads; the
+# CLI imports traceback, and textwrap with it, only for an unexpected error
+steps["stdlib"] = sorted({"dataclasses", "inspect", "traceback", "textwrap"} & set(sys.modules))
 k6 = complete_graph(6)
 regularity.density(k6, [0, 1, 2], [3, 4, 5])
 steps["density"] = "numpy" in sys.modules
@@ -587,7 +588,7 @@ print(json.dumps(steps))
 def test_library_import_leaves_numpy_out(files):
     # numpy loads at the first exhaustive regularity scan (or oracle
     # bounded_combination_membership call), never when a module loads;
-    # dataclasses and inspect never load
+    # dataclasses, inspect, traceback and textwrap never load
     src_dir = Path(comptile.__file__).resolve().parents[1]
     package = Path(comptile.__file__).parent
     modules = sorted(m.name for m in pkgutil.iter_modules(comptile.__path__))

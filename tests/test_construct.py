@@ -20,6 +20,8 @@ from comptile.lattice import GeneratedLattice, index_vector
 from comptile.oracles import raw_factor_exists
 from comptile.util import mask_of
 
+from .helpers import assert_canonical
+
 K3 = complete_graph(3)
 K111 = MultipartiteSpec((1, 1, 1))
 
@@ -283,3 +285,20 @@ def test_induced_triples_are_streamed_into_the_system():
         tracemalloc.stop()
     assert inst.system.total_pairs == 7434
     assert peak < 300 << 10
+
+
+@pytest.mark.parametrize("sizes, n, base", [
+    ((1, 1, 1), n, base) for n in range(24, 61, 6) for base in (KOMLOS, KUHN_OSTHUS)
+] + [((1, 1, 2), 24, KOMLOS)])
+def test_induced_system_rows_are_the_ones_its_definition_gives(sizes, n, base):
+    # the rows are written straight in, unchecked: they must be what the
+    # checking constructor builds from the definition's triples, each
+    # in-part edge xy incompatible at every v outside the part
+    inst = augment_and_incompat(ConstructionSpec(MultipartiteSpec(sizes), n, Fraction(1, 6), base))
+    g, blocks = inst.graph, inst.partition.blocks
+    defined = IncompatibilitySystem(g, [(v, x, y) for block in blocks for x in block
+                                        for y in g.neighbors(x) if x < y and y in block
+                                        for v in range(n) if v not in block])
+    assert_canonical(inst.system)
+    assert [(v, list(row.items())) for v, row in inst.system.inc.items()] \
+        == [(v, list(row.items())) for v, row in defined.inc.items()]

@@ -22,6 +22,34 @@ def test_validation_rejects_asymmetry_and_loops():
         Graph.from_edges(2, [(0, 0)])
 
 
+@given(st.integers(0, 12).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0))), max_size=40))))
+def test_from_edges_builds_what_the_checked_constructor_builds(case):
+    # from_edges skips __init__'s checks; the graph must be the same value
+    n, edges = case
+    edges = [(u, v) for u, v in edges if u != v and n]
+    rows = [0] * n
+    for u, v in edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    g, checked = Graph.from_edges(n, edges), Graph(n, rows)
+    assert g == checked and hash(g) == hash(checked)
+    assert (g.n, g.adj, g.m) == (checked.n, checked.adj, checked.m)
+    assert type(g.adj) is tuple
+
+
+@pytest.mark.parametrize("n, edges, message", [
+    (2, [(0, 1), (1, 1)], "self-loop at vertex 1"),
+    (3, [(0, 3)], r"edge \(0,3\) outside vertex range 0..2"),
+    (3, [(-1, 2)], r"edge \(-1,2\) outside vertex range 0..2"),
+    (0, [(0, 1)], r"edge \(0,1\) outside vertex range 0..-1"),
+    (-1, [], "vertex count -1 outside"),
+])
+def test_from_edges_refuses_bad_edge_lists(n, edges, message):
+    with pytest.raises(ValidationError, match=message):
+        Graph.from_edges(n, edges)
+
+
 def test_size_cap_enforced():
     with pytest.raises(ValidationError):
         Graph(MAX_VERTICES + 1, (0,) * (MAX_VERTICES + 1))

@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from comptile.errors import FormatError, ValidationError
 from comptile.graphs import Graph, complete_graph, cycle_graph, disjoint_union, path_graph
@@ -15,7 +17,7 @@ from comptile.incompat import (IncompatibilitySystem, count_bad_pairs_at, format
 from comptile.oracles import raw_bounded_system
 from comptile.solver import Embedding, enumerate_compatible_copies, verify_embedding
 
-from .helpers import random_graph, random_system
+from .helpers import assert_canonical, random_graph, random_system
 
 
 def test_pair_validation():
@@ -164,6 +166,26 @@ def test_random_bounded_system_replays_the_literal_shuffles():
                                          ("q>=degree", g.m and q >= max(degrees)),
                                          ("row>255", max(degrees, default=0) > 256)) if hit}
     assert covered == {0, 1, 2, "mu=0", "seed>=2^32", "seed<0", "K48", "q>=degree", "row>255"}
+
+
+def test_triple_constructor_stores_canonical_rows():
+    # triples in any order, with a and b either way round, give sorted rows
+    rng = random.Random(3)
+    g = random_graph(12, 0.7, 8)
+    want = random_system(g, 60, 2).triples()
+    shuffled = [(v, b, a) if rng.random() < 0.5 else (v, a, b) for v, a, b in want]
+    rng.shuffle(shuffled)
+    f = IncompatibilitySystem(g, shuffled)
+    assert f.triples() == want
+    assert_canonical(f)
+
+
+@given(st.integers(0, 40), st.sampled_from((0.1, 0.3, 0.6, 0.9)), st.integers(0, 1 << 30),
+       st.integers(0, 20), st.integers(-(1 << 40), 1 << 40))
+def test_random_bounded_system_stores_the_rows_its_triples_give(n, p, graph_seed, mu, seed):
+    # the sampler writes its rows straight in, unchecked: they must be what
+    # the checking constructor folds from the same triples, in the same order
+    assert_canonical(random_bounded_system(random_graph(n, p, graph_seed), Fraction(mu, 20), seed))
 
 
 def test_random_bounded_system_tops_up_inside_shuffles():

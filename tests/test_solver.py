@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from comptile import construct, lattice, oracles, solver
@@ -224,6 +224,83 @@ def test_copy_order_is_sorted_vertices_then_edges(name):
                 kept = set(cut.copies)
                 assert cut.copies == [e for e in enum.copies if e in kept]
                 _canonical_order_holds(cut, pattern, host, f)
+
+
+_TIE_PATTERNS = {"C4": cycle_graph(4), "P3": path_graph(3),
+                 "K112": complete_multipartite(MultipartiteSpec((1, 1, 2)))[0],
+                 "01-02": Graph.from_edges(4, [(0, 1), (0, 2)])}
+
+
+@pytest.mark.parametrize("name, proven", [("C4", True), ("P3", True), ("K112", True),
+                                          ("01-02", False)])
+def test_tie_order_is_proven_where_the_embedder_keeps_it(name, proven):
+    plan, below = solver._search_plan(_TIE_PATTERNS[name], solver.DEFAULT_BUDGET)
+    assert solver._ties_in_order(plan, below) is proven
+
+
+def test_an_unproven_tie_order_is_still_sorted(monkeypatch):
+    # on K_5 the embedder finds the copies of {01, 02} + a vertex on one
+    # vertex set out of edge order: skipping the sort would show
+    pattern, host = _TIE_PATTERNS["01-02"], complete_graph(5)
+    enum = enumerate_compatible_copies(pattern, host)
+    _canonical_order_holds(enum, pattern, host, IncompatibilitySystem.empty(host))
+    monkeypatch.setattr(solver, "_ties_in_order", lambda plan, below: True)
+    unsorted = enumerate_compatible_copies(pattern, host)
+    assert sorted(unsorted.images) == sorted(enum.images) and unsorted.images != enum.images
+
+
+def _is_canonical(enum) -> bool:
+    keys = [(e.vertices, e.edges) for e in enum.copies]
+    return keys == sorted(keys)
+
+
+@given(st.integers(2, 5).flatmap(lambda k: st.tuples(
+           st.just(k), st.lists(st.sampled_from(list(combinations(range(k), 2))),
+                                min_size=1, unique=True))),
+       st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(lambda s: 2 <= sum(s) <= 5),
+       st.integers(2, 10), st.sampled_from((0.5, 0.8, 1.0)), st.integers(0, 1 << 30))
+@example((4, [(0, 1), (1, 2), (2, 3), (0, 3)]), [1, 1, 2], 9, 1.0, 5)   # C4: proven
+@example((4, [(0, 1), (0, 2)]), [2, 2], 9, 1.0, 6)                      # unproven
+@settings(max_examples=40)
+def test_copies_come_out_in_canonical_order_with_or_without_the_tie_sort(
+        pattern_edges, sizes, n, p, seed):
+    # proven plans skip the tie sort, others run it; whole-pool, pool,
+    # transversal and budget-cut enumerations all list the copies sorted by
+    # (sorted vertices, sorted edges)
+    rng = random.Random(seed)
+    pattern = Graph.from_edges(*pattern_edges)
+    host = random_graph(n, p, rng.getrandbits(30))
+    f = random_system(host, rng.randint(0, 8), rng.getrandbits(30))
+    pool = mask_of(v for v in range(n) if rng.random() < 0.8)
+    spec = MultipartiteSpec(sizes)
+    verts = list(range(n))
+    rng.shuffle(verts)
+    cuts = sorted(rng.sample(range(1, n), min(spec.r - 1, n - 1)))
+    parts = [verts[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+    parts += [[]] * (spec.r - len(parts))
+    runs = [lambda b: enumerate_compatible_copies(pattern, host, f, b),
+            lambda b: enumerate_compatible_copies(pattern, host, f, b, pool),
+            lambda b: enumerate_transversal_copies(spec, host, f, parts, b)]
+    for run in runs:
+        enum = run(solver.DEFAULT_BUDGET)
+        assert not enum.truncated and _is_canonical(enum)
+        cut = run(rng.randrange(enum.expansions + 1))
+        assert _is_canonical(cut) and set(cut.images) <= set(enum.images)
+
+
+def test_repeated_transversal_calls_prove_the_tie_order_once(monkeypatch):
+    # each call builds a new plan and passes its rule as a list: the proof
+    # is keyed by value, so only the first call enumerates K_4 (on K_4 the
+    # two one-vertex parts may swap, so the proof fails and the sort runs)
+    built = []
+    monkeypatch.setattr(solver, "complete_graph", lambda k: built.append(k) or complete_graph(k))
+    monkeypatch.setattr(solver, "_tie_proofs", {})
+    spec, host = MultipartiteSpec((1, 1, 2)), complete_graph(9)
+    for shift in range(4):
+        verts = [(v + shift) % 9 for v in range(9)]
+        enum = enumerate_transversal_copies(spec, host, None, [verts[:1], verts[1:2], verts[2:]])
+        assert len(enum.images) == 21 and _is_canonical(enum)
+    assert built == [4] and list(solver._tie_proofs.values()) == [False]
 
 
 def _tiling_record():
